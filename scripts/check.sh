@@ -33,91 +33,36 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
+# Builds and runs the tests carrying ctest label $2 in build tree $1. The
+# stage lists live in tests/CMakeLists.txt; test names double as target
+# names, so one label selects both what to build and what to run.
+run_label() {
+  local tree="$1" label="$2"
+  local -a targets
+  mapfile -t targets < <(ctest --test-dir "$tree" -N -L "^${label}\$" |
+                         sed -n 's/^ *Test *#[0-9]*: //p')
+  if [[ ${#targets[@]} -eq 0 ]]; then
+    echo "no tests carry the '${label}' label" >&2
+    exit 1
+  fi
+  cmake --build "$tree" -j "$JOBS" --target "${targets[@]}"
+  ctest --test-dir "$tree" -L "^${label}\$" --output-on-failure
+}
+
 if [[ "${DKF_TSAN:-1}" == "0" ]]; then
   echo "== sanitizer stage skipped (DKF_TSAN=0) =="
 else
   echo "== sanitizer (${SANITIZE}): runtime tests =="
   cmake -B "build-${SANITIZE//,/-}" -S . -DDKF_SANITIZE="$SANITIZE" >/dev/null
-  # golden_trace_test drives the per-shard trace sinks through the
-  # worker pool, so it races exactly the code the obs layer added;
-  # serve_golden_test does the same for the per-shard subscription
-  # engines (EndTick runs on shard workers, Drain on the driver);
-  # the fleet tests run the batched SoA engine inside shard workers at
-  # several shard counts (docs/fleet.md); the governor tests drive
-  # epoch planning + batched reconfiguration from the tick driver while
-  # shard workers run (docs/governor.md); the adaptive scenario battery
-  # runs the noise servo inside shard workers at 1/2/4/8 shards
-  # (docs/adaptive.md); the fusion chaos test ticks group-pinned
-  # FusionEngines inside shard workers and diffs merged state across
-  # shard counts (docs/fusion.md).
-  cmake --build "build-${SANITIZE//,/-}" -j "$JOBS" \
-    --target worker_pool_test sharded_engine_test golden_trace_test \
-             subscription_engine_test serve_golden_test \
-             fleet_equivalence_test fleet_churn_test \
-             governor_test governor_chaos_test adaptive_scenarios_test \
-             fusion_chaos_test
-  "./build-${SANITIZE//,/-}/tests/worker_pool_test"
-  "./build-${SANITIZE//,/-}/tests/sharded_engine_test"
-  "./build-${SANITIZE//,/-}/tests/golden_trace_test"
-  "./build-${SANITIZE//,/-}/tests/subscription_engine_test"
-  "./build-${SANITIZE//,/-}/tests/serve_golden_test"
-  "./build-${SANITIZE//,/-}/tests/fleet_equivalence_test"
-  "./build-${SANITIZE//,/-}/tests/fleet_churn_test"
-  "./build-${SANITIZE//,/-}/tests/governor_test"
-  "./build-${SANITIZE//,/-}/tests/governor_chaos_test"
-  "./build-${SANITIZE//,/-}/tests/adaptive_scenarios_test"
-  "./build-${SANITIZE//,/-}/tests/fusion_chaos_test"
+  run_label "build-${SANITIZE//,/-}" tsan
 fi
 
 if [[ "${DKF_ASAN:-1}" == "0" ]]; then
   echo "== asan/ubsan stage skipped (DKF_ASAN=0) =="
 else
   echo "== asan+ubsan: fault-injection / protocol tests =="
-  # The chaos harness drives the fault-injected channel, the resync
-  # state machine, and the sharded runtime end to end — exactly the new
-  # allocation patterns (in-flight queue, deferred ACKs, resync
-  # snapshots) ASan+UBSan should chew on.
   cmake -B build-asan -S . -DDKF_SANITIZE=address,undefined >/dev/null
-  cmake --build build-asan -j "$JOBS" \
-    --target chaos_test channel_test sharded_engine_test stream_manager_test \
-             source_server_test \
-             metrics_registry_test trace_sink_test golden_trace_test \
-             obs_property_test corruption_fuzz_test \
-             subscription_engine_test serve_golden_test \
-             fleet_equivalence_test fleet_churn_test \
-             governor_test governor_chaos_test \
-             adaptive_property_test adaptive_scenarios_test \
-             fusion_engine_test fusion_chaos_test fusion_checkpoint_test
-  ./build-asan/tests/chaos_test
-  ./build-asan/tests/channel_test
-  ./build-asan/tests/sharded_engine_test
-  ./build-asan/tests/stream_manager_test
-  ./build-asan/tests/source_server_test
-  ./build-asan/tests/metrics_registry_test
-  ./build-asan/tests/trace_sink_test
-  ./build-asan/tests/golden_trace_test
-  ./build-asan/tests/obs_property_test
-  ./build-asan/tests/corruption_fuzz_test
-  ./build-asan/tests/subscription_engine_test
-  ./build-asan/tests/serve_golden_test
-  # The batched fleet's SoA lanes, spill/absorb path, and resident
-  # bookkeeping are exactly the new pointer/vector churn to chew on.
-  ./build-asan/tests/fleet_equivalence_test
-  ./build-asan/tests/fleet_churn_test
-  # The governor's per-epoch allocation scratch and the mid-stream
-  # reconfigure spills are fresh allocation churn for ASan.
-  ./build-asan/tests/governor_test
-  ./build-asan/tests/governor_chaos_test
-  # The noise servo's resync_adapt payload (export/import, corrupted
-  # frames, holdover resets) is new parsing surface for ASan+UBSan.
-  ./build-asan/tests/adaptive_property_test
-  ./build-asan/tests/adaptive_scenarios_test
-  # The fusion engine's per-group member maps, deferred-ACK queues, and
-  # broadcast fan-out buffers are new allocation surface; the resync
-  # path parses member-shipped frames it then deliberately discards.
-  ./build-asan/tests/fusion_engine_test
-  ./build-asan/tests/fusion_chaos_test
-  ./build-asan/tests/fusion_checkpoint_test
+  run_label build-asan asan
 fi
 
 if [[ "${DKF_COVERAGE:-1}" == "0" ]]; then
@@ -125,39 +70,9 @@ if [[ "${DKF_COVERAGE:-1}" == "0" ]]; then
 else
   echo "== coverage: src/obs + src/dsms + src/serve + src/fleet + src/governor + src/filter + src/fusion line-coverage floors =="
   cmake -B build-coverage -S . -DDKF_COVERAGE=ON >/dev/null
-  cmake --build build-coverage -j "$JOBS" \
-    --target metrics_registry_test trace_sink_test golden_trace_test \
-             obs_property_test corruption_fuzz_test chaos_test channel_test \
-             sharded_engine_test stream_manager_test source_server_test \
-             simulation_test \
-             confidence_test energy_model_test \
-             subscription_engine_test serve_golden_test \
-             fleet_equivalence_test fleet_churn_test \
-             governor_test governor_chaos_test \
-             kalman_filter_test fast_path_test extended_kalman_filter_test \
-             steady_state_test recursive_least_squares_test \
-             noise_estimation_test rts_smoother_test \
-             unscented_kalman_filter_test \
-             adaptive_property_test adaptive_scenarios_test \
-             fusion_engine_test fusion_chaos_test fusion_checkpoint_test
   # Fresh counters each run: .gcda files accumulate across executions.
   find build-coverage -name '*.gcda' -delete
-  for t in metrics_registry_test trace_sink_test golden_trace_test \
-           obs_property_test corruption_fuzz_test chaos_test channel_test \
-           sharded_engine_test stream_manager_test source_server_test \
-           simulation_test \
-           confidence_test energy_model_test \
-           subscription_engine_test serve_golden_test \
-           fleet_equivalence_test fleet_churn_test \
-           governor_test governor_chaos_test \
-           kalman_filter_test fast_path_test extended_kalman_filter_test \
-           steady_state_test recursive_least_squares_test \
-           noise_estimation_test rts_smoother_test \
-           unscented_kalman_filter_test \
-           adaptive_property_test adaptive_scenarios_test \
-           fusion_engine_test fusion_chaos_test fusion_checkpoint_test; do
-    "./build-coverage/tests/$t" > /dev/null
-  done
+  run_label build-coverage coverage
   python3 scripts/coverage_gate.py build-coverage --root=. \
     --gate=src/obs=0.90 --gate=src/dsms=0.80 --gate=src/serve=0.85 \
     --gate=src/fleet=0.85 --gate=src/governor=0.85 --gate=src/filter=0.90 \

@@ -120,6 +120,15 @@ class SourceNode {
   /// have diverged from KF_s; suppression is frozen).
   bool resync_pending() const { return pending_; }
 
+  /// Resync-episode bookkeeping (reset when the episode heals) and the
+  /// installed smoothing factor. The batched fleet engine reads these in
+  /// place to keep such sources off its lanes (docs/fleet.md).
+  int resync_attempts() const { return resync_attempts_; }
+  uint32_t first_resync_sequence() const { return first_resync_sequence_; }
+  const std::optional<double>& smoothing_factor() const {
+    return options_.smoothing_factor;
+  }
+
   /// Source-side protocol fault counters.
   const ProtocolFaultStats& fault_stats() const { return faults_; }
 

@@ -9,22 +9,8 @@
 namespace dkf {
 namespace {
 
-/// Bitwise matrix equality (row-major storage is contiguous).
-bool MatrixBitEqual(const Matrix& a, const Matrix& b) {
-  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
-  if (a.rows() == 0 || a.cols() == 0) return true;
-  return std::memcmp(a.RowData(0), b.RowData(0),
-                     a.rows() * a.cols() * sizeof(double)) == 0;
-}
-
 bool DoubleBitEqual(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
-bool VectorBitEqual(const Vector& a, const Vector& b) {
-  if (a.size() != b.size()) return false;
-  if (a.size() == 0) return true;
-  return std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
 }  // namespace
@@ -210,11 +196,11 @@ Matrix NoiseAdapter::EffectiveProcessNoise() const {
 Status NoiseAdapter::InstallInto(KalmanFilter* filter) const {
   if (!enabled_ || filter == nullptr) return Status::OK();
   const Matrix r = EffectiveMeasurementNoise();
-  if (!MatrixBitEqual(r, filter->measurement_noise())) {
+  if (!BitEqual(r, filter->measurement_noise())) {
     DKF_RETURN_IF_ERROR(filter->set_measurement_noise(r));
   }
   const Matrix q = EffectiveProcessNoise();
-  if (!MatrixBitEqual(q, filter->process_noise())) {
+  if (!BitEqual(q, filter->process_noise())) {
     DKF_RETURN_IF_ERROR(filter->set_process_noise(q));
   }
   return Status::OK();
@@ -311,8 +297,8 @@ bool NoiseAdapter::StateBitEqual(const NoiseAdapter& other) const {
          last_correction_tick_ == other.last_correction_tick_ &&
          lock_count_ == other.lock_count_ &&
          has_prev_z_ == other.has_prev_z_ &&
-         VectorBitEqual(prev_z_, other.prev_z_) &&
-         VectorBitEqual(qstep_est_, other.qstep_est_);
+         BitEqual(prev_z_, other.prev_z_) &&
+         BitEqual(qstep_est_, other.qstep_est_);
 }
 
 }  // namespace dkf

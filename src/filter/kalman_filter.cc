@@ -487,4 +487,34 @@ bool KalmanFilter::StateEquals(const KalmanFilter& other) const {
   return true;
 }
 
+bool KalmanFilter::FullStateBitEquals(const KalmanFilter& other) const {
+  if (step_ != other.step_ || phase_ != other.phase_ ||
+      ss_mode_ != other.ss_mode_ || ss_streak1_ != other.ss_streak1_ ||
+      ss_streak2_ != other.ss_streak2_ ||
+      predicts_since_correct_ != other.predicts_since_correct_ ||
+      ss_have_prev_ != other.ss_have_prev_ ||
+      ss_period_ != other.ss_period_ ||
+      ss_pending_priors_ != other.ss_pending_priors_ ||
+      ss_capture_idx_ != other.ss_capture_idx_ || ss_idx_ != other.ss_idx_) {
+    return false;
+  }
+  if (!BitEqual(x_, other.x_) || !BitEqual(p_, other.p_) ||
+      !BitEqual(last_innovation_, other.last_innovation_) ||
+      !BitEqual(options_.process_noise, other.options_.process_noise) ||
+      !BitEqual(options_.measurement_noise,
+                other.options_.measurement_noise) ||
+      !BitEqual(ss_prev_gain_, other.ss_prev_gain_)) {
+    return false;
+  }
+  for (int i = 0; i < 2; ++i) {
+    if (!BitEqual(ss_prev_post_[i], other.ss_prev_post_[i]) ||
+        !BitEqual(ss_gain_[i], other.ss_gain_[i]) ||
+        !BitEqual(ss_prior_p_[i], other.ss_prior_p_[i]) ||
+        !BitEqual(ss_post_p_[i], other.ss_post_p_[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace dkf

@@ -162,6 +162,14 @@ class KalmanFilter {
   /// step counter — the mirror-consistency predicate of the DKF protocol.
   bool StateEquals(const KalmanFilter& other) const;
 
+  /// True when the two filters' ExportFullState() copies would be bitwise
+  /// equal in every field, decided in place without building either copy.
+  /// Scalars are compared first, so the usual mismatch (a step or
+  /// fast-path counter) returns before any matrix is read. Unlike
+  /// StateEquals this tells -0.0 from 0.0. The batched fleet engine's
+  /// absorb test (docs/fleet.md).
+  bool FullStateBitEquals(const KalmanFilter& other) const;
+
   /// Everything that distinguishes a running filter from a freshly
   /// constructed one with the same model recipe: estimate, covariance,
   /// step/phase counters, the current (possibly reconfigured) Q and R, and

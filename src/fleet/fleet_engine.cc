@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <unordered_set>
 
 #include "common/string_util.h"
 #include "core/suppression.h"
@@ -12,23 +11,9 @@ namespace dkf {
 
 namespace {
 
-// Bitwise comparison helpers. The absorb predicate and the cached-phi
-// assertion both demand *bit* equality — `==` on doubles would treat
-// -0.0 == 0.0 and NaN != NaN, either of which could let a lane drift
-// from the per-source arithmetic by one representation.
-bool BitEqual(const Vector& a, const Vector& b) {
-  if (a.size() != b.size()) return false;
-  return a.size() == 0 ||
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
-}
-
-bool BitEqual(const Matrix& a, const Matrix& b) {
-  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
-  const size_t n = a.rows() * a.cols();
-  return n == 0 ||
-         std::memcmp(a.RowData(0), b.RowData(0), n * sizeof(double)) == 0;
-}
-
+/// The cached-phi assertion demands *bit* equality — `==` on doubles
+/// would treat -0.0 == 0.0 and NaN != NaN, either of which could let a
+/// lane drift from the per-source arithmetic by one representation.
 bool BitEqual(const std::vector<double>& flat, const Matrix& m) {
   if (flat.size() != m.rows() * m.cols()) return false;
   return flat.empty() ||
@@ -36,33 +21,17 @@ bool BitEqual(const std::vector<double>& flat, const Matrix& m) {
                      flat.size() * sizeof(double)) == 0;
 }
 
-/// Every field of FullState, bitwise — StateEquals only compares
-/// step/x/p, which is not enough to fold two filters into one lane: the
-/// steady-state bookkeeping and noise matrices drive future arithmetic.
-bool FullStateBitEqual(const KalmanFilter::FullState& a,
-                       const KalmanFilter::FullState& b) {
-  if (a.step != b.step || a.phase != b.phase || a.ss_mode != b.ss_mode ||
-      a.ss_streak1 != b.ss_streak1 || a.ss_streak2 != b.ss_streak2 ||
-      a.predicts_since_correct != b.predicts_since_correct ||
-      a.ss_have_prev != b.ss_have_prev || a.ss_period != b.ss_period ||
-      a.ss_pending_priors != b.ss_pending_priors ||
-      a.ss_capture_idx != b.ss_capture_idx || a.ss_idx != b.ss_idx) {
-    return false;
-  }
-  if (!BitEqual(a.x, b.x) || !BitEqual(a.p, b.p) ||
-      !BitEqual(a.last_innovation, b.last_innovation) ||
-      !BitEqual(a.process_noise, b.process_noise) ||
-      !BitEqual(a.measurement_noise, b.measurement_noise) ||
-      !BitEqual(a.ss_prev_gain, b.ss_prev_gain)) {
-    return false;
-  }
-  for (int i = 0; i < 2; ++i) {
-    if (!BitEqual(a.ss_prev_post[i], b.ss_prev_post[i]) ||
-        !BitEqual(a.ss_gain[i], b.ss_gain[i]) ||
-        !BitEqual(a.ss_prior_p[i], b.ss_prior_p[i]) ||
-        !BitEqual(a.ss_post_p[i], b.ss_post_p[i])) {
-      return false;
-    }
+/// The KalmanFilter behind one end of a link. Every tracked source runs
+/// a KalmanPredictor at both ends (SourceNode::Create,
+/// ServerNode::RegisterSource).
+const KalmanFilter* FilterOf(const Predictor& predictor) {
+  const auto* kalman = dynamic_cast<const KalmanPredictor*>(&predictor);
+  return kalman != nullptr ? &kalman->filter() : nullptr;
+}
+
+bool AllFinite(const double* values, size_t count) {
+  for (size_t i = 0; i < count; ++i) {
+    if (!std::isfinite(values[i])) return false;
   }
   return true;
 }
@@ -110,6 +79,20 @@ void FlattenMatrix(const Matrix& m, std::vector<double>* out) {
 
 }  // namespace
 
+int64_t FleetCounters::spill_total() const {
+  int64_t total = 0;
+  for (int64_t count : spills) total += count;
+  return total;
+}
+
+FleetCounters& FleetCounters::operator+=(const FleetCounters& other) {
+  for (size_t i = 0; i < spills.size(); ++i) spills[i] += other.spills[i];
+  for (size_t i = 0; i < absorb_rejects.size(); ++i) {
+    absorb_rejects[i] += other.absorb_rejects[i];
+  }
+  return *this;
+}
+
 FleetEngine::FleetEngine(ServerNode* server, Channel* channel,
                          const ProtocolOptions& protocol,
                          const EnergyModelOptions& energy)
@@ -153,16 +136,32 @@ Result<int> FleetEngine::GroupFor(const StateModel& model) {
 
 Status FleetEngine::Track(int source_id, const StateModel& model,
                           SourceNode* node) {
-  if (nodes_.contains(source_id)) {
+  if (tracked_.contains(source_id)) {
     return Status::AlreadyExists(
         StrFormat("source %d already tracked", source_id));
   }
   DKF_ASSIGN_OR_RETURN(int group_index, GroupFor(model));
-  nodes_[source_id] = node;
-  eligible_group_[source_id] = group_index;
-  spilled_.insert(source_id);
+  tracked_[source_id] = TrackedSource{node, group_index};
   order_dirty_ = true;
   return Status::OK();
+}
+
+const FleetEngine::TickEntry* FleetEngine::FindEntry(int source_id) const {
+  auto it = std::lower_bound(
+      order_.begin(), order_.end(), source_id,
+      [](const TickEntry& entry, int id) { return entry.id < id; });
+  return it != order_.end() && it->id == source_id ? &*it : nullptr;
+}
+
+bool FleetEngine::resident(int source_id) const {
+  const TickEntry* entry = FindEntry(source_id);
+  return entry != nullptr && entry->group >= 0;
+}
+
+size_t FleetEngine::resident_count() const {
+  size_t total = 0;
+  for (const auto& group : groups_) total += group->ids.size();
+  return total;
 }
 
 KalmanFilter::FullState FleetEngine::LaneFullState(const Group& g,
@@ -190,13 +189,8 @@ KalmanFilter::FullState FleetEngine::LaneFullState(const Group& g,
 
 Result<SourceNode::CheckpointState> FleetEngine::SynthesizeForLane(
     const Group& g, size_t lane) const {
-  const int id = g.ids[lane];
-  auto node_it = nodes_.find(id);
-  if (node_it == nodes_.end()) {
-    return Status::NotFound(StrFormat("source %d not tracked", id));
-  }
   DKF_ASSIGN_OR_RETURN(SourceNode::CheckpointState state,
-                       node_it->second->ExportCheckpoint());
+                       order_[g.order_pos[lane]].node->ExportCheckpoint());
   // The dormant node still holds everything a lane never advances (delta,
   // sequence counter, divergence machine, fault counters); overlay the
   // fields the lane does move.
@@ -223,20 +217,17 @@ ServerNode::LinkSnapshot FleetEngine::SynthesizeLinkForLane(
   // never happen on a resident lane), so the dormant node's state stands
   // in for the server's.
   link.predictor = LaneFullState(g, lane);
-  auto node_it = nodes_.find(g.ids[lane]);
-  if (node_it != nodes_.end()) {
-    link.adapt = node_it->second->noise_adapter().ExportState();
-  }
+  link.adapt = order_[g.order_pos[lane]].node->noise_adapter().ExportState();
   return link;
 }
 
-size_t FleetEngine::AddLane(Group& g, int source_id,
+size_t FleetEngine::AddLane(Group& g, int32_t order_pos,
                             const SourceNode::CheckpointState& state,
                             const ServerNode::LinkSnapshot& link) {
   const size_t lane = g.ids.size();
   const size_t n = g.n;
   const KalmanFilter::FullState& m = state.mirror;
-  g.ids.push_back(source_id);
+  g.ids.push_back(order_[order_pos].id);
   g.x.insert(g.x.end(), m.x.data(), m.x.data() + n);
   g.p.insert(g.p.end(), m.p.RowData(0), m.p.RowData(0) + n * n);
   g.step.push_back(m.step);
@@ -256,7 +247,7 @@ size_t FleetEngine::AddLane(Group& g, int source_id,
   g.link_last_resync_tick.push_back(link.last_resync_tick);
   g.link_last_update_tick.push_back(link.last_update_tick);
   g.ss_period.push_back(m.ss_period);
-  g.batch_rank.push_back(-1);
+  g.order_pos.push_back(order_pos);
   g.value_ptrs.push_back(nullptr);
   g.cold.push_back(m);
   return lane;
@@ -266,7 +257,6 @@ void FleetEngine::RemoveLane(Group& g, size_t lane) {
   const size_t last = g.ids.size() - 1;
   const size_t n = g.n;
   if (lane != last) {
-    const int moved = g.ids[last];
     g.ids[lane] = g.ids[last];
     std::memcpy(&g.x[lane * n], &g.x[last * n], n * sizeof(double));
     std::memcpy(&g.p[lane * n * n], &g.p[last * n * n],
@@ -288,10 +278,10 @@ void FleetEngine::RemoveLane(Group& g, size_t lane) {
     g.link_last_resync_tick[lane] = g.link_last_resync_tick[last];
     g.link_last_update_tick[lane] = g.link_last_update_tick[last];
     g.ss_period[lane] = g.ss_period[last];
-    g.batch_rank[lane] = g.batch_rank[last];
+    g.order_pos[lane] = g.order_pos[last];
     g.value_ptrs[lane] = g.value_ptrs[last];
     g.cold[lane] = std::move(g.cold[last]);
-    resident_[moved].lane = lane;
+    order_[g.order_pos[lane]].lane = static_cast<int32_t>(lane);
   }
   g.ids.pop_back();
   g.x.resize(g.x.size() - n);
@@ -313,16 +303,18 @@ void FleetEngine::RemoveLane(Group& g, size_t lane) {
   g.link_last_resync_tick.pop_back();
   g.link_last_update_tick.pop_back();
   g.ss_period.pop_back();
-  g.batch_rank.pop_back();
+  g.order_pos.pop_back();
   g.value_ptrs.pop_back();
   g.cold.pop_back();
 }
 
 Status FleetEngine::SpillLane(int group_index, size_t lane, int64_t tick,
-                              const Vector* reading) {
+                              const Vector* reading,
+                              FleetSpillReason reason) {
   Group& g = *groups_[group_index];
-  const int id = g.ids[lane];
-  SourceNode* node = nodes_.at(id);
+  TickEntry& entry = order_[g.order_pos[lane]];
+  const int id = entry.id;
+  SourceNode* node = entry.node;
 
   DKF_ASSIGN_OR_RETURN(SourceNode::CheckpointState synth,
                        SynthesizeForLane(g, lane));
@@ -333,15 +325,13 @@ Status FleetEngine::SpillLane(int group_index, size_t lane, int64_t tick,
   // registration model, and the servo's scales are relative to nominal.
   // RestoreLink then overwrites the filter with the lane's full state,
   // so the registration model's Q/R never reach the filter either way.
-  const StateModel& nominal_model = groups_[eligible_group_.at(id)]->model;
+  const StateModel& nominal_model = groups_[entry.nominal_group]->model;
   DKF_RETURN_IF_ERROR(server_->RegisterSource(id, nominal_model));
   DKF_RETURN_IF_ERROR(server_->RestoreLink(id, link));
 
   RemoveLane(g, lane);
-  resident_.erase(id);
-  spilled_.insert(id);
-  order_dirty_ = true;
-  ++spills_;
+  entry.group = -1;
+  ++counters_.spills[static_cast<size_t>(reason)];
 
   if (reading != nullptr) {
     // Mid-tick spill: the server's TickAll already ran without this id,
@@ -355,10 +345,11 @@ Status FleetEngine::SpillLane(int group_index, size_t lane, int64_t tick,
 }
 
 Status FleetEngine::SpillForReconfigure(int source_id) {
-  auto it = resident_.find(source_id);
-  if (it == resident_.end()) return Status::OK();
-  return SpillLane(it->second.group, it->second.lane, /*tick=*/0,
-                   /*reading=*/nullptr);
+  const TickEntry* entry = FindEntry(source_id);
+  if (entry == nullptr || entry->group < 0) return Status::OK();
+  return SpillLane(entry->group, static_cast<size_t>(entry->lane),
+                   /*tick=*/0, /*reading=*/nullptr,
+                   FleetSpillReason::kReconfigure);
 }
 
 int64_t FleetEngine::LookupBatchPos(const ReadingBatch& batch, int id,
@@ -385,20 +376,29 @@ int64_t FleetEngine::LookupBatchPos(const ReadingBatch& batch, int id,
 }
 
 void FleetEngine::RebuildOrder() {
-  order_.clear();
-  order_.reserve(nodes_.size());
-  for (auto& [id, node] : nodes_) {
-    TickEntry entry;
-    entry.id = id;
-    entry.node = node;
-    auto res = resident_.find(id);
-    if (res != resident_.end()) {
-      entry.group = res->second.group;
-      entry.lane = static_cast<int32_t>(res->second.lane);
-      // Carry the warm rank cache across the rebuild.
-      entry.rank = groups_[entry.group]->batch_rank[res->second.lane];
+  // Both sides ascend by id and `tracked_` only ever grows, so one merge
+  // pass keeps every existing entry (residency and batch rank included)
+  // and slots the newcomers in, spilled.
+  std::vector<TickEntry> merged;
+  merged.reserve(tracked_.size());
+  size_t old = 0;
+  for (const auto& [id, source] : tracked_) {
+    if (old < order_.size() && order_[old].id == id) {
+      merged.push_back(order_[old++]);
+      continue;
     }
-    order_.push_back(entry);
+    TickEntry entry;
+    entry.node = source.node;
+    entry.id = id;
+    entry.nominal_group = source.nominal_group;
+    merged.push_back(entry);
+  }
+  order_.swap(merged);
+  for (size_t i = 0; i < order_.size(); ++i) {
+    const TickEntry& entry = order_[i];
+    if (entry.group >= 0) {
+      groups_[entry.group]->order_pos[entry.lane] = static_cast<int32_t>(i);
+    }
   }
   order_dirty_ = false;
 }
@@ -406,7 +406,6 @@ void FleetEngine::RebuildOrder() {
 Status FleetEngine::ResolveReadings(const std::map<int, Vector>* readings,
                                     const ReadingBatch* batch) {
   staged_spilled_.clear();
-  staged_spilled_.reserve(spilled_.size());
   if (order_dirty_) RebuildOrder();
   bool rebuilt = false;
   // Ascending id, like RunSourceTick's staging pass: the first missing
@@ -436,9 +435,7 @@ Status FleetEngine::ResolveReadings(const std::map<int, Vector>* readings,
           StrFormat("missing reading for source %d", entry.id));
     }
     if (entry.group >= 0) {
-      Group& g = *groups_[entry.group];
-      g.batch_rank[entry.lane] = entry.rank;
-      g.value_ptrs[entry.lane] = value;
+      groups_[entry.group]->value_ptrs[entry.lane] = value;
     } else {
       staged_spilled_.emplace_back(entry.node, value);
     }
@@ -495,9 +492,8 @@ Status FleetEngine::TickLane(int group_index, size_t lane, int64_t tick,
   // code must own this tick either way.
   if (protocol_.heartbeat_interval > 0 &&
       tick - g.last_send_tick[lane] >= protocol_.heartbeat_interval) {
-    DKF_RETURN_IF_ERROR(SpillLane(group_index, lane, tick, z));
     *spilled = true;
-    return Status::OK();
+    return SpillLane(group_index, lane, tick, z, FleetSpillReason::kHeartbeat);
   }
 
   double deviation = 0.0;
@@ -516,12 +512,18 @@ Status FleetEngine::TickLane(int group_index, size_t lane, int64_t tick,
     const KalmanFilter::FullState pre = LaneFullState(g, lane);
     replay.SetTrace(nullptr, 0, TraceActor::kSourceFilter);
     DKF_RETURN_IF_ERROR(replay.ImportFullState(pre));
-    DKF_RETURN_IF_ERROR(replay.Tick());
+    if (!replay.Tick().ok()) {
+      // The predict left the finite range: the per-source filter reports
+      // it, exactly as the per-source engine would.
+      *spilled = true;
+      return SpillLane(group_index, lane, tick, z,
+                       FleetSpillReason::kNonFinite);
+    }
     deviation = Deviation(replay.Predicted(), *z, DeviationNorm::kMaxAbs);
     if (deviation > g.delta[lane]) {
-      DKF_RETURN_IF_ERROR(SpillLane(group_index, lane, tick, z));
       *spilled = true;
-      return Status::OK();
+      return SpillLane(group_index, lane, tick, z,
+                       FleetSpillReason::kArmPending);
     }
     DKF_RETURN_IF_ERROR(replay.ImportFullState(pre));
     replay.SetTrace(obs_sink_, id, TraceActor::kServerFilter);
@@ -554,10 +556,10 @@ Status FleetEngine::TickLane(int group_index, size_t lane, int64_t tick,
       for (size_t c = 0; c < n; ++c) sum += phi_row[c] * x[c];
       sx[r] = sum;
     }
-    for (size_t r = 0; r < n; ++r) {
-      if (!std::isfinite(sx[r])) {
-        return Status::Internal("filter state diverged to non-finite values");
-      }
+    if (!AllFinite(sx, n)) {
+      *spilled = true;
+      return SpillLane(group_index, lane, tick, z,
+                       FleetSpillReason::kNonFinite);
     }
     for (size_t r = 0; r < m; ++r) {
       const double* h_row = h + r * n;
@@ -566,9 +568,9 @@ Status FleetEngine::TickLane(int group_index, size_t lane, int64_t tick,
       deviation = std::max(deviation, std::fabs(sum - (*z)[r]));
     }
     if (deviation > g.delta[lane]) {
-      DKF_RETURN_IF_ERROR(SpillLane(group_index, lane, tick, z));
       *spilled = true;
-      return Status::OK();
+      return SpillLane(group_index, lane, tick, z,
+                       FleetSpillReason::kDeviation);
     }
     std::memcpy(&g.x[lane * n], sx, n * sizeof(double));
     // (ss_idx + 1) % period without the integer divide: ss_idx stays in
@@ -654,15 +656,10 @@ Status FleetEngine::TickLane(int group_index, size_t lane, int64_t tick,
         sp2[c * n + r] = avg;
       }
     }
-    for (size_t r = 0; r < n; ++r) {
-      if (!std::isfinite(sx[r])) {
-        return Status::Internal("filter state diverged to non-finite values");
-      }
-    }
-    for (size_t i = 0; i < n * n; ++i) {
-      if (!std::isfinite(sp2[i])) {
-        return Status::Internal("filter state diverged to non-finite values");
-      }
+    if (!AllFinite(sx, n) || !AllFinite(sp2, n * n)) {
+      *spilled = true;
+      return SpillLane(group_index, lane, tick, z,
+                       FleetSpillReason::kNonFinite);
     }
     for (size_t r = 0; r < m; ++r) {
       const double* h_row = h + r * n;
@@ -671,9 +668,9 @@ Status FleetEngine::TickLane(int group_index, size_t lane, int64_t tick,
       deviation = std::max(deviation, std::fabs(sum - (*z)[r]));
     }
     if (deviation > g.delta[lane]) {
-      DKF_RETURN_IF_ERROR(SpillLane(group_index, lane, tick, z));
       *spilled = true;
-      return Status::OK();
+      return SpillLane(group_index, lane, tick, z,
+                       FleetSpillReason::kDeviation);
     }
     std::memcpy(&g.x[lane * n], sx, n * sizeof(double));
     std::memcpy(&g.p[lane * n * n], sp2, n * n * sizeof(double));
@@ -726,11 +723,7 @@ Status FleetEngine::TickGroupLanes(int group_index, int64_t tick) {
           for (size_t c = 0; c < n; ++c) sum += phi_row[c] * x[c];
           sx[r] = sum;
         }
-        bool finite = true;
-        for (size_t r = 0; r < n; ++r) {
-          if (!std::isfinite(sx[r])) finite = false;
-        }
-        if (finite) {
+        if (AllFinite(sx, n)) {
           const Vector* z = g.value_ptrs[lane];
           double deviation = 0.0;
           for (size_t r = 0; r < m; ++r) {
@@ -801,14 +794,7 @@ Status FleetEngine::TickGroupLanes(int group_index, int64_t tick) {
             sp2[c * n + r] = avg;
           }
         }
-        bool finite = true;
-        for (size_t r = 0; r < n; ++r) {
-          if (!std::isfinite(sx[r])) finite = false;
-        }
-        for (size_t i = 0; i < n * n; ++i) {
-          if (!std::isfinite(sp2[i])) finite = false;
-        }
-        if (finite) {
+        if (AllFinite(sx, n) && AllFinite(sp2, n * n)) {
           const Vector* z = g.value_ptrs[lane];
           double deviation = 0.0;
           for (size_t r = 0; r < m; ++r) {
@@ -844,89 +830,96 @@ Status FleetEngine::TickGroupLanes(int group_index, int64_t tick) {
   return Status::OK();
 }
 
+Result<int> FleetEngine::AbsorbTarget(const TickEntry& entry) {
+  auto reject = [this](FleetAbsorbReject reason) {
+    ++counters_.absorb_rejects[static_cast<size_t>(reason)];
+    return -1;
+  };
+  const SourceNode& node = *entry.node;
+  // A pending resync or any channel residue (an in-flight message or an
+  // uncollected deferred ACK) can still mutate this link asymmetrically.
+  if (node.resync_pending()) {
+    return reject(FleetAbsorbReject::kResyncPending);
+  }
+  if (std::binary_search(residual_scratch_.begin(), residual_scratch_.end(),
+                         entry.id)) {
+    return reject(FleetAbsorbReject::kChannelResidue);
+  }
+  if (node.resync_attempts() != 0 || node.first_resync_sequence() != 0 ||
+      node.smoothing_factor().has_value()) {
+    return reject(FleetAbsorbReject::kNodePending);
+  }
+  const NoiseAdapter& adapter = node.noise_adapter();
+  if (adapter.enabled()) {
+    // Adaptive links only fold once the servo has locked (the scales
+    // stopped moving) AND both ends' servo state is bit-identical —
+    // otherwise the next correction would move noise matrices a lane
+    // cannot represent, and convergence gating also keeps the number
+    // of per-(Q,R) groups bounded by the number of settled regimes.
+    DKF_ASSIGN_OR_RETURN(const NoiseAdapter* server_adapter,
+                         server_->noise_adapter(entry.id));
+    if (!adapter.Converged() || !adapter.StateBitEqual(*server_adapter)) {
+      return reject(FleetAbsorbReject::kServoUnsettled);
+    }
+  }
+  // The equivalence contract: fold only when mirror and predictor are the
+  // same filter bit for bit, compared in place — most candidates differ
+  // in a scalar (typically ss_have_prev after a resync), so exporting
+  // both full states first would cost more than every other check.
+  DKF_ASSIGN_OR_RETURN(const Predictor* server_predictor,
+                       server_->predictor(entry.id));
+  const KalmanFilter* mirror = FilterOf(node.mirror());
+  const KalmanFilter* predictor = FilterOf(*server_predictor);
+  if (mirror == nullptr || predictor == nullptr) {
+    return Status::Unimplemented(
+        "predictor does not support full-state export");
+  }
+  if (!mirror->FullStateBitEquals(*predictor)) {
+    return reject(FleetAbsorbReject::kFullStateMismatch);
+  }
+  // The lane must also run the group's cached coefficients.
+  const Group& nominal = *groups_[entry.nominal_group];
+  if (BitEqual(nominal.q, mirror->process_noise()) &&
+      BitEqual(nominal.r, mirror->measurement_noise())) {
+    return entry.nominal_group;
+  }
+  // Off the nominal noise. Only the servo moves Q/R on a healthy link;
+  // anything else (a reconfigured Q/R) cannot fold.
+  if (!adapter.enabled()) {
+    return reject(FleetAbsorbReject::kFullStateMismatch);
+  }
+  // Fold into a group keyed by the adapted (Q, R), whose flats are these
+  // very bits. The entry keeps its nominal group so spills re-register
+  // the nominal model.
+  StateModel adapted = nominal.model;
+  adapted.options.process_noise = mirror->process_noise();
+  adapted.options.measurement_noise = mirror->measurement_noise();
+  return GroupFor(adapted);
+}
+
 Status FleetEngine::TryAbsorbAll() {
-  if (spilled_.empty()) return Status::OK();
+  if (resident_count() == order_.size()) return Status::OK();
   // One channel pass for the whole scan: probing has_residual_for per
   // spilled source walks the in-flight queue each time, which turns a
   // convergence-phase fleet (everything spilled, everything in flight)
   // into a quadratic stall.
   residual_scratch_.clear();
   channel_->AppendResidualSources(&residual_scratch_);
-  std::unordered_set<int> busy(residual_scratch_.begin(),
-                               residual_scratch_.end());
-  for (auto it = spilled_.begin(); it != spilled_.end();) {
-    const int id = *it;
-    const int group_index = eligible_group_.at(id);
-    if (group_index < 0) {
-      ++it;
-      continue;
-    }
-    SourceNode* node = nodes_.at(id);
-    // Cheap prechecks before the full export: a pending resync or any
-    // channel residue (an in-flight message or an uncollected deferred
-    // ACK) can still mutate this link asymmetrically.
-    if (node->resync_pending() || busy.contains(id)) {
-      ++it;
-      continue;
-    }
-    auto state_or = node->ExportCheckpoint();
-    if (!state_or.ok()) return state_or.status();
-    const SourceNode::CheckpointState& state = state_or.value();
-    if (state.pending || state.resync_attempts != 0 ||
-        state.first_resync_sequence != 0 ||
-        state.smoothing_factor.has_value()) {
-      ++it;
-      continue;
-    }
-    auto link_or = server_->ExportLink(id);
-    if (!link_or.ok()) return link_or.status();
-    const ServerNode::LinkSnapshot& link = link_or.value();
-    int target_index = group_index;
-    const NoiseAdapter& adapter = node->noise_adapter();
-    if (adapter.enabled()) {
-      // Adaptive links only fold once the servo has locked (the scales
-      // stopped moving) AND both ends' servo state is bit-identical —
-      // otherwise the next correction would move noise matrices a lane
-      // cannot represent, and convergence gating also keeps the number
-      // of per-(Q,R) groups bounded by the number of settled regimes.
-      if (!adapter.Converged() || !BitEqual(state.adapt, link.adapt)) {
-        ++it;
-        continue;
-      }
-      if (!BitEqual(groups_[group_index]->q, state.mirror.process_noise) ||
-          !BitEqual(groups_[group_index]->r,
-                    state.mirror.measurement_noise)) {
-        // The servo moved this source off its nominal noise: fold into a
-        // group keyed by the adapted (Q, R) instead. eligible_group_
-        // keeps pointing at the nominal group so spills re-register the
-        // nominal model.
-        StateModel adapted = groups_[group_index]->model;
-        adapted.options.process_noise = state.mirror.process_noise;
-        adapted.options.measurement_noise = state.mirror.measurement_noise;
-        auto adapted_or = GroupFor(adapted);
-        if (!adapted_or.ok()) return adapted_or.status();
-        target_index = adapted_or.value();
-        if (target_index < 0) {
-          ++it;
-          continue;
-        }
-      }
-    }
-    Group& g = *groups_[target_index];
-    // The equivalence contract: fold only when mirror and predictor are
-    // the same filter bit-for-bit AND still running the group's cached
-    // coefficients (a reconfigured Q/R would diverge from the flats).
-    if (!FullStateBitEqual(state.mirror, link.predictor) ||
-        !BitEqual(g.q, state.mirror.process_noise) ||
-        !BitEqual(g.r, state.mirror.measurement_noise)) {
-      ++it;
-      continue;
-    }
-    const size_t lane = AddLane(g, id, state, link);
-    DKF_RETURN_IF_ERROR(server_->UnregisterSource(id));
-    resident_[id] = LaneRef{target_index, lane};
-    order_dirty_ = true;
-    it = spilled_.erase(it);
+  std::sort(residual_scratch_.begin(), residual_scratch_.end());
+  for (size_t i = 0; i < order_.size(); ++i) {
+    TickEntry& entry = order_[i];
+    if (entry.group >= 0 || entry.nominal_group < 0) continue;
+    DKF_ASSIGN_OR_RETURN(int target, AbsorbTarget(entry));
+    if (target < 0) continue;
+    DKF_ASSIGN_OR_RETURN(SourceNode::CheckpointState state,
+                         entry.node->ExportCheckpoint());
+    DKF_ASSIGN_OR_RETURN(ServerNode::LinkSnapshot link,
+                         server_->ExportLink(entry.id));
+    const size_t lane = AddLane(*groups_[target], static_cast<int32_t>(i),
+                                state, link);
+    DKF_RETURN_IF_ERROR(server_->UnregisterSource(entry.id));
+    entry.group = target;
+    entry.lane = static_cast<int32_t>(lane);
   }
   return Status::OK();
 }
@@ -967,26 +960,25 @@ Status FleetEngine::ProcessTick(int64_t tick, const ReadingBatch& batch) {
 }
 
 Result<Vector> FleetEngine::Answer(int source_id) const {
-  auto it = resident_.find(source_id);
-  if (it == resident_.end()) {
+  const TickEntry* entry = FindEntry(source_id);
+  if (entry == nullptr || entry->group < 0) {
     return Status::NotFound(
         StrFormat("source %d not registered", source_id));
   }
-  const Group& g = *groups_[it->second.group];
-  DKF_RETURN_IF_ERROR(
-      g.loaner->ImportFullState(LaneFullState(g, it->second.lane)));
+  const Group& g = *groups_[entry->group];
+  DKF_RETURN_IF_ERROR(g.loaner->ImportFullState(LaneFullState(g, entry->lane)));
   return g.loaner->Predicted();
 }
 
 Result<ServerNode::ConfidentAnswer> FleetEngine::AnswerWithConfidence(
     int source_id) const {
-  auto it = resident_.find(source_id);
-  if (it == resident_.end()) {
+  const TickEntry* entry = FindEntry(source_id);
+  if (entry == nullptr || entry->group < 0) {
     return Status::NotFound(
         StrFormat("source %d not registered", source_id));
   }
-  const Group& g = *groups_[it->second.group];
-  const size_t lane = it->second.lane;
+  const Group& g = *groups_[entry->group];
+  const size_t lane = entry->lane;
   DKF_RETURN_IF_ERROR(g.loaner->ImportFullState(LaneFullState(g, lane)));
   ServerNode::ConfidentAnswer answer;
   answer.value = g.loaner->Predicted();
@@ -1027,13 +1019,13 @@ Result<ServerNode::ConfidentAnswer> FleetEngine::AnswerWithConfidence(
 }
 
 Result<bool> FleetEngine::answer_degraded(int source_id) const {
-  auto it = resident_.find(source_id);
-  if (it == resident_.end()) {
+  const TickEntry* entry = FindEntry(source_id);
+  if (entry == nullptr || entry->group < 0) {
     return Status::NotFound(
         StrFormat("source %d not registered", source_id));
   }
-  const Group& g = *groups_[it->second.group];
-  const size_t lane = it->second.lane;
+  const Group& g = *groups_[entry->group];
+  const size_t lane = entry->lane;
   const int64_t ticks_done = server_->ticks();
   if (ticks_done <= 0) return false;
   const int64_t now = ticks_done - 1;
@@ -1044,22 +1036,22 @@ Result<bool> FleetEngine::answer_degraded(int source_id) const {
 
 Result<SourceNode::CheckpointState> FleetEngine::SynthesizeSourceState(
     int source_id) const {
-  auto it = resident_.find(source_id);
-  if (it == resident_.end()) {
+  const TickEntry* entry = FindEntry(source_id);
+  if (entry == nullptr || entry->group < 0) {
     return Status::NotFound(
         StrFormat("source %d not resident", source_id));
   }
-  return SynthesizeForLane(*groups_[it->second.group], it->second.lane);
+  return SynthesizeForLane(*groups_[entry->group], entry->lane);
 }
 
 Result<ServerNode::LinkSnapshot> FleetEngine::SynthesizeLinkState(
     int source_id) const {
-  auto it = resident_.find(source_id);
-  if (it == resident_.end()) {
+  const TickEntry* entry = FindEntry(source_id);
+  if (entry == nullptr || entry->group < 0) {
     return Status::NotFound(
         StrFormat("source %d not resident", source_id));
   }
-  return SynthesizeLinkForLane(*groups_[it->second.group], it->second.lane);
+  return SynthesizeLinkForLane(*groups_[entry->group], entry->lane);
 }
 
 }  // namespace dkf

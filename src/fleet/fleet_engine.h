@@ -1,11 +1,11 @@
 #ifndef DKF_FLEET_FLEET_ENGINE_H_
 #define DKF_FLEET_FLEET_ENGINE_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -27,11 +27,55 @@ namespace dkf {
 /// The engine-level tick input for the batched fast path: readings in a
 /// flat parallel-array layout instead of a std::map, so a million-source
 /// tick costs no tree lookups. `ids[i]` owns `values[i]`. The order is
-/// the caller's; the fleet engine caches each lane's rank and revalidates
-/// it per tick, so a stable order is fastest but not required.
+/// the caller's; the fleet engine caches each source's rank (resident or
+/// spilled) and revalidates it per tick, so a stable order is fastest but
+/// not required.
 struct ReadingBatch {
   std::vector<int> ids;
   std::vector<Vector> values;
+};
+
+/// Why a resident lane left its batch. Every spill has exactly one.
+enum class FleetSpillReason : uint8_t {
+  kDeviation,    // the flat predict missed the reading by more than delta
+  kHeartbeat,    // a heartbeat was due
+  kReconfigure,  // SpillForReconfigure, between ticks
+  kNonFinite,    // the flat predict left the finite range
+  kArmPending,   // the arm-pending replay missed the reading by > delta
+};
+
+/// Why the end-of-tick absorb scan left a spilled source spilled — the
+/// first check it failed, in the order the scan runs them.
+enum class FleetAbsorbReject : uint8_t {
+  kResyncPending,      // the node is in a pending-resync episode
+  kChannelResidue,     // a message or deferred ACK is still in flight
+  kNodePending,        // resync bookkeeping left over, or smoothing on
+  kServoUnsettled,     // the noise servo has not locked at both ends
+  kFullStateMismatch,  // mirror and server filter differ, or Q/R moved
+};
+
+/// Names used in the `fleet.spill.<reason>` and
+/// `fleet.absorb_reject.<reason>` gauges, indexed by the enums above.
+inline constexpr std::array<const char*, 5> kFleetSpillReasonNames = {
+    "deviation", "heartbeat", "reconfigure", "non_finite", "arm_pending"};
+inline constexpr std::array<const char*, 5> kFleetAbsorbRejectNames = {
+    "resync_pending", "channel_residue", "node_pending", "servo_unsettled",
+    "full_state_mismatch"};
+static_assert(kFleetSpillReasonNames.size() ==
+              static_cast<size_t>(FleetSpillReason::kArmPending) + 1);
+static_assert(kFleetAbsorbRejectNames.size() ==
+              static_cast<size_t>(FleetAbsorbReject::kFullStateMismatch) + 1);
+
+/// Lifetime residency counters of one fleet engine, or their sum over a
+/// sharded engine's shards. Every count is a function of per-source link
+/// state only, so the sums are identical at any shard count.
+struct FleetCounters {
+  std::array<int64_t, kFleetSpillReasonNames.size()> spills{};
+  std::array<int64_t, kFleetAbsorbRejectNames.size()> absorb_rejects{};
+
+  int64_t spill_total() const;
+  FleetCounters& operator+=(const FleetCounters& other);
+  bool operator==(const FleetCounters& other) const = default;
 };
 
 /// Structure-of-arrays batched tick engine for steady-state sources
@@ -84,21 +128,23 @@ class FleetEngine {
   Status Track(int source_id, const StateModel& model, SourceNode* node);
 
   /// True when the source is currently folded into a lane.
-  bool resident(int source_id) const {
-    return resident_.find(source_id) != resident_.end();
-  }
+  bool resident(int source_id) const;
 
-  size_t resident_count() const { return resident_.size(); }
-  size_t tracked_count() const { return nodes_.size(); }
+  size_t resident_count() const;
+  size_t tracked_count() const { return tracked_.size(); }
 
   /// Degraded ticks accounted on resident lanes (the server counts the
   /// spilled ones); the shard adds this to its merged fault counters.
   int64_t degraded_ticks() const { return degraded_ticks_; }
 
   /// Lifetime count of lane spills (mid-tick protocol spills plus
-  /// reconfigure spills). A governor sweep that keeps a cohort's deltas
-  /// stable must not move this — churn tests pin it.
-  int64_t spill_count() const { return spills_; }
+  /// reconfigure spills): the sum of counters().spills. A governor sweep
+  /// that keeps a cohort's deltas stable must not move this — churn
+  /// tests pin it.
+  int64_t spill_count() const { return counters_.spill_total(); }
+
+  /// Spills by reason and absorb rejects by reason.
+  const FleetCounters& counters() const { return counters_; }
 
   void set_trace_sink(TraceSink* sink) { obs_sink_ = sink; }
 
@@ -185,9 +231,9 @@ class FleetEngine {
     // Frozen-cycle length, duplicated out of `cold` so the armed predict
     // never touches the big cold structs.
     std::vector<int32_t> ss_period;
-    // ReadingBatch rank cache (-1 until resolved) and the per-tick
-    // resolved reading pointer.
-    std::vector<int64_t> batch_rank;
+    // Index of the lane's entry in `order_`, and the per-tick resolved
+    // reading pointer.
+    std::vector<int32_t> order_pos;
     std::vector<const Vector*> value_ptrs;
 
     // Cold per-lane state: the complete FullState fields a suppressed
@@ -208,14 +254,27 @@ class FleetEngine {
     std::optional<KalmanPredictor> replay;
   };
 
-  struct LaneRef {
-    int group = 0;
-    size_t lane = 0;
+  /// One tracked source in the flat per-tick pass. `order_` (ascending
+  /// id) is the authority on residency: a spill or absorb edits its entry
+  /// in place — the lane's `order_pos` finds it — so the cached batch
+  /// ranks survive residency churn and only a membership change rebuilds
+  /// the vector.
+  struct TickEntry {
+    SourceNode* node = nullptr;
+    int64_t rank = -1;            // cached ReadingBatch position
+    int id = 0;
+    int32_t nominal_group = -1;   // -1 = never batchable
+    int32_t group = -1;           // group of the current lane; -1 = spilled
+    int32_t lane = 0;
   };
 
   /// The group for `model`, created on first use; -1 when the model is
   /// ineligible for batching (time-varying transition).
   Result<int> GroupFor(const StateModel& model);
+
+  /// The `order_` entry for `source_id`, or nullptr. Sources tracked
+  /// since the last RebuildOrder are not found; they are all spilled.
+  const TickEntry* FindEntry(int source_id) const;
 
   /// Reconstructs the lane's FullState (mirror == predictor bitwise).
   KalmanFilter::FullState LaneFullState(const Group& g, size_t lane) const;
@@ -228,24 +287,32 @@ class FleetEngine {
   ServerNode::LinkSnapshot SynthesizeLinkForLane(const Group& g,
                                                  size_t lane) const;
 
-  /// Moves a lane back to the per-source objects. When `reading` is
-  /// non-null the spill happens mid-tick: the server predictor replays
-  /// the predict it missed (TickAll ran before the lane loop) and the
-  /// node processes this tick's reading verbatim.
+  /// Moves a lane back to the per-source objects, counting the spill
+  /// under `reason`. When `reading` is non-null the spill happens
+  /// mid-tick: the server predictor replays the predict it missed
+  /// (TickAll ran before the lane loop) and the node processes this
+  /// tick's reading verbatim.
   Status SpillLane(int group_index, size_t lane, int64_t tick,
-                   const Vector* reading);
+                   const Vector* reading, FleetSpillReason reason);
 
-  /// Swap-removes lane `lane` from `g`, fixing the moved lane's ref.
+  /// Swap-removes lane `lane` from `g`, re-pointing the moved lane's
+  /// `order_` entry at its new index.
   void RemoveLane(Group& g, size_t lane);
 
-  /// Appends a lane built from a healthy source's snapshots; returns its
-  /// index.
-  size_t AddLane(Group& g, int source_id,
+  /// Appends a lane for the `order_` entry at `order_pos`, built from a
+  /// healthy source's snapshots; returns its index.
+  size_t AddLane(Group& g, int32_t order_pos,
                  const SourceNode::CheckpointState& state,
                  const ServerNode::LinkSnapshot& link);
 
-  /// End-of-tick scan: folds every spilled source whose link is healthy
-  /// and bit-converged with no channel residue back into its group.
+  /// The group the spilled source at `entry` folds into right now, or
+  /// -1. Every check reads link state in place (channel residue from
+  /// `residual_scratch_`, sorted); the first one that fails is counted.
+  Result<int> AbsorbTarget(const TickEntry& entry);
+
+  /// End-of-tick scan, ascending id: folds every spilled source whose
+  /// link is healthy and bit-converged with no channel residue back into
+  /// a group. Snapshots are exported only for sources that fold.
   Status TryAbsorbAll();
 
   /// Degraded-service accounting for resident lanes, replicating
@@ -259,8 +326,9 @@ class FleetEngine {
   Status ResolveReadings(const std::map<int, Vector>* readings,
                          const ReadingBatch* batch);
 
-  /// Rebuilds the flat ascending-id iteration order after any
-  /// membership or residency change.
+  /// Merges the sources tracked since the last call into `order_`,
+  /// keeping every existing entry's residency and batch rank, and
+  /// re-points every lane's `order_pos`. Runs only after Track.
   void RebuildOrder();
 
   /// Batch position of `id`, using (and lazily rebuilding, at most once
@@ -271,8 +339,8 @@ class FleetEngine {
                          const ReadingBatch* batch);
 
   /// Ticks one resident lane at `lane` in group `gi`: flat suppressed
-  /// predict or spill. Sets `*respill` when the lane was removed (the
-  /// caller must re-run the same index).
+  /// predict or spill. Sets `*spilled` when the lane was removed (the
+  /// caller must re-run the same index, which now holds the moved lane).
   Status TickLane(int group_index, size_t lane, int64_t tick,
                   bool* spilled);
 
@@ -292,40 +360,27 @@ class FleetEngine {
   std::vector<std::unique_ptr<Group>> groups_;
   std::map<std::string, int> group_by_key_;
 
-  /// Every tracked source, ascending (validation iterates this so the
-  /// first missing reading reported matches the per-source path).
-  std::map<int, SourceNode*> nodes_;
-  /// Tracked id -> group index, or -1 when never batchable.
-  std::map<int, int> eligible_group_;
-  /// Currently resident sources and their lane.
-  std::map<int, LaneRef> resident_;
-  /// Currently spilled sources (ascending — per-source processing order).
-  std::set<int> spilled_;
-
-  /// One tracked source in the flat per-tick resolve pass: the tree
-  /// maps above are authoritative for membership, but walking them per
-  /// source per tick costs more than the batched predict itself, so the
-  /// resolve loop runs over this ascending-id snapshot instead
-  /// (rebuilt only when membership or residency changed).
-  struct TickEntry {
-    int id = 0;
+  /// Every tracked source: the membership record Track checks and
+  /// RebuildOrder merges from.
+  struct TrackedSource {
     SourceNode* node = nullptr;
-    int32_t group = -1;  // -1 = spilled
-    int32_t lane = 0;
-    int64_t rank = -1;   // cached ReadingBatch position
+    int32_t nominal_group = -1;
   };
+  std::map<int, TrackedSource> tracked_;
+
   std::vector<TickEntry> order_;
-  bool order_dirty_ = true;
+  /// Set by Track until RebuildOrder merges the new sources in.
+  bool order_dirty_ = false;
 
   /// Per-tick staging of spilled work, mirroring RunSourceTick.
   std::vector<std::pair<SourceNode*, const Vector*>> staged_spilled_;
   /// ReadingBatch id -> position cache (validated entry-wise per use).
   std::unordered_map<int, int64_t> batch_pos_;
-  /// Scratch for TryAbsorbAll's one-pass channel residue scan.
+  /// TryAbsorbAll's one-pass channel residue scan, sorted.
   std::vector<int> residual_scratch_;
 
   int64_t degraded_ticks_ = 0;
-  int64_t spills_ = 0;
+  FleetCounters counters_;
 };
 
 }  // namespace dkf

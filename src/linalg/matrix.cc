@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <cstring>
 
 #include "common/string_util.h"
 
@@ -242,5 +243,18 @@ std::string Matrix::ToString() const {
 }
 
 Matrix operator*(double scalar, const Matrix& m) { return m * scalar; }
+
+bool BitEqual(const Vector& a, const Vector& b) {
+  if (a.size() != b.size()) return false;
+  return a.size() == 0 ||
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+bool BitEqual(const Matrix& a, const Matrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  const size_t n = a.rows() * a.cols();
+  return n == 0 ||
+         std::memcmp(a.RowData(0), b.RowData(0), n * sizeof(double)) == 0;
+}
 
 }  // namespace dkf

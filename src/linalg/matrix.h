@@ -262,6 +262,12 @@ class Matrix {
 
 Matrix operator*(double scalar, const Matrix& m);
 
+/// Same shape and the same bytes in every entry. Unlike `==` on doubles
+/// this tells -0.0 from 0.0 and lets a NaN equal its own bit pattern —
+/// the predicate for "the same filter state, bit for bit".
+bool BitEqual(const Vector& a, const Vector& b);
+bool BitEqual(const Matrix& a, const Matrix& b);
+
 }  // namespace dkf
 
 #endif  // DKF_LINALG_MATRIX_H_

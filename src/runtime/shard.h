@@ -175,9 +175,10 @@ class StreamShard {
     return it == sources_.end() ? nullptr : &it->second->noise_adapter();
   }
 
-  /// Lifetime count of batch-lane spills (0 without EnableFleet).
-  int64_t fleet_spill_count() const {
-    return fleet_ ? fleet_->spill_count() : 0;
+  /// Lifetime spill and absorb-reject counts of the batch lanes (all 0
+  /// without EnableFleet).
+  FleetCounters fleet_counters() const {
+    return fleet_ ? fleet_->counters() : FleetCounters();
   }
 
   int64_t control_messages() const { return control_messages_; }

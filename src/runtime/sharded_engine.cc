@@ -663,8 +663,12 @@ Status ShardedStreamEngine::ReconfigureSources(
 }
 
 int64_t ShardedStreamEngine::fleet_spill_count() const {
-  int64_t total = 0;
-  for (const auto& shard : shards_) total += shard->fleet_spill_count();
+  return fleet_counters().spill_total();
+}
+
+FleetCounters ShardedStreamEngine::fleet_counters() const {
+  FleetCounters total;
+  for (const auto& shard : shards_) total += shard->fleet_counters();
   return total;
 }
 
@@ -802,6 +806,22 @@ MetricsRegistry ShardedStreamEngine::MetricsSnapshot() const {
             state.ewma_updates);
       }
     }
+  }
+  return registry;
+}
+
+MetricsRegistry ShardedStreamEngine::FleetMetricsSnapshot() const {
+  MetricsRegistry registry;
+  if (sinks_.empty() || !options_.batched_fleet) return registry;
+  const FleetCounters fleet = fleet_counters();
+  for (size_t i = 0; i < fleet.spills.size(); ++i) {
+    registry.SetGauge(StrFormat("fleet.spill.%s", kFleetSpillReasonNames[i]),
+                      static_cast<double>(fleet.spills[i]));
+  }
+  for (size_t i = 0; i < fleet.absorb_rejects.size(); ++i) {
+    registry.SetGauge(
+        StrFormat("fleet.absorb_reject.%s", kFleetAbsorbRejectNames[i]),
+        static_cast<double>(fleet.absorb_rejects[i]));
   }
   return registry;
 }

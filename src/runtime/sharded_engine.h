@@ -272,6 +272,11 @@ class ShardedStreamEngine {
   /// options.batched_fleet).
   int64_t fleet_spill_count() const;
 
+  /// Lane spills by reason and absorb rejects by reason, summed across
+  /// shards (all 0 unless options.batched_fleet). Identical at any shard
+  /// count; fleet_spill_count() is their spill total.
+  FleetCounters fleet_counters() const;
+
   /// Per-source update totals.
   Result<int64_t> updates_sent(int source_id) const;
 
@@ -296,6 +301,13 @@ class ShardedStreamEngine {
   /// gauges (queue depths) add across shards too, so e.g.
   /// "channel.in_flight" is the fleet-wide depth.
   MetricsRegistry MetricsSnapshot() const;
+
+  /// fleet_counters() as `fleet.spill.<reason>` and
+  /// `fleet.absorb_reject.<reason>` gauges while tracing is on (empty
+  /// otherwise, or without options.batched_fleet). Kept out of
+  /// MetricsSnapshot(), which must stay identical with and without the
+  /// batched fleet (docs/fleet.md).
+  MetricsRegistry FleetMetricsSnapshot() const;
 
   /// The sink attached to a shard (nullptr while tracing is off; for
   /// tests).

@@ -1,6 +1,10 @@
 #include "filter/kalman_filter.h"
 
 #include <cmath>
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -307,6 +311,166 @@ TEST(KalmanFilterTest, DeterministicReplay) {
     }
     ASSERT_TRUE(a.StateEquals(b));
   }
+}
+
+/// Field-by-field bitwise comparison of two exported full states — the
+/// reference FullStateBitEquals must agree with.
+bool ExportedBitEqual(const KalmanFilter::FullState& a,
+                      const KalmanFilter::FullState& b) {
+  if (a.step != b.step || a.phase != b.phase || a.ss_mode != b.ss_mode ||
+      a.ss_streak1 != b.ss_streak1 || a.ss_streak2 != b.ss_streak2 ||
+      a.predicts_since_correct != b.predicts_since_correct ||
+      a.ss_have_prev != b.ss_have_prev || a.ss_period != b.ss_period ||
+      a.ss_pending_priors != b.ss_pending_priors ||
+      a.ss_capture_idx != b.ss_capture_idx || a.ss_idx != b.ss_idx) {
+    return false;
+  }
+  if (!BitEqual(a.x, b.x) || !BitEqual(a.p, b.p) ||
+      !BitEqual(a.last_innovation, b.last_innovation) ||
+      !BitEqual(a.process_noise, b.process_noise) ||
+      !BitEqual(a.measurement_noise, b.measurement_noise) ||
+      !BitEqual(a.ss_prev_gain, b.ss_prev_gain)) {
+    return false;
+  }
+  for (int i = 0; i < 2; ++i) {
+    if (!BitEqual(a.ss_prev_post[i], b.ss_prev_post[i]) ||
+        !BitEqual(a.ss_gain[i], b.ss_gain[i]) ||
+        !BitEqual(a.ss_prior_p[i], b.ss_prior_p[i]) ||
+        !BitEqual(a.ss_post_p[i], b.ss_post_p[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// One tick of a random dual-link-like cadence, applied to every filter.
+void RandomStep(Rng& rng, double correct_probability,
+                std::vector<KalmanFilter*> filters) {
+  const bool correct = rng.Bernoulli(correct_probability);
+  const Vector z{rng.Gaussian(0.0, 3.0)};
+  for (KalmanFilter* filter : filters) {
+    ASSERT_TRUE(filter->Predict().ok());
+    if (correct) {
+      ASSERT_TRUE(filter->Correct(z).ok());
+    }
+  }
+}
+
+TEST(KalmanFilterTest, FullStateBitEqualsAgreesWithExportedComparison) {
+  Rng rng(2024);
+  int equal = 0;
+  int different = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const KalmanFilterOptions options =
+        CvOptions(rng.Uniform(0.5, 2.0), rng.Uniform(0.001, 0.1),
+                  rng.Uniform(0.05, 1.0));
+    KalmanFilter a = KalmanFilter::Create(options).value();
+    KalmanFilter b = KalmanFilter::Create(options).value();
+    // A regular cadence long enough to arm the fast path on some trials,
+    // a coasting-heavy one on others.
+    const double cadence = rng.Bernoulli(0.5) ? 1.0 : 0.6;
+    const int prefix = static_cast<int>(rng.UniformInt(0, 90));
+    for (int i = 0; i < prefix; ++i) RandomStep(rng, cadence, {&a, &b});
+    switch (rng.UniformInt(0, 5)) {
+      case 0:  // still in lock-step
+        break;
+      case 1:  // one extra coasting predict
+        ASSERT_TRUE(b.Predict().ok());
+        break;
+      case 2:  // a correction the other end never saw
+        ASSERT_TRUE(a.Predict().ok());
+        ASSERT_TRUE(b.Predict().ok());
+        ASSERT_TRUE(a.Correct(Vector{1.0}).ok());
+        break;
+      case 3:  // resync: same x/P/step, but fast-path bookkeeping reset
+        ASSERT_TRUE(b.ImportState(a.state(), a.covariance(), a.step()).ok());
+        break;
+      case 4:  // checkpoint restore: every bit carried over
+        ASSERT_TRUE(b.ImportFullState(a.ExportFullState()).ok());
+        break;
+      case 5:  // a noise reconfiguration to the same values
+        ASSERT_TRUE(b.set_process_noise(b.process_noise()).ok());
+        break;
+    }
+    const int suffix = static_cast<int>(rng.UniformInt(0, 5));
+    for (int i = 0; i < suffix; ++i) RandomStep(rng, cadence, {&a, &b});
+
+    const bool expected =
+        ExportedBitEqual(a.ExportFullState(), b.ExportFullState());
+    ASSERT_EQ(a.FullStateBitEquals(b), expected) << "trial " << trial;
+    ASSERT_EQ(b.FullStateBitEquals(a), expected) << "trial " << trial;
+    ASSERT_TRUE(a.FullStateBitEquals(a));
+    (expected ? equal : different)++;
+  }
+  EXPECT_GT(equal, 30);
+  EXPECT_GT(different, 30);
+}
+
+TEST(KalmanFilterTest, FullStateBitEqualsCatchesEverySingleFieldFlip) {
+  KalmanFilter base = KalmanFilter::Create(CvOptions()).value();
+  Rng rng(5);
+  for (int i = 0; i < 120; ++i) RandomStep(rng, 1.0, {&base});
+  ASSERT_TRUE(base.steady_state_armed()) << "every fast-path field in play";
+  const KalmanFilter::FullState full = base.ExportFullState();
+
+  // Negating an entry changes its sign bit, so a 0.0 entry becomes the
+  // -0.0 that `==` would call equal.
+  auto negate = [](double& v) { v = -v; };
+  using Flip = std::function<void(KalmanFilter::FullState&)>;
+  const std::vector<std::pair<std::string, Flip>> flips = {
+      {"step", [](auto& f) { ++f.step; }},
+      {"phase", [](auto& f) { f.phase = (f.phase + 1) % 3; }},
+      {"ss_mode", [](auto& f) { f.ss_mode = (f.ss_mode + 1) % 3; }},
+      {"ss_streak1", [](auto& f) { ++f.ss_streak1; }},
+      {"ss_streak2", [](auto& f) { ++f.ss_streak2; }},
+      {"predicts_since_correct", [](auto& f) { ++f.predicts_since_correct; }},
+      {"ss_have_prev", [](auto& f) { f.ss_have_prev = f.ss_have_prev ^ 1; }},
+      {"ss_period", [](auto& f) { f.ss_period = 3 - f.ss_period; }},
+      {"ss_pending_priors", [](auto& f) { ++f.ss_pending_priors; }},
+      {"ss_capture_idx", [](auto& f) { ++f.ss_capture_idx; }},
+      {"ss_idx", [](auto& f) { f.ss_idx = (f.ss_idx + 1) % 2; }},
+      {"x", [&](auto& f) { negate(f.x[1]); }},
+      {"p", [&](auto& f) { negate(f.p(0, 1)); }},
+      {"last_innovation", [&](auto& f) { negate(f.last_innovation[0]); }},
+      {"process_noise", [&](auto& f) { negate(f.process_noise(0, 1)); }},
+      {"measurement_noise",
+       [&](auto& f) { negate(f.measurement_noise(0, 0)); }},
+      {"ss_prev_gain", [&](auto& f) { negate(f.ss_prev_gain(1, 0)); }},
+      {"ss_prev_post[0]", [&](auto& f) { negate(f.ss_prev_post[0](1, 1)); }},
+      {"ss_prev_post[1]", [&](auto& f) { negate(f.ss_prev_post[1](1, 1)); }},
+      {"ss_gain[0]", [&](auto& f) { negate(f.ss_gain[0](0, 0)); }},
+      {"ss_gain[1]", [&](auto& f) { negate(f.ss_gain[1](0, 0)); }},
+      {"ss_prior_p[0]", [&](auto& f) { negate(f.ss_prior_p[0](0, 0)); }},
+      {"ss_prior_p[1]", [&](auto& f) { negate(f.ss_prior_p[1](0, 0)); }},
+      {"ss_post_p[0]", [&](auto& f) { negate(f.ss_post_p[0](0, 0)); }},
+      {"ss_post_p[1]", [&](auto& f) { negate(f.ss_post_p[1](0, 0)); }},
+  };
+  KalmanFilter reference = KalmanFilter::Create(CvOptions()).value();
+  ASSERT_TRUE(reference.ImportFullState(full).ok());
+  ASSERT_TRUE(reference.FullStateBitEquals(base));
+  for (const auto& [name, flip] : flips) {
+    KalmanFilter::FullState flipped = full;
+    flip(flipped);
+    KalmanFilter other = KalmanFilter::Create(CvOptions()).value();
+    ASSERT_TRUE(other.ImportFullState(flipped).ok()) << name;
+    EXPECT_FALSE(ExportedBitEqual(full, other.ExportFullState())) << name;
+    EXPECT_FALSE(reference.FullStateBitEquals(other)) << name;
+    EXPECT_FALSE(other.FullStateBitEquals(reference)) << name;
+  }
+
+  // +0.0 vs -0.0 in the estimate: StateEquals (`==`) calls the two
+  // filters equal, the bitwise predicate does not.
+  KalmanFilter::FullState positive = full;
+  KalmanFilter::FullState negative = full;
+  positive.x[0] = 0.0;
+  negative.x[0] = -0.0;
+  KalmanFilter pos = KalmanFilter::Create(CvOptions()).value();
+  KalmanFilter neg = KalmanFilter::Create(CvOptions()).value();
+  ASSERT_TRUE(pos.ImportFullState(positive).ok());
+  ASSERT_TRUE(neg.ImportFullState(negative).ok());
+  EXPECT_TRUE(pos.StateEquals(neg));
+  EXPECT_FALSE(pos.FullStateBitEquals(neg));
+  EXPECT_FALSE(neg.FullStateBitEquals(pos));
 }
 
 }  // namespace

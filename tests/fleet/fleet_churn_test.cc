@@ -6,6 +6,10 @@
 // every answer must stay bit-identical throughout. A checkpoint is
 // taken mid-run, while the fleet holds a mix of resident and spilled
 // sources, and the restored engine must continue bit-identically too.
+// The batched engine is fed ReadingBatch ticks whose order is reshuffled
+// mid-run, and one more source registers while lanes are resident, with
+// an id below every lane's, so the fleet's tick order and per-lane
+// bookkeeping change under live lanes.
 //
 // Two further scenarios target lane states the randomized schedule
 // cannot reach: a periodic-correct workload that arms the steady-state
@@ -22,6 +26,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -38,6 +43,10 @@ constexpr int kNumSources = 10;
 constexpr int64_t kTicks = 360;
 constexpr int64_t kSnapTick = 170;
 constexpr int kChurnQueryBase = 500;
+constexpr int64_t kLateTick = 90;       // a source joins with lanes resident
+constexpr int kLateSource = 0;          // lower than every other id
+constexpr int kLateQuery = 900;
+constexpr int64_t kPermuteTick = 130;   // batch order reshuffles from here
 
 StateModel ScalarModel(double process_variance) {
   ModelNoise noise;
@@ -140,6 +149,59 @@ void ApplyOps(ShardedStreamEngine& engine, int64_t tick) {
   }
 }
 
+/// The late source's reading: off the schedule's RNG stream, so every
+/// other source's readings stay exactly as generated.
+double LateValue(int64_t t) {
+  return 2.0 + 0.4 * std::sin(0.05 * static_cast<double>(t));
+}
+
+std::map<int, Vector> TickReadings(int64_t t) {
+  std::map<int, Vector> readings =
+      GetSchedule().readings[static_cast<size_t>(t)];
+  if (t >= kLateTick) readings[kLateSource] = Vector{LateValue(t)};
+  return readings;
+}
+
+/// The same readings as a ReadingBatch: ascending ids before
+/// kPermuteTick, then a shuffle that changes every 40 ticks, so the
+/// fleet's cached batch ranks go stale under resident lanes.
+ReadingBatch TickBatch(int64_t t) {
+  ReadingBatch batch;
+  for (const auto& [id, value] : TickReadings(t)) {
+    batch.ids.push_back(id);
+    batch.values.push_back(value);
+  }
+  if (t >= kPermuteTick) {
+    Rng rng(static_cast<uint64_t>(31 + t / 40));
+    for (size_t i = batch.ids.size() - 1; i > 0; --i) {
+      const size_t j =
+          static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(i)));
+      std::swap(batch.ids[i], batch.ids[j]);
+      std::swap(batch.values[i], batch.values[j]);
+    }
+  }
+  return batch;
+}
+
+void RegisterLateSource(ShardedStreamEngine& engine) {
+  ASSERT_TRUE(engine.RegisterSource(kLateSource, ScalarModel(0.03)).ok());
+  ContinuousQuery query;
+  query.id = kLateQuery;
+  query.source_id = kLateSource;
+  query.precision = 2.5;
+  ASSERT_TRUE(engine.SubmitQuery(query).ok());
+}
+
+/// Drives `engine` through the churn schedule up to (excluding) `end`,
+/// registering the late source on time.
+void RunChurn(ShardedStreamEngine& engine, int64_t end) {
+  for (int64_t t = 0; t < end; ++t) {
+    if (t == kLateTick) RegisterLateSource(engine);
+    ApplyOps(engine, t);
+    ASSERT_TRUE(engine.ProcessTick(TickBatch(t)).ok()) << "tick " << t;
+  }
+}
+
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream buffer;
@@ -149,7 +211,8 @@ std::string ReadFile(const std::string& path) {
 
 void ExpectSameAnswers(ShardedStreamEngine& batched,
                        ShardedStreamEngine& reference, int64_t tick) {
-  for (int id = 1; id <= kNumSources; ++id) {
+  for (int id = tick >= kLateTick ? kLateSource : 1; id <= kNumSources;
+       ++id) {
     ASSERT_EQ(batched.Answer(id).value()[0], reference.Answer(id).value()[0])
         << "tick " << tick << " source " << id;
     ASSERT_EQ(batched.answer_degraded(id).value(),
@@ -184,25 +247,29 @@ TEST(FleetChurn, RandomizedSpillReentryStaysBitExact) {
       testing::TempDir() + "/fleet_churn_reference.dkfsnap";
 
   for (int64_t t = 0; t < kTicks; ++t) {
+    if (t == kLateTick) {
+      ASSERT_GT(batched.fleet_resident_count(), 0u)
+          << "the late source must join a fleet with live lanes";
+      RegisterLateSource(reference);
+      RegisterLateSource(batched);
+    }
     ApplyOps(reference, t);
     ApplyOps(batched, t);
-    ASSERT_TRUE(
-        reference.ProcessTick(schedule.readings[static_cast<size_t>(t)]).ok())
-        << "tick " << t;
-    ASSERT_TRUE(
-        batched.ProcessTick(schedule.readings[static_cast<size_t>(t)]).ok())
-        << "tick " << t;
+    ASSERT_TRUE(reference.ProcessTick(TickReadings(t)).ok()) << "tick " << t;
+    ASSERT_TRUE(batched.ProcessTick(TickBatch(t)).ok()) << "tick " << t;
     ExpectSameAnswers(batched, reference, t);
 
     const size_t residents = batched.fleet_resident_count();
+    const size_t sources = t >= kLateTick ? kNumSources + 1 : kNumSources;
     max_residents = std::max(max_residents, residents);
-    if (residents > 0 && residents < kNumSources) {
+    if (residents > 0 && residents < sources) {
       saw_partial_residency = true;
     }
     if (t == kSnapTick) {
       // The checkpoint must be taken while the fleet holds both
       // resident and spilled sources, or the round-trip proves nothing.
-      ASSERT_TRUE(saw_partial_residency);
+      ASSERT_GT(residents, 0u);
+      ASSERT_LT(residents, sources);
       ASSERT_TRUE(batched.Save(batched_path).ok());
       ASSERT_TRUE(reference.Save(reference_path).ok());
       snapshot_bytes = ReadFile(batched_path);
@@ -213,6 +280,10 @@ TEST(FleetChurn, RandomizedSpillReentryStaysBitExact) {
   EXPECT_GT(max_residents, 0u) << "nothing was ever absorbed";
   ASSERT_TRUE(saw_partial_residency)
       << "the run never held a resident/spilled mix";
+  // The query churn reconfigured resident sources between ticks.
+  EXPECT_GT(batched.fleet_counters().spills[static_cast<size_t>(
+                FleetSpillReason::kReconfigure)],
+            0);
 
   // Round-trip: restore the mid-run snapshot onto a batched engine at a
   // different shard count and replay the identical tail in lockstep
@@ -231,15 +302,119 @@ TEST(FleetChurn, RandomizedSpillReentryStaysBitExact) {
   for (int64_t t = kSnapTick + 1; t < kTicks; ++t) {
     ApplyOps(rb, t);
     ApplyOps(rr, t);
-    ASSERT_TRUE(rb.ProcessTick(schedule.readings[static_cast<size_t>(t)]).ok())
-        << "tick " << t;
-    ASSERT_TRUE(rr.ProcessTick(schedule.readings[static_cast<size_t>(t)]).ok())
-        << "tick " << t;
+    ASSERT_TRUE(rb.ProcessTick(TickBatch(t)).ok()) << "tick " << t;
+    ASSERT_TRUE(rr.ProcessTick(TickReadings(t)).ok()) << "tick " << t;
     ExpectSameAnswers(rb, rr, t);
   }
   EXPECT_TRUE(rb.VerifyLinkConsistency().ok());
   std::remove(batched_path.c_str());
   std::remove(reference_path.c_str());
+}
+
+// ---------------------------------------------------------------------
+// Residency counters.
+//
+// Every spill and every absorb reject is a function of one source's link
+// state, so the per-reason counts must not depend on how sources are
+// partitioned across shards.
+// ---------------------------------------------------------------------
+
+TEST(FleetChurn, SpillAndRejectReasonsMatchAtEveryShardCount) {
+  std::vector<FleetCounters> counts;
+  for (int shards : {1, 2, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardedStreamEngine engine(ChurnOptions(shards, /*batched=*/true));
+    ASSERT_TRUE(engine.EnableTracing(ObsOptions()).ok());
+    InstallBase(engine);
+    RunChurn(engine, kTicks);
+    const FleetCounters fleet = engine.fleet_counters();
+    EXPECT_EQ(engine.fleet_spill_count(), fleet.spill_total());
+
+    // The gauges carry the same numbers, under the documented names.
+    const MetricsRegistry gauges = engine.FleetMetricsSnapshot();
+    for (size_t i = 0; i < fleet.spills.size(); ++i) {
+      EXPECT_EQ(gauges.gauge(std::string("fleet.spill.") +
+                             kFleetSpillReasonNames[i]),
+                static_cast<double>(fleet.spills[i]));
+    }
+    for (size_t i = 0; i < fleet.absorb_rejects.size(); ++i) {
+      EXPECT_EQ(gauges.gauge(std::string("fleet.absorb_reject.") +
+                             kFleetAbsorbRejectNames[i]),
+                static_cast<double>(fleet.absorb_rejects[i]));
+    }
+    counts.push_back(fleet);
+  }
+  EXPECT_EQ(counts[0], counts[1]);
+  EXPECT_EQ(counts[0], counts[2]);
+
+  // The schedule is rich enough that the common reasons all fire.
+  const FleetCounters& fleet = counts[0];
+  for (FleetSpillReason reason :
+       {FleetSpillReason::kDeviation, FleetSpillReason::kHeartbeat,
+        FleetSpillReason::kReconfigure}) {
+    EXPECT_GT(fleet.spills[static_cast<size_t>(reason)], 0)
+        << kFleetSpillReasonNames[static_cast<size_t>(reason)];
+  }
+  for (FleetAbsorbReject reason :
+       {FleetAbsorbReject::kResyncPending, FleetAbsorbReject::kChannelResidue,
+        FleetAbsorbReject::kFullStateMismatch}) {
+    EXPECT_GT(fleet.absorb_rejects[static_cast<size_t>(reason)], 0)
+        << kFleetAbsorbRejectNames[static_cast<size_t>(reason)];
+  }
+
+  // Tracing off: no gauges.
+  ShardedStreamEngine untraced(ChurnOptions(1, /*batched=*/true));
+  InstallBase(untraced);
+  RunChurn(untraced, 40);
+  EXPECT_TRUE(untraced.FleetMetricsSnapshot() == MetricsRegistry());
+}
+
+// ---------------------------------------------------------------------
+// Non-finite lanes.
+//
+// A resident lane whose flat predict overflows hands the tick to the
+// per-source filter, which fails exactly as the per-source engine does.
+// ---------------------------------------------------------------------
+
+TEST(FleetSpill, NonFiniteLaneFailsLikeThePerSourcePath) {
+  ModelNoise noise;
+  StateModel exploding = MakeConstantModel(1, noise).value();
+  exploding.options.transition = Matrix{{10.0}};  // P grows 100x a tick
+
+  ShardedStreamEngineOptions options;
+  options.channel.per_source_rng = true;
+  options.batched_fleet = false;
+  ShardedStreamEngine reference(options);
+  options.batched_fleet = true;
+  ShardedStreamEngine batched(options);
+  for (ShardedStreamEngine* engine : {&reference, &batched}) {
+    ASSERT_TRUE(engine->RegisterSource(1, exploding).ok());
+    ContinuousQuery query;
+    query.id = 1;
+    query.source_id = 1;
+    query.precision = 1e300;  // the zero reading is always suppressed
+    ASSERT_TRUE(engine->SubmitQuery(query).ok());
+  }
+  const std::map<int, Vector> readings = {{1, Vector{0.0}}};
+  bool was_resident = false;
+  bool failed = false;
+  for (int64_t t = 0; t < 400 && !failed; ++t) {
+    const Status r = reference.ProcessTick(readings);
+    const Status b = batched.ProcessTick(readings);
+    ASSERT_EQ(b.ok(), r.ok()) << "tick " << t;
+    if (!r.ok()) {
+      EXPECT_EQ(b.code(), r.code());
+      EXPECT_EQ(b.message(), r.message());
+      failed = true;
+    }
+    was_resident = was_resident || batched.fleet_resident_count() == 1;
+  }
+  EXPECT_TRUE(failed) << "the covariance never overflowed";
+  EXPECT_TRUE(was_resident);
+  EXPECT_EQ(batched.fleet_counters().spills[static_cast<size_t>(
+                FleetSpillReason::kNonFinite)],
+            1);
+  EXPECT_EQ(batched.fleet_spill_count(), 1);
 }
 
 /// Confidence answers (value, covariance, degraded flag) must be
