@@ -4,13 +4,15 @@
 # runtime's test binaries under ThreadSanitizer (race detection for the
 # worker pool / shard tick path / per-shard trace sinks), then the
 # protocol + observability + serving + batched-fleet + adaptive-servo
-# + fusion tests under ASan+UBSan, then a gcov coverage build gating
-# line coverage of src/obs/, src/dsms/, src/serve/, src/fleet/,
-# src/governor/, src/filter/, and src/fusion/, then Release-mode
-# builds of the filter hot-loop and adaptive-servo benchmarks,
-# refreshing BENCH_filter_hotpath.json and BENCH_adaptive.json at the
-# repo root. See docs/runtime.md, docs/perf.md, docs/observability.md,
-# docs/adaptive.md, and docs/fusion.md.
+# + fusion + checkpoint (snapshot codec, restore chaos, decoder fuzz)
+# tests under ASan+UBSan, then a gcov coverage build gating line
+# coverage of src/obs/, src/dsms/, src/serve/, src/fleet/,
+# src/governor/, src/filter/, src/fusion/, and src/checkpoint/, then
+# Release-mode builds of the filter hot-loop and adaptive-servo
+# benchmarks, refreshing BENCH_filter_hotpath.json and
+# BENCH_adaptive.json at the repo root. See docs/runtime.md,
+# docs/perf.md, docs/observability.md, docs/adaptive.md,
+# docs/fusion.md, and docs/checkpoint.md.
 #
 # Env knobs:
 #   JOBS            parallel build jobs (default: nproc)
@@ -68,7 +70,7 @@ fi
 if [[ "${DKF_COVERAGE:-1}" == "0" ]]; then
   echo "== coverage stage skipped (DKF_COVERAGE=0) =="
 else
-  echo "== coverage: src/obs + src/dsms + src/serve + src/fleet + src/governor + src/filter + src/fusion line-coverage floors =="
+  echo "== coverage: src/obs + src/dsms + src/serve + src/fleet + src/governor + src/filter + src/fusion + src/checkpoint line-coverage floors =="
   cmake -B build-coverage -S . -DDKF_COVERAGE=ON >/dev/null
   # Fresh counters each run: .gcda files accumulate across executions.
   find build-coverage -name '*.gcda' -delete
@@ -76,7 +78,7 @@ else
   python3 scripts/coverage_gate.py build-coverage --root=. \
     --gate=src/obs=0.90 --gate=src/dsms=0.80 --gate=src/serve=0.85 \
     --gate=src/fleet=0.85 --gate=src/governor=0.85 --gate=src/filter=0.90 \
-    --gate=src/fusion=0.85
+    --gate=src/fusion=0.85 --gate=src/checkpoint=0.95
 fi
 
 if [[ "${DKF_BENCH:-1}" == "0" ]]; then

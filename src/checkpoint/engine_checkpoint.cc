@@ -264,10 +264,10 @@ class CheckpointAccess {
               });
     snapshot.serve.pending = MergeNotificationBatches(serve_streams);
 
-    // Delta governor (snapshot v3): the configured control law plus
-    // every source's controller state, keyed by source id like
-    // everything else — a mid-epoch restore at any shard count resumes
-    // the exact same delta schedule.
+    // Delta governor: the configured control law plus every source's
+    // controller state, keyed by source id like everything else — a
+    // mid-epoch restore at any shard count resumes the exact same delta
+    // schedule.
     if (engine.governor_ != nullptr) {
       snapshot.governor.enabled = true;
       snapshot.governor.options = engine.options_.governor;
@@ -324,13 +324,9 @@ class CheckpointAccess {
     // Fusion groups: the whole group (posterior plus every member's
     // mirror and channel lane) lands on the shard its group id pins it
     // to under the *target* layout, before the channels finalize.
+    // The decoder reads one channel lane per member, so the two lists
+    // are parallel.
     for (const FusionGroupSnapshot& entry : snapshot.fusion_groups) {
-      if (entry.member_channels.size() != entry.group.members.size()) {
-        return Status::InvalidArgument(StrFormat(
-            "fusion group %d has %zu channel lanes for %zu members",
-            entry.group.group_id, entry.member_channels.size(),
-            entry.group.members.size()));
-      }
       const int group_id = entry.group.group_id;
       const int shard_index = engine.ShardIndexFor(group_id);
       StreamShard& shard = *engine.shards_[static_cast<size_t>(shard_index)];

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "dsms/channel.h"
 #include "dsms/energy_model.h"
 #include "dsms/protocol.h"
@@ -76,12 +75,11 @@ struct ServeSubscriptionSnapshot {
   bool fired = false;
 };
 
-/// Serving front-end state (src/serve/, snapshot v2): the standing
-/// registrations, the undrained notification buffer, the delivery
-/// cursor, and the lifetime counters. Shard-layout-free like the rest
-/// of the snapshot: subscriptions and buffered notifications fan back
-/// onto the target layout by source ownership on restore
-/// (docs/checkpoint.md).
+/// Serving front-end state (src/serve/): the standing registrations,
+/// the undrained notification buffer, the delivery cursor, and the
+/// lifetime counters. Shard-layout-free like the rest of the snapshot:
+/// subscriptions and buffered notifications fan back onto the target
+/// layout by source ownership on restore (docs/checkpoint.md).
 struct ServeSnapshot {
   ServeOptions options;
   /// Every registration, strictly ascending subscription id.
@@ -100,11 +98,11 @@ struct ServeSnapshot {
   int64_t affected = 0;
 };
 
-/// One fusion group and its members (src/fusion/, snapshot v5): the
-/// engine-side running state (posterior, version clock, member mirrors
-/// and protocol cursors) plus each member's channel lane — members
-/// share the per-source uplink fault-stream namespace with plain
-/// sources, so their lanes travel exactly like SourceSnapshot's.
+/// One fusion group and its members (src/fusion/): the engine-side
+/// running state (posterior, version clock, member mirrors and protocol
+/// cursors) plus each member's channel lane — members share the
+/// per-source uplink fault-stream namespace with plain sources, so
+/// their lanes travel exactly like SourceSnapshot's.
 /// Keyed by group id; on a sharded restore the whole group lands on
 /// the shard ShardIndexFor(group_id) names.
 struct FusionGroupSnapshot {
@@ -120,11 +118,11 @@ struct GovernorSourceSnapshot {
   DeltaGovernor::SourceState state;
 };
 
-/// Delta-governor state (src/governor/, snapshot v3): the configured
-/// control law plus every source's EWMA rates and sensitivity fit, so a
-/// restore mid-epoch resumes the exact same delta schedule. The epoch
-/// cadence itself is stateless (derived from the tick count), so no
-/// phase needs storing.
+/// Delta-governor state (src/governor/): the configured control law
+/// plus every source's EWMA rates and sensitivity fit, so a restore
+/// mid-epoch resumes the exact same delta schedule. The epoch cadence
+/// itself is stateless (derived from the tick count), so no phase needs
+/// storing.
 struct GovernorSnapshot {
   bool enabled = false;
   GovernorOptions options;
@@ -159,13 +157,6 @@ struct EngineSnapshot {
   /// determinism contract.
   ProtocolFaultStats server_faults;
 
-  /// A shared channel fault stream, which only files written before
-  /// every run drew per-source fault streams carry. Decoded for format
-  /// compatibility; Restore rejects such a file when faults are enabled
-  /// and otherwise ignores the stream.
-  bool has_shared_rng = false;
-  Rng::State shared_rng;
-
   /// Every registered query verbatim, including the synthetic
   /// per-source members of aggregates. Restored directly into the
   /// registry — no reconfiguration runs, because the node state in
@@ -175,16 +166,13 @@ struct EngineSnapshot {
 
   ObsSnapshot obs;
 
-  /// Serving front-end (empty when decoded from a v1 file, which
-  /// predates src/serve/).
+  /// Serving front-end.
   ServeSnapshot serve;
 
-  /// Delta governor (disabled when decoded from a v1/v2 file, which
-  /// predate src/governor/).
+  /// Delta governor.
   GovernorSnapshot governor;
 
-  /// Fusion groups and their standing fused queries (empty when decoded
-  /// from a v1-v4 file, which predate src/fusion/). Groups ascending by
+  /// Fusion groups and their standing fused queries. Groups ascending by
   /// group id, queries ascending by query id.
   std::vector<FusionGroupSnapshot> fusion_groups;
   std::vector<FusedQuery> fused_queries;

@@ -1,8 +1,13 @@
 #include "checkpoint/snapshot_io.h"
 
 #include <cmath>
+#include <concepts>
 #include <cstring>
+#include <map>
+#include <optional>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "common/binary_io.h"
 #include "common/string_util.h"
@@ -14,235 +19,272 @@ namespace {
 
 constexpr size_t kMagicBytes = 8;
 
-/// Guards a decoded element count against the bytes actually left, so a
-/// corrupted count fails cleanly instead of attempting a huge allocation.
-Status CheckCount(const BinaryReader& reader, uint64_t count,
-                  size_t elem_bytes, const char* what) {
-  const size_t divisor = elem_bytes == 0 ? 1 : elem_bytes;
-  if (count > reader.remaining() / divisor) {
-    return Status::OutOfRange(StrFormat(
-        "truncated snapshot: %s count %llu exceeds the remaining payload",
-        what, static_cast<unsigned long long>(count)));
-  }
-  return Status::OK();
-}
+// Each wire struct's field sequence is written exactly once, as a
+// Walk(io, s) template run over one of two adapters exposing the same
+// primitives: SnapshotWriter appends the fields of a const struct,
+// SnapshotReader fills a default-constructed one. Checks that belong
+// to one direction only test IO::kDecoding.
 
-void EncodeVector(BinaryWriter& writer, const Vector& v) {
-  writer.WriteU64(v.size());
-  for (size_t i = 0; i < v.size(); ++i) writer.WriteF64(v[i]);
-}
+/// Encode-side adapter over BinaryWriter. Never fails on its own; its
+/// primitives return Status so a walk reads identically either way.
+class SnapshotWriter {
+ public:
+  static constexpr bool kDecoding = false;
 
-Result<Vector> DecodeVector(BinaryReader& reader) {
-  DKF_ASSIGN_OR_RETURN(uint64_t size, reader.ReadU64());
-  DKF_RETURN_IF_ERROR(CheckCount(reader, size, 8, "vector"));
-  Vector v(static_cast<size_t>(size));
-  for (size_t i = 0; i < v.size(); ++i) {
-    DKF_ASSIGN_OR_RETURN(v[i], reader.ReadF64());
-  }
-  return v;
-}
+  explicit SnapshotWriter(BinaryWriter& out) : out_(out) {}
 
-void EncodeMatrix(BinaryWriter& writer, const Matrix& m) {
-  writer.WriteU64(m.rows());
-  writer.WriteU64(m.cols());
-  for (size_t r = 0; r < m.rows(); ++r) {
-    for (size_t c = 0; c < m.cols(); ++c) writer.WriteF64(m(r, c));
+  Status U8(uint8_t value) {
+    out_.WriteU8(value);
+    return Status::OK();
   }
-}
-
-Result<Matrix> DecodeMatrix(BinaryReader& reader) {
-  DKF_ASSIGN_OR_RETURN(uint64_t rows, reader.ReadU64());
-  DKF_ASSIGN_OR_RETURN(uint64_t cols, reader.ReadU64());
-  DKF_RETURN_IF_ERROR(CheckCount(reader, rows, 8, "matrix rows"));
-  if (cols > 0) {
-    DKF_RETURN_IF_ERROR(CheckCount(reader, rows * cols, 8, "matrix cells"));
+  Status U32(uint32_t value) {
+    out_.WriteU32(value);
+    return Status::OK();
   }
-  Matrix m(static_cast<size_t>(rows), static_cast<size_t>(cols));
-  for (size_t r = 0; r < m.rows(); ++r) {
-    for (size_t c = 0; c < m.cols(); ++c) {
-      DKF_ASSIGN_OR_RETURN(m(r, c), reader.ReadF64());
+  template <class T>
+  Status U64(T value) {
+    out_.WriteU64(static_cast<uint64_t>(value));
+    return Status::OK();
+  }
+  template <class T>
+  Status I64(T value) {
+    out_.WriteI64(static_cast<int64_t>(value));
+    return Status::OK();
+  }
+  /// An i64 on the wire that the decoder range-checks into 32 bits.
+  template <class T>
+  Status I32(T value, const char* /*what*/) {
+    return I64(value);
+  }
+  Status F64(double value) {
+    out_.WriteF64(value);
+    return Status::OK();
+  }
+  Status Bool(bool value) {
+    out_.WriteBool(value);
+    return Status::OK();
+  }
+  Status String(const std::string& value) {
+    out_.WriteString(value);
+    return Status::OK();
+  }
+  Status Vec(const Vector& v) {
+    out_.WriteU64(v.size());
+    for (size_t i = 0; i < v.size(); ++i) out_.WriteF64(v[i]);
+    return Status::OK();
+  }
+  Status Mat(const Matrix& m) {
+    out_.WriteU64(m.rows());
+    out_.WriteU64(m.cols());
+    for (size_t r = 0; r < m.rows(); ++r) {
+      for (size_t c = 0; c < m.cols(); ++c) out_.WriteF64(m(r, c));
     }
+    return Status::OK();
   }
-  return m;
-}
-
-void EncodeRngState(BinaryWriter& writer, const Rng::State& state) {
-  for (uint64_t word : state.words) writer.WriteU64(word);
-  writer.WriteBool(state.has_cached_gaussian);
-  writer.WriteF64(state.cached_gaussian);
-}
-
-Result<Rng::State> DecodeRngState(BinaryReader& reader) {
-  Rng::State state;
-  for (uint64_t& word : state.words) {
-    DKF_ASSIGN_OR_RETURN(word, reader.ReadU64());
+  /// A u8 enumerator; `count` bounds it on decode.
+  template <class E>
+  Status Enum(E value, uint8_t /*count*/, const char* /*what*/) {
+    return U8(static_cast<uint8_t>(value));
   }
-  DKF_ASSIGN_OR_RETURN(state.has_cached_gaussian, reader.ReadBool());
-  DKF_ASSIGN_OR_RETURN(state.cached_gaussian, reader.ReadF64());
-  return state;
-}
-
-void EncodeFaultStats(BinaryWriter& writer, const ProtocolFaultStats& s) {
-  writer.WriteI64(s.divergence_events);
-  writer.WriteI64(s.resyncs_sent);
-  writer.WriteI64(s.heartbeats_sent);
-  writer.WriteI64(s.ambiguous_acks);
-  writer.WriteI64(s.ticks_diverged);
-  writer.WriteI64(s.max_recovery_ticks);
-  writer.WriteI64(s.resyncs_applied);
-  writer.WriteI64(s.heartbeats_received);
-  writer.WriteI64(s.rejected_stale);
-  writer.WriteI64(s.rejected_corrupt);
-  writer.WriteI64(s.sequence_gaps);
-  writer.WriteI64(s.degraded_ticks);
-}
-
-Result<ProtocolFaultStats> DecodeFaultStats(BinaryReader& reader) {
-  ProtocolFaultStats s;
-  DKF_ASSIGN_OR_RETURN(s.divergence_events, reader.ReadI64());
-  DKF_ASSIGN_OR_RETURN(s.resyncs_sent, reader.ReadI64());
-  DKF_ASSIGN_OR_RETURN(s.heartbeats_sent, reader.ReadI64());
-  DKF_ASSIGN_OR_RETURN(s.ambiguous_acks, reader.ReadI64());
-  DKF_ASSIGN_OR_RETURN(s.ticks_diverged, reader.ReadI64());
-  DKF_ASSIGN_OR_RETURN(s.max_recovery_ticks, reader.ReadI64());
-  DKF_ASSIGN_OR_RETURN(s.resyncs_applied, reader.ReadI64());
-  DKF_ASSIGN_OR_RETURN(s.heartbeats_received, reader.ReadI64());
-  DKF_ASSIGN_OR_RETURN(s.rejected_stale, reader.ReadI64());
-  DKF_ASSIGN_OR_RETURN(s.rejected_corrupt, reader.ReadI64());
-  DKF_ASSIGN_OR_RETURN(s.sequence_gaps, reader.ReadI64());
-  DKF_ASSIGN_OR_RETURN(s.degraded_ticks, reader.ReadI64());
-  return s;
-}
-
-void EncodeChannelStats(BinaryWriter& writer, const ChannelStats& s) {
-  writer.WriteI64(s.messages);
-  writer.WriteI64(s.bytes);
-  writer.WriteI64(s.dropped);
-  writer.WriteI64(s.corrupted);
-  writer.WriteI64(s.delayed);
-  writer.WriteI64(s.ack_lost);
-  writer.WriteI64(s.outage_dropped);
-}
-
-Result<ChannelStats> DecodeChannelStats(BinaryReader& reader) {
-  ChannelStats s;
-  DKF_ASSIGN_OR_RETURN(s.messages, reader.ReadI64());
-  DKF_ASSIGN_OR_RETURN(s.bytes, reader.ReadI64());
-  DKF_ASSIGN_OR_RETURN(s.dropped, reader.ReadI64());
-  DKF_ASSIGN_OR_RETURN(s.corrupted, reader.ReadI64());
-  DKF_ASSIGN_OR_RETURN(s.delayed, reader.ReadI64());
-  DKF_ASSIGN_OR_RETURN(s.ack_lost, reader.ReadI64());
-  DKF_ASSIGN_OR_RETURN(s.outage_dropped, reader.ReadI64());
-  return s;
-}
-
-void EncodeFullState(BinaryWriter& writer, const KalmanFilter::FullState& f) {
-  EncodeVector(writer, f.x);
-  EncodeMatrix(writer, f.p);
-  writer.WriteI64(f.step);
-  EncodeVector(writer, f.last_innovation);
-  EncodeMatrix(writer, f.process_noise);
-  EncodeMatrix(writer, f.measurement_noise);
-  writer.WriteU8(f.phase);
-  writer.WriteU8(f.ss_mode);
-  writer.WriteI64(f.ss_streak1);
-  writer.WriteI64(f.ss_streak2);
-  writer.WriteI64(f.predicts_since_correct);
-  writer.WriteI64(f.ss_have_prev);
-  EncodeMatrix(writer, f.ss_prev_post[0]);
-  EncodeMatrix(writer, f.ss_prev_post[1]);
-  EncodeMatrix(writer, f.ss_prev_gain);
-  writer.WriteI64(f.ss_period);
-  writer.WriteI64(f.ss_pending_priors);
-  writer.WriteI64(f.ss_capture_idx);
-  writer.WriteI64(f.ss_idx);
-  EncodeMatrix(writer, f.ss_gain[0]);
-  EncodeMatrix(writer, f.ss_gain[1]);
-  EncodeMatrix(writer, f.ss_prior_p[0]);
-  EncodeMatrix(writer, f.ss_prior_p[1]);
-  EncodeMatrix(writer, f.ss_post_p[0]);
-  EncodeMatrix(writer, f.ss_post_p[1]);
-}
-
-Result<int32_t> DecodeI32(BinaryReader& reader, const char* what) {
-  DKF_ASSIGN_OR_RETURN(int64_t wide, reader.ReadI64());
-  if (wide < INT32_MIN || wide > INT32_MAX) {
-    return Status::InvalidArgument(
-        StrFormat("snapshot field %s out of 32-bit range", what));
+  /// A u64 count, then `each` on every element.
+  template <class T, class F>
+  Status Seq(const std::vector<T>& items, size_t /*elem_bytes*/,
+             const char* /*what*/, F each) {
+    out_.WriteU64(items.size());
+    for (const T& item : items) DKF_RETURN_IF_ERROR(each(item));
+    return Status::OK();
   }
-  return static_cast<int32_t>(wide);
-}
-
-Result<KalmanFilter::FullState> DecodeFullState(BinaryReader& reader) {
-  KalmanFilter::FullState f;
-  DKF_ASSIGN_OR_RETURN(f.x, DecodeVector(reader));
-  DKF_ASSIGN_OR_RETURN(f.p, DecodeMatrix(reader));
-  DKF_ASSIGN_OR_RETURN(f.step, reader.ReadI64());
-  DKF_ASSIGN_OR_RETURN(f.last_innovation, DecodeVector(reader));
-  DKF_ASSIGN_OR_RETURN(f.process_noise, DecodeMatrix(reader));
-  DKF_ASSIGN_OR_RETURN(f.measurement_noise, DecodeMatrix(reader));
-  DKF_ASSIGN_OR_RETURN(f.phase, reader.ReadU8());
-  DKF_ASSIGN_OR_RETURN(f.ss_mode, reader.ReadU8());
-  DKF_ASSIGN_OR_RETURN(f.ss_streak1, DecodeI32(reader, "ss_streak1"));
-  DKF_ASSIGN_OR_RETURN(f.ss_streak2, DecodeI32(reader, "ss_streak2"));
-  DKF_ASSIGN_OR_RETURN(f.predicts_since_correct, reader.ReadI64());
-  DKF_ASSIGN_OR_RETURN(f.ss_have_prev, DecodeI32(reader, "ss_have_prev"));
-  DKF_ASSIGN_OR_RETURN(f.ss_prev_post[0], DecodeMatrix(reader));
-  DKF_ASSIGN_OR_RETURN(f.ss_prev_post[1], DecodeMatrix(reader));
-  DKF_ASSIGN_OR_RETURN(f.ss_prev_gain, DecodeMatrix(reader));
-  DKF_ASSIGN_OR_RETURN(f.ss_period, DecodeI32(reader, "ss_period"));
-  DKF_ASSIGN_OR_RETURN(f.ss_pending_priors,
-                       DecodeI32(reader, "ss_pending_priors"));
-  DKF_ASSIGN_OR_RETURN(f.ss_capture_idx, DecodeI32(reader, "ss_capture_idx"));
-  DKF_ASSIGN_OR_RETURN(f.ss_idx, DecodeI32(reader, "ss_idx"));
-  DKF_ASSIGN_OR_RETURN(f.ss_gain[0], DecodeMatrix(reader));
-  DKF_ASSIGN_OR_RETURN(f.ss_gain[1], DecodeMatrix(reader));
-  DKF_ASSIGN_OR_RETURN(f.ss_prior_p[0], DecodeMatrix(reader));
-  DKF_ASSIGN_OR_RETURN(f.ss_prior_p[1], DecodeMatrix(reader));
-  DKF_ASSIGN_OR_RETURN(f.ss_post_p[0], DecodeMatrix(reader));
-  DKF_ASSIGN_OR_RETURN(f.ss_post_p[1], DecodeMatrix(reader));
-  return f;
-}
-
-void EncodeMessage(BinaryWriter& writer, const Message& message,
-                   uint32_t version) {
-  writer.WriteU8(static_cast<uint8_t>(message.type));
-  writer.WriteI64(message.source_id);
-  writer.WriteI64(message.tick);
-  EncodeVector(writer, message.payload);
-  writer.WriteU64(message.model_index);
-  writer.WriteU32(message.sequence);
-  writer.WriteU32(message.checksum);
-  EncodeVector(writer, message.resync_state);
-  EncodeMatrix(writer, message.resync_covariance);
-  writer.WriteI64(message.resync_step);
-  if (version >= 4) EncodeVector(writer, message.resync_adapt);
-}
-
-Result<Message> DecodeMessage(BinaryReader& reader, uint32_t version) {
-  Message message;
-  DKF_ASSIGN_OR_RETURN(uint8_t type, reader.ReadU8());
-  if (type > static_cast<uint8_t>(MessageType::kHeartbeat)) {
-    return Status::InvalidArgument(
-        StrFormat("invalid message type %u in snapshot", type));
+  template <class K, class V, class F>
+  Status Seq(const std::map<K, V>& items, size_t /*elem_bytes*/,
+             const char* /*what*/, F each) {
+    out_.WriteU64(items.size());
+    for (const auto& [key, value] : items) {
+      DKF_RETURN_IF_ERROR(each(key, value));
+    }
+    return Status::OK();
   }
-  message.type = static_cast<MessageType>(type);
-  DKF_ASSIGN_OR_RETURN(int32_t source_id, DecodeI32(reader, "source_id"));
-  message.source_id = source_id;
-  DKF_ASSIGN_OR_RETURN(message.tick, reader.ReadI64());
-  DKF_ASSIGN_OR_RETURN(message.payload, DecodeVector(reader));
-  DKF_ASSIGN_OR_RETURN(uint64_t model_index, reader.ReadU64());
-  message.model_index = static_cast<size_t>(model_index);
-  DKF_ASSIGN_OR_RETURN(message.sequence, reader.ReadU32());
-  DKF_ASSIGN_OR_RETURN(message.checksum, reader.ReadU32());
-  DKF_ASSIGN_OR_RETURN(message.resync_state, DecodeVector(reader));
-  DKF_ASSIGN_OR_RETURN(message.resync_covariance, DecodeMatrix(reader));
-  DKF_ASSIGN_OR_RETURN(message.resync_step, reader.ReadI64());
-  if (version >= 4) {
-    DKF_ASSIGN_OR_RETURN(message.resync_adapt, DecodeVector(reader));
+  /// One count for two parallel vectors of equal length; `each` walks
+  /// element i of both. The caller checks the lengths agree.
+  template <class A, class B, class F>
+  Status ParallelSeq(const std::vector<A>& a, const std::vector<B>& b,
+                     size_t /*elem_bytes*/, const char* /*what*/, F each) {
+    out_.WriteU64(a.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+      DKF_RETURN_IF_ERROR(each(a[i], b[i]));
+    }
+    return Status::OK();
   }
-  return message;
-}
+  /// A presence flag, then `each` on the value when present.
+  template <class T, class F>
+  Status Optional(const std::optional<T>& value, F each) {
+    out_.WriteBool(value.has_value());
+    return value.has_value() ? each(*value) : Status::OK();
+  }
+  /// Decode-side ordering check; the encoder writes whatever it is given.
+  template <class T>
+  Status Ascending(T /*id*/, T& /*previous*/, const char* /*message*/) {
+    return Status::OK();
+  }
+
+ private:
+  BinaryWriter& out_;
+};
+
+/// Decode-side adapter over BinaryReader: every primitive is bounds-
+/// checked, every count is guarded against the bytes left before it
+/// allocates, every narrowed integer and enumerator is range-checked.
+class SnapshotReader {
+ public:
+  static constexpr bool kDecoding = true;
+
+  explicit SnapshotReader(BinaryReader& in) : in_(in) {}
+
+  Status U8(uint8_t& value) { return Assign(value, in_.ReadU8()); }
+  Status U32(uint32_t& value) { return Assign(value, in_.ReadU32()); }
+  template <class T>
+  Status U64(T& value) {
+    return Assign(value, in_.ReadU64());
+  }
+  template <class T>
+  Status I64(T& value) {
+    return Assign(value, in_.ReadI64());
+  }
+  template <class T>
+  Status I32(T& value, const char* what) {
+    DKF_ASSIGN_OR_RETURN(int64_t wide, in_.ReadI64());
+    if (wide < INT32_MIN || wide > INT32_MAX) {
+      return Status::InvalidArgument(
+          StrFormat("snapshot field %s out of 32-bit range", what));
+    }
+    value = static_cast<T>(wide);
+    return Status::OK();
+  }
+  Status F64(double& value) { return Assign(value, in_.ReadF64()); }
+  Status Bool(bool& value) { return Assign(value, in_.ReadBool()); }
+  Status String(std::string& value) { return Assign(value, in_.ReadString()); }
+  Status Vec(Vector& v) {
+    DKF_ASSIGN_OR_RETURN(uint64_t size, ReadCount(8, "vector"));
+    v = Vector(static_cast<size_t>(size));
+    for (size_t i = 0; i < v.size(); ++i) {
+      DKF_ASSIGN_OR_RETURN(v[i], in_.ReadF64());
+    }
+    return Status::OK();
+  }
+  Status Mat(Matrix& m) {
+    DKF_ASSIGN_OR_RETURN(uint64_t rows, in_.ReadU64());
+    DKF_ASSIGN_OR_RETURN(uint64_t cols, in_.ReadU64());
+    DKF_RETURN_IF_ERROR(CheckCount(rows, 8, "matrix rows"));
+    // rows * 8 <= remaining here, so the per-column stride cannot
+    // overflow (and rows * cols below cannot either).
+    if (rows > 0) {
+      DKF_RETURN_IF_ERROR(CheckCount(cols, 8 * rows, "matrix cells"));
+    }
+    m = Matrix(static_cast<size_t>(rows), static_cast<size_t>(cols));
+    for (size_t r = 0; r < m.rows(); ++r) {
+      for (size_t c = 0; c < m.cols(); ++c) {
+        DKF_ASSIGN_OR_RETURN(m(r, c), in_.ReadF64());
+      }
+    }
+    return Status::OK();
+  }
+  template <class E>
+  Status Enum(E& value, uint8_t count, const char* what) {
+    DKF_ASSIGN_OR_RETURN(uint8_t raw, in_.ReadU8());
+    if (raw >= count) {
+      return Status::InvalidArgument(
+          StrFormat("invalid %s %u in snapshot", what, raw));
+    }
+    value = static_cast<E>(raw);
+    return Status::OK();
+  }
+  template <class T, class F>
+  Status Seq(std::vector<T>& items, size_t elem_bytes, const char* what,
+             F each) {
+    DKF_ASSIGN_OR_RETURN(uint64_t count, ReadCount(elem_bytes, what));
+    items.reserve(static_cast<size_t>(count));
+    for (uint64_t i = 0; i < count; ++i) {
+      T item;
+      DKF_RETURN_IF_ERROR(each(item));
+      items.push_back(std::move(item));
+    }
+    return Status::OK();
+  }
+  template <class K, class V, class F>
+  Status Seq(std::map<K, V>& items, size_t elem_bytes, const char* what,
+             F each) {
+    DKF_ASSIGN_OR_RETURN(uint64_t count, ReadCount(elem_bytes, what));
+    for (uint64_t i = 0; i < count; ++i) {
+      K key;
+      V value;
+      DKF_RETURN_IF_ERROR(each(key, value));
+      items[std::move(key)] = std::move(value);
+    }
+    return Status::OK();
+  }
+  template <class A, class B, class F>
+  Status ParallelSeq(std::vector<A>& a, std::vector<B>& b, size_t elem_bytes,
+                     const char* what, F each) {
+    DKF_ASSIGN_OR_RETURN(uint64_t count, ReadCount(elem_bytes, what));
+    a.reserve(static_cast<size_t>(count));
+    b.reserve(static_cast<size_t>(count));
+    for (uint64_t i = 0; i < count; ++i) {
+      A item_a;
+      B item_b;
+      DKF_RETURN_IF_ERROR(each(item_a, item_b));
+      a.push_back(std::move(item_a));
+      b.push_back(std::move(item_b));
+    }
+    return Status::OK();
+  }
+  template <class T, class F>
+  Status Optional(std::optional<T>& value, F each) {
+    DKF_ASSIGN_OR_RETURN(bool present, in_.ReadBool());
+    if (!present) return Status::OK();
+    T inner;
+    DKF_RETURN_IF_ERROR(each(inner));
+    value = std::move(inner);
+    return Status::OK();
+  }
+  template <class T>
+  Status Ascending(T id, T& previous, const char* message) {
+    if (id <= previous) return Status::InvalidArgument(message);
+    previous = id;
+    return Status::OK();
+  }
+
+ private:
+  template <class T, class R>
+  static Status Assign(T& out, Result<R> result) {
+    if (!result.ok()) return result.status();
+    out = static_cast<T>(std::move(result).value());
+    return Status::OK();
+  }
+
+  /// Guards a decoded element count against the bytes actually left, so
+  /// a corrupted count fails cleanly instead of attempting a huge
+  /// allocation.
+  Status CheckCount(uint64_t count, size_t elem_bytes, const char* what) {
+    const size_t divisor = elem_bytes == 0 ? 1 : elem_bytes;
+    if (count > in_.remaining() / divisor) {
+      return Status::OutOfRange(StrFormat(
+          "truncated snapshot: %s count %llu exceeds the remaining payload",
+          what, static_cast<unsigned long long>(count)));
+    }
+    return Status::OK();
+  }
+
+  Result<uint64_t> ReadCount(size_t elem_bytes, const char* what) {
+    DKF_ASSIGN_OR_RETURN(uint64_t count, in_.ReadU64());
+    DKF_RETURN_IF_ERROR(CheckCount(count, elem_bytes, what));
+    return count;
+  }
+
+  BinaryReader& in_;
+};
+
+/// `S` is T or const T: a walk takes the const struct when encoding.
+template <class S, class T>
+concept Of = std::same_as<std::remove_const_t<S>, T>;
 
 /// The finiteness contract for a serialized model recipe, applied on
 /// both paths (same rule as the synopsis codec).
@@ -260,965 +302,500 @@ Status RequireFiniteModel(const StateModel& model) {
   return Status::OK();
 }
 
-Status EncodeModel(BinaryWriter& writer, const StateModel& model) {
-  if (model.options.transition_fn) {
+template <class IO, Of<Rng::State> S>
+Status Walk(IO& io, S& state) {
+  for (auto& word : state.words) DKF_RETURN_IF_ERROR(io.U64(word));
+  DKF_RETURN_IF_ERROR(io.Bool(state.has_cached_gaussian));
+  return io.F64(state.cached_gaussian);
+}
+
+template <class IO, Of<ProtocolFaultStats> S>
+Status Walk(IO& io, S& s) {
+  for (auto* field :
+       {&s.divergence_events, &s.resyncs_sent, &s.heartbeats_sent,
+        &s.ambiguous_acks, &s.ticks_diverged, &s.max_recovery_ticks,
+        &s.resyncs_applied, &s.heartbeats_received, &s.rejected_stale,
+        &s.rejected_corrupt, &s.sequence_gaps, &s.degraded_ticks}) {
+    DKF_RETURN_IF_ERROR(io.I64(*field));
+  }
+  return Status::OK();
+}
+
+template <class IO, Of<ChannelStats> S>
+Status Walk(IO& io, S& s) {
+  for (auto* field : {&s.messages, &s.bytes, &s.dropped, &s.corrupted,
+                      &s.delayed, &s.ack_lost, &s.outage_dropped}) {
+    DKF_RETURN_IF_ERROR(io.I64(*field));
+  }
+  return Status::OK();
+}
+
+template <class IO, Of<KalmanFilter::FullState> S>
+Status Walk(IO& io, S& f) {
+  DKF_RETURN_IF_ERROR(io.Vec(f.x));
+  DKF_RETURN_IF_ERROR(io.Mat(f.p));
+  DKF_RETURN_IF_ERROR(io.I64(f.step));
+  DKF_RETURN_IF_ERROR(io.Vec(f.last_innovation));
+  DKF_RETURN_IF_ERROR(io.Mat(f.process_noise));
+  DKF_RETURN_IF_ERROR(io.Mat(f.measurement_noise));
+  DKF_RETURN_IF_ERROR(io.U8(f.phase));
+  DKF_RETURN_IF_ERROR(io.U8(f.ss_mode));
+  DKF_RETURN_IF_ERROR(io.I32(f.ss_streak1, "ss_streak1"));
+  DKF_RETURN_IF_ERROR(io.I32(f.ss_streak2, "ss_streak2"));
+  DKF_RETURN_IF_ERROR(io.I64(f.predicts_since_correct));
+  DKF_RETURN_IF_ERROR(io.I32(f.ss_have_prev, "ss_have_prev"));
+  DKF_RETURN_IF_ERROR(io.Mat(f.ss_prev_post[0]));
+  DKF_RETURN_IF_ERROR(io.Mat(f.ss_prev_post[1]));
+  DKF_RETURN_IF_ERROR(io.Mat(f.ss_prev_gain));
+  DKF_RETURN_IF_ERROR(io.I32(f.ss_period, "ss_period"));
+  DKF_RETURN_IF_ERROR(io.I32(f.ss_pending_priors, "ss_pending_priors"));
+  DKF_RETURN_IF_ERROR(io.I32(f.ss_capture_idx, "ss_capture_idx"));
+  DKF_RETURN_IF_ERROR(io.I32(f.ss_idx, "ss_idx"));
+  for (auto* m : {&f.ss_gain[0], &f.ss_gain[1], &f.ss_prior_p[0],
+                  &f.ss_prior_p[1], &f.ss_post_p[0], &f.ss_post_p[1]}) {
+    DKF_RETURN_IF_ERROR(io.Mat(*m));
+  }
+  return Status::OK();
+}
+
+template <class IO, Of<Message> S>
+Status Walk(IO& io, S& message) {
+  DKF_RETURN_IF_ERROR(
+      io.Enum(message.type, static_cast<uint8_t>(MessageType::kHeartbeat) + 1,
+              "message type"));
+  DKF_RETURN_IF_ERROR(io.I32(message.source_id, "source_id"));
+  DKF_RETURN_IF_ERROR(io.I64(message.tick));
+  DKF_RETURN_IF_ERROR(io.Vec(message.payload));
+  DKF_RETURN_IF_ERROR(io.U64(message.model_index));
+  DKF_RETURN_IF_ERROR(io.U32(message.sequence));
+  DKF_RETURN_IF_ERROR(io.U32(message.checksum));
+  DKF_RETURN_IF_ERROR(io.Vec(message.resync_state));
+  DKF_RETURN_IF_ERROR(io.Mat(message.resync_covariance));
+  DKF_RETURN_IF_ERROR(io.I64(message.resync_step));
+  return io.Vec(message.resync_adapt);
+}
+
+template <class IO, Of<StateModel> S>
+Status Walk(IO& io, S& model) {
+  if (!IO::kDecoding && model.options.transition_fn) {
     return Status::Unimplemented(
         "time-varying transitions are not serializable");
   }
-  DKF_RETURN_IF_ERROR(RequireFiniteModel(model));
-  writer.WriteString(model.name);
-  writer.WriteU64(model.measurement_dim);
-  EncodeMatrix(writer, model.options.transition);
-  EncodeMatrix(writer, model.options.measurement);
-  EncodeMatrix(writer, model.options.process_noise);
-  EncodeMatrix(writer, model.options.measurement_noise);
-  EncodeVector(writer, model.options.initial_state);
-  EncodeMatrix(writer, model.options.initial_covariance);
-  writer.WriteBool(model.options.steady_state_fast_path);
-  writer.WriteF64(model.options.steady_state_tolerance);
-  return Status::OK();
-}
-
-Result<StateModel> DecodeModel(BinaryReader& reader) {
-  StateModel model;
-  DKF_ASSIGN_OR_RETURN(model.name, reader.ReadString());
-  DKF_ASSIGN_OR_RETURN(uint64_t dim, reader.ReadU64());
-  model.measurement_dim = static_cast<size_t>(dim);
-  DKF_ASSIGN_OR_RETURN(model.options.transition, DecodeMatrix(reader));
-  DKF_ASSIGN_OR_RETURN(model.options.measurement, DecodeMatrix(reader));
-  DKF_ASSIGN_OR_RETURN(model.options.process_noise, DecodeMatrix(reader));
-  DKF_ASSIGN_OR_RETURN(model.options.measurement_noise, DecodeMatrix(reader));
-  DKF_ASSIGN_OR_RETURN(model.options.initial_state, DecodeVector(reader));
-  DKF_ASSIGN_OR_RETURN(model.options.initial_covariance,
-                       DecodeMatrix(reader));
-  DKF_ASSIGN_OR_RETURN(model.options.steady_state_fast_path,
-                       reader.ReadBool());
-  DKF_ASSIGN_OR_RETURN(model.options.steady_state_tolerance,
-                       reader.ReadF64());
-  if (!std::isfinite(model.options.steady_state_tolerance)) {
+  DKF_RETURN_IF_ERROR(io.String(model.name));
+  DKF_RETURN_IF_ERROR(io.U64(model.measurement_dim));
+  DKF_RETURN_IF_ERROR(io.Mat(model.options.transition));
+  DKF_RETURN_IF_ERROR(io.Mat(model.options.measurement));
+  DKF_RETURN_IF_ERROR(io.Mat(model.options.process_noise));
+  DKF_RETURN_IF_ERROR(io.Mat(model.options.measurement_noise));
+  DKF_RETURN_IF_ERROR(io.Vec(model.options.initial_state));
+  DKF_RETURN_IF_ERROR(io.Mat(model.options.initial_covariance));
+  DKF_RETURN_IF_ERROR(io.Bool(model.options.steady_state_fast_path));
+  DKF_RETURN_IF_ERROR(io.F64(model.options.steady_state_tolerance));
+  if (IO::kDecoding && !std::isfinite(model.options.steady_state_tolerance)) {
     return Status::InvalidArgument(
         "steady_state_tolerance contains a non-finite value");
   }
-  DKF_RETURN_IF_ERROR(RequireFiniteModel(model));
-  return model;
+  return RequireFiniteModel(model);
 }
 
-void EncodeOptionalDouble(BinaryWriter& writer,
-                          const std::optional<double>& value) {
-  writer.WriteBool(value.has_value());
-  if (value.has_value()) writer.WriteF64(*value);
-}
-
-Result<std::optional<double>> DecodeOptionalDouble(BinaryReader& reader) {
-  DKF_ASSIGN_OR_RETURN(bool present, reader.ReadBool());
-  std::optional<double> value;
-  if (present) {
-    DKF_ASSIGN_OR_RETURN(double raw, reader.ReadF64());
-    value = raw;
-  }
-  return value;
-}
-
-void EncodeNodeState(BinaryWriter& writer,
-                     const SourceNode::CheckpointState& node,
-                     uint32_t version) {
-  writer.WriteF64(node.delta);
-  EncodeOptionalDouble(writer, node.smoothing_factor);
-  writer.WriteF64(node.smoothing_measurement_variance);
-  EncodeFullState(writer, node.mirror);
+template <class IO, Of<SourceNode::CheckpointState> S>
+Status Walk(IO& io, S& node) {
+  DKF_RETURN_IF_ERROR(io.F64(node.delta));
+  DKF_RETURN_IF_ERROR(io.Optional(
+      node.smoothing_factor, [&](auto& factor) { return io.F64(factor); }));
+  DKF_RETURN_IF_ERROR(io.F64(node.smoothing_measurement_variance));
+  DKF_RETURN_IF_ERROR(Walk(io, node.mirror));
   if (node.smoothing_factor.has_value()) {
-    EncodeFullState(writer, node.smoother_filter);
-    writer.WriteI64(node.smoother_count);
+    DKF_RETURN_IF_ERROR(Walk(io, node.smoother_filter));
+    DKF_RETURN_IF_ERROR(io.I64(node.smoother_count));
   }
-  writer.WriteF64(node.energy_transmission);
-  writer.WriteF64(node.energy_compute);
-  writer.WriteF64(node.energy_sensing);
-  writer.WriteI64(node.readings);
-  writer.WriteI64(node.updates_sent);
-  writer.WriteU32(node.next_sequence);
-  writer.WriteBool(node.pending);
-  writer.WriteI64(node.pending_since);
-  writer.WriteU32(node.first_resync_sequence);
-  writer.WriteI64(node.resync_attempts);
-  writer.WriteI64(node.last_resync_tick);
-  writer.WriteI64(node.last_send_tick);
-  EncodeFaultStats(writer, node.faults);
-  if (version >= 4) EncodeVector(writer, node.adapt);
+  DKF_RETURN_IF_ERROR(io.F64(node.energy_transmission));
+  DKF_RETURN_IF_ERROR(io.F64(node.energy_compute));
+  DKF_RETURN_IF_ERROR(io.F64(node.energy_sensing));
+  DKF_RETURN_IF_ERROR(io.I64(node.readings));
+  DKF_RETURN_IF_ERROR(io.I64(node.updates_sent));
+  DKF_RETURN_IF_ERROR(io.U32(node.next_sequence));
+  DKF_RETURN_IF_ERROR(io.Bool(node.pending));
+  DKF_RETURN_IF_ERROR(io.I64(node.pending_since));
+  DKF_RETURN_IF_ERROR(io.U32(node.first_resync_sequence));
+  DKF_RETURN_IF_ERROR(io.I32(node.resync_attempts, "resync_attempts"));
+  DKF_RETURN_IF_ERROR(io.I64(node.last_resync_tick));
+  DKF_RETURN_IF_ERROR(io.I64(node.last_send_tick));
+  DKF_RETURN_IF_ERROR(Walk(io, node.faults));
+  return io.Vec(node.adapt);
 }
 
-Result<SourceNode::CheckpointState> DecodeNodeState(BinaryReader& reader,
-                                                    uint32_t version) {
-  SourceNode::CheckpointState node;
-  DKF_ASSIGN_OR_RETURN(node.delta, reader.ReadF64());
-  DKF_ASSIGN_OR_RETURN(node.smoothing_factor, DecodeOptionalDouble(reader));
-  DKF_ASSIGN_OR_RETURN(node.smoothing_measurement_variance, reader.ReadF64());
-  DKF_ASSIGN_OR_RETURN(node.mirror, DecodeFullState(reader));
-  if (node.smoothing_factor.has_value()) {
-    DKF_ASSIGN_OR_RETURN(node.smoother_filter, DecodeFullState(reader));
-    DKF_ASSIGN_OR_RETURN(node.smoother_count, reader.ReadI64());
-  }
-  DKF_ASSIGN_OR_RETURN(node.energy_transmission, reader.ReadF64());
-  DKF_ASSIGN_OR_RETURN(node.energy_compute, reader.ReadF64());
-  DKF_ASSIGN_OR_RETURN(node.energy_sensing, reader.ReadF64());
-  DKF_ASSIGN_OR_RETURN(node.readings, reader.ReadI64());
-  DKF_ASSIGN_OR_RETURN(node.updates_sent, reader.ReadI64());
-  DKF_ASSIGN_OR_RETURN(node.next_sequence, reader.ReadU32());
-  DKF_ASSIGN_OR_RETURN(node.pending, reader.ReadBool());
-  DKF_ASSIGN_OR_RETURN(node.pending_since, reader.ReadI64());
-  DKF_ASSIGN_OR_RETURN(node.first_resync_sequence, reader.ReadU32());
-  DKF_ASSIGN_OR_RETURN(node.resync_attempts,
-                       DecodeI32(reader, "resync_attempts"));
-  DKF_ASSIGN_OR_RETURN(node.last_resync_tick, reader.ReadI64());
-  DKF_ASSIGN_OR_RETURN(node.last_send_tick, reader.ReadI64());
-  DKF_ASSIGN_OR_RETURN(node.faults, DecodeFaultStats(reader));
-  if (version >= 4) {
-    DKF_ASSIGN_OR_RETURN(node.adapt, DecodeVector(reader));
-  }
-  return node;
+template <class IO, Of<ServerNode::LinkSnapshot> S>
+Status Walk(IO& io, S& link) {
+  DKF_RETURN_IF_ERROR(io.U32(link.last_sequence));
+  DKF_RETURN_IF_ERROR(io.I64(link.last_valid_tick));
+  DKF_RETURN_IF_ERROR(io.I64(link.last_resync_tick));
+  DKF_RETURN_IF_ERROR(io.I64(link.last_update_tick));
+  DKF_RETURN_IF_ERROR(Walk(io, link.predictor));
+  return io.Vec(link.adapt);
 }
 
-void EncodeLink(BinaryWriter& writer, const ServerNode::LinkSnapshot& link,
-                uint32_t version) {
-  writer.WriteU32(link.last_sequence);
-  writer.WriteI64(link.last_valid_tick);
-  writer.WriteI64(link.last_resync_tick);
-  writer.WriteI64(link.last_update_tick);
-  EncodeFullState(writer, link.predictor);
-  if (version >= 4) EncodeVector(writer, link.adapt);
+template <class IO, Of<Channel::SourceCheckpoint> S>
+Status Walk(IO& io, S& lane) {
+  DKF_RETURN_IF_ERROR(Walk(io, lane.stats));
+  DKF_RETURN_IF_ERROR(io.Bool(lane.has_rng));
+  if (lane.has_rng) DKF_RETURN_IF_ERROR(Walk(io, lane.rng));
+  DKF_RETURN_IF_ERROR(io.Bool(lane.has_ge_state));
+  if (lane.has_ge_state) DKF_RETURN_IF_ERROR(io.Bool(lane.ge_bad));
+  DKF_RETURN_IF_ERROR(
+      io.Seq(lane.in_flight, 8, "in-flight", [&](auto& entry) -> Status {
+        DKF_RETURN_IF_ERROR(io.I64(entry.due));
+        DKF_RETURN_IF_ERROR(io.Bool(entry.ack_lost));
+        DKF_RETURN_IF_ERROR(io.Bool(entry.corrupted));
+        return Walk(io, entry.message);
+      }));
+  return io.Seq(lane.deferred_acks, 4, "deferred-ack",
+                [&](auto& ack) { return io.U32(ack); });
 }
 
-Result<ServerNode::LinkSnapshot> DecodeLink(BinaryReader& reader,
-                                            uint32_t version) {
-  ServerNode::LinkSnapshot link;
-  DKF_ASSIGN_OR_RETURN(link.last_sequence, reader.ReadU32());
-  DKF_ASSIGN_OR_RETURN(link.last_valid_tick, reader.ReadI64());
-  DKF_ASSIGN_OR_RETURN(link.last_resync_tick, reader.ReadI64());
-  DKF_ASSIGN_OR_RETURN(link.last_update_tick, reader.ReadI64());
-  DKF_ASSIGN_OR_RETURN(link.predictor, DecodeFullState(reader));
-  if (version >= 4) {
-    DKF_ASSIGN_OR_RETURN(link.adapt, DecodeVector(reader));
-  }
-  return link;
+template <class IO, Of<FaultModel> S>
+Status Walk(IO& io, S& fault) {
+  DKF_RETURN_IF_ERROR(
+      io.Optional(fault.gilbert_elliott, [&](auto& ge) -> Status {
+        DKF_RETURN_IF_ERROR(io.F64(ge.p_good_to_bad));
+        DKF_RETURN_IF_ERROR(io.F64(ge.p_bad_to_good));
+        DKF_RETURN_IF_ERROR(io.F64(ge.good_loss));
+        return io.F64(ge.bad_loss);
+      }));
+  DKF_RETURN_IF_ERROR(io.Optional(fault.delay, [&](auto& delay) -> Status {
+    DKF_RETURN_IF_ERROR(io.I64(delay.min_ticks));
+    return io.I64(delay.max_ticks);
+  }));
+  DKF_RETURN_IF_ERROR(
+      io.Seq(fault.outages, 16, "outage", [&](auto& window) -> Status {
+        DKF_RETURN_IF_ERROR(io.I64(window.start));
+        return io.I64(window.end);
+      }));
+  DKF_RETURN_IF_ERROR(io.F64(fault.ack_loss_probability));
+  DKF_RETURN_IF_ERROR(io.F64(fault.corruption_probability));
+  return io.I64(fault.active_until);
 }
 
-void EncodeChannelLane(BinaryWriter& writer,
-                       const Channel::SourceCheckpoint& lane,
-                       uint32_t version) {
-  EncodeChannelStats(writer, lane.stats);
-  writer.WriteBool(lane.has_rng);
-  if (lane.has_rng) EncodeRngState(writer, lane.rng);
-  writer.WriteBool(lane.has_ge_state);
-  if (lane.has_ge_state) writer.WriteBool(lane.ge_bad);
-  writer.WriteU64(lane.in_flight.size());
-  for (const Channel::InFlightEntry& entry : lane.in_flight) {
-    writer.WriteI64(entry.due);
-    writer.WriteBool(entry.ack_lost);
-    writer.WriteBool(entry.corrupted);
-    EncodeMessage(writer, entry.message, version);
+template <class IO, Of<AdaptiveNoiseConfig> S>
+Status Walk(IO& io, S& a) {
+  DKF_RETURN_IF_ERROR(io.Bool(a.enabled));
+  DKF_RETURN_IF_ERROR(io.F64(a.ratio_alpha));
+  DKF_RETURN_IF_ERROR(io.F64(a.corr_alpha));
+  DKF_RETURN_IF_ERROR(io.I64(a.warmup_corrections));
+  for (auto* field :
+       {&a.widen_threshold, &a.shrink_threshold, &a.widen_rate,
+        &a.shrink_rate, &a.r_scale_floor, &a.r_scale_ceiling,
+        &a.corr_q_threshold, &a.q_rate, &a.q_scale_floor, &a.q_scale_ceiling,
+        &a.variance_floor}) {
+    DKF_RETURN_IF_ERROR(io.F64(*field));
   }
-  writer.WriteU64(lane.deferred_acks.size());
-  for (uint32_t ack : lane.deferred_acks) writer.WriteU32(ack);
+  DKF_RETURN_IF_ERROR(io.Bool(a.quantization_floor));
+  DKF_RETURN_IF_ERROR(io.I64(a.holdover_gap));
+  return io.I64(a.lock_streak);
 }
 
-Result<Channel::SourceCheckpoint> DecodeChannelLane(BinaryReader& reader,
-                                                    uint32_t version) {
-  Channel::SourceCheckpoint lane;
-  DKF_ASSIGN_OR_RETURN(lane.stats, DecodeChannelStats(reader));
-  DKF_ASSIGN_OR_RETURN(lane.has_rng, reader.ReadBool());
-  if (lane.has_rng) {
-    DKF_ASSIGN_OR_RETURN(lane.rng, DecodeRngState(reader));
-  }
-  DKF_ASSIGN_OR_RETURN(lane.has_ge_state, reader.ReadBool());
-  if (lane.has_ge_state) {
-    DKF_ASSIGN_OR_RETURN(lane.ge_bad, reader.ReadBool());
-  }
-  DKF_ASSIGN_OR_RETURN(uint64_t in_flight, reader.ReadU64());
-  DKF_RETURN_IF_ERROR(CheckCount(reader, in_flight, 8, "in-flight"));
-  lane.in_flight.reserve(static_cast<size_t>(in_flight));
-  for (uint64_t i = 0; i < in_flight; ++i) {
-    Channel::InFlightEntry entry;
-    DKF_ASSIGN_OR_RETURN(entry.due, reader.ReadI64());
-    DKF_ASSIGN_OR_RETURN(entry.ack_lost, reader.ReadBool());
-    DKF_ASSIGN_OR_RETURN(entry.corrupted, reader.ReadBool());
-    DKF_ASSIGN_OR_RETURN(entry.message, DecodeMessage(reader, version));
-    lane.in_flight.push_back(std::move(entry));
-  }
-  DKF_ASSIGN_OR_RETURN(uint64_t acks, reader.ReadU64());
-  DKF_RETURN_IF_ERROR(CheckCount(reader, acks, 4, "deferred-ack"));
-  lane.deferred_acks.reserve(static_cast<size_t>(acks));
-  for (uint64_t i = 0; i < acks; ++i) {
-    DKF_ASSIGN_OR_RETURN(uint32_t ack, reader.ReadU32());
-    lane.deferred_acks.push_back(ack);
-  }
-  return lane;
+template <class IO, Of<TraceEvent> S>
+Status Walk(IO& io, S& event) {
+  DKF_RETURN_IF_ERROR(io.I64(event.step));
+  DKF_RETURN_IF_ERROR(io.I32(event.source_id, "event source"));
+  DKF_RETURN_IF_ERROR(
+      io.Enum(event.kind, static_cast<uint8_t>(TraceEventKind::kCount),
+              "trace event kind"));
+  DKF_RETURN_IF_ERROR(io.Enum(
+      event.actor, static_cast<uint8_t>(TraceActor::kCount), "trace actor"));
+  DKF_RETURN_IF_ERROR(io.F64(event.value));
+  DKF_RETURN_IF_ERROR(io.F64(event.aux));
+  return io.I64(event.detail);
 }
 
-void EncodeFaultModel(BinaryWriter& writer, const FaultModel& fault) {
-  writer.WriteBool(fault.gilbert_elliott.has_value());
-  if (fault.gilbert_elliott.has_value()) {
-    writer.WriteF64(fault.gilbert_elliott->p_good_to_bad);
-    writer.WriteF64(fault.gilbert_elliott->p_bad_to_good);
-    writer.WriteF64(fault.gilbert_elliott->good_loss);
-    writer.WriteF64(fault.gilbert_elliott->bad_loss);
+template <class IO, Of<ObsSnapshot> S>
+Status Walk(IO& io, S& obs) {
+  DKF_RETURN_IF_ERROR(io.Bool(obs.enabled));
+  if (!obs.enabled) return Status::OK();
+  DKF_RETURN_IF_ERROR(io.U64(obs.options.ring_capacity));
+  DKF_RETURN_IF_ERROR(io.Bool(obs.options.record_timing));
+  DKF_RETURN_IF_ERROR(io.Seq(obs.events, 34, "trace event",
+                             [&](auto& event) { return Walk(io, event); }));
+  uint64_t num_kinds = kNumTraceEventKinds;
+  DKF_RETURN_IF_ERROR(io.U64(num_kinds));
+  if (num_kinds != static_cast<uint64_t>(kNumTraceEventKinds)) {
+    return Status::InvalidArgument(StrFormat(
+        "snapshot has %llu trace event kinds, this build knows %d",
+        static_cast<unsigned long long>(num_kinds), kNumTraceEventKinds));
   }
-  writer.WriteBool(fault.delay.has_value());
-  if (fault.delay.has_value()) {
-    writer.WriteI64(fault.delay->min_ticks);
-    writer.WriteI64(fault.delay->max_ticks);
-  }
-  writer.WriteU64(fault.outages.size());
-  for (const OutageWindow& window : fault.outages) {
-    writer.WriteI64(window.start);
-    writer.WriteI64(window.end);
-  }
-  writer.WriteF64(fault.ack_loss_probability);
-  writer.WriteF64(fault.corruption_probability);
-  writer.WriteI64(fault.active_until);
+  for (auto& count : obs.kind_counts) DKF_RETURN_IF_ERROR(io.I64(count));
+  DKF_RETURN_IF_ERROR(io.I64(obs.dropped));
+  return io.Seq(obs.gauges, 16, "gauge",
+                [&](auto& name, auto& value) -> Status {
+                  DKF_RETURN_IF_ERROR(io.String(name));
+                  return io.F64(value);
+                });
 }
 
-Result<FaultModel> DecodeFaultModel(BinaryReader& reader) {
-  FaultModel fault;
-  DKF_ASSIGN_OR_RETURN(bool has_ge, reader.ReadBool());
-  if (has_ge) {
-    GilbertElliottLoss ge;
-    DKF_ASSIGN_OR_RETURN(ge.p_good_to_bad, reader.ReadF64());
-    DKF_ASSIGN_OR_RETURN(ge.p_bad_to_good, reader.ReadF64());
-    DKF_ASSIGN_OR_RETURN(ge.good_loss, reader.ReadF64());
-    DKF_ASSIGN_OR_RETURN(ge.bad_loss, reader.ReadF64());
-    fault.gilbert_elliott = ge;
-  }
-  DKF_ASSIGN_OR_RETURN(bool has_delay, reader.ReadBool());
-  if (has_delay) {
-    DelayModel delay;
-    DKF_ASSIGN_OR_RETURN(delay.min_ticks, reader.ReadI64());
-    DKF_ASSIGN_OR_RETURN(delay.max_ticks, reader.ReadI64());
-    fault.delay = delay;
-  }
-  DKF_ASSIGN_OR_RETURN(uint64_t outages, reader.ReadU64());
-  DKF_RETURN_IF_ERROR(CheckCount(reader, outages, 16, "outage"));
-  fault.outages.reserve(static_cast<size_t>(outages));
-  for (uint64_t i = 0; i < outages; ++i) {
-    OutageWindow window;
-    DKF_ASSIGN_OR_RETURN(window.start, reader.ReadI64());
-    DKF_ASSIGN_OR_RETURN(window.end, reader.ReadI64());
-    fault.outages.push_back(window);
-  }
-  DKF_ASSIGN_OR_RETURN(fault.ack_loss_probability, reader.ReadF64());
-  DKF_ASSIGN_OR_RETURN(fault.corruption_probability, reader.ReadF64());
-  DKF_ASSIGN_OR_RETURN(fault.active_until, reader.ReadI64());
-  return fault;
+template <class IO, Of<Subscription> S>
+Status Walk(IO& io, S& spec) {
+  DKF_RETURN_IF_ERROR(io.I64(spec.id));
+  DKF_RETURN_IF_ERROR(
+      io.Enum(spec.kind, static_cast<uint8_t>(SubscriptionKind::kCount),
+              "subscription kind"));
+  DKF_RETURN_IF_ERROR(io.I32(spec.source_id, "subscription source"));
+  DKF_RETURN_IF_ERROR(io.I32(spec.aggregate_id, "subscription aggregate"));
+  DKF_RETURN_IF_ERROR(io.F64(spec.lo));
+  DKF_RETURN_IF_ERROR(io.F64(spec.hi));
+  DKF_RETURN_IF_ERROR(io.F64(spec.uncertainty_ceiling));
+  DKF_RETURN_IF_ERROR(io.String(spec.description));
+  return io.I32(spec.group_id, "subscription group");
 }
 
-void EncodeTraceEvent(BinaryWriter& writer, const TraceEvent& event) {
-  writer.WriteI64(event.step);
-  writer.WriteI64(event.source_id);
-  writer.WriteU8(static_cast<uint8_t>(event.kind));
-  writer.WriteU8(static_cast<uint8_t>(event.actor));
-  writer.WriteF64(event.value);
-  writer.WriteF64(event.aux);
-  writer.WriteI64(event.detail);
+template <class IO, Of<Notification> S>
+Status Walk(IO& io, S& notification) {
+  DKF_RETURN_IF_ERROR(io.I64(notification.step));
+  DKF_RETURN_IF_ERROR(io.I32(notification.source_id, "notification source"));
+  DKF_RETURN_IF_ERROR(io.I64(notification.subscription_id));
+  DKF_RETURN_IF_ERROR(
+      io.Enum(notification.kind,
+              static_cast<uint8_t>(NotificationKind::kCount),
+              "notification kind"));
+  DKF_RETURN_IF_ERROR(io.F64(notification.value));
+  return io.F64(notification.aux);
 }
 
-Result<TraceEvent> DecodeTraceEvent(BinaryReader& reader) {
-  TraceEvent event;
-  DKF_ASSIGN_OR_RETURN(event.step, reader.ReadI64());
-  DKF_ASSIGN_OR_RETURN(event.source_id, DecodeI32(reader, "event source"));
-  DKF_ASSIGN_OR_RETURN(uint8_t kind, reader.ReadU8());
-  if (kind >= static_cast<uint8_t>(TraceEventKind::kCount)) {
-    return Status::InvalidArgument(
-        StrFormat("invalid trace event kind %u in snapshot", kind));
-  }
-  event.kind = static_cast<TraceEventKind>(kind);
-  DKF_ASSIGN_OR_RETURN(uint8_t actor, reader.ReadU8());
-  if (actor >= static_cast<uint8_t>(TraceActor::kCount)) {
-    return Status::InvalidArgument(
-        StrFormat("invalid trace actor %u in snapshot", actor));
-  }
-  event.actor = static_cast<TraceActor>(actor);
-  DKF_ASSIGN_OR_RETURN(event.value, reader.ReadF64());
-  DKF_ASSIGN_OR_RETURN(event.aux, reader.ReadF64());
-  DKF_ASSIGN_OR_RETURN(event.detail, reader.ReadI64());
-  return event;
-}
-
-void EncodeSubscription(BinaryWriter& writer, const Subscription& spec,
-                        uint32_t version) {
-  writer.WriteI64(spec.id);
-  writer.WriteU8(static_cast<uint8_t>(spec.kind));
-  writer.WriteI64(spec.source_id);
-  writer.WriteI64(spec.aggregate_id);
-  writer.WriteF64(spec.lo);
-  writer.WriteF64(spec.hi);
-  writer.WriteF64(spec.uncertainty_ceiling);
-  writer.WriteString(spec.description);
-  if (version >= 5) writer.WriteI64(spec.group_id);
-}
-
-Result<Subscription> DecodeSubscription(BinaryReader& reader,
-                                        uint32_t version) {
-  Subscription spec;
-  DKF_ASSIGN_OR_RETURN(spec.id, reader.ReadI64());
-  DKF_ASSIGN_OR_RETURN(uint8_t kind, reader.ReadU8());
-  if (kind >= static_cast<uint8_t>(SubscriptionKind::kCount)) {
-    return Status::InvalidArgument(
-        StrFormat("invalid subscription kind %u in snapshot", kind));
-  }
-  spec.kind = static_cast<SubscriptionKind>(kind);
-  DKF_ASSIGN_OR_RETURN(spec.source_id,
-                       DecodeI32(reader, "subscription source"));
-  DKF_ASSIGN_OR_RETURN(spec.aggregate_id,
-                       DecodeI32(reader, "subscription aggregate"));
-  DKF_ASSIGN_OR_RETURN(spec.lo, reader.ReadF64());
-  DKF_ASSIGN_OR_RETURN(spec.hi, reader.ReadF64());
-  DKF_ASSIGN_OR_RETURN(spec.uncertainty_ceiling, reader.ReadF64());
-  DKF_ASSIGN_OR_RETURN(spec.description, reader.ReadString());
-  if (version >= 5) {
-    DKF_ASSIGN_OR_RETURN(spec.group_id,
-                         DecodeI32(reader, "subscription group"));
-  }
-  return spec;
-}
-
-/// Whether a buffered notification belongs to the fusion subsystem —
-/// dropped when downgrading below v5 (a build of that era has neither
-/// the kind nor the key range).
-bool IsFusedNotification(const Notification& notification) {
-  return notification.kind == NotificationKind::kFusedUpdate ||
-         IsFusedSourceKey(static_cast<int32_t>(notification.source_id));
-}
-
-void EncodeNotification(BinaryWriter& writer,
-                        const Notification& notification) {
-  writer.WriteI64(notification.step);
-  writer.WriteI64(notification.source_id);
-  writer.WriteI64(notification.subscription_id);
-  writer.WriteU8(static_cast<uint8_t>(notification.kind));
-  writer.WriteF64(notification.value);
-  writer.WriteF64(notification.aux);
-}
-
-Result<Notification> DecodeNotification(BinaryReader& reader) {
-  Notification notification;
-  DKF_ASSIGN_OR_RETURN(notification.step, reader.ReadI64());
-  DKF_ASSIGN_OR_RETURN(notification.source_id,
-                       DecodeI32(reader, "notification source"));
-  DKF_ASSIGN_OR_RETURN(notification.subscription_id, reader.ReadI64());
-  DKF_ASSIGN_OR_RETURN(uint8_t kind, reader.ReadU8());
-  if (kind >= static_cast<uint8_t>(NotificationKind::kCount)) {
-    return Status::InvalidArgument(
-        StrFormat("invalid notification kind %u in snapshot", kind));
-  }
-  notification.kind = static_cast<NotificationKind>(kind);
-  DKF_ASSIGN_OR_RETURN(notification.value, reader.ReadF64());
-  DKF_ASSIGN_OR_RETURN(notification.aux, reader.ReadF64());
-  return notification;
-}
-
-Status EncodePayload(BinaryWriter& writer, const EngineSnapshot& snapshot,
-                     uint32_t version) {
-  // Configuration.
-  writer.WriteF64(snapshot.energy.instructions_per_bit);
-  writer.WriteF64(snapshot.energy.instructions_per_filter_step);
-  writer.WriteF64(snapshot.energy.instructions_per_reading);
-  writer.WriteF64(snapshot.channel.drop_probability);
-  writer.WriteU64(snapshot.channel.seed);
-  writer.WriteBool(snapshot.channel.per_source_rng);
-  EncodeFaultModel(writer, snapshot.channel.fault);
-  writer.WriteF64(snapshot.default_delta);
-  writer.WriteI64(snapshot.protocol.heartbeat_interval);
-  writer.WriteI64(snapshot.protocol.resync_burst_retries);
-  writer.WriteI64(snapshot.protocol.resync_retry_backoff);
-  writer.WriteI64(snapshot.protocol.staleness_budget);
-  writer.WriteF64(snapshot.protocol.degraded_inflation);
-  if (version >= 4) {
-    // Adaptive-noise configuration (snapshot v4). Older targets drop it;
-    // their decoders leave the config default (adaptation disabled).
-    const AdaptiveNoiseConfig& a = snapshot.protocol.adaptive;
-    writer.WriteBool(a.enabled);
-    writer.WriteF64(a.ratio_alpha);
-    writer.WriteF64(a.corr_alpha);
-    writer.WriteI64(a.warmup_corrections);
-    writer.WriteF64(a.widen_threshold);
-    writer.WriteF64(a.shrink_threshold);
-    writer.WriteF64(a.widen_rate);
-    writer.WriteF64(a.shrink_rate);
-    writer.WriteF64(a.r_scale_floor);
-    writer.WriteF64(a.r_scale_ceiling);
-    writer.WriteF64(a.corr_q_threshold);
-    writer.WriteF64(a.q_rate);
-    writer.WriteF64(a.q_scale_floor);
-    writer.WriteF64(a.q_scale_ceiling);
-    writer.WriteF64(a.variance_floor);
-    writer.WriteBool(a.quantization_floor);
-    writer.WriteI64(a.holdover_gap);
-    writer.WriteI64(a.lock_streak);
-  }
-  writer.WriteI64(snapshot.num_shards);
-
-  // Progress.
-  writer.WriteI64(snapshot.ticks);
-  writer.WriteI64(snapshot.control_messages);
-
-  // Per-source state.
-  writer.WriteU64(snapshot.sources.size());
-  for (const SourceSnapshot& source : snapshot.sources) {
-    writer.WriteI64(source.source_id);
-    DKF_RETURN_IF_ERROR(EncodeModel(writer, source.model));
-    EncodeNodeState(writer, source.node, version);
-    EncodeLink(writer, source.link, version);
-    EncodeChannelLane(writer, source.channel, version);
-  }
-
-  EncodeFaultStats(writer, snapshot.server_faults);
-  writer.WriteBool(snapshot.has_shared_rng);
-  if (snapshot.has_shared_rng) EncodeRngState(writer, snapshot.shared_rng);
-
-  // Queries and aggregates.
-  writer.WriteU64(snapshot.queries.size());
-  for (const ContinuousQuery& query : snapshot.queries) {
-    writer.WriteI64(query.id);
-    writer.WriteI64(query.source_id);
-    writer.WriteF64(query.precision);
-    EncodeOptionalDouble(writer, query.smoothing_factor);
-    writer.WriteString(query.description);
-  }
-  writer.WriteU64(snapshot.aggregates.size());
-  for (const AggregateSnapshot& aggregate : snapshot.aggregates) {
-    writer.WriteI64(aggregate.id);
-    writer.WriteU64(aggregate.source_ids.size());
-    for (int source_id : aggregate.source_ids) writer.WriteI64(source_id);
-    writer.WriteU64(aggregate.synthetic_query_ids.size());
-    for (int query_id : aggregate.synthetic_query_ids) {
-      writer.WriteI64(query_id);
-    }
-  }
-
-  // Observability.
-  writer.WriteBool(snapshot.obs.enabled);
-  if (snapshot.obs.enabled) {
-    writer.WriteU64(snapshot.obs.options.ring_capacity);
-    writer.WriteBool(snapshot.obs.options.record_timing);
-    writer.WriteU64(snapshot.obs.events.size());
-    for (const TraceEvent& event : snapshot.obs.events) {
-      EncodeTraceEvent(writer, event);
-    }
-    writer.WriteU64(static_cast<uint64_t>(kNumTraceEventKinds));
-    for (int64_t count : snapshot.obs.kind_counts) writer.WriteI64(count);
-    writer.WriteI64(snapshot.obs.dropped);
-    writer.WriteU64(snapshot.obs.gauges.size());
-    for (const auto& [name, value] : snapshot.obs.gauges) {
-      writer.WriteString(name);
-      writer.WriteF64(value);
-    }
-  }
-
-  // Serving front-end (snapshot v2). v1 files end here. A downgrade
-  // below v5 drops the fusion subsystem, so its standing subscriptions
-  // and buffered notifications are filtered out of the serve section
-  // too — a pre-fusion decoder would reject the unknown kind and key
-  // range, and a build of that era could never have written them.
-  if (version < 2) return Status::OK();
-  const auto keep_subscription = [version](const Subscription& spec) {
-    return version >= 5 || spec.kind != SubscriptionKind::kFused;
-  };
-  const auto keep_notification = [version](const Notification& n) {
-    return version >= 5 || !IsFusedNotification(n);
-  };
-  writer.WriteU64(snapshot.serve.options.max_buffered_notifications);
-  uint64_t kept_subscriptions = 0;
-  for (const ServeSubscriptionSnapshot& sub : snapshot.serve.subscriptions) {
-    if (keep_subscription(sub.spec)) ++kept_subscriptions;
-  }
-  writer.WriteU64(kept_subscriptions);
-  for (const ServeSubscriptionSnapshot& sub : snapshot.serve.subscriptions) {
-    if (!keep_subscription(sub.spec)) continue;
-    EncodeSubscription(writer, sub.spec, version);
-    writer.WriteBool(sub.inside);
-    writer.WriteBool(sub.fired);
-  }
-  uint64_t kept_batches = 0;
-  for (const NotificationBatch& batch : snapshot.serve.pending) {
-    for (const Notification& notification : batch.notifications) {
-      if (keep_notification(notification)) {
-        ++kept_batches;
-        break;
-      }
-    }
-  }
-  writer.WriteU64(kept_batches);
-  for (const NotificationBatch& batch : snapshot.serve.pending) {
-    uint64_t kept = 0;
-    for (const Notification& notification : batch.notifications) {
-      if (keep_notification(notification)) ++kept;
-    }
-    if (kept == 0) continue;
-    writer.WriteI64(batch.step);
-    writer.WriteU64(kept);
-    for (const Notification& notification : batch.notifications) {
-      if (keep_notification(notification)) {
-        EncodeNotification(writer, notification);
-      }
-    }
-  }
-  writer.WriteI64(snapshot.serve.drained_through_step);
-  writer.WriteI64(snapshot.serve.notifications);
-  writer.WriteI64(snapshot.serve.dropped);
-  writer.WriteI64(snapshot.serve.touched);
-  writer.WriteI64(snapshot.serve.affected);
-
-  // Delta governor (snapshot v3). v2 files end here.
-  if (version < 3) return Status::OK();
-  writer.WriteBool(snapshot.governor.enabled);
-  if (snapshot.governor.enabled) {
-    const GovernorOptions& g = snapshot.governor.options;
-    writer.WriteI64(g.epoch_ticks);
-    writer.WriteF64(g.budget_bytes_per_tick);
-    writer.WriteF64(g.delta_floor);
-    writer.WriteF64(g.delta_ceiling);
-    writer.WriteF64(g.max_step_ratio);
-    writer.WriteF64(g.dead_band);
-    writer.WriteF64(g.ewma_alpha);
-    writer.WriteF64(g.process_noise);
-    writer.WriteF64(g.measurement_noise);
-    writer.WriteI64(snapshot.governor.epochs);
-    writer.WriteU64(snapshot.governor.states.size());
-    for (const GovernorSourceSnapshot& entry : snapshot.governor.states) {
-      writer.WriteI64(entry.source_id);
-      writer.WriteF64(entry.state.ewma_bytes);
-      writer.WriteF64(entry.state.ewma_updates);
-      writer.WriteI64(entry.state.last_bytes);
-      writer.WriteI64(entry.state.last_updates);
-      writer.WriteF64(entry.state.intensity);
-      writer.WriteF64(entry.state.variance);
-      writer.WriteBool(entry.state.measured);
-      writer.WriteBool(entry.state.frozen);
-      writer.WriteF64(entry.state.held_delta);
-    }
-  }
-
-  // Multi-sensor fusion (snapshot v5). v3/v4 files end here.
-  if (version < 5) return Status::OK();
-  writer.WriteU64(snapshot.fused_queries.size());
-  for (const FusedQuery& query : snapshot.fused_queries) {
-    writer.WriteI64(query.id);
-    writer.WriteI64(query.group_id);
-    writer.WriteF64(query.precision);
-    writer.WriteString(query.description);
-  }
-  writer.WriteU64(snapshot.fusion_groups.size());
-  for (const FusionGroupSnapshot& entry : snapshot.fusion_groups) {
-    const FusionEngine::GroupState& group = entry.group;
-    if (entry.member_channels.size() != group.members.size()) {
-      return Status::InvalidArgument(StrFormat(
-          "fusion group %d has %zu channel lanes for %zu members",
-          group.group_id, entry.member_channels.size(),
-          group.members.size()));
-    }
-    writer.WriteI64(group.group_id);
-    DKF_RETURN_IF_ERROR(EncodeModel(writer, group.model));
-    writer.WriteF64(group.delta);
-    writer.WriteF64(group.base_delta);
-    writer.WriteU8(static_cast<uint8_t>(group.norm));
-    EncodeFullState(writer, group.posterior);
-    writer.WriteI64(group.version);
-    writer.WriteI64(group.last_valid_tick);
-    EncodeFaultStats(writer, group.faults);
-    writer.WriteI64(group.updates_applied);
-    writer.WriteI64(group.suppressed);
-    writer.WriteI64(group.transmissions);
-    writer.WriteI64(group.broadcasts);
-    writer.WriteI64(group.broadcast_bytes);
-    writer.WriteU64(group.members.size());
-    for (size_t m = 0; m < group.members.size(); ++m) {
-      const FusionEngine::MemberState& member = group.members[m];
-      writer.WriteI64(member.source_id);
-      EncodeFullState(writer, member.mirror);
-      writer.WriteI64(member.mirror_version);
-      writer.WriteBool(member.pending);
-      writer.WriteI64(member.pending_since);
-      writer.WriteI64(member.resync_attempts);
-      writer.WriteI64(member.last_resync_tick);
-      writer.WriteI64(member.last_send_tick);
-      writer.WriteU32(member.next_sequence);
-      writer.WriteU32(member.last_sequence);
-      writer.WriteI64(member.synced_version);
-      EncodeChannelLane(writer, entry.member_channels[m], version);
-    }
+template <class IO, Of<ServeSnapshot> S>
+Status Walk(IO& io, S& serve) {
+  DKF_RETURN_IF_ERROR(io.U64(serve.options.max_buffered_notifications));
+  int64_t previous_sub = -1;
+  DKF_RETURN_IF_ERROR(io.Seq(
+      serve.subscriptions, 59, "subscription", [&](auto& sub) -> Status {
+        DKF_RETURN_IF_ERROR(Walk(io, sub.spec));
+        DKF_RETURN_IF_ERROR(io.Ascending(
+            sub.spec.id, previous_sub,
+            "snapshot subscriptions must have strictly ascending ids"));
+        DKF_RETURN_IF_ERROR(io.Bool(sub.inside));
+        return io.Bool(sub.fired);
+      }));
+  int64_t previous_step = INT64_MIN;
+  DKF_RETURN_IF_ERROR(io.Seq(
+      serve.pending, 16, "notification batch", [&](auto& batch) -> Status {
+        DKF_RETURN_IF_ERROR(io.I64(batch.step));
+        DKF_RETURN_IF_ERROR(io.Ascending(
+            batch.step, previous_step,
+            "snapshot notification batches must have strictly ascending "
+            "steps"));
+        return io.Seq(batch.notifications, 41, "notification",
+                      [&](auto& n) { return Walk(io, n); });
+      }));
+  for (auto* counter : {&serve.drained_through_step, &serve.notifications,
+                        &serve.dropped, &serve.touched, &serve.affected}) {
+    DKF_RETURN_IF_ERROR(io.I64(*counter));
   }
   return Status::OK();
 }
 
-Result<EngineSnapshot> DecodePayload(BinaryReader& reader,
-                                     uint32_t version) {
-  EngineSnapshot snapshot;
-  DKF_ASSIGN_OR_RETURN(snapshot.energy.instructions_per_bit,
-                       reader.ReadF64());
-  DKF_ASSIGN_OR_RETURN(snapshot.energy.instructions_per_filter_step,
-                       reader.ReadF64());
-  DKF_ASSIGN_OR_RETURN(snapshot.energy.instructions_per_reading,
-                       reader.ReadF64());
-  DKF_ASSIGN_OR_RETURN(snapshot.channel.drop_probability, reader.ReadF64());
-  DKF_ASSIGN_OR_RETURN(snapshot.channel.seed, reader.ReadU64());
-  DKF_ASSIGN_OR_RETURN(snapshot.channel.per_source_rng, reader.ReadBool());
-  DKF_ASSIGN_OR_RETURN(snapshot.channel.fault, DecodeFaultModel(reader));
-  DKF_ASSIGN_OR_RETURN(snapshot.default_delta, reader.ReadF64());
-  DKF_ASSIGN_OR_RETURN(snapshot.protocol.heartbeat_interval,
-                       reader.ReadI64());
-  DKF_ASSIGN_OR_RETURN(snapshot.protocol.resync_burst_retries,
-                       DecodeI32(reader, "resync_burst_retries"));
-  DKF_ASSIGN_OR_RETURN(snapshot.protocol.resync_retry_backoff,
-                       reader.ReadI64());
-  DKF_ASSIGN_OR_RETURN(snapshot.protocol.staleness_budget, reader.ReadI64());
-  DKF_ASSIGN_OR_RETURN(snapshot.protocol.degraded_inflation,
-                       reader.ReadF64());
-  if (version >= 4) {
-    AdaptiveNoiseConfig& a = snapshot.protocol.adaptive;
-    DKF_ASSIGN_OR_RETURN(a.enabled, reader.ReadBool());
-    DKF_ASSIGN_OR_RETURN(a.ratio_alpha, reader.ReadF64());
-    DKF_ASSIGN_OR_RETURN(a.corr_alpha, reader.ReadF64());
-    DKF_ASSIGN_OR_RETURN(a.warmup_corrections, reader.ReadI64());
-    DKF_ASSIGN_OR_RETURN(a.widen_threshold, reader.ReadF64());
-    DKF_ASSIGN_OR_RETURN(a.shrink_threshold, reader.ReadF64());
-    DKF_ASSIGN_OR_RETURN(a.widen_rate, reader.ReadF64());
-    DKF_ASSIGN_OR_RETURN(a.shrink_rate, reader.ReadF64());
-    DKF_ASSIGN_OR_RETURN(a.r_scale_floor, reader.ReadF64());
-    DKF_ASSIGN_OR_RETURN(a.r_scale_ceiling, reader.ReadF64());
-    DKF_ASSIGN_OR_RETURN(a.corr_q_threshold, reader.ReadF64());
-    DKF_ASSIGN_OR_RETURN(a.q_rate, reader.ReadF64());
-    DKF_ASSIGN_OR_RETURN(a.q_scale_floor, reader.ReadF64());
-    DKF_ASSIGN_OR_RETURN(a.q_scale_ceiling, reader.ReadF64());
-    DKF_ASSIGN_OR_RETURN(a.variance_floor, reader.ReadF64());
-    DKF_ASSIGN_OR_RETURN(a.quantization_floor, reader.ReadBool());
-    DKF_ASSIGN_OR_RETURN(a.holdover_gap, reader.ReadI64());
-    DKF_ASSIGN_OR_RETURN(a.lock_streak, reader.ReadI64());
+template <class IO, Of<GovernorSnapshot> S>
+Status Walk(IO& io, S& governor) {
+  DKF_RETURN_IF_ERROR(io.Bool(governor.enabled));
+  if (!governor.enabled) return Status::OK();
+  auto& g = governor.options;
+  if constexpr (IO::kDecoding) g.enabled = true;
+  DKF_RETURN_IF_ERROR(io.I64(g.epoch_ticks));
+  for (auto* field : {&g.budget_bytes_per_tick, &g.delta_floor,
+                      &g.delta_ceiling, &g.max_step_ratio, &g.dead_band,
+                      &g.ewma_alpha, &g.process_noise, &g.measurement_noise}) {
+    DKF_RETURN_IF_ERROR(io.F64(*field));
   }
-  DKF_ASSIGN_OR_RETURN(snapshot.num_shards, DecodeI32(reader, "num_shards"));
-  if (snapshot.num_shards < 1) {
-    return Status::InvalidArgument("snapshot shard count must be >= 1");
+  if constexpr (IO::kDecoding) {
+    DKF_RETURN_IF_ERROR(DeltaGovernor::Validate(g));
   }
-
-  DKF_ASSIGN_OR_RETURN(snapshot.ticks, reader.ReadI64());
-  DKF_ASSIGN_OR_RETURN(snapshot.control_messages, reader.ReadI64());
-
-  DKF_ASSIGN_OR_RETURN(uint64_t num_sources, reader.ReadU64());
-  DKF_RETURN_IF_ERROR(CheckCount(reader, num_sources, 8, "source"));
-  snapshot.sources.reserve(static_cast<size_t>(num_sources));
+  DKF_RETURN_IF_ERROR(io.I64(governor.epochs));
   int previous_id = INT32_MIN;
-  for (uint64_t i = 0; i < num_sources; ++i) {
-    SourceSnapshot source;
-    DKF_ASSIGN_OR_RETURN(source.source_id, DecodeI32(reader, "source id"));
-    if (source.source_id <= previous_id) {
-      return Status::InvalidArgument(
-          "snapshot sources must have strictly ascending ids");
-    }
-    previous_id = source.source_id;
-    DKF_ASSIGN_OR_RETURN(source.model, DecodeModel(reader));
-    DKF_ASSIGN_OR_RETURN(source.node, DecodeNodeState(reader, version));
-    DKF_ASSIGN_OR_RETURN(source.link, DecodeLink(reader, version));
-    DKF_ASSIGN_OR_RETURN(source.channel, DecodeChannelLane(reader, version));
-    snapshot.sources.push_back(std::move(source));
-  }
-
-  DKF_ASSIGN_OR_RETURN(snapshot.server_faults, DecodeFaultStats(reader));
-  DKF_ASSIGN_OR_RETURN(snapshot.has_shared_rng, reader.ReadBool());
-  if (snapshot.has_shared_rng) {
-    DKF_ASSIGN_OR_RETURN(snapshot.shared_rng, DecodeRngState(reader));
-  }
-
-  DKF_ASSIGN_OR_RETURN(uint64_t num_queries, reader.ReadU64());
-  DKF_RETURN_IF_ERROR(CheckCount(reader, num_queries, 8, "query"));
-  snapshot.queries.reserve(static_cast<size_t>(num_queries));
-  for (uint64_t i = 0; i < num_queries; ++i) {
-    ContinuousQuery query;
-    DKF_ASSIGN_OR_RETURN(query.id, DecodeI32(reader, "query id"));
-    DKF_ASSIGN_OR_RETURN(query.source_id, DecodeI32(reader, "query source"));
-    DKF_ASSIGN_OR_RETURN(query.precision, reader.ReadF64());
-    DKF_ASSIGN_OR_RETURN(query.smoothing_factor, DecodeOptionalDouble(reader));
-    DKF_ASSIGN_OR_RETURN(query.description, reader.ReadString());
-    snapshot.queries.push_back(std::move(query));
-  }
-
-  DKF_ASSIGN_OR_RETURN(uint64_t num_aggregates, reader.ReadU64());
-  DKF_RETURN_IF_ERROR(CheckCount(reader, num_aggregates, 8, "aggregate"));
-  snapshot.aggregates.reserve(static_cast<size_t>(num_aggregates));
-  for (uint64_t i = 0; i < num_aggregates; ++i) {
-    AggregateSnapshot aggregate;
-    DKF_ASSIGN_OR_RETURN(aggregate.id, DecodeI32(reader, "aggregate id"));
-    DKF_ASSIGN_OR_RETURN(uint64_t members, reader.ReadU64());
-    DKF_RETURN_IF_ERROR(CheckCount(reader, members, 8, "aggregate member"));
-    aggregate.source_ids.reserve(static_cast<size_t>(members));
-    for (uint64_t m = 0; m < members; ++m) {
-      DKF_ASSIGN_OR_RETURN(int member, DecodeI32(reader, "member id"));
-      aggregate.source_ids.push_back(member);
-    }
-    DKF_ASSIGN_OR_RETURN(uint64_t synthetics, reader.ReadU64());
-    DKF_RETURN_IF_ERROR(
-        CheckCount(reader, synthetics, 8, "synthetic query"));
-    aggregate.synthetic_query_ids.reserve(static_cast<size_t>(synthetics));
-    for (uint64_t s = 0; s < synthetics; ++s) {
-      DKF_ASSIGN_OR_RETURN(int query_id, DecodeI32(reader, "synthetic id"));
-      aggregate.synthetic_query_ids.push_back(query_id);
-    }
-    snapshot.aggregates.push_back(std::move(aggregate));
-  }
-
-  DKF_ASSIGN_OR_RETURN(snapshot.obs.enabled, reader.ReadBool());
-  if (snapshot.obs.enabled) {
-    DKF_ASSIGN_OR_RETURN(uint64_t capacity, reader.ReadU64());
-    snapshot.obs.options.ring_capacity = static_cast<size_t>(capacity);
-    DKF_ASSIGN_OR_RETURN(snapshot.obs.options.record_timing,
-                         reader.ReadBool());
-    DKF_ASSIGN_OR_RETURN(uint64_t num_events, reader.ReadU64());
-    DKF_RETURN_IF_ERROR(CheckCount(reader, num_events, 34, "trace event"));
-    snapshot.obs.events.reserve(static_cast<size_t>(num_events));
-    for (uint64_t i = 0; i < num_events; ++i) {
-      DKF_ASSIGN_OR_RETURN(TraceEvent event, DecodeTraceEvent(reader));
-      snapshot.obs.events.push_back(event);
-    }
-    DKF_ASSIGN_OR_RETURN(uint64_t num_kinds, reader.ReadU64());
-    // Kinds are append-only, so an older file carries a prefix of this
-    // build's enumerators (v1 predates the serving-layer kinds); more
-    // kinds than the build knows means a file from a newer build.
-    if (num_kinds > static_cast<uint64_t>(kNumTraceEventKinds)) {
-      return Status::InvalidArgument(StrFormat(
-          "snapshot has %llu trace event kinds, this build knows %d",
-          static_cast<unsigned long long>(num_kinds), kNumTraceEventKinds));
-    }
-    for (uint64_t k = 0; k < num_kinds; ++k) {
-      DKF_ASSIGN_OR_RETURN(snapshot.obs.kind_counts[static_cast<size_t>(k)],
-                           reader.ReadI64());
-    }
-    DKF_ASSIGN_OR_RETURN(snapshot.obs.dropped, reader.ReadI64());
-    DKF_ASSIGN_OR_RETURN(uint64_t num_gauges, reader.ReadU64());
-    DKF_RETURN_IF_ERROR(CheckCount(reader, num_gauges, 16, "gauge"));
-    for (uint64_t i = 0; i < num_gauges; ++i) {
-      DKF_ASSIGN_OR_RETURN(std::string name, reader.ReadString());
-      DKF_ASSIGN_OR_RETURN(double value, reader.ReadF64());
-      snapshot.obs.gauges[std::move(name)] = value;
-    }
-  }
-
-  // Serving front-end — absent from v1 files (ServeSnapshot defaults).
-  if (version >= 2) {
-    DKF_ASSIGN_OR_RETURN(snapshot.serve.options.max_buffered_notifications,
-                         reader.ReadU64());
-    DKF_ASSIGN_OR_RETURN(uint64_t num_subscriptions, reader.ReadU64());
-    DKF_RETURN_IF_ERROR(
-        CheckCount(reader, num_subscriptions, 59, "subscription"));
-    snapshot.serve.subscriptions.reserve(
-        static_cast<size_t>(num_subscriptions));
-    int64_t previous_sub = -1;
-    for (uint64_t i = 0; i < num_subscriptions; ++i) {
-      ServeSubscriptionSnapshot sub;
-      DKF_ASSIGN_OR_RETURN(sub.spec, DecodeSubscription(reader, version));
-      if (sub.spec.id <= previous_sub) {
-        return Status::InvalidArgument(
-            "snapshot subscriptions must have strictly ascending ids");
-      }
-      previous_sub = sub.spec.id;
-      DKF_ASSIGN_OR_RETURN(sub.inside, reader.ReadBool());
-      DKF_ASSIGN_OR_RETURN(sub.fired, reader.ReadBool());
-      snapshot.serve.subscriptions.push_back(std::move(sub));
-    }
-    DKF_ASSIGN_OR_RETURN(uint64_t num_batches, reader.ReadU64());
-    DKF_RETURN_IF_ERROR(
-        CheckCount(reader, num_batches, 16, "notification batch"));
-    snapshot.serve.pending.reserve(static_cast<size_t>(num_batches));
-    int64_t previous_step = INT64_MIN;
-    for (uint64_t i = 0; i < num_batches; ++i) {
-      NotificationBatch batch;
-      DKF_ASSIGN_OR_RETURN(batch.step, reader.ReadI64());
-      if (batch.step <= previous_step) {
-        return Status::InvalidArgument(
-            "snapshot notification batches must have strictly ascending "
-            "steps");
-      }
-      previous_step = batch.step;
-      DKF_ASSIGN_OR_RETURN(uint64_t num_notifications, reader.ReadU64());
-      DKF_RETURN_IF_ERROR(
-          CheckCount(reader, num_notifications, 41, "notification"));
-      batch.notifications.reserve(static_cast<size_t>(num_notifications));
-      for (uint64_t n = 0; n < num_notifications; ++n) {
-        DKF_ASSIGN_OR_RETURN(Notification notification,
-                             DecodeNotification(reader));
-        batch.notifications.push_back(std::move(notification));
-      }
-      snapshot.serve.pending.push_back(std::move(batch));
-    }
-    DKF_ASSIGN_OR_RETURN(snapshot.serve.drained_through_step,
-                         reader.ReadI64());
-    DKF_ASSIGN_OR_RETURN(snapshot.serve.notifications, reader.ReadI64());
-    DKF_ASSIGN_OR_RETURN(snapshot.serve.dropped, reader.ReadI64());
-    DKF_ASSIGN_OR_RETURN(snapshot.serve.touched, reader.ReadI64());
-    DKF_ASSIGN_OR_RETURN(snapshot.serve.affected, reader.ReadI64());
-  }
-
-  // Delta governor — absent from v1/v2 files (disabled defaults).
-  if (version >= 3) {
-    DKF_ASSIGN_OR_RETURN(snapshot.governor.enabled, reader.ReadBool());
-    if (snapshot.governor.enabled) {
-      GovernorOptions& g = snapshot.governor.options;
-      g.enabled = true;
-      DKF_ASSIGN_OR_RETURN(g.epoch_ticks, reader.ReadI64());
-      DKF_ASSIGN_OR_RETURN(g.budget_bytes_per_tick, reader.ReadF64());
-      DKF_ASSIGN_OR_RETURN(g.delta_floor, reader.ReadF64());
-      DKF_ASSIGN_OR_RETURN(g.delta_ceiling, reader.ReadF64());
-      DKF_ASSIGN_OR_RETURN(g.max_step_ratio, reader.ReadF64());
-      DKF_ASSIGN_OR_RETURN(g.dead_band, reader.ReadF64());
-      DKF_ASSIGN_OR_RETURN(g.ewma_alpha, reader.ReadF64());
-      DKF_ASSIGN_OR_RETURN(g.process_noise, reader.ReadF64());
-      DKF_ASSIGN_OR_RETURN(g.measurement_noise, reader.ReadF64());
-      DKF_RETURN_IF_ERROR(DeltaGovernor::Validate(g));
-      DKF_ASSIGN_OR_RETURN(snapshot.governor.epochs, reader.ReadI64());
-      DKF_ASSIGN_OR_RETURN(uint64_t num_states, reader.ReadU64());
-      DKF_RETURN_IF_ERROR(
-          CheckCount(reader, num_states, 66, "governor state"));
-      snapshot.governor.states.reserve(static_cast<size_t>(num_states));
-      int previous_state_id = INT32_MIN;
-      for (uint64_t i = 0; i < num_states; ++i) {
-        GovernorSourceSnapshot entry;
-        DKF_ASSIGN_OR_RETURN(entry.source_id,
-                             DecodeI32(reader, "governor source id"));
-        if (entry.source_id <= previous_state_id) {
-          return Status::InvalidArgument(
-              "governor states must have strictly ascending source ids");
-        }
-        previous_state_id = entry.source_id;
-        DKF_ASSIGN_OR_RETURN(entry.state.ewma_bytes, reader.ReadF64());
-        DKF_ASSIGN_OR_RETURN(entry.state.ewma_updates, reader.ReadF64());
-        DKF_ASSIGN_OR_RETURN(entry.state.last_bytes, reader.ReadI64());
-        DKF_ASSIGN_OR_RETURN(entry.state.last_updates, reader.ReadI64());
-        DKF_ASSIGN_OR_RETURN(entry.state.intensity, reader.ReadF64());
-        DKF_ASSIGN_OR_RETURN(entry.state.variance, reader.ReadF64());
-        DKF_ASSIGN_OR_RETURN(entry.state.measured, reader.ReadBool());
-        DKF_ASSIGN_OR_RETURN(entry.state.frozen, reader.ReadBool());
-        DKF_ASSIGN_OR_RETURN(entry.state.held_delta, reader.ReadF64());
-        if (!std::isfinite(entry.state.ewma_bytes) ||
-            !std::isfinite(entry.state.ewma_updates) ||
-            !std::isfinite(entry.state.intensity) ||
-            !std::isfinite(entry.state.variance) ||
-            !std::isfinite(entry.state.held_delta)) {
+  return io.Seq(
+      governor.states, 66, "governor state", [&](auto& entry) -> Status {
+        DKF_RETURN_IF_ERROR(io.I32(entry.source_id, "governor source id"));
+        DKF_RETURN_IF_ERROR(io.Ascending(
+            entry.source_id, previous_id,
+            "governor states must have strictly ascending source ids"));
+        auto& s = entry.state;
+        DKF_RETURN_IF_ERROR(io.F64(s.ewma_bytes));
+        DKF_RETURN_IF_ERROR(io.F64(s.ewma_updates));
+        DKF_RETURN_IF_ERROR(io.I64(s.last_bytes));
+        DKF_RETURN_IF_ERROR(io.I64(s.last_updates));
+        DKF_RETURN_IF_ERROR(io.F64(s.intensity));
+        DKF_RETURN_IF_ERROR(io.F64(s.variance));
+        DKF_RETURN_IF_ERROR(io.Bool(s.measured));
+        DKF_RETURN_IF_ERROR(io.Bool(s.frozen));
+        DKF_RETURN_IF_ERROR(io.F64(s.held_delta));
+        if (IO::kDecoding &&
+            (!std::isfinite(s.ewma_bytes) || !std::isfinite(s.ewma_updates) ||
+             !std::isfinite(s.intensity) || !std::isfinite(s.variance) ||
+             !std::isfinite(s.held_delta))) {
           return Status::InvalidArgument(
               "governor state contains a non-finite value");
         }
-        snapshot.governor.states.push_back(entry);
-      }
-    }
+        return Status::OK();
+      });
+}
+
+template <class IO, Of<FusionGroupSnapshot> S>
+Status Walk(IO& io, S& entry) {
+  auto& group = entry.group;
+  if (!IO::kDecoding && entry.member_channels.size() != group.members.size()) {
+    return Status::InvalidArgument(StrFormat(
+        "fusion group %d has %zu channel lanes for %zu members",
+        group.group_id, entry.member_channels.size(), group.members.size()));
+  }
+  // The group id (and its ordering check) is walked by the caller.
+  DKF_RETURN_IF_ERROR(Walk(io, group.model));
+  DKF_RETURN_IF_ERROR(io.F64(group.delta));
+  DKF_RETURN_IF_ERROR(io.F64(group.base_delta));
+  DKF_RETURN_IF_ERROR(
+      io.Enum(group.norm, static_cast<uint8_t>(DeviationNorm::kL1) + 1,
+              "deviation norm"));
+  DKF_RETURN_IF_ERROR(Walk(io, group.posterior));
+  DKF_RETURN_IF_ERROR(io.I64(group.version));
+  DKF_RETURN_IF_ERROR(io.I64(group.last_valid_tick));
+  DKF_RETURN_IF_ERROR(Walk(io, group.faults));
+  for (auto* counter : {&group.updates_applied, &group.suppressed,
+                        &group.transmissions, &group.broadcasts,
+                        &group.broadcast_bytes}) {
+    DKF_RETURN_IF_ERROR(io.I64(*counter));
+  }
+  int previous_id = INT32_MIN;
+  return io.ParallelSeq(
+      group.members, entry.member_channels, 8, "fusion member",
+      [&](auto& member, auto& lane) -> Status {
+        DKF_RETURN_IF_ERROR(io.I32(member.source_id, "fusion member id"));
+        DKF_RETURN_IF_ERROR(
+            io.Ascending(member.source_id, previous_id,
+                         "fusion members must have strictly ascending ids"));
+        DKF_RETURN_IF_ERROR(Walk(io, member.mirror));
+        DKF_RETURN_IF_ERROR(io.I64(member.mirror_version));
+        DKF_RETURN_IF_ERROR(io.Bool(member.pending));
+        DKF_RETURN_IF_ERROR(io.I64(member.pending_since));
+        DKF_RETURN_IF_ERROR(
+            io.I32(member.resync_attempts, "fusion resync_attempts"));
+        DKF_RETURN_IF_ERROR(io.I64(member.last_resync_tick));
+        DKF_RETURN_IF_ERROR(io.I64(member.last_send_tick));
+        DKF_RETURN_IF_ERROR(io.U32(member.next_sequence));
+        DKF_RETURN_IF_ERROR(io.U32(member.last_sequence));
+        DKF_RETURN_IF_ERROR(io.I64(member.synced_version));
+        return Walk(io, lane);
+      });
+}
+
+/// The whole payload, in wire order (docs/checkpoint.md).
+template <class IO, Of<EngineSnapshot> S>
+Status Walk(IO& io, S& snapshot) {
+  // Configuration.
+  DKF_RETURN_IF_ERROR(io.F64(snapshot.energy.instructions_per_bit));
+  DKF_RETURN_IF_ERROR(io.F64(snapshot.energy.instructions_per_filter_step));
+  DKF_RETURN_IF_ERROR(io.F64(snapshot.energy.instructions_per_reading));
+  DKF_RETURN_IF_ERROR(io.F64(snapshot.channel.drop_probability));
+  DKF_RETURN_IF_ERROR(io.U64(snapshot.channel.seed));
+  DKF_RETURN_IF_ERROR(io.Bool(snapshot.channel.per_source_rng));
+  DKF_RETURN_IF_ERROR(Walk(io, snapshot.channel.fault));
+  DKF_RETURN_IF_ERROR(io.F64(snapshot.default_delta));
+  auto& protocol = snapshot.protocol;
+  DKF_RETURN_IF_ERROR(io.I64(protocol.heartbeat_interval));
+  DKF_RETURN_IF_ERROR(
+      io.I32(protocol.resync_burst_retries, "resync_burst_retries"));
+  DKF_RETURN_IF_ERROR(io.I64(protocol.resync_retry_backoff));
+  DKF_RETURN_IF_ERROR(io.I64(protocol.staleness_budget));
+  DKF_RETURN_IF_ERROR(io.F64(protocol.degraded_inflation));
+  DKF_RETURN_IF_ERROR(Walk(io, protocol.adaptive));
+  DKF_RETURN_IF_ERROR(io.I32(snapshot.num_shards, "num_shards"));
+  if (IO::kDecoding && snapshot.num_shards < 1) {
+    return Status::InvalidArgument("snapshot shard count must be >= 1");
   }
 
-  // Multi-sensor fusion — absent from v1-v4 files (no groups, no fused
-  // queries).
-  if (version >= 5) {
-    DKF_ASSIGN_OR_RETURN(uint64_t num_fused, reader.ReadU64());
-    DKF_RETURN_IF_ERROR(CheckCount(reader, num_fused, 8, "fused query"));
-    snapshot.fused_queries.reserve(static_cast<size_t>(num_fused));
-    int previous_fused_id = INT32_MIN;
-    for (uint64_t i = 0; i < num_fused; ++i) {
-      FusedQuery query;
-      DKF_ASSIGN_OR_RETURN(query.id, DecodeI32(reader, "fused query id"));
-      if (query.id <= previous_fused_id) {
-        return Status::InvalidArgument(
-            "fused queries must have strictly ascending ids");
-      }
-      previous_fused_id = query.id;
-      DKF_ASSIGN_OR_RETURN(query.group_id,
-                           DecodeI32(reader, "fused query group"));
-      DKF_ASSIGN_OR_RETURN(query.precision, reader.ReadF64());
-      DKF_ASSIGN_OR_RETURN(query.description, reader.ReadString());
-      snapshot.fused_queries.push_back(std::move(query));
-    }
-    DKF_ASSIGN_OR_RETURN(uint64_t num_groups, reader.ReadU64());
-    DKF_RETURN_IF_ERROR(CheckCount(reader, num_groups, 8, "fusion group"));
-    snapshot.fusion_groups.reserve(static_cast<size_t>(num_groups));
-    int previous_group_id = INT32_MIN;
-    for (uint64_t i = 0; i < num_groups; ++i) {
-      FusionGroupSnapshot entry;
-      FusionEngine::GroupState& group = entry.group;
-      DKF_ASSIGN_OR_RETURN(group.group_id,
-                           DecodeI32(reader, "fusion group id"));
-      if (group.group_id <= previous_group_id) {
-        return Status::InvalidArgument(
-            "fusion groups must have strictly ascending ids");
-      }
-      previous_group_id = group.group_id;
-      DKF_ASSIGN_OR_RETURN(group.model, DecodeModel(reader));
-      DKF_ASSIGN_OR_RETURN(group.delta, reader.ReadF64());
-      DKF_ASSIGN_OR_RETURN(group.base_delta, reader.ReadF64());
-      DKF_ASSIGN_OR_RETURN(uint8_t norm, reader.ReadU8());
-      if (norm > static_cast<uint8_t>(DeviationNorm::kL1)) {
-        return Status::InvalidArgument(
-            StrFormat("invalid deviation norm %u in snapshot", norm));
-      }
-      group.norm = static_cast<DeviationNorm>(norm);
-      DKF_ASSIGN_OR_RETURN(group.posterior, DecodeFullState(reader));
-      DKF_ASSIGN_OR_RETURN(group.version, reader.ReadI64());
-      DKF_ASSIGN_OR_RETURN(group.last_valid_tick, reader.ReadI64());
-      DKF_ASSIGN_OR_RETURN(group.faults, DecodeFaultStats(reader));
-      DKF_ASSIGN_OR_RETURN(group.updates_applied, reader.ReadI64());
-      DKF_ASSIGN_OR_RETURN(group.suppressed, reader.ReadI64());
-      DKF_ASSIGN_OR_RETURN(group.transmissions, reader.ReadI64());
-      DKF_ASSIGN_OR_RETURN(group.broadcasts, reader.ReadI64());
-      DKF_ASSIGN_OR_RETURN(group.broadcast_bytes, reader.ReadI64());
-      DKF_ASSIGN_OR_RETURN(uint64_t num_members, reader.ReadU64());
-      DKF_RETURN_IF_ERROR(
-          CheckCount(reader, num_members, 8, "fusion member"));
-      group.members.reserve(static_cast<size_t>(num_members));
-      entry.member_channels.reserve(static_cast<size_t>(num_members));
-      int previous_member_id = INT32_MIN;
-      for (uint64_t m = 0; m < num_members; ++m) {
-        FusionEngine::MemberState member;
-        DKF_ASSIGN_OR_RETURN(member.source_id,
-                             DecodeI32(reader, "fusion member id"));
-        if (member.source_id <= previous_member_id) {
-          return Status::InvalidArgument(
-              "fusion members must have strictly ascending ids");
-        }
-        previous_member_id = member.source_id;
-        DKF_ASSIGN_OR_RETURN(member.mirror, DecodeFullState(reader));
-        DKF_ASSIGN_OR_RETURN(member.mirror_version, reader.ReadI64());
-        DKF_ASSIGN_OR_RETURN(member.pending, reader.ReadBool());
-        DKF_ASSIGN_OR_RETURN(member.pending_since, reader.ReadI64());
-        DKF_ASSIGN_OR_RETURN(member.resync_attempts,
-                             DecodeI32(reader, "fusion resync_attempts"));
-        DKF_ASSIGN_OR_RETURN(member.last_resync_tick, reader.ReadI64());
-        DKF_ASSIGN_OR_RETURN(member.last_send_tick, reader.ReadI64());
-        DKF_ASSIGN_OR_RETURN(member.next_sequence, reader.ReadU32());
-        DKF_ASSIGN_OR_RETURN(member.last_sequence, reader.ReadU32());
-        DKF_ASSIGN_OR_RETURN(member.synced_version, reader.ReadI64());
-        DKF_ASSIGN_OR_RETURN(Channel::SourceCheckpoint lane,
-                             DecodeChannelLane(reader, version));
-        group.members.push_back(std::move(member));
-        entry.member_channels.push_back(std::move(lane));
-      }
-      snapshot.fusion_groups.push_back(std::move(entry));
-    }
+  // Progress.
+  DKF_RETURN_IF_ERROR(io.I64(snapshot.ticks));
+  DKF_RETURN_IF_ERROR(io.I64(snapshot.control_messages));
+
+  // Per-source state.
+  int previous_source = INT32_MIN;
+  DKF_RETURN_IF_ERROR(
+      io.Seq(snapshot.sources, 8, "source", [&](auto& source) -> Status {
+        DKF_RETURN_IF_ERROR(io.I32(source.source_id, "source id"));
+        DKF_RETURN_IF_ERROR(
+            io.Ascending(source.source_id, previous_source,
+                         "snapshot sources must have strictly ascending ids"));
+        DKF_RETURN_IF_ERROR(Walk(io, source.model));
+        DKF_RETURN_IF_ERROR(Walk(io, source.node));
+        DKF_RETURN_IF_ERROR(Walk(io, source.link));
+        return Walk(io, source.channel);
+      }));
+  DKF_RETURN_IF_ERROR(Walk(io, snapshot.server_faults));
+  // Files once carried a shared channel RNG stream here; the byte stays
+  // so the layout does not move. Always written false, and a file that
+  // sets it is refused.
+  bool shared_rng = false;
+  DKF_RETURN_IF_ERROR(io.Bool(shared_rng));
+  if (shared_rng) {
+    return Status::InvalidArgument(
+        "snapshot carries a shared channel RNG stream, which this build "
+        "does not read");
   }
-  return snapshot;
+
+  // Queries and aggregates.
+  DKF_RETURN_IF_ERROR(
+      io.Seq(snapshot.queries, 8, "query", [&](auto& query) -> Status {
+        DKF_RETURN_IF_ERROR(io.I32(query.id, "query id"));
+        DKF_RETURN_IF_ERROR(io.I32(query.source_id, "query source"));
+        DKF_RETURN_IF_ERROR(io.F64(query.precision));
+        DKF_RETURN_IF_ERROR(io.Optional(
+            query.smoothing_factor, [&](auto& f) { return io.F64(f); }));
+        return io.String(query.description);
+      }));
+  DKF_RETURN_IF_ERROR(io.Seq(
+      snapshot.aggregates, 8, "aggregate", [&](auto& aggregate) -> Status {
+        DKF_RETURN_IF_ERROR(io.I32(aggregate.id, "aggregate id"));
+        DKF_RETURN_IF_ERROR(
+            io.Seq(aggregate.source_ids, 8, "aggregate member",
+                   [&](auto& id) { return io.I32(id, "member id"); }));
+        return io.Seq(aggregate.synthetic_query_ids, 8, "synthetic query",
+                      [&](auto& id) { return io.I32(id, "synthetic id"); });
+      }));
+
+  DKF_RETURN_IF_ERROR(Walk(io, snapshot.obs));
+  DKF_RETURN_IF_ERROR(Walk(io, snapshot.serve));
+  DKF_RETURN_IF_ERROR(Walk(io, snapshot.governor));
+
+  // Multi-sensor fusion.
+  int previous_fused = INT32_MIN;
+  DKF_RETURN_IF_ERROR(io.Seq(
+      snapshot.fused_queries, 8, "fused query", [&](auto& query) -> Status {
+        DKF_RETURN_IF_ERROR(io.I32(query.id, "fused query id"));
+        DKF_RETURN_IF_ERROR(
+            io.Ascending(query.id, previous_fused,
+                         "fused queries must have strictly ascending ids"));
+        DKF_RETURN_IF_ERROR(io.I32(query.group_id, "fused query group"));
+        DKF_RETURN_IF_ERROR(io.F64(query.precision));
+        return io.String(query.description);
+      }));
+  int previous_group = INT32_MIN;
+  return io.Seq(
+      snapshot.fusion_groups, 8, "fusion group", [&](auto& entry) -> Status {
+        DKF_RETURN_IF_ERROR(io.I32(entry.group.group_id, "fusion group id"));
+        DKF_RETURN_IF_ERROR(
+            io.Ascending(entry.group.group_id, previous_group,
+                         "fusion groups must have strictly ascending ids"));
+        return Walk(io, entry);
+      });
 }
 
 }  // namespace
 
 Result<std::string> EncodeSnapshot(const EngineSnapshot& snapshot) {
-  return EncodeSnapshotForVersion(snapshot, kSnapshotVersion);
-}
-
-Result<std::string> EncodeSnapshotForVersion(const EngineSnapshot& snapshot,
-                                             uint32_t version) {
-  if (version < kSnapshotMinVersion || version > kSnapshotVersion) {
-    return Status::InvalidArgument(
-        StrFormat("cannot encode snapshot version %u (this build writes "
-                  "%u..%u)",
-                  version, kSnapshotMinVersion, kSnapshotVersion));
-  }
   BinaryWriter payload;
-  DKF_RETURN_IF_ERROR(EncodePayload(payload, snapshot, version));
+  SnapshotWriter io(payload);
+  DKF_RETURN_IF_ERROR(Walk(io, snapshot));
   const std::string& body = payload.bytes();
 
   BinaryWriter file;
   for (size_t i = 0; i < kMagicBytes; ++i) {
     file.WriteU8(static_cast<uint8_t>(kSnapshotMagic[i]));
   }
-  file.WriteU32(version);
+  file.WriteU32(kSnapshotVersion);
   file.WriteU64(
       Fnv1a64(reinterpret_cast<const uint8_t*>(body.data()), body.size()));
   file.WriteU64(body.size());
@@ -1237,10 +814,11 @@ Result<EngineSnapshot> DecodeSnapshot(const std::string& bytes) {
     }
   }
   DKF_ASSIGN_OR_RETURN(uint32_t version, header.ReadU32());
-  if (version < kSnapshotMinVersion || version > kSnapshotVersion) {
+  if (version != kSnapshotVersion) {
     return Status::InvalidArgument(
-        StrFormat("unsupported snapshot version %u (this build reads %u..%u)",
-                  version, kSnapshotMinVersion, kSnapshotVersion));
+        StrFormat("unsupported snapshot version %u (this build reads only "
+                  "version %u)",
+                  version, kSnapshotVersion));
   }
   DKF_ASSIGN_OR_RETURN(uint64_t checksum, header.ReadU64());
   DKF_ASSIGN_OR_RETURN(uint64_t payload_len, header.ReadU64());
@@ -1258,8 +836,9 @@ Result<EngineSnapshot> DecodeSnapshot(const std::string& bytes) {
         "snapshot payload checksum mismatch (file corrupted)");
   }
   BinaryReader reader(payload);
-  DKF_ASSIGN_OR_RETURN(EngineSnapshot snapshot,
-                       DecodePayload(reader, version));
+  SnapshotReader io(reader);
+  EngineSnapshot snapshot;
+  DKF_RETURN_IF_ERROR(Walk(io, snapshot));
   if (!reader.AtEnd()) {
     return Status::InvalidArgument(StrFormat(
         "snapshot has %llu bytes of trailing garbage",

@@ -13,47 +13,27 @@ namespace dkf {
 ///
 /// File = 8-byte magic "DKFSNAP1" + u32 version + u64 FNV-1a-64 checksum
 /// of the payload + u64 payload length + payload, all little-endian.
-/// Doubles travel as raw IEEE-754 bits, so corrupted in-flight payloads
-/// round-trip bit-exactly; model recipes and filter states are finite-
-/// checked on both paths (shared with the synopsis codec via
-/// core/synopsis_io.h) so a damaged file can never smuggle a non-finite
-/// value into a running filter.
+/// There is one format version, kSnapshotVersion; a file stamped with
+/// any other is refused. Doubles travel as raw IEEE-754 bits, so
+/// corrupted in-flight payloads round-trip bit-exactly; model recipes
+/// and filter states are finite-checked on both paths (shared with the
+/// synopsis codec via core/synopsis_io.h) so a damaged file can never
+/// smuggle a non-finite value into a running filter.
 ///
-/// Error taxonomy: wrong magic / out-of-range version / checksum /
-/// trailing garbage -> InvalidArgument; truncation -> OutOfRange;
-/// missing file -> NotFound; a model with a time-varying transition_fn
-/// -> Unimplemented (arbitrary functions do not serialize — same rule
-/// as SaveSynopsis).
+/// Error taxonomy: wrong magic / any version but kSnapshotVersion /
+/// checksum / trailing garbage -> InvalidArgument; truncation ->
+/// OutOfRange; missing file -> NotFound; a model with a time-varying
+/// transition_fn -> Unimplemented (arbitrary functions do not serialize
+/// — same rule as SaveSynopsis).
 
 inline constexpr char kSnapshotMagic[] = "DKFSNAP1";  // 8 bytes on the wire
-/// v2 appended the serving-layer section (src/serve/); v3 appended the
-/// delta-governor section (src/governor/); v4 added the adaptive-noise
-/// fields (protocol config + per-source/link/resync-message adapter
-/// state, docs/adaptive.md); v5 appended the multi-sensor fusion
-/// section (src/fusion/: groups, member mirrors + channel lanes, fused
-/// queries) and the subscription group_id field.
+/// The only format this build reads or writes. Any change to the
+/// payload layout bumps it, and files of every other version are
+/// rejected.
 inline constexpr uint32_t kSnapshotVersion = 5;
-/// Oldest version this build still reads. v1 files predate the serving
-/// layer; they decode with an empty ServeSnapshot. v2 files predate the
-/// governor; they decode with a disabled GovernorSnapshot. v1-v3 files
-/// predate noise adaptation; they decode with it disabled and empty
-/// adapter state. v1-v4 files predate fusion; they decode with no
-/// groups and no fused queries.
-inline constexpr uint32_t kSnapshotMinVersion = 1;
 
 /// Serializes a snapshot to the full file image (header + payload).
 Result<std::string> EncodeSnapshot(const EngineSnapshot& snapshot);
-
-/// Serializes a snapshot as an *older* format version (header stamped
-/// with `version`, later sections and fields omitted from the payload).
-/// Data only newer versions can carry is silently dropped — the result
-/// is exactly what a build of that era would have written for the
-/// downgraded state. InvalidArgument outside
-/// [kSnapshotMinVersion, kSnapshotVersion]. This exists for
-/// backward-compatibility tests and downgrade tooling; production saves
-/// should use EncodeSnapshot.
-Result<std::string> EncodeSnapshotForVersion(const EngineSnapshot& snapshot,
-                                             uint32_t version);
 
 /// Parses and validates a full file image.
 Result<EngineSnapshot> DecodeSnapshot(const std::string& bytes);

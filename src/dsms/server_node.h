@@ -116,7 +116,7 @@ class ServerNode {
     int64_t last_update_tick = -1;
     KalmanFilter::FullState predictor;
     /// NoiseAdapter::ExportState() payload; empty when adaptation is off
-    /// (snapshot v4, docs/checkpoint.md).
+    /// (docs/checkpoint.md).
     Vector adapt;
   };
 

@@ -167,7 +167,7 @@ class SourceNode {
     int64_t last_send_tick = -1;
     ProtocolFaultStats faults;
     /// NoiseAdapter::ExportState() payload; empty when adaptation is off
-    /// (snapshot v4, docs/checkpoint.md).
+    /// (docs/checkpoint.md).
     Vector adapt;
   };
 

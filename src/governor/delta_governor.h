@@ -107,7 +107,7 @@ struct GovernorEpochResult {
 class DeltaGovernor {
  public:
   /// Per-source controller state. Public so checkpoints can move it
-  /// verbatim (snapshot v3) and metrics can read the EWMA rates.
+  /// verbatim and metrics can read the EWMA rates.
   struct SourceState {
     double ewma_bytes = 0.0;    // bytes/tick, EWMA over epochs
     double ewma_updates = 0.0;  // updates/tick, EWMA over epochs
@@ -142,7 +142,7 @@ class DeltaGovernor {
   /// Controller state keyed by source id, for metrics + checkpointing.
   const std::map<int, SourceState>& states() const { return states_; }
 
-  /// Restores controller state captured by `states()` (snapshot v3).
+  /// Restores controller state captured by `states()` (checkpoints).
   void ImportState(int64_t epochs, std::map<int, SourceState> states) {
     epochs_ = epochs;
     states_ = std::move(states);

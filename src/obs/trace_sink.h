@@ -13,6 +13,13 @@
 
 namespace dkf {
 
+/// Largest ring_capacity ShardedStreamEngine::EnableTracing accepts.
+/// A sink allocates its whole ring up front (~40 bytes per event), so
+/// this bounds one sink at ~40 MB: 4x the largest ring any caller in
+/// this repository sizes (1 << 18), and small enough that a hostile
+/// snapshot cannot make a restore allocate gigabytes.
+inline constexpr size_t kMaxTraceRingCapacity = size_t{1} << 20;
+
 /// Sink configuration.
 struct ObsOptions {
   /// Capacity of the event ring buffer. When a run emits more events

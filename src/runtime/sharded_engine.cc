@@ -751,6 +751,11 @@ Status ShardedStreamEngine::MaybeRunGovernor() {
 }
 
 Status ShardedStreamEngine::EnableTracing(const ObsOptions& obs) {
+  if (obs.ring_capacity > kMaxTraceRingCapacity) {
+    return Status::InvalidArgument(StrFormat(
+        "trace ring capacity %zu exceeds the limit of %zu events",
+        obs.ring_capacity, kMaxTraceRingCapacity));
+  }
   sinks_.clear();
   sinks_.reserve(shards_.size());
   for (auto& shard : shards_) {

@@ -285,6 +285,8 @@ class ShardedStreamEngine {
 
   /// Turns on observability with one sink per shard (lock-free emission
   /// under the thread contract). Calling again replaces every sink.
+  /// InvalidArgument, leaving tracing as it was, when obs.ring_capacity
+  /// exceeds kMaxTraceRingCapacity.
   Status EnableTracing(const ObsOptions& obs = ObsOptions());
 
   /// Unwires and destroys every shard sink; the shards revert to the

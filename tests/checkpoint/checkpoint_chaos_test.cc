@@ -338,15 +338,13 @@ TEST(CheckpointChaosTest, QueriesSurviveRestoreAndStayReconfigurable) {
 }
 
 TEST(CheckpointChaosTest, SharedRngSnapshotWithFaultsIsRejected) {
-  // Snapshots from before every run drew per-source fault streams may
-  // record one shared stream. Replaying faults from it per source would
-  // silently change the fault sequence, so the restore must refuse.
+  // A snapshot whose channel options ask for one shared fault stream
+  // cannot be replayed: the engine draws per-source streams, so the
+  // fault sequence would silently change. The restore must refuse.
   auto snapshot_or = LoadSnapshotFile(SingleShardSnapshotFile());
   ASSERT_TRUE(snapshot_or.ok()) << snapshot_or.status().message();
   EngineSnapshot snapshot = std::move(snapshot_or).value();
   snapshot.channel.per_source_rng = false;
-  snapshot.has_shared_rng = true;
-  snapshot.shared_rng = Rng(5).SaveState();
   const std::string path = SnapshotPath("shared_rng.dkfsnap");
   ASSERT_TRUE(SaveSnapshotFile(snapshot, path).ok());
 
@@ -355,6 +353,31 @@ TEST(CheckpointChaosTest, SharedRngSnapshotWithFaultsIsRejected) {
   EXPECT_EQ(engine_or.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(engine_or.status().message().find("shared channel RNG"),
             std::string::npos);
+}
+
+TEST(CheckpointChaosTest, HugeTraceRingIsRejectedCleanly) {
+  // A well-formed file (valid checksum) asking for a 2^62-event trace
+  // ring must fail the restore with a Status, not abort on allocation.
+  auto snapshot_or = LoadSnapshotFile(SingleShardSnapshotFile());
+  ASSERT_TRUE(snapshot_or.ok()) << snapshot_or.status().message();
+  EngineSnapshot snapshot = std::move(snapshot_or).value();
+  ASSERT_TRUE(snapshot.obs.enabled);
+  snapshot.obs.options.ring_capacity = size_t{1} << 62;
+  const std::string path = SnapshotPath("huge_ring.dkfsnap");
+  ASSERT_TRUE(SaveSnapshotFile(snapshot, path).ok());
+
+  auto engine_or = ShardedStreamEngine::Restore(path);
+  ASSERT_FALSE(engine_or.ok());
+  EXPECT_EQ(engine_or.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(engine_or.status().message().find("trace ring capacity"),
+            std::string::npos)
+      << engine_or.status().message();
+
+  // The limit itself is accepted.
+  snapshot.obs.options.ring_capacity = kMaxTraceRingCapacity;
+  ASSERT_TRUE(SaveSnapshotFile(snapshot, path).ok());
+  auto at_limit = ShardedStreamEngine::Restore(path);
+  EXPECT_TRUE(at_limit.ok()) << at_limit.status().message();
 }
 
 // ---- serving-layer continuation --------------------------------------

@@ -25,6 +25,21 @@ uint64_t BitsOf(double value) {
   return bits;
 }
 
+/// A full file image around `payload`: magic, the current version, and a
+/// checksum and length that match, so a crafted payload gets past the
+/// header checks and reaches the field decoders.
+std::string WrapPayload(const std::string& payload) {
+  BinaryWriter file;
+  for (char c : std::string("DKFSNAP1")) {
+    file.WriteU8(static_cast<uint8_t>(c));
+  }
+  file.WriteU32(kSnapshotVersion);
+  file.WriteU64(Fnv1a64(reinterpret_cast<const uint8_t*>(payload.data()),
+                        payload.size()));
+  file.WriteU64(payload.size());
+  return file.TakeBytes() + payload;
+}
+
 StateModel ScalarModel() {
   ModelNoise noise;
   noise.process_variance = 0.05;
@@ -155,8 +170,6 @@ EngineSnapshot BuildSnapshot() {
 
   snapshot.server_faults.resyncs_applied = 9;
   snapshot.server_faults.rejected_corrupt = 4;
-  snapshot.has_shared_rng = true;
-  snapshot.shared_rng = Rng(13).SaveState();
 
   ContinuousQuery query;
   query.id = 1;
@@ -374,8 +387,6 @@ TEST(SnapshotIoTest, RoundTripPreservesEveryField) {
 
   EXPECT_EQ(decoded.server_faults.resyncs_applied, 9);
   EXPECT_EQ(decoded.server_faults.rejected_corrupt, 4);
-  ASSERT_TRUE(decoded.has_shared_rng);
-  EXPECT_EQ(decoded.shared_rng.words[0], original.shared_rng.words[0]);
 
   ASSERT_EQ(decoded.queries.size(), 2u);
   EXPECT_EQ(decoded.queries[0].description, "point query");
@@ -430,75 +441,6 @@ TEST(SnapshotIoTest, RoundTripPreservesEveryField) {
   EXPECT_EQ(decoded.governor.states[1].source_id, 4);
   EXPECT_TRUE(decoded.governor.states[1].state ==
               original.governor.states[1].state);
-}
-
-TEST(SnapshotIoTest, ReadsVersion1FilesWithoutServeSection) {
-  EngineSnapshot snapshot = BuildSnapshot();
-  snapshot.serve = ServeSnapshot();  // v1 files predate the serving layer
-  snapshot.governor = GovernorSnapshot();  // ...and the delta governor
-  auto encoded_or = EncodeSnapshotForVersion(snapshot, 1);
-  ASSERT_TRUE(encoded_or.ok()) << encoded_or.status().message();
-  auto decoded_or = DecodeSnapshot(encoded_or.value());
-  ASSERT_TRUE(decoded_or.ok()) << decoded_or.status().message();
-  EXPECT_EQ(decoded_or.value().ticks, 110);
-  EXPECT_TRUE(decoded_or.value().serve.subscriptions.empty());
-  EXPECT_TRUE(decoded_or.value().serve.pending.empty());
-  EXPECT_EQ(decoded_or.value().serve.drained_through_step, -1);
-  EXPECT_FALSE(decoded_or.value().governor.enabled);
-  EXPECT_FALSE(decoded_or.value().protocol.adaptive.enabled);
-}
-
-TEST(SnapshotIoTest, ReadsVersion2FilesWithoutGovernorSection) {
-  EngineSnapshot snapshot = BuildSnapshot();
-  snapshot.governor = GovernorSnapshot();  // v2 predates the governor
-  auto encoded_or = EncodeSnapshotForVersion(snapshot, 2);
-  ASSERT_TRUE(encoded_or.ok()) << encoded_or.status().message();
-  auto decoded_or = DecodeSnapshot(encoded_or.value());
-  ASSERT_TRUE(decoded_or.ok()) << decoded_or.status().message();
-  const EngineSnapshot& decoded = decoded_or.value();
-  EXPECT_EQ(decoded.ticks, 110);
-  // The serve section (a v2 feature) still decodes in full.
-  EXPECT_EQ(decoded.serve.subscriptions.size(), 2u);
-  EXPECT_EQ(decoded.serve.notifications, 61);
-  // The governor section defaults to disabled with empty state.
-  EXPECT_FALSE(decoded.governor.enabled);
-  EXPECT_TRUE(decoded.governor.states.empty());
-  EXPECT_EQ(decoded.governor.epochs, 0);
-}
-
-TEST(SnapshotIoTest, ReadsVersion3FilesWithoutAdaptiveFields) {
-  // A v3 target drops the adaptive configuration and every adapter
-  // vector, even when the source snapshot carries them; the decoded
-  // snapshot comes back adaptation-disabled, everything else intact.
-  EngineSnapshot snapshot = BuildSnapshot();
-  snapshot.protocol.adaptive.enabled = true;
-  snapshot.protocol.adaptive.holdover_gap = 512;
-  snapshot.sources[0].node.adapt = Vector{1.0, 0.5, 0.25};
-  snapshot.sources[0].link.adapt = Vector{1.0, 0.5, 0.25};
-  auto encoded_or = EncodeSnapshotForVersion(snapshot, 3);
-  ASSERT_TRUE(encoded_or.ok()) << encoded_or.status().message();
-  auto decoded_or = DecodeSnapshot(encoded_or.value());
-  ASSERT_TRUE(decoded_or.ok()) << decoded_or.status().message();
-  const EngineSnapshot& decoded = decoded_or.value();
-  EXPECT_EQ(decoded.ticks, 110);
-  EXPECT_FALSE(decoded.protocol.adaptive.enabled);
-  EXPECT_EQ(decoded.protocol.adaptive.holdover_gap,
-            AdaptiveNoiseConfig().holdover_gap);
-  EXPECT_EQ(decoded.sources[0].node.adapt.size(), 0);
-  EXPECT_EQ(decoded.sources[0].link.adapt.size(), 0);
-  // v3 features survive the downgrade untouched.
-  EXPECT_TRUE(decoded.governor.enabled);
-  EXPECT_EQ(decoded.serve.subscriptions.size(), 2u);
-}
-
-TEST(SnapshotIoTest, RejectsEncodingUnsupportedVersions) {
-  EngineSnapshot snapshot = BuildSnapshot();
-  auto too_old = EncodeSnapshotForVersion(snapshot, 0);
-  ASSERT_FALSE(too_old.ok());
-  EXPECT_EQ(too_old.status().code(), StatusCode::kInvalidArgument);
-  auto too_new = EncodeSnapshotForVersion(snapshot, kSnapshotVersion + 1);
-  ASSERT_FALSE(too_new.ok());
-  EXPECT_EQ(too_new.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(SnapshotIoTest, RejectsCorruptGovernorSections) {
@@ -557,13 +499,52 @@ TEST(SnapshotIoTest, RejectsWrongMagic) {
 }
 
 TEST(SnapshotIoTest, RejectsVersionMismatch) {
-  std::string bytes = EncodeSnapshot(BuildSnapshot()).value();
-  bytes[8] = static_cast<char>(9);  // version u32 lives at offset 8
-  auto result = DecodeSnapshot(bytes);
+  // v5 is the only format: older and newer stamps are refused alike.
+  for (char version : {9, 4, 0}) {
+    std::string bytes = EncodeSnapshot(BuildSnapshot()).value();
+    bytes[8] = version;  // version u32 lives at offset 8
+    auto result = DecodeSnapshot(bytes);
+    ASSERT_FALSE(result.ok()) << int{version};
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("unsupported snapshot version"),
+              std::string::npos);
+    EXPECT_NE(result.status().message().find("only version 5"),
+              std::string::npos)
+        << result.status().message();
+  }
+}
+
+TEST(SnapshotIoTest, EncodingMatchesPinnedV5Bytes) {
+  // Length and FNV-1a-64 of the whole v5 file image. A change here is
+  // a wire-format change and must bump kSnapshotVersion.
+  const std::string bytes = EncodeSnapshot(BuildSnapshot()).value();
+  EXPECT_EQ(bytes.size(), 4747u);
+  EXPECT_EQ(Fnv1a64(reinterpret_cast<const uint8_t*>(bytes.data()),
+                    bytes.size()),
+            0x49fc58868f59ea5bull);
+}
+
+TEST(SnapshotIoTest, RejectsSharedRngSection) {
+  // The retired shared-channel-RNG flag sits right after the server
+  // fault counters; the encoder always writes it false. A file that sets
+  // it (with a valid checksum) is refused rather than half-read.
+  EngineSnapshot snapshot = BuildSnapshot();
+  snapshot.server_faults.degraded_ticks = 0x5EED5EED;  // unique marker
+  const std::string valid = EncodeSnapshot(snapshot).value();
+  std::string payload = valid.substr(28);  // 8 magic + 4 + 8 + 8
+  BinaryWriter marker;
+  marker.WriteI64(0x5EED5EED);
+  const size_t at = payload.find(marker.bytes());
+  ASSERT_NE(at, std::string::npos);
+  const size_t flag = at + 8;
+  ASSERT_EQ(payload[flag], '\0');
+  payload[flag] = '\1';
+  auto result = DecodeSnapshot(WrapPayload(payload));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(result.status().message().find("unsupported snapshot version"),
-            std::string::npos);
+  EXPECT_NE(result.status().message().find("shared channel RNG"),
+            std::string::npos)
+      << result.status().message();
 }
 
 TEST(SnapshotIoTest, RejectsChecksumMismatch) {
@@ -594,20 +575,32 @@ TEST(SnapshotIoTest, RejectsTrailingGarbageInsidePayload) {
   const std::string valid = EncodeSnapshot(BuildSnapshot()).value();
   std::string payload = valid.substr(28);  // 8 magic + 4 + 8 + 8
   payload.append("XX");
-  BinaryWriter file;
-  for (char c : std::string("DKFSNAP1")) {
-    file.WriteU8(static_cast<uint8_t>(c));
-  }
-  file.WriteU32(kSnapshotVersion);
-  file.WriteU64(Fnv1a64(reinterpret_cast<const uint8_t*>(payload.data()),
-                        payload.size()));
-  file.WriteU64(payload.size());
-  std::string bytes = file.TakeBytes();
-  bytes.append(payload);
-  auto result = DecodeSnapshot(bytes);
+  auto result = DecodeSnapshot(WrapPayload(payload));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(result.status().message().find("trailing"), std::string::npos);
+}
+
+TEST(SnapshotIoTest, RejectsOverflowingMatrixShape) {
+  // rows * cols wraps to 0 for 2 x 2^63: the cell guard must divide, not
+  // multiply, or the decoder would size a 0-cell matrix and write past it.
+  EngineSnapshot snapshot = BuildSnapshot();
+  snapshot.sources[0].model.options.transition = Matrix(3, 5);
+  std::string payload = EncodeSnapshot(snapshot).value().substr(28);
+  BinaryWriter shape;
+  shape.WriteU64(3);
+  shape.WriteU64(5);
+  const size_t at = payload.find(shape.bytes());
+  ASSERT_NE(at, std::string::npos);
+  BinaryWriter hostile;
+  hostile.WriteU64(2);
+  hostile.WriteU64(1ull << 63);
+  payload.replace(at, hostile.bytes().size(), hostile.bytes());
+  auto result = DecodeSnapshot(WrapPayload(payload));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange);
+  EXPECT_NE(result.status().message().find("matrix cells"), std::string::npos)
+      << result.status().message();
 }
 
 TEST(SnapshotIoTest, RejectsUnserializableModels) {
@@ -663,19 +656,7 @@ TEST(SnapshotIoTest, BinaryPrimitivesRoundTripAndBoundsCheck) {
   // even when its header checksums correctly.
   BinaryWriter huge;
   huge.WriteU64(1ull << 60);
-  const std::string huge_bytes = huge.bytes();
-  BinaryWriter file;
-  for (char c : std::string("DKFSNAP1")) {
-    file.WriteU8(static_cast<uint8_t>(c));
-  }
-  file.WriteU32(kSnapshotVersion);
-  file.WriteU64(Fnv1a64(
-      reinterpret_cast<const uint8_t*>(huge_bytes.data()),
-      huge_bytes.size()));
-  file.WriteU64(huge_bytes.size());
-  std::string crafted = file.TakeBytes();
-  crafted.append(huge_bytes);
-  auto result = DecodeSnapshot(crafted);
+  auto result = DecodeSnapshot(WrapPayload(huge.bytes()));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange);
 }

@@ -1,20 +1,16 @@
-// Checkpoint coverage for the fusion subsystem (snapshot v5,
-// docs/checkpoint.md): a snapshot taken mid-outage carries every fused
-// posterior, member mirror, protocol cursor, and channel lane, and the
-// restored run — at any shard count — continues bit-identically.
-// Downgraded (v1–v4) encodings drop the fusion section and every fused
-// serve artifact, and still load.
+// Checkpoint coverage for the fusion subsystem (docs/checkpoint.md): a
+// snapshot taken mid-outage carries every fused posterior, member
+// mirror, protocol cursor, and channel lane, and the restored run — at
+// any shard count — continues bit-identically.
 
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "checkpoint/snapshot_io.h"
 #include "models/model_factory.h"
 #include "runtime/sharded_engine.h"
 #include "serve/subscription.h"
@@ -111,8 +107,7 @@ void InstallWorkload(ShardedStreamEngine& system) {
   fused_sub.kind = SubscriptionKind::kFused;
   fused_sub.group_id = kGroupId;
   ASSERT_TRUE(system.Subscribe(fused_sub).ok());
-  // A plain subscription rides along so the v1-v4 downgrade filter has
-  // something it must KEEP while dropping the fused artifacts.
+  // A plain subscription rides along beside the fused one.
   Subscription point_sub;
   point_sub.id = 3;
   point_sub.kind = SubscriptionKind::kPoint;
@@ -290,84 +285,6 @@ TEST(FusionCheckpointTest, RestoredTopologyStaysReconfigurable) {
   ASSERT_TRUE(engine.RemoveFusionMember(kGroupId, 102).ok());
   EXPECT_EQ(fusion->group_members(kGroupId).value(),
             (std::vector<int>{100, kJoiner}));
-}
-
-TEST(FusionCheckpointTest, DowngradedEncodingsDropFusionAndStillLoad) {
-  // Re-encoding the v5 snapshot at v1–v4 must (a) drop the fusion
-  // section, (b) filter the kFused subscription and every fused
-  // notification out of the serve section, and (c) produce a file a
-  // restore accepts.
-  const CheckpointReference& ref = GetCheckpointReference();
-  auto snapshot_or = LoadSnapshotFile(ref.snapshot_path);
-  ASSERT_TRUE(snapshot_or.ok()) << snapshot_or.status().message();
-  const EngineSnapshot& snapshot = snapshot_or.value();
-  ASSERT_EQ(snapshot.fusion_groups.size(), 1u);
-  ASSERT_EQ(snapshot.fused_queries.size(), 1u);
-  ASSERT_EQ(snapshot.fusion_groups[0].group.members.size(), 3u);
-  ASSERT_EQ(snapshot.fusion_groups[0].member_channels.size(), 3u);
-
-  bool had_fused_notification = false;
-  for (const NotificationBatch& batch : snapshot.serve.pending) {
-    for (const Notification& notification : batch.notifications) {
-      if (IsFusedSourceKey(notification.source_id)) {
-        had_fused_notification = true;
-      }
-    }
-  }
-  EXPECT_TRUE(had_fused_notification)
-      << "snapshot tick carries no buffered fused notification; the "
-         "filtering below would be vacuous";
-
-  for (uint32_t version = 1; version <= 4; ++version) {
-    auto encoded_or = EncodeSnapshotForVersion(snapshot, version);
-    ASSERT_TRUE(encoded_or.ok())
-        << "v" << version << ": " << encoded_or.status().message();
-    auto decoded_or = DecodeSnapshot(encoded_or.value());
-    ASSERT_TRUE(decoded_or.ok())
-        << "v" << version << ": " << decoded_or.status().message();
-    const EngineSnapshot& decoded = decoded_or.value();
-    EXPECT_TRUE(decoded.fusion_groups.empty()) << version;
-    EXPECT_TRUE(decoded.fused_queries.empty()) << version;
-    for (const ServeSubscriptionSnapshot& sub :
-         decoded.serve.subscriptions) {
-      EXPECT_NE(sub.spec.kind, SubscriptionKind::kFused) << version;
-    }
-    for (const NotificationBatch& batch : decoded.serve.pending) {
-      EXPECT_FALSE(batch.notifications.empty()) << version;
-      for (const Notification& notification : batch.notifications) {
-        EXPECT_FALSE(IsFusedSourceKey(notification.source_id)) << version;
-        EXPECT_NE(notification.kind, NotificationKind::kFusedUpdate)
-            << version;
-      }
-    }
-    // Everything else is era-appropriate and intact.
-    EXPECT_EQ(decoded.ticks, kSnapTick) << version;
-    EXPECT_EQ(decoded.sources.size(), 1u) << version;
-    if (version >= 2) {
-      EXPECT_FALSE(decoded.serve.subscriptions.empty()) << version;
-    }
-
-    // The downgraded image loads into a live engine: fusion-free, plain
-    // source intact and driveable.
-    const std::string path = ::testing::TempDir() + "/fusion_downgrade_v" +
-                             std::to_string(version) + ".dkfsnap";
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      ASSERT_TRUE(out.good());
-      out.write(encoded_or.value().data(),
-                static_cast<std::streamsize>(encoded_or.value().size()));
-    }
-    auto restored_or = ShardedStreamEngine::Restore(path);
-    ASSERT_TRUE(restored_or.ok())
-        << "v" << version << ": " << restored_or.status().message();
-    ShardedStreamEngine& engine = *restored_or.value();
-    EXPECT_EQ(engine.num_fusion_groups(), 0u) << version;
-    EXPECT_EQ(engine.AnswerFused(kGroupId).status().code(),
-              StatusCode::kNotFound)
-        << version;
-    std::map<int, Vector> reading{{kPlainSource, Vector{0.5}}};
-    EXPECT_TRUE(engine.ProcessTick(reading).ok()) << version;
-  }
 }
 
 }  // namespace

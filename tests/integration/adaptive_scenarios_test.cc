@@ -11,7 +11,7 @@
 //      — adaptation never silently weakens the paper's guarantee.
 //   3. Shard invariance: with the servo on, the engine answers
 //      bit-identically at 1/2/4/8 shards, fault cocktail included.
-//   4. Snapshot v4: a checkpoint taken mid-adaptation restores at any
+//   4. Snapshots: a checkpoint taken mid-adaptation restores at any
 //      shard count and continues bit-identically.
 
 #include <cmath>
@@ -150,7 +150,7 @@ TEST(AdaptiveScenariosTest, QuantizedReadingsAdaptiveBeatsFixed) {
   ExpectMargin(adaptive, fixed, /*max_percent=*/80, "quantized");
 }
 
-// --- Shard invariance and snapshot v4 --------------------------------
+// --- Shard invariance and snapshots -----------------------------------
 
 constexpr int kNumScenarioSources = 6;
 constexpr int64_t kShardTicks = 700;
