@@ -556,6 +556,11 @@ Result<std::unique_ptr<ShardedStreamEngine>> ShardedStreamEngine::Restore(
   }
   ShardedStreamEngineOptions options;
   options.num_shards = num_shards > 0 ? num_shards : snapshot.num_shards;
+  if (options.num_shards > kMaxShards) {
+    return Status::InvalidArgument(
+        StrFormat("restore asks for %d shards; at most %d are supported",
+                  options.num_shards, kMaxShards));
+  }
   options.energy = snapshot.energy;
   options.channel = snapshot.channel;
   options.default_delta = snapshot.default_delta;

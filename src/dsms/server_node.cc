@@ -13,18 +13,30 @@ Status ServerNode::RegisterSource(int source_id, const StateModel& model) {
   }
   auto predictor_or = KalmanPredictor::Create(model);
   if (!predictor_or.ok()) return predictor_or.status();
-  predictors_[source_id] = predictor_or.value().Clone();
+  NoiseAdapter adapter;
+  if (protocol_.adaptive.enabled &&
+      predictor_or.value().AdaptableFilter() != nullptr) {
+    auto adapter_or = NoiseAdapter::Create(protocol_.adaptive, model);
+    if (!adapter_or.ok()) return adapter_or.status();
+    adapter = std::move(adapter_or).value();
+  }
+  return RegisterSourceLike(source_id, predictor_or.value(), adapter);
+}
+
+Status ServerNode::RegisterSourceLike(int source_id,
+                                      const Predictor& predictor,
+                                      const NoiseAdapter& adapter) {
+  if (predictors_.contains(source_id)) {
+    return Status::AlreadyExists(
+        StrFormat("source %d already registered", source_id));
+  }
+  predictors_[source_id] = predictor.Clone();
   predictors_[source_id]->SetTrace(obs_sink_, source_id,
                                    TraceActor::kServerFilter);
   LinkState link;
   // The staleness clock starts at registration, not at tick 0.
   link.last_valid_tick = ticks_done_ - 1;
-  if (protocol_.adaptive.enabled &&
-      predictors_[source_id]->AdaptableFilter() != nullptr) {
-    auto adapter_or = NoiseAdapter::Create(protocol_.adaptive, model);
-    if (!adapter_or.ok()) return adapter_or.status();
-    link.adapter = std::move(adapter_or).value();
-  }
+  link.adapter = adapter;
   links_[source_id] = std::move(link);
   return Status::OK();
 }

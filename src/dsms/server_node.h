@@ -40,6 +40,14 @@ class ServerNode {
   /// the id is already registered.
   Status RegisterSource(int source_id, const StateModel& model);
 
+  /// RegisterSource from a prototype instead of a model: installs a clone
+  /// of `predictor` and a copy of `adapter` (which must be what
+  /// RegisterSource would build for the same model — a disabled adapter
+  /// when adaptation is off). The batched fleet engine re-registers
+  /// spilled sources this way without re-deriving the filter.
+  Status RegisterSourceLike(int source_id, const Predictor& predictor,
+                            const NoiseAdapter& adapter);
+
   /// Removes a source's predictor.
   Status UnregisterSource(int source_id);
 

@@ -32,7 +32,7 @@ Result<SourceNode> SourceNode::Create(const SourceNodeOptions& options) {
   auto predictor_or = KalmanPredictor::Create(options.model);
   if (!predictor_or.ok()) return predictor_or.status();
 
-  std::optional<KalmanSmoother> smoother;
+  std::unique_ptr<KalmanSmoother> smoother;
   if (options.smoothing_factor.has_value()) {
     if (options.model.measurement_dim != 1) {
       return Status::InvalidArgument(
@@ -42,7 +42,7 @@ Result<SourceNode> SourceNode::Create(const SourceNodeOptions& options) {
         KalmanSmoother::Create(*options.smoothing_factor,
                                options.smoothing_measurement_variance);
     if (!smoother_or.ok()) return smoother_or.status();
-    smoother = std::move(smoother_or).value();
+    smoother = std::make_unique<KalmanSmoother>(std::move(smoother_or).value());
   }
   SourceNode node(options, predictor_or.value().Clone(),
                   std::move(smoother));
@@ -54,6 +54,34 @@ Result<SourceNode> SourceNode::Create(const SourceNodeOptions& options) {
     node.adapter_ = std::move(adapter_or).value();
   }
   return node;
+}
+
+SourceNode::SourceNode(const SourceNode& other)
+    : options_(other.options_),
+      mirror_(other.mirror_->Clone()),
+      smoother_(other.smoother_ != nullptr
+                    ? std::make_unique<KalmanSmoother>(*other.smoother_)
+                    : nullptr),
+      energy_(other.energy_),
+      readings_(other.readings_),
+      updates_sent_(other.updates_sent_),
+      next_sequence_(other.next_sequence_),
+      pending_(other.pending_),
+      pending_since_(other.pending_since_),
+      first_resync_sequence_(other.first_resync_sequence_),
+      resync_attempts_(other.resync_attempts_),
+      last_resync_tick_(other.last_resync_tick_),
+      last_send_tick_(other.last_send_tick_),
+      faults_(other.faults_),
+      adapter_(other.adapter_),
+      obs_sink_(other.obs_sink_) {}
+
+std::unique_ptr<SourceNode> SourceNode::CloneAs(int source_id) const {
+  std::unique_ptr<SourceNode> copy(new SourceNode(*this));
+  copy->options_.source_id = source_id;
+  // Re-tag the mirror's trace events with the new id.
+  copy->set_trace_sink(obs_sink_);
+  return copy;
 }
 
 Status SourceNode::set_delta(double delta) {
@@ -77,7 +105,7 @@ Status SourceNode::set_smoothing(std::optional<double> smoothing_factor) {
   auto smoother_or = KalmanSmoother::Create(
       *smoothing_factor, options_.smoothing_measurement_variance);
   if (!smoother_or.ok()) return smoother_or.status();
-  smoother_ = std::move(smoother_or).value();
+  smoother_ = std::make_unique<KalmanSmoother>(std::move(smoother_or).value());
   options_.smoothing_factor = smoothing_factor;
   return Status::OK();
 }
@@ -91,7 +119,7 @@ Result<SourceNode::CheckpointState> SourceNode::ExportCheckpoint() const {
   auto mirror_or = mirror_->ExportFullState();
   if (!mirror_or.ok()) return mirror_or.status();
   state.mirror = std::move(mirror_or).value();
-  if (smoother_.has_value()) {
+  if (smoother_ != nullptr) {
     state.smoother_filter = smoother_->filter().ExportFullState();
     state.smoother_count = smoother_->count();
   }
@@ -118,7 +146,7 @@ Status SourceNode::ImportCheckpoint(const CheckpointState& state) {
       state.smoothing_measurement_variance;
   DKF_RETURN_IF_ERROR(set_smoothing(state.smoothing_factor));
   DKF_RETURN_IF_ERROR(mirror_->ImportFullState(state.mirror));
-  if (smoother_.has_value()) {
+  if (smoother_ != nullptr) {
     DKF_RETURN_IF_ERROR(
         smoother_->mutable_filter().ImportFullState(state.smoother_filter));
     smoother_->set_count(state.smoother_count);
@@ -232,7 +260,7 @@ Result<SourceStepResult> SourceNode::ProcessReading(int64_t tick,
 
   SourceStepResult result;
   result.protocol_value = raw;
-  if (smoother_.has_value()) {
+  if (smoother_ != nullptr) {
     auto smoothed_or = smoother_->Push(raw[0]);
     if (!smoothed_or.ok()) return smoothed_or.status();
     result.protocol_value = Vector{smoothed_or.value()};

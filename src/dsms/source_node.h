@@ -91,6 +91,12 @@ class SourceNode {
   SourceNode(SourceNode&&) = default;
   SourceNode& operator=(SourceNode&&) = default;
 
+  /// A deep copy of this node serving `source_id` instead: same options,
+  /// filters, counters and protocol state. The batched fleet engine
+  /// rebuilds a spilled source from a per-model prototype this way,
+  /// which skips re-deriving the filter from the model (Create).
+  std::unique_ptr<SourceNode> CloneAs(int source_id) const;
+
   /// Processes the reading for tick `tick`, possibly transmitting through
   /// `channel`. Must be called once per tick, after the server has ticked
   /// and the channel's in-flight queue was drained (Channel::BeginTick).
@@ -127,6 +133,9 @@ class SourceNode {
   uint32_t first_resync_sequence() const { return first_resync_sequence_; }
   const std::optional<double>& smoothing_factor() const {
     return options_.smoothing_factor;
+  }
+  double smoothing_measurement_variance() const {
+    return options_.smoothing_measurement_variance;
   }
 
   /// Source-side protocol fault counters.
@@ -190,9 +199,12 @@ class SourceNode {
  private:
   SourceNode(const SourceNodeOptions& options,
              std::unique_ptr<Predictor> mirror,
-             std::optional<KalmanSmoother> smoother)
+             std::unique_ptr<KalmanSmoother> smoother)
       : options_(options), mirror_(std::move(mirror)),
         smoother_(std::move(smoother)), energy_(options.energy) {}
+
+  /// Member-wise deep copy (the predictors are cloned); see CloneAs.
+  SourceNode(const SourceNode& other);
 
   /// Processes a deferred ACK (delayed delivery) for sequence `sequence`.
   void HandleAck(uint32_t sequence, int64_t tick);
@@ -206,7 +218,8 @@ class SourceNode {
 
   SourceNodeOptions options_;
   std::unique_ptr<Predictor> mirror_;
-  std::optional<KalmanSmoother> smoother_;
+  /// KF_c, allocated only while smoothing is on.
+  std::unique_ptr<KalmanSmoother> smoother_;
   EnergyAccount energy_;
   int64_t readings_ = 0;
   int64_t updates_sent_ = 0;

@@ -426,6 +426,12 @@ Status KalmanFilter::ImportFullState(const FullState& full) {
       full.ss_period < 1 || full.ss_period > 2) {
     return Status::InvalidArgument("full state has out-of-range mode fields");
   }
+  // The cycle indices address the two-slot frozen arrays.
+  if (full.ss_idx < 0 || full.ss_idx > 1 || full.ss_capture_idx < 0 ||
+      full.ss_capture_idx > 1) {
+    return Status::InvalidArgument(
+        "full state has out-of-range fast-path cycle indices");
+  }
   for (int i = 0; i < 2; ++i) {
     if (full.ss_prev_post[i].rows() != n || full.ss_prev_post[i].cols() != n ||
         full.ss_prior_p[i].rows() != n || full.ss_prior_p[i].cols() != n ||

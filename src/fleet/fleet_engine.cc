@@ -70,6 +70,28 @@ std::string ModelKey(const StateModel& model) {
   return key;
 }
 
+/// Byte key of a FullState's cold fields — everything but the hot lane
+/// fields (x, p, step, predicts_since_correct, phase, ss_mode, ss_idx)
+/// and last_innovation. Two states with equal keys are bit-identical in
+/// those fields (-0.0 and NaN payloads included).
+std::string ColdKey(const KalmanFilter::FullState& f) {
+  std::string key;
+  const int32_t scalars[] = {f.ss_streak1,        f.ss_streak2,
+                             f.ss_have_prev,      f.ss_period,
+                             f.ss_pending_priors, f.ss_capture_idx};
+  AppendRaw(&key, scalars, sizeof(scalars));
+  AppendMatrix(&key, f.process_noise);
+  AppendMatrix(&key, f.measurement_noise);
+  AppendMatrix(&key, f.ss_prev_gain);
+  for (int i = 0; i < 2; ++i) {
+    AppendMatrix(&key, f.ss_prev_post[i]);
+    AppendMatrix(&key, f.ss_gain[i]);
+    AppendMatrix(&key, f.ss_prior_p[i]);
+    AppendMatrix(&key, f.ss_post_p[i]);
+  }
+  return key;
+}
+
 void FlattenMatrix(const Matrix& m, std::vector<double>* out) {
   out->resize(m.rows() * m.cols());
   if (!out->empty()) {
@@ -91,6 +113,61 @@ FleetCounters& FleetCounters::operator+=(const FleetCounters& other) {
     absorb_rejects[i] += other.absorb_rejects[i];
   }
   return *this;
+}
+
+FleetFootprint& FleetFootprint::operator+=(const FleetFootprint& other) {
+  nodes_live += other.nodes_live;
+  lane_groups += other.lane_groups;
+  cold_records += other.cold_records;
+  cold_refs += other.cold_refs;
+  return *this;
+}
+
+int32_t FleetEngine::ColdTable::Acquire(const KalmanFilter::FullState& state) {
+  std::string key = ColdKey(state);
+  auto it = by_key_.find(key);
+  if (it != by_key_.end()) {
+    ++refs_[static_cast<size_t>(it->second)];
+    return it->second;
+  }
+  int32_t index;
+  if (free_.empty()) {
+    index = static_cast<int32_t>(records_.size());
+    records_.push_back(state);
+    refs_.push_back(1);
+  } else {
+    index = free_.back();
+    free_.pop_back();
+    records_[static_cast<size_t>(index)] = state;
+    refs_[static_cast<size_t>(index)] = 1;
+  }
+  // The hot fields live in the lane arrays; keep the shared copy free of
+  // whichever lane happened to add the record first.
+  KalmanFilter::FullState& record = records_[static_cast<size_t>(index)];
+  record.x = Vector();
+  record.p = Matrix();
+  record.last_innovation = Vector();
+  record.step = 0;
+  record.predicts_since_correct = 0;
+  record.phase = 0;
+  record.ss_mode = 0;
+  record.ss_idx = 0;
+  by_key_.emplace(std::move(key), index);
+  return index;
+}
+
+void FleetEngine::ColdTable::Release(int32_t index) {
+  if (--refs_[static_cast<size_t>(index)] > 0) return;
+  by_key_.erase(ColdKey(records_[static_cast<size_t>(index)]));
+  free_.push_back(index);
+}
+
+int64_t FleetEngine::ColdTable::references() const {
+  int64_t total = 0;
+  for (const auto& [key, index] : by_key_) {
+    total += refs_[static_cast<size_t>(index)];
+  }
+  return total;
 }
 
 FleetEngine::FleetEngine(ServerNode* server, Channel* channel,
@@ -135,13 +212,24 @@ Result<int> FleetEngine::GroupFor(const StateModel& model) {
 }
 
 Status FleetEngine::Track(int source_id, const StateModel& model,
-                          SourceNode* node) {
+                          std::unique_ptr<SourceNode>* slot) {
   if (tracked_.contains(source_id)) {
     return Status::AlreadyExists(
         StrFormat("source %d already tracked", source_id));
   }
   DKF_ASSIGN_OR_RETURN(int group_index, GroupFor(model));
-  tracked_[source_id] = TrackedSource{node, group_index};
+  if (group_index >= 0 && groups_[group_index]->prototype == nullptr) {
+    // Built the way the shard builds the source's own node; delta and
+    // every other per-source field are overwritten by the spill's import.
+    SourceNodeOptions options;
+    options.model = model;
+    options.energy = energy_;
+    options.protocol = protocol_;
+    DKF_ASSIGN_OR_RETURN(SourceNode prototype, SourceNode::Create(options));
+    groups_[group_index]->prototype =
+        std::make_unique<SourceNode>(std::move(prototype));
+  }
+  tracked_[source_id] = TrackedSource{slot, group_index};
   order_dirty_ = true;
   return Status::OK();
 }
@@ -164,9 +252,52 @@ size_t FleetEngine::resident_count() const {
   return total;
 }
 
+FleetFootprint FleetEngine::footprint() const {
+  FleetFootprint footprint;
+  for (const auto& [id, source] : tracked_) {
+    if (*source.slot != nullptr) ++footprint.nodes_live;
+  }
+  for (const auto& group : groups_) {
+    if (!group->ids.empty()) ++footprint.lane_groups;
+    footprint.cold_records += static_cast<int64_t>(group->cold_table.size());
+    footprint.cold_refs += group->cold_table.references();
+  }
+  return footprint;
+}
+
+std::optional<FleetEngine::ResidentSource> FleetEngine::FindResident(
+    int source_id) const {
+  const TickEntry* entry = FindEntry(source_id);
+  if (entry == nullptr || entry->group < 0) return std::nullopt;
+  const Group& g = *groups_[entry->group];
+  const size_t lane = static_cast<size_t>(entry->lane);
+  const NodeRecord& record = g.node_records[lane];
+  ResidentSource source;
+  source.delta = g.delta[lane];
+  source.updates_sent = record.updates_sent;
+  source.measurement_dim = g.m;
+  source.noise_adapter = record.adapter != nullptr
+                             ? record.adapter.get()
+                             : &PrototypeFor(*entry).noise_adapter();
+  return source;
+}
+
+void FleetEngine::MergeResidentFaults(ProtocolFaultStats* merged) const {
+  for (const auto& group : groups_) {
+    for (const NodeRecord& record : group->node_records) {
+      merged->MergeFrom(record.faults);
+    }
+  }
+}
+
 KalmanFilter::FullState FleetEngine::LaneFullState(const Group& g,
                                                    size_t lane) const {
-  KalmanFilter::FullState f = g.cold[lane];
+  KalmanFilter::FullState f = g.cold_table[g.cold_idx[lane]];
+  if (g.has_innovation[lane]) {
+    f.last_innovation = Vector(g.m);
+    std::memcpy(f.last_innovation.data(), &g.innovation[lane * g.m],
+                g.m * sizeof(double));
+  }
   const size_t n = g.n;
   f.x = Vector(n);
   std::memcpy(f.x.data(), &g.x[lane * n], n * sizeof(double));
@@ -187,19 +318,38 @@ KalmanFilter::FullState FleetEngine::LaneFullState(const Group& g,
   return f;
 }
 
-Result<SourceNode::CheckpointState> FleetEngine::SynthesizeForLane(
+void FleetEngine::SetCold(Group& g, size_t lane,
+                          const KalmanFilter::FullState& state) {
+  // Acquire before release: a lane re-storing its own record must not
+  // free it in between.
+  const int32_t index = g.cold_table.Acquire(state);
+  g.cold_table.Release(g.cold_idx[lane]);
+  g.cold_idx[lane] = index;
+}
+
+SourceNode::CheckpointState FleetEngine::SynthesizeForLane(
     const Group& g, size_t lane) const {
-  DKF_ASSIGN_OR_RETURN(SourceNode::CheckpointState state,
-                       order_[g.order_pos[lane]].node->ExportCheckpoint());
-  // The dormant node still holds everything a lane never advances (delta,
-  // sequence counter, divergence machine, fault counters); overlay the
-  // fields the lane does move.
+  const TickEntry& entry = order_[g.order_pos[lane]];
+  const NodeRecord& record = g.node_records[lane];
+  SourceNode::CheckpointState state;
+  state.delta = g.delta[lane];
+  // Absorption admitted only the prototype's KF_c variance, no smoothing
+  // (so no smoother state) and no resync episode (pending = false,
+  // first_resync_sequence = resync_attempts = 0: the defaults).
+  state.smoothing_measurement_variance =
+      PrototypeFor(entry).smoothing_measurement_variance();
   state.mirror = LaneFullState(g, lane);
-  state.readings = g.readings[lane];
   state.energy_transmission = g.energy_transmission[lane];
   state.energy_compute = g.energy_compute[lane];
   state.energy_sensing = g.energy_sensing[lane];
+  state.readings = g.readings[lane];
+  state.updates_sent = record.updates_sent;
+  state.next_sequence = record.next_sequence;
+  state.pending_since = record.pending_since;
+  state.last_resync_tick = record.last_resync_tick;
   state.last_send_tick = g.last_send_tick[lane];
+  state.faults = record.faults;
+  if (record.adapter != nullptr) state.adapt = record.adapter->ExportState();
   return state;
 }
 
@@ -214,16 +364,18 @@ ServerNode::LinkSnapshot FleetEngine::SynthesizeLinkForLane(
   // the whole dual link — so the same reconstruction serves both. The
   // same holds for the noise servo (absorption required the two adapter
   // states bit-equal, and corrections — the only thing that moves them —
-  // never happen on a resident lane), so the dormant node's state stands
-  // in for the server's.
+  // never happen on a resident lane), so the record's copy stands in for
+  // the server's.
   link.predictor = LaneFullState(g, lane);
-  link.adapt = order_[g.order_pos[lane]].node->noise_adapter().ExportState();
+  const NodeRecord& record = g.node_records[lane];
+  if (record.adapter != nullptr) link.adapt = record.adapter->ExportState();
   return link;
 }
 
 size_t FleetEngine::AddLane(Group& g, int32_t order_pos,
                             const SourceNode::CheckpointState& state,
-                            const ServerNode::LinkSnapshot& link) {
+                            const ServerNode::LinkSnapshot& link,
+                            const NoiseAdapter& adapter) {
   const size_t lane = g.ids.size();
   const size_t n = g.n;
   const KalmanFilter::FullState& m = state.mirror;
@@ -249,13 +401,31 @@ size_t FleetEngine::AddLane(Group& g, int32_t order_pos,
   g.ss_period.push_back(m.ss_period);
   g.order_pos.push_back(order_pos);
   g.value_ptrs.push_back(nullptr);
-  g.cold.push_back(m);
+  g.cold_idx.push_back(g.cold_table.Acquire(m));
+  g.has_innovation.push_back(m.last_innovation.size() != 0 ? 1 : 0);
+  g.innovation.resize(g.innovation.size() + g.m, 0.0);
+  if (g.has_innovation[lane]) {
+    std::memcpy(&g.innovation[lane * g.m], m.last_innovation.data(),
+                g.m * sizeof(double));
+  }
+  NodeRecord record;
+  record.updates_sent = state.updates_sent;
+  record.pending_since = state.pending_since;
+  record.last_resync_tick = state.last_resync_tick;
+  record.next_sequence = state.next_sequence;
+  record.faults = state.faults;
+  if (adapter.enabled()) {
+    record.adapter = std::make_unique<NoiseAdapter>(adapter);
+  }
+  g.node_records.push_back(std::move(record));
   return lane;
 }
 
 void FleetEngine::RemoveLane(Group& g, size_t lane) {
   const size_t last = g.ids.size() - 1;
   const size_t n = g.n;
+  const size_t m = g.m;
+  g.cold_table.Release(g.cold_idx[lane]);
   if (lane != last) {
     g.ids[lane] = g.ids[last];
     std::memcpy(&g.x[lane * n], &g.x[last * n], n * sizeof(double));
@@ -280,7 +450,11 @@ void FleetEngine::RemoveLane(Group& g, size_t lane) {
     g.ss_period[lane] = g.ss_period[last];
     g.order_pos[lane] = g.order_pos[last];
     g.value_ptrs[lane] = g.value_ptrs[last];
-    g.cold[lane] = std::move(g.cold[last]);
+    g.cold_idx[lane] = g.cold_idx[last];
+    std::memcpy(&g.innovation[lane * m], &g.innovation[last * m],
+                m * sizeof(double));
+    g.has_innovation[lane] = g.has_innovation[last];
+    g.node_records[lane] = std::move(g.node_records[last]);
     order_[g.order_pos[lane]].lane = static_cast<int32_t>(lane);
   }
   g.ids.pop_back();
@@ -305,7 +479,10 @@ void FleetEngine::RemoveLane(Group& g, size_t lane) {
   g.ss_period.pop_back();
   g.order_pos.pop_back();
   g.value_ptrs.pop_back();
-  g.cold.pop_back();
+  g.cold_idx.pop_back();
+  g.innovation.resize(g.innovation.size() - m);
+  g.has_innovation.pop_back();
+  g.node_records.pop_back();
 }
 
 Status FleetEngine::SpillLane(int group_index, size_t lane, int64_t tick,
@@ -314,20 +491,19 @@ Status FleetEngine::SpillLane(int group_index, size_t lane, int64_t tick,
   Group& g = *groups_[group_index];
   TickEntry& entry = order_[g.order_pos[lane]];
   const int id = entry.id;
-  SourceNode* node = entry.node;
-
-  DKF_ASSIGN_OR_RETURN(SourceNode::CheckpointState synth,
-                       SynthesizeForLane(g, lane));
-  ServerNode::LinkSnapshot link = SynthesizeLinkForLane(g, lane);
-  DKF_RETURN_IF_ERROR(node->ImportCheckpoint(synth));
-  // Register with the source's *nominal* model, not the (possibly
-  // adapted) group model: the server builds its NoiseAdapter from the
-  // registration model, and the servo's scales are relative to nominal.
-  // RestoreLink then overwrites the filter with the lane's full state,
-  // so the registration model's Q/R never reach the filter either way.
-  const StateModel& nominal_model = groups_[entry.nominal_group]->model;
-  DKF_RETURN_IF_ERROR(server_->RegisterSource(id, nominal_model));
-  DKF_RETURN_IF_ERROR(server_->RestoreLink(id, link));
+  // Rebuild both ends from the source's *nominal* group prototype, not
+  // the (possibly adapted) lane group: the server's NoiseAdapter is
+  // relative to the registration model, and the imports below overwrite
+  // the filters with the lane's full state, so the prototype's Q/R never
+  // reach either filter.
+  const SourceNode& prototype = PrototypeFor(entry);
+  std::unique_ptr<SourceNode> node = prototype.CloneAs(id);
+  node->set_trace_sink(obs_sink_);
+  DKF_RETURN_IF_ERROR(node->ImportCheckpoint(SynthesizeForLane(g, lane)));
+  DKF_RETURN_IF_ERROR(server_->RegisterSourceLike(id, prototype.mirror(),
+                                                  prototype.noise_adapter()));
+  DKF_RETURN_IF_ERROR(server_->RestoreLink(id, SynthesizeLinkForLane(g, lane)));
+  *entry.slot = std::move(node);
 
   RemoveLane(g, lane);
   entry.group = -1;
@@ -338,7 +514,7 @@ Status FleetEngine::SpillLane(int group_index, size_t lane, int64_t tick,
     // so the freshly re-registered predictor replays the predict it
     // missed, then the verbatim per-source code takes the tick over.
     DKF_RETURN_IF_ERROR(server_->TickSource(id));
-    auto step_or = node->ProcessReading(tick, *reading, channel_);
+    auto step_or = (*entry.slot)->ProcessReading(tick, *reading, channel_);
     if (!step_or.ok()) return step_or.status();
   }
   return Status::OK();
@@ -388,7 +564,7 @@ void FleetEngine::RebuildOrder() {
       continue;
     }
     TickEntry entry;
-    entry.node = source.node;
+    entry.slot = source.slot;
     entry.id = id;
     entry.nominal_group = source.nominal_group;
     merged.push_back(entry);
@@ -437,7 +613,7 @@ Status FleetEngine::ResolveReadings(const std::map<int, Vector>* readings,
     if (entry.group >= 0) {
       groups_[entry.group]->value_ptrs[entry.lane] = value;
     } else {
-      staged_spilled_.emplace_back(entry.node, value);
+      staged_spilled_.emplace_back(entry.slot->get(), value);
     }
   }
   return Status::OK();
@@ -534,7 +710,9 @@ Status FleetEngine::TickLane(int group_index, size_t lane, int64_t tick,
     replay.SetTrace(nullptr, 0, TraceActor::kSourceFilter);
     DKF_ASSIGN_OR_RETURN(KalmanFilter::FullState post,
                          replay.ExportFullState());
-    g.cold[lane] = post;
+    // A predict leaves last_innovation alone; the cold fields may have
+    // captured or armed the frozen cycle.
+    SetCold(g, lane, post);
     std::memcpy(&g.x[lane * n], post.x.data(), n * sizeof(double));
     std::memcpy(&g.p[lane * n * n], post.p.RowData(0),
                 n * n * sizeof(double));
@@ -573,10 +751,11 @@ Status FleetEngine::TickLane(int group_index, size_t lane, int64_t tick,
                        FleetSpillReason::kDeviation);
     }
     std::memcpy(&g.x[lane * n], sx, n * sizeof(double));
-    // (ss_idx + 1) % period without the integer divide: ss_idx stays in
-    // [0, period), so the wrap is a single compare.
+    // (ss_idx + 1) % period without the integer divide: ss_idx is 0 or 1
+    // and period 1 or 2 (ImportFullState enforces both), so the wrap is a
+    // single compare.
     const int32_t next_idx = g.ss_idx[lane] + 1;
-    g.ss_idx[lane] = next_idx == g.ss_period[lane] ? 0 : next_idx;
+    g.ss_idx[lane] = next_idx >= g.ss_period[lane] ? 0 : next_idx;
     // Defer the p <- ss_prior_p[ss_idx] copy; LaneFullState and the next
     // slow predict materialize it on demand.
     g.p_stale[lane] = 1;
@@ -589,21 +768,24 @@ Status FleetEngine::TickLane(int group_index, size_t lane, int64_t tick,
       // frozen cycle (DisarmSteadyState). Both halves of the dual link
       // disarm at the same step; the server filter's event lands first
       // because TickAll runs before the source loop.
-      const double period = static_cast<double>(g.cold[lane].ss_period);
+      const double period = static_cast<double>(g.ss_period[lane]);
       DKF_TRACE(obs_sink_, g.step[lane], id, TraceEventKind::kFastPathDisarm,
                 TraceActor::kServerFilter, period);
       DKF_TRACE(obs_sink_, g.step[lane], id, TraceEventKind::kFastPathDisarm,
                 TraceActor::kSourceFilter, period);
       g.ss_mode[lane] = kSsTracking;
-      g.cold[lane].ss_streak1 = 0;
-      g.cold[lane].ss_streak2 = 0;
-      g.cold[lane].ss_have_prev = 0;
       if (g.p_stale[lane]) {
         std::memcpy(&g.p[lane * n * n],
-                    g.cold[lane].ss_prior_p[g.ss_idx[lane]].RowData(0),
+                    g.cold_table[g.cold_idx[lane]].ss_prior_p[g.ss_idx[lane]]
+                        .RowData(0),
                     n * n * sizeof(double));
         g.p_stale[lane] = 0;
       }
+      KalmanFilter::FullState disarmed = g.cold_table[g.cold_idx[lane]];
+      disarmed.ss_streak1 = 0;
+      disarmed.ss_streak2 = 0;
+      disarmed.ss_have_prev = 0;
+      SetCold(g, lane, disarmed);
     }
     // Slow predict (KalmanFilter::Predict, tracking path): x <- phi x,
     // P <- phi P phi^T + Q, then Symmetrize — flat replicas of the
@@ -735,7 +917,7 @@ Status FleetEngine::TickGroupLanes(int group_index, int64_t tick) {
           if (deviation <= g.delta[lane]) {
             std::memcpy(&g.x[lane * n], sx, n * sizeof(double));
             const int32_t next_idx = g.ss_idx[lane] + 1;
-            g.ss_idx[lane] = next_idx == g.ss_period[lane] ? 0 : next_idx;
+            g.ss_idx[lane] = next_idx >= g.ss_period[lane] ? 0 : next_idx;
             g.p_stale[lane] = 1;
             ++g.step[lane];
             ++g.psc[lane];
@@ -835,7 +1017,7 @@ Result<int> FleetEngine::AbsorbTarget(const TickEntry& entry) {
     ++counters_.absorb_rejects[static_cast<size_t>(reason)];
     return -1;
   };
-  const SourceNode& node = *entry.node;
+  const SourceNode& node = **entry.slot;
   // A pending resync or any channel residue (an in-flight message or an
   // uncollected deferred ACK) can still mutate this link asymmetrically.
   if (node.resync_pending()) {
@@ -845,8 +1027,12 @@ Result<int> FleetEngine::AbsorbTarget(const TickEntry& entry) {
                          entry.id)) {
     return reject(FleetAbsorbReject::kChannelResidue);
   }
+  // The lane's node record keeps none of these; a spill rebuilds them
+  // from the prototype's values.
   if (node.resync_attempts() != 0 || node.first_resync_sequence() != 0 ||
-      node.smoothing_factor().has_value()) {
+      node.smoothing_factor().has_value() ||
+      node.smoothing_measurement_variance() !=
+          PrototypeFor(entry).smoothing_measurement_variance()) {
     return reject(FleetAbsorbReject::kNodePending);
   }
   const NoiseAdapter& adapter = node.noise_adapter();
@@ -911,13 +1097,16 @@ Status FleetEngine::TryAbsorbAll() {
     if (entry.group >= 0 || entry.nominal_group < 0) continue;
     DKF_ASSIGN_OR_RETURN(int target, AbsorbTarget(entry));
     if (target < 0) continue;
+    const SourceNode& node = **entry.slot;
     DKF_ASSIGN_OR_RETURN(SourceNode::CheckpointState state,
-                         entry.node->ExportCheckpoint());
+                         node.ExportCheckpoint());
     DKF_ASSIGN_OR_RETURN(ServerNode::LinkSnapshot link,
                          server_->ExportLink(entry.id));
     const size_t lane = AddLane(*groups_[target], static_cast<int32_t>(i),
-                                state, link);
+                                state, link, node.noise_adapter());
     DKF_RETURN_IF_ERROR(server_->UnregisterSource(entry.id));
+    // The lane is now the only copy of the link.
+    entry.slot->reset();
     entry.group = target;
     entry.lane = static_cast<int32_t>(lane);
   }

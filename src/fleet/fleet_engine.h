@@ -78,6 +78,17 @@ struct FleetCounters {
   bool operator==(const FleetCounters& other) const = default;
 };
 
+/// What a fleet engine holds for its tracked sources, or the sum over a
+/// sharded engine's shards (docs/fleet.md, "Memory per source").
+struct FleetFootprint {
+  int64_t nodes_live = 0;    // SourceNodes held: the spilled sources
+  int64_t lane_groups = 0;   // groups holding at least one resident lane
+  int64_t cold_records = 0;  // distinct frozen-cycle records
+  int64_t cold_refs = 0;     // their reference counts (= resident lanes)
+
+  FleetFootprint& operator+=(const FleetFootprint& other);
+};
+
 /// Structure-of-arrays batched tick engine for steady-state sources
 /// (docs/fleet.md).
 ///
@@ -91,16 +102,17 @@ struct FleetCounters {
 ///    a single copy of the (bit-identical) mirror/predictor filter state
 ///    packed into contiguous arrays, ticked by flat loops that replicate
 ///    the KalmanFilter predict arithmetic operation-for-operation. While
-///    resident the source is NOT registered with the ServerNode and its
-///    SourceNode lies dormant — the lane is the link.
+///    resident the source is NOT registered with the ServerNode and has
+///    no SourceNode: the lane plus a small record of the node-only fields
+///    is the only copy of the link.
 ///
 /// The invariant that makes this bit-exact (the equivalence contract of
 /// docs/fleet.md): a lane only ever executes *fully suppressed healthy
 /// ticks* inline. Any tick on which the source would touch the channel —
 /// the deviation exceeds delta, a heartbeat is due — or on which its
 /// filter would do anything but a plain predict, first *spills* the
-/// source back to the per-source objects (reconstructing them from the
-/// lane bit-for-bit) and then runs the verbatim per-source code.
+/// source back to per-source objects (rebuilt bit-for-bit from the lane,
+/// its group and its record) and then runs the verbatim per-source code.
 /// Consequently resident sources never send, so the channel, protocol
 /// state machine, and server ingress are byte-identical to a run without
 /// this engine; and a spilled source re-enters (is *absorbed*) only when
@@ -120,12 +132,16 @@ class FleetEngine {
               const EnergyModelOptions& energy);
 
   /// Starts managing a source. Call right after the shard has created
-  /// `node` and registered the source with the server: the source starts
-  /// out spilled and is absorbed at the end of the first tick that
-  /// leaves its link healthy and bit-converged. `node` must stay valid
-  /// for this engine's lifetime. Sources with a time-varying transition
-  /// are tracked but never absorbed (no constant coefficients to cache).
-  Status Track(int source_id, const StateModel& model, SourceNode* node);
+  /// the source's node in `*slot` and registered the source with the
+  /// server: the source starts out spilled and is absorbed at the end of
+  /// the first tick that leaves its link healthy and bit-converged.
+  /// `slot` is the shard's owning pointer and must stay at one address
+  /// for this engine's lifetime: absorbing the source frees the node
+  /// (`*slot` becomes null) and spilling it rebuilds one in place.
+  /// Sources with a time-varying transition are tracked but never
+  /// absorbed (no constant coefficients to cache).
+  Status Track(int source_id, const StateModel& model,
+               std::unique_ptr<SourceNode>* slot);
 
   /// True when the source is currently folded into a lane.
   bool resident(int source_id) const;
@@ -145,6 +161,27 @@ class FleetEngine {
 
   /// Spills by reason and absorb rejects by reason.
   const FleetCounters& counters() const { return counters_; }
+
+  /// Live nodes and cold-table occupancy, counted from the real slots
+  /// and tables.
+  FleetFootprint footprint() const;
+
+  /// The per-source facts the shard reports for a resident source,
+  /// answered from its lane and node record.
+  struct ResidentSource {
+    double delta = 0.0;
+    int64_t updates_sent = 0;
+    size_t measurement_dim = 0;
+    /// The mirror-side noise servo (a disabled one without adaptation).
+    const NoiseAdapter* noise_adapter = nullptr;
+  };
+
+  /// nullopt when the source is not resident.
+  std::optional<ResidentSource> FindResident(int source_id) const;
+
+  /// Adds every resident source's source-side fault counters (kept in
+  /// its node record) to `merged`.
+  void MergeResidentFaults(ProtocolFaultStats* merged) const;
 
   void set_trace_sink(TraceSink* sink) { obs_sink_ = sink; }
 
@@ -175,9 +212,10 @@ class FleetEngine {
   Result<bool> answer_degraded(int source_id) const;
 
   /// Checkpoint surface for resident sources: synthesizes the exact
-  /// per-source snapshots a spilled run would capture. The mirror and
-  /// predictor of a resident source are bitwise equal by construction,
-  /// so both synthesized states carry the same filter bits.
+  /// per-source snapshots a spilled run would capture, from the lane, its
+  /// group and its node record. The mirror and predictor of a resident
+  /// source are bitwise equal by construction, so both synthesized states
+  /// carry the same filter bits.
   Result<SourceNode::CheckpointState> SynthesizeSourceState(
       int source_id) const;
   Result<ServerNode::LinkSnapshot> SynthesizeLinkState(int source_id) const;
@@ -191,6 +229,44 @@ class FleetEngine {
   static constexpr uint8_t kSsTracking = 0;
   static constexpr uint8_t kSsArmPending = 1;
   static constexpr uint8_t kSsArmed = 2;
+
+  /// Refcounted set of the distinct cold records of one group: lanes
+  /// whose cold FullState fields are bit-identical share one entry.
+  class ColdTable {
+   public:
+    /// The index of the record bit-equal to `state`'s cold fields (hot
+    /// fields and last_innovation are ignored), adding it when new; takes
+    /// one reference.
+    int32_t Acquire(const KalmanFilter::FullState& state);
+    /// Drops one reference; the record is freed with its last one.
+    void Release(int32_t index);
+    const KalmanFilter::FullState& operator[](int32_t index) const {
+      return records_[static_cast<size_t>(index)];
+    }
+    size_t size() const { return by_key_.size(); }
+    int64_t references() const;
+
+   private:
+    std::vector<KalmanFilter::FullState> records_;
+    std::vector<int32_t> refs_;
+    std::vector<int32_t> free_;
+    std::unordered_map<std::string, int32_t> by_key_;
+  };
+
+  /// What a resident source's freed SourceNode held beyond the lane.
+  /// Everything else a node carries is fixed while resident: absorption
+  /// requires no resync episode, smoothing off and the default KF_c
+  /// variance, and a lane never sends.
+  struct NodeRecord {
+    int64_t updates_sent = 0;
+    int64_t pending_since = 0;
+    int64_t last_resync_tick = -1;
+    uint32_t next_sequence = 1;
+    ProtocolFaultStats faults;
+    /// Mirror-side servo; adaptive links only (bit-equal to the
+    /// server's, which absorption required).
+    std::unique_ptr<NoiseAdapter> adapter;
+  };
 
   /// All lanes sharing one model recipe. The per-model coefficients
   /// (phi, H, Q, R) are cached flat exactly once here — asserted
@@ -228,18 +304,28 @@ class FleetEngine {
     std::vector<int64_t> link_last_valid_tick;
     std::vector<int64_t> link_last_resync_tick;
     std::vector<int64_t> link_last_update_tick;
-    // Frozen-cycle length, duplicated out of `cold` so the armed predict
-    // never touches the big cold structs.
+    // Frozen-cycle length, duplicated out of the cold record so the
+    // armed predict never touches it.
     std::vector<int32_t> ss_period;
     // Index of the lane's entry in `order_`, and the per-tick resolved
     // reading pointer.
     std::vector<int32_t> order_pos;
     std::vector<const Vector*> value_ptrs;
 
-    // Cold per-lane state: the complete FullState fields a suppressed
-    // predict never touches (frozen gain/covariance cycle, streak
-    // history, noise copies), plus the armed path's ss_prior_p source.
-    std::vector<KalmanFilter::FullState> cold;
+    // Cold state: the FullState fields a suppressed predict never
+    // touches (frozen gain/covariance cycle, streak history, noise
+    // copies, the armed path's ss_prior_p source) are shared through
+    // `cold_table`, which `cold_idx` indexes; last_innovation, the one
+    // such field that differs lane by lane, stays per lane (m doubles,
+    // valid iff has_innovation — a filter that never corrected has
+    // none).
+    std::vector<int32_t> cold_idx;
+    std::vector<double> innovation;
+    std::vector<uint8_t> has_innovation;
+    ColdTable cold_table;
+
+    // Node-only fields of each lane's freed SourceNode.
+    std::vector<NodeRecord> node_records;
 
     // Flat scratch for the decide-before-commit predict.
     std::vector<double> sx;   // n
@@ -252,6 +338,11 @@ class FleetEngine {
     // transition stays bit-exact, trace events included.
     mutable std::optional<KalmanPredictor> loaner;
     std::optional<KalmanPredictor> replay;
+
+    // A fresh node of this model, cloned to rebuild a spilled source
+    // (and its mirror cloned for the server predictor). Set on groups
+    // that are some tracked source's nominal group.
+    std::unique_ptr<SourceNode> prototype;
   };
 
   /// One tracked source in the flat per-tick pass. `order_` (ascending
@@ -260,7 +351,7 @@ class FleetEngine {
   /// ranks survive residency churn and only a membership change rebuilds
   /// the vector.
   struct TickEntry {
-    SourceNode* node = nullptr;
+    std::unique_ptr<SourceNode>* slot = nullptr;  // node null = resident
     int64_t rank = -1;            // cached ReadingBatch position
     int id = 0;
     int32_t nominal_group = -1;   // -1 = never batchable
@@ -279,10 +370,20 @@ class FleetEngine {
   /// Reconstructs the lane's FullState (mirror == predictor bitwise).
   KalmanFilter::FullState LaneFullState(const Group& g, size_t lane) const;
 
+  /// Points lane `lane` at the cold record matching `state`, releasing
+  /// the one it held.
+  static void SetCold(Group& g, size_t lane,
+                      const KalmanFilter::FullState& state);
+
+  /// The node a spill of the source at `entry` is cloned from.
+  const SourceNode& PrototypeFor(const TickEntry& entry) const {
+    return *groups_[entry.nominal_group]->prototype;
+  }
+
   /// The per-source CheckpointState a spilled run would capture, built
-  /// from the dormant node plus the lane's live fields.
-  Result<SourceNode::CheckpointState> SynthesizeForLane(const Group& g,
-                                                        size_t lane) const;
+  /// from the lane, its group and its node record.
+  SourceNode::CheckpointState SynthesizeForLane(const Group& g,
+                                                size_t lane) const;
 
   ServerNode::LinkSnapshot SynthesizeLinkForLane(const Group& g,
                                                  size_t lane) const;
@@ -300,10 +401,12 @@ class FleetEngine {
   void RemoveLane(Group& g, size_t lane);
 
   /// Appends a lane for the `order_` entry at `order_pos`, built from a
-  /// healthy source's snapshots; returns its index.
+  /// healthy source's snapshots and its node's noise servo; returns its
+  /// index.
   size_t AddLane(Group& g, int32_t order_pos,
                  const SourceNode::CheckpointState& state,
-                 const ServerNode::LinkSnapshot& link);
+                 const ServerNode::LinkSnapshot& link,
+                 const NoiseAdapter& adapter);
 
   /// The group the spilled source at `entry` folds into right now, or
   /// -1. Every check reads link state in place (channel residue from
@@ -363,7 +466,7 @@ class FleetEngine {
   /// Every tracked source: the membership record Track checks and
   /// RebuildOrder merges from.
   struct TrackedSource {
-    SourceNode* node = nullptr;
+    std::unique_ptr<SourceNode>* slot = nullptr;
     int32_t nominal_group = -1;
   };
   std::map<int, TrackedSource> tracked_;

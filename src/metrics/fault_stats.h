@@ -52,6 +52,8 @@ struct ProtocolFaultStats {
 
   /// Mean divergence-to-heal time in ticks; 0 when nothing diverged.
   double MeanRecoveryTicks() const;
+
+  bool operator==(const ProtocolFaultStats& other) const = default;
 };
 
 }  // namespace dkf

@@ -115,8 +115,7 @@ Status StreamShard::AddSource(int source_id, const StateModel& model) {
       std::make_unique<SourceNode>(std::move(node_or).value());
   if (obs_sink_ != nullptr) sources_[source_id]->set_trace_sink(obs_sink_);
   if (fleet_ != nullptr) {
-    Status tracked =
-        fleet_->Track(source_id, model, sources_[source_id].get());
+    Status tracked = fleet_->Track(source_id, model, &sources_[source_id]);
     if (!tracked.ok()) {
       sources_.erase(source_id);
       (void)server_.UnregisterSource(source_id);
@@ -133,7 +132,10 @@ void StreamShard::set_trace_sink(TraceSink* sink) {
   fusion_.set_trace_sink(sink);
   serve_.set_trace_sink(sink);
   if (fleet_ != nullptr) fleet_->set_trace_sink(sink);
-  for (auto& [id, node] : sources_) node->set_trace_sink(sink);
+  // Resident sources have no node; a spill wires the rebuilt one.
+  for (auto& [id, node] : sources_) {
+    if (node != nullptr) node->set_trace_sink(sink);
+  }
 }
 
 Status StreamShard::Subscribe(const Subscription& subscription,
@@ -151,7 +153,7 @@ Status StreamShard::Reconfigure(int source_id,
   if (it == sources_.end()) {
     return Status::NotFound(StrFormat("source %d not on shard", source_id));
   }
-  // A batch-resident source must be spilled back to its real SourceNode
+  // A batch-resident source has no SourceNode: spilling rebuilds one
   // before the reconfiguration lands — set_delta/set_smoothing run
   // through the verbatim per-source code, and the source re-enters the
   // batch at the end of the next tick if still eligible.
@@ -240,8 +242,9 @@ Status StreamShard::ReconfigureSources(
     if (it == sources_.end()) {
       return Status::NotFound(StrFormat("source %d not on shard", source_id));
     }
-    if (it->second->delta() == delta) continue;
-    // A batch-resident source must spill back to its real SourceNode
+    DKF_ASSIGN_OR_RETURN(const double current, source_delta(source_id));
+    if (current == delta) continue;
+    // A batch-resident source must spill (rebuilding its SourceNode)
     // before the new width lands (same rule as Reconfigure); with the
     // whole epoch applied in this one sweep it spills at most once.
     if (fleet_ != nullptr) {
@@ -377,10 +380,10 @@ Result<std::pair<double, int>> StreamShard::PartialSumWithStatus(
 
 Status StreamShard::VerifyLinkConsistency() const {
   for (const auto& [id, node] : sources_) {
-    // Batch-resident sources hold mirror == predictor bitwise by
-    // construction (one lane stores both); there is no separate server
-    // predictor to compare against.
-    if (fleet_ != nullptr && fleet_->resident(id)) continue;
+    // A batch-resident source has no node: its one lane holds mirror ==
+    // predictor bitwise by construction, and there is no separate
+    // server predictor to compare against.
+    if (node == nullptr) continue;
     if (node->resync_pending()) continue;
     auto predictor_or = server_.predictor(id);
     if (!predictor_or.ok()) return predictor_or.status();
@@ -404,23 +407,27 @@ Result<bool> StreamShard::resync_pending(int source_id) const {
   if (it == sources_.end()) {
     return Status::NotFound(StrFormat("source %d not registered", source_id));
   }
-  return it->second->resync_pending();
+  // A resident lane is never in a resync episode (absorption requires it).
+  return it->second != nullptr && it->second->resync_pending();
 }
 
 ProtocolFaultStats StreamShard::fault_stats() const {
   ProtocolFaultStats merged = server_.fault_stats();
   // Degraded ticks on batch-resident lanes are accounted by the fleet
   // engine (the server only sees the spilled sources).
-  if (fleet_ != nullptr) merged.degraded_ticks += fleet_->degraded_ticks();
+  if (fleet_ != nullptr) {
+    merged.degraded_ticks += fleet_->degraded_ticks();
+    fleet_->MergeResidentFaults(&merged);
+  }
   for (const auto& [id, node] : sources_) {
-    merged.MergeFrom(node->fault_stats());
+    if (node != nullptr) merged.MergeFrom(node->fault_stats());
   }
   return merged;
 }
 
 Status StreamShard::VerifyMirrorConsistency() const {
   for (const auto& [id, node] : sources_) {
-    if (fleet_ != nullptr && fleet_->resident(id)) continue;
+    if (node == nullptr) continue;  // batch-resident: one lane, see above
     auto predictor_or = server_.predictor(id);
     if (!predictor_or.ok()) return predictor_or.status();
     if (!node->mirror().StateEquals(*predictor_or.value())) {
@@ -431,28 +438,47 @@ Status StreamShard::VerifyMirrorConsistency() const {
   return Status::OK();
 }
 
-Result<double> StreamShard::source_delta(int source_id) const {
+Result<const SourceNode*> StreamShard::FindNode(
+    int source_id, std::optional<FleetEngine::ResidentSource>* resident) const {
   auto it = sources_.find(source_id);
   if (it == sources_.end()) {
     return Status::NotFound(StrFormat("source %d not registered", source_id));
   }
-  return it->second->delta();
+  if (it->second == nullptr) *resident = fleet_->FindResident(source_id);
+  return it->second.get();
+}
+
+Result<double> StreamShard::source_delta(int source_id) const {
+  std::optional<FleetEngine::ResidentSource> resident;
+  DKF_ASSIGN_OR_RETURN(const SourceNode* node, FindNode(source_id, &resident));
+  return node != nullptr ? node->delta() : resident->delta;
 }
 
 Result<int64_t> StreamShard::updates_sent(int source_id) const {
-  auto it = sources_.find(source_id);
-  if (it == sources_.end()) {
-    return Status::NotFound(StrFormat("source %d not registered", source_id));
-  }
-  return it->second->updates_sent();
+  std::optional<FleetEngine::ResidentSource> resident;
+  DKF_ASSIGN_OR_RETURN(const SourceNode* node, FindNode(source_id, &resident));
+  return node != nullptr ? node->updates_sent() : resident->updates_sent;
 }
 
 Result<size_t> StreamShard::source_dim(int source_id) const {
-  auto it = sources_.find(source_id);
-  if (it == sources_.end()) {
-    return Status::NotFound(StrFormat("source %d not registered", source_id));
-  }
-  return it->second->mirror().dim();
+  std::optional<FleetEngine::ResidentSource> resident;
+  DKF_ASSIGN_OR_RETURN(const SourceNode* node, FindNode(source_id, &resident));
+  return node != nullptr ? node->mirror().dim() : resident->measurement_dim;
+}
+
+const NoiseAdapter* StreamShard::source_noise_adapter(int source_id) const {
+  std::optional<FleetEngine::ResidentSource> resident;
+  auto node_or = FindNode(source_id, &resident);
+  if (!node_or.ok()) return nullptr;
+  return node_or.value() != nullptr ? &node_or.value()->noise_adapter()
+                                    : resident->noise_adapter;
+}
+
+FleetFootprint StreamShard::fleet_footprint() const {
+  if (fleet_ != nullptr) return fleet_->footprint();
+  FleetFootprint footprint;
+  footprint.nodes_live = static_cast<int64_t>(sources_.size());
+  return footprint;
 }
 
 Result<SourceNode::CheckpointState> StreamShard::ExportSourceState(

@@ -168,18 +168,20 @@ class StreamShard {
   }
 
   /// The mirror-side noise servo for a source, or nullptr for an unknown
-  /// id. Valid for fleet-resident sources too: the dormant node carries
-  /// the adapter state, which only corrections (spilled path) can move.
-  const NoiseAdapter* source_noise_adapter(int source_id) const {
-    auto it = sources_.find(source_id);
-    return it == sources_.end() ? nullptr : &it->second->noise_adapter();
-  }
+  /// id. Valid for fleet-resident sources too: the lane's node record
+  /// carries the adapter state, which only corrections (spilled path) can
+  /// move.
+  const NoiseAdapter* source_noise_adapter(int source_id) const;
 
   /// Lifetime spill and absorb-reject counts of the batch lanes (all 0
   /// without EnableFleet).
   FleetCounters fleet_counters() const {
     return fleet_ ? fleet_->counters() : FleetCounters();
   }
+
+  /// Live SourceNodes and shared cold records (without EnableFleet, one
+  /// node per source and nothing else).
+  FleetFootprint fleet_footprint() const;
 
   int64_t control_messages() const { return control_messages_; }
   size_t num_sources() const { return sources_.size(); }
@@ -227,6 +229,12 @@ class StreamShard {
   Status FinishTick(int64_t tick, bool timed,
                     std::chrono::steady_clock::time_point start);
 
+  /// The node of a registered source, or nullptr for a batch-resident
+  /// one (which has none), whose lane facts then land in `*resident`.
+  Result<const SourceNode*> FindNode(
+      int source_id,
+      std::optional<FleetEngine::ResidentSource>* resident) const;
+
   ServerNode server_;
   Channel channel_;
   EnergyModelOptions energy_;
@@ -234,6 +242,8 @@ class StreamShard {
   ProtocolOptions protocol_;
   /// Remembered from the channel options: EnableFleet requires it.
   bool per_source_rng_ = false;
+  /// Every source's node; null while the source is batch-resident (the
+  /// fleet engine frees and rebuilds it through the map slot).
   std::map<int, std::unique_ptr<SourceNode>> sources_;
   /// Smoothing factor currently installed at each node (tracked so an
   /// unrelated reconfiguration does not restart KF_c).

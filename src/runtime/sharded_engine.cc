@@ -672,6 +672,12 @@ FleetCounters ShardedStreamEngine::fleet_counters() const {
   return total;
 }
 
+FleetFootprint ShardedStreamEngine::fleet_footprint() const {
+  FleetFootprint total;
+  for (const auto& shard : shards_) total += shard->fleet_footprint();
+  return total;
+}
+
 Status ShardedStreamEngine::MaybeRunGovernor() {
   if (governor_ == nullptr) return Status::OK();
   const int64_t tick = ticks_;  // the tick that just finished
@@ -828,6 +834,8 @@ MetricsRegistry ShardedStreamEngine::FleetMetricsSnapshot() const {
         StrFormat("fleet.absorb_reject.%s", kFleetAbsorbRejectNames[i]),
         static_cast<double>(fleet.absorb_rejects[i]));
   }
+  registry.SetGauge("fleet.nodes_live",
+                    static_cast<double>(fleet_footprint().nodes_live));
   return registry;
 }
 

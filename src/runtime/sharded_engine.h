@@ -28,6 +28,14 @@ namespace dkf {
 
 class CheckpointAccess;  // src/checkpoint/: snapshot save/restore plumbing
 
+/// The most shards ShardedStreamEngine::Restore builds. A snapshot's
+/// shard count is input like any other field, and every shard costs a
+/// worker thread plus its own server, channel and trace sink, so a
+/// hostile count must fail with a Status instead of exhausting the
+/// machine. 64x the cores of a large box; the engine itself takes any
+/// count.
+inline constexpr int kMaxShards = 256;
+
 /// Configuration of the stream engine.
 struct ShardedStreamEngineOptions {
   /// Worker shards the fleet is partitioned across (clamped to >= 1).
@@ -277,6 +285,13 @@ class ShardedStreamEngine {
   /// count; fleet_spill_count() is their spill total.
   FleetCounters fleet_counters() const;
 
+  /// Live SourceNodes and shared cold records, summed across shards
+  /// (docs/fleet.md, "Memory per source"). `nodes_live` equals the
+  /// tracked minus the resident sources and, like residency, is
+  /// identical at any shard count; the cold-record counts are per shard
+  /// and are not.
+  FleetFootprint fleet_footprint() const;
+
   /// Per-source update totals.
   Result<int64_t> updates_sent(int source_id) const;
 
@@ -305,8 +320,9 @@ class ShardedStreamEngine {
   MetricsRegistry MetricsSnapshot() const;
 
   /// fleet_counters() as `fleet.spill.<reason>` and
-  /// `fleet.absorb_reject.<reason>` gauges while tracing is on (empty
-  /// otherwise, or without options.batched_fleet). Kept out of
+  /// `fleet.absorb_reject.<reason>` gauges, plus fleet_footprint()'s
+  /// `fleet.nodes_live`, while tracing is on (empty otherwise, or
+  /// without options.batched_fleet). Kept out of
   /// MetricsSnapshot(), which must stay identical with and without the
   /// batched fleet (docs/fleet.md).
   MetricsRegistry FleetMetricsSnapshot() const;
@@ -331,7 +347,8 @@ class ShardedStreamEngine {
   /// fault sequence continue bit-identically to the uninterrupted run.
   /// `batched_fleet` restores onto the batched fleet engine (snapshots
   /// are engine-agnostic: sources restore spilled and re-enter their
-  /// lanes at the end of the next tick).
+  /// lanes at the end of the next tick). InvalidArgument when the
+  /// resulting shard count exceeds kMaxShards.
   static Result<std::unique_ptr<ShardedStreamEngine>> Restore(
       const std::string& path, int num_shards = 0,
       bool batched_fleet = false);

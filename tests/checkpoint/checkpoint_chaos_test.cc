@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <utility>
@@ -353,6 +354,35 @@ TEST(CheckpointChaosTest, SharedRngSnapshotWithFaultsIsRejected) {
   EXPECT_EQ(engine_or.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(engine_or.status().message().find("shared channel RNG"),
             std::string::npos);
+}
+
+TEST(CheckpointChaosTest, HugeShardCountIsRejectedCleanly) {
+  // A well-formed file whose header asks for more shards than the
+  // engine restores must fail with a Status when the caller leaves the
+  // count to the snapshot (num_shards = 0), not spawn a thread apiece.
+  auto snapshot_or = LoadSnapshotFile(SingleShardSnapshotFile());
+  ASSERT_TRUE(snapshot_or.ok()) << snapshot_or.status().message();
+  EngineSnapshot snapshot = std::move(snapshot_or).value();
+  const std::string path = SnapshotPath("huge_shards.dkfsnap");
+  for (int shards : {kMaxShards + 1, std::numeric_limits<int>::max()}) {
+    snapshot.num_shards = shards;
+    ASSERT_TRUE(SaveSnapshotFile(snapshot, path).ok());
+    auto engine_or = ShardedStreamEngine::Restore(path);
+    ASSERT_FALSE(engine_or.ok()) << shards;
+    EXPECT_EQ(engine_or.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(engine_or.status().message().find("shards"), std::string::npos)
+        << engine_or.status().message();
+  }
+  // An explicit override replaces the hostile count.
+  auto overridden = ShardedStreamEngine::Restore(path, 2);
+  EXPECT_TRUE(overridden.ok()) << overridden.status().message();
+
+  // The limit itself is accepted.
+  snapshot.num_shards = kMaxShards;
+  ASSERT_TRUE(SaveSnapshotFile(snapshot, path).ok());
+  auto at_limit = ShardedStreamEngine::Restore(path);
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status().message();
+  EXPECT_EQ(at_limit.value()->num_shards(), kMaxShards);
 }
 
 TEST(CheckpointChaosTest, HugeTraceRingIsRejectedCleanly) {

@@ -7,7 +7,12 @@
 // length are recomputed after each mutation, so the damage gets past
 // the file checks and reaches the field decoders. Every input must
 // decode to a non-OK Status or to a snapshot; every snapshot that
-// decodes must make ShardedStreamEngine::Restore return a Status.
+// decodes must make ShardedStreamEngine::Restore return a Status, and
+// every mutant that restores is then ticked on the batched fleet: each
+// tick must return OK or a Status. A second, fleet-friendly snapshot
+// (converged sources, frequent heartbeats) is mutated the same way, so
+// hostile state also goes through lane absorption (the node is freed)
+// and spills (the node is rebuilt from the lane and its record).
 // Nothing may crash, hang or trip a sanitizer.
 
 #include <cmath>
@@ -31,6 +36,9 @@ namespace {
 constexpr size_t kHeaderBytes = 28;  // 8 magic + u32 version + 2 x u64
 constexpr uint64_t kMutationSeeds = 2400;
 constexpr int64_t kSnapTick = 40;
+constexpr int64_t kMutantTicks = 8;
+constexpr uint64_t kFleetMutationSeeds = 600;
+constexpr int64_t kFleetSnapTick = 60;
 
 /// Seeds whose mutants decode but are refused deep inside Restore: a
 /// binding that names an unregistered source (116), misshapen fast-path
@@ -79,6 +87,15 @@ std::map<int, Vector> ReadingsAt(int64_t tick) {
   }
   return readings;
 }
+
+/// The fleet corpus's sources: the rich corpus's plain sources alone.
+std::map<int, Vector> FleetReadingsAt(int64_t tick) {
+  std::map<int, Vector> readings = ReadingsAt(tick);
+  readings.erase(readings.find(100), readings.end());
+  return readings;
+}
+
+using ReadingsFn = std::map<int, Vector> (*)(int64_t);
 
 /// The payload (header stripped) of a snapshot saved mid-outage.
 std::string RichPayload() {
@@ -135,6 +152,44 @@ std::string RichPayload() {
   return bytes_or.value().substr(kHeaderBytes);
 }
 
+/// The payload of a batched-fleet snapshot whose sources are mostly
+/// resident when saved: the restored mutants absorb at the end of their
+/// first tick, and the 5-tick heartbeat spills every lane again within
+/// the ticks that follow. Early faults leave fault counters behind for
+/// the lanes' node records to carry.
+std::string FleetPayload() {
+  ShardedStreamEngineOptions options;
+  options.num_shards = 2;
+  options.batched_fleet = true;
+  options.channel.seed = 5;
+  options.channel.per_source_rng = true;
+  options.channel.drop_probability = 0.05;
+  FaultModel fault;
+  fault.ack_loss_probability = 0.1;
+  fault.active_until = 20;
+  options.channel.fault = fault;
+  options.protocol.heartbeat_interval = 5;
+  options.protocol.staleness_budget = 8;
+  ShardedStreamEngine engine(options);
+  for (int id = 1; id <= 4; ++id) {
+    EXPECT_TRUE(engine.RegisterSource(id, ScalarModel(0.01 * id)).ok());
+    ContinuousQuery query;
+    query.id = id;
+    query.source_id = id;
+    query.precision = 3.0;
+    EXPECT_TRUE(engine.SubmitQuery(query).ok());
+  }
+  for (int64_t t = 0; t < kFleetSnapTick; ++t) {
+    EXPECT_TRUE(engine.ProcessTick(FleetReadingsAt(t)).ok());
+  }
+  EXPECT_GT(engine.fleet_resident_count(), 0u);
+  const std::string path = ::testing::TempDir() + "/fuzz_fleet.dkfsnap";
+  EXPECT_TRUE(engine.Save(path).ok());
+  auto bytes_or = ReadFileBytes(path);
+  EXPECT_TRUE(bytes_or.ok());
+  return bytes_or.value().substr(kHeaderBytes);
+}
+
 /// A full file image around `payload` with a matching checksum and
 /// length.
 std::string WrapPayload(const std::string& payload) {
@@ -168,20 +223,42 @@ std::string Mutate(const std::string& payload, uint64_t seed) {
 struct Outcome {
   int decoded = 0;
   int restored = 0;
+  int ticked_clean = 0;  // restored on the batched fleet, 8 OK ticks
+  int absorbed = 0;      // ticked mutants that folded a source into a lane
+  int spilled = 0;       // ... and spilled one back out
 };
 
 /// Decodes `file`; a successful decode must also survive Restore, on
 /// the per-source path or the batched fleet (alternating by `seed`).
+/// A mutant that restores is then restored on the batched fleet and
+/// ticked kMutantTicks times, stopping at the first tick that fails.
 void DecodeAndRestore(const std::string& file, uint64_t seed,
-                      Outcome* outcome) {
+                      Outcome* outcome, ReadingsFn readings = ReadingsAt) {
   auto decoded = DecodeSnapshot(file);
   if (!decoded.ok()) return;
   ++outcome->decoded;
   const std::string path = ::testing::TempDir() + "/fuzz_mutant.dkfsnap";
   ASSERT_TRUE(WriteFileBytes(path, file).ok());
+  const bool batched = seed % 2 == 1;
   auto restored = ShardedStreamEngine::Restore(path, /*num_shards=*/2,
-                                               /*batched_fleet=*/seed % 2);
-  if (restored.ok()) ++outcome->restored;
+                                               /*batched_fleet=*/batched);
+  if (!restored.ok()) return;
+  ++outcome->restored;
+  if (!batched) {
+    restored = ShardedStreamEngine::Restore(path, /*num_shards=*/2,
+                                            /*batched_fleet=*/true);
+    if (!restored.ok()) return;
+  }
+  ShardedStreamEngine& engine = *restored.value();
+  bool absorbed = false;
+  for (int64_t i = 0; i < kMutantTicks; ++i) {
+    const Status ticked = engine.ProcessTick(readings(engine.ticks()));
+    absorbed = absorbed || engine.fleet_resident_count() > 0;
+    if (!ticked.ok()) break;
+    if (i + 1 == kMutantTicks) ++outcome->ticked_clean;
+  }
+  if (absorbed) ++outcome->absorbed;
+  if (engine.fleet_spill_count() > 0) ++outcome->spilled;
 }
 
 TEST(SnapshotFuzzTest, UnmutatedSnapshotRestores) {
@@ -191,6 +268,15 @@ TEST(SnapshotFuzzTest, UnmutatedSnapshotRestores) {
   DecodeAndRestore(file, 0, &outcome);
   DecodeAndRestore(file, 1, &outcome);
   EXPECT_EQ(outcome.restored, 2);
+  EXPECT_EQ(outcome.ticked_clean, 2);
+
+  const std::string fleet_file = WrapPayload(FleetPayload());
+  Outcome fleet;
+  DecodeAndRestore(fleet_file, 0, &fleet, FleetReadingsAt);
+  DecodeAndRestore(fleet_file, 1, &fleet, FleetReadingsAt);
+  EXPECT_EQ(fleet.ticked_clean, 2);
+  EXPECT_EQ(fleet.absorbed, 2);
+  EXPECT_EQ(fleet.spilled, 2);
 }
 
 TEST(SnapshotFuzzTest, EveryTruncationFailsCleanly) {
@@ -219,11 +305,35 @@ TEST(SnapshotFuzzTest, SeededMutationsDecodeOrFailCleanly) {
   // exercised too, not just the decoder's rejections.
   EXPECT_GT(outcome.decoded, 100);
   EXPECT_GT(outcome.restored, 0);
-  std::printf("payload %zu bytes: %d of %llu mutants decoded, %d restored\n",
-              payload.size(), outcome.decoded,
-              static_cast<unsigned long long>(kMutationSeeds +
-                                              std::size(kRegressionSeeds)),
-              outcome.restored);
+  EXPECT_GT(outcome.ticked_clean, 0);
+  std::printf(
+      "payload %zu bytes: %d of %llu mutants decoded, %d restored, %d "
+      "ticked %lld times without error\n",
+      payload.size(), outcome.decoded,
+      static_cast<unsigned long long>(kMutationSeeds +
+                                      std::size(kRegressionSeeds)),
+      outcome.restored, outcome.ticked_clean,
+      static_cast<long long>(kMutantTicks));
+}
+
+TEST(SnapshotFuzzTest, SeededFleetMutationsTickCleanly) {
+  const std::string payload = FleetPayload();
+  Outcome outcome;
+  for (uint64_t seed = 1; seed <= kFleetMutationSeeds; ++seed) {
+    SCOPED_TRACE(seed);
+    DecodeAndRestore(WrapPayload(Mutate(payload, seed)), seed, &outcome,
+                     FleetReadingsAt);
+    if (HasFatalFailure()) return;
+  }
+  // Hostile lane state really went through absorb and spill.
+  EXPECT_GT(outcome.absorbed, 100);
+  EXPECT_GT(outcome.spilled, 100);
+  std::printf(
+      "fleet payload %zu bytes: %d of %llu mutants decoded, %d restored, "
+      "%d ticked cleanly, %d absorbed, %d spilled\n",
+      payload.size(), outcome.decoded,
+      static_cast<unsigned long long>(kFleetMutationSeeds), outcome.restored,
+      outcome.ticked_clean, outcome.absorbed, outcome.spilled);
 }
 
 }  // namespace

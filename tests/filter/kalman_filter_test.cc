@@ -473,5 +473,28 @@ TEST(KalmanFilterTest, FullStateBitEqualsCatchesEverySingleFieldFlip) {
   EXPECT_FALSE(neg.FullStateBitEquals(pos));
 }
 
+TEST(KalmanFilterTest, ImportFullStateRejectsOutOfRangeCycleIndices) {
+  // ss_idx and ss_capture_idx address the two-slot frozen gain and
+  // covariance arrays; anything else must be refused before it is used
+  // as an index (a hostile checkpoint carries arbitrary integers).
+  KalmanFilter filter = KalmanFilter::Create(CvOptions()).value();
+  Rng rng(3);
+  for (int i = 0; i < 120; ++i) RandomStep(rng, 1.0, {&filter});
+  const KalmanFilter::FullState full = filter.ExportFullState();
+  for (int32_t bad : {-1, 2, 1 << 30}) {
+    KalmanFilter::FullState idx = full;
+    idx.ss_idx = bad;
+    EXPECT_EQ(filter.ImportFullState(idx).code(), StatusCode::kInvalidArgument)
+        << bad;
+    KalmanFilter::FullState capture = full;
+    capture.ss_capture_idx = bad;
+    EXPECT_EQ(filter.ImportFullState(capture).code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+  EXPECT_TRUE(ExportedBitEqual(full, filter.ExportFullState()))
+      << "a refused import left the filter changed";
+}
+
 }  // namespace
 }  // namespace dkf
