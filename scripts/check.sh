@@ -76,7 +76,7 @@ else
   find build-coverage -name '*.gcda' -delete
   run_label build-coverage coverage
   python3 scripts/coverage_gate.py build-coverage --root=. \
-    --gate=src/obs=0.90 --gate=src/dsms=0.80 --gate=src/serve=0.85 \
+    --gate=src/obs=0.90 --gate=src/dsms=0.80 --gate=src/serve=0.98 \
     --gate=src/fleet=0.85 --gate=src/governor=0.85 --gate=src/filter=0.90 \
     --gate=src/fusion=0.85 --gate=src/checkpoint=0.95
 fi

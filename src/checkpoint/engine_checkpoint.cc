@@ -104,76 +104,6 @@ ServeStats ServeCounters(const ServeSnapshot& serve) {
   return stats;
 }
 
-/// Serving-layer read adapters over the public engine APIs, used to
-/// re-prime the serve value caches once the filters are restored (the
-/// caches are pure functions of engine state, so nothing about them is
-/// serialized — see SubscriptionEngine::RefreshCaches).
-class ShardAnswerReader final : public ServeAnswerSource {
- public:
-  explicit ShardAnswerReader(const StreamShard& shard) : shard_(shard) {}
-
-  Result<double> SourceValue(int source_id) const override {
-    auto answer_or = shard_.Answer(source_id);
-    if (!answer_or.ok()) return answer_or.status();
-    return answer_or.value()[0];
-  }
-
-  Result<double> SourceUncertainty(int source_id) const override {
-    auto answer_or = shard_.AnswerWithConfidence(source_id);
-    if (!answer_or.ok()) return answer_or.status();
-    if (!answer_or.value().covariance.has_value()) return 0.0;
-    return (*answer_or.value().covariance)(0, 0);
-  }
-
-  Result<double> AggregateValue(int aggregate_id) const override {
-    return Status::InvalidArgument(
-        StrFormat("aggregate %d is not served at shard level", aggregate_id));
-  }
-
-  Result<double> FusedValue(int group_id) const override {
-    auto answer_or = shard_.AnswerFused(group_id);
-    if (!answer_or.ok()) return answer_or.status();
-    return answer_or.value()[0];
-  }
-
-  Result<double> FusedUncertainty(int group_id) const override {
-    auto answer_or = shard_.AnswerFusedWithConfidence(group_id);
-    if (!answer_or.ok()) return answer_or.status();
-    return answer_or.value().covariance(0, 0);
-  }
-
- private:
-  const StreamShard& shard_;
-};
-
-class EngineAnswerReader final : public ServeAnswerSource {
- public:
-  explicit EngineAnswerReader(const ShardedStreamEngine& engine)
-      : engine_(engine) {}
-
-  Result<double> SourceValue(int source_id) const override {
-    auto answer_or = engine_.Answer(source_id);
-    if (!answer_or.ok()) return answer_or.status();
-    return answer_or.value()[0];
-  }
-
-  Result<double> SourceUncertainty(int source_id) const override {
-    auto answer_or = engine_.AnswerWithConfidence(source_id);
-    if (!answer_or.ok()) return answer_or.status();
-    if (!answer_or.value().covariance.has_value()) return 0.0;
-    return (*answer_or.value().covariance)(0, 0);
-  }
-
-  Result<double> AggregateValue(int aggregate_id) const override {
-    // Member order, not shard order — matches the serving layer's
-    // layout-invariant delivery values.
-    return engine_.AnswerAggregateCanonical(aggregate_id);
-  }
-
- private:
-  const ShardedStreamEngine& engine_;
-};
-
 }  // namespace
 
 /// The one class befriended by StreamShard and ShardedStreamEngine.
@@ -262,7 +192,8 @@ class CheckpointAccess {
                  const ServeSubscriptionSnapshot& b) {
                 return a.spec.id < b.spec.id;
               });
-    snapshot.serve.pending = MergeNotificationBatches(serve_streams);
+    snapshot.serve.pending =
+        MergeNotificationBatches(std::move(serve_streams));
 
     // Delta governor: the configured control law plus every source's
     // controller state, keyed by source id like everything else — a
@@ -331,6 +262,7 @@ class CheckpointAccess {
       const int shard_index = engine.ShardIndexFor(group_id);
       StreamShard& shard = *engine.shards_[static_cast<size_t>(shard_index)];
       DKF_RETURN_IF_ERROR(shard.fusion_.ImportGroup(entry.group));
+      ++shard.topology_;
       engine.fusion_groups_[group_id] = shard_index;
       for (size_t m = 0; m < entry.group.members.size(); ++m) {
         const int member_id = entry.group.members[m].source_id;
@@ -527,12 +459,12 @@ class CheckpointAccess {
       engine.governor_->ImportState(snapshot.governor.epochs,
                                     std::move(governor_states));
     }
+    // The serve value caches are pure functions of engine state, so they
+    // are re-primed from the restored filters instead of serialized.
     for (auto& shard : engine.shards_) {
-      DKF_RETURN_IF_ERROR(
-          shard->serve_.RefreshCaches(ShardAnswerReader(*shard)));
+      DKF_RETURN_IF_ERROR(shard->RefreshServeCaches());
     }
-    DKF_RETURN_IF_ERROR(
-        engine.aggregate_serve_.RefreshCaches(EngineAnswerReader(engine)));
+    DKF_RETURN_IF_ERROR(engine.RefreshServeCaches());
     return Status::OK();
   }
 };

@@ -21,6 +21,17 @@ std::optional<Matrix> KalmanPredictor::PredictedCovariance() const {
   return projected;
 }
 
+double KalmanPredictor::PredictedScalar(
+    std::optional<double>* variance) const {
+  if (variance != nullptr) {
+    // PredictedCovariance()(0, 0): S(0, 0) - R(0, 0), in that order;
+    // symmetrizing leaves the diagonal alone.
+    *variance = filter_.InnovationVariance0() -
+                filter_.measurement_noise()(0, 0);
+  }
+  return filter_.PredictedMeasurement0();
+}
+
 bool KalmanPredictor::StateEquals(const Predictor& other) const {
   const auto* peer = dynamic_cast<const KalmanPredictor*>(&other);
   return peer != nullptr && filter_.StateEquals(peer->filter_);

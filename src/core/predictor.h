@@ -53,6 +53,22 @@ class Predictor {
     return std::nullopt;
   }
 
+  /// Component 0 of Predicted(). When `variance` is non-null it receives
+  /// entry (0, 0) of PredictedCovariance(), or std::nullopt when the
+  /// scheme tracks none. Bit-identical to reading both off the full
+  /// answer; schemes override it to skip the vector and matrix
+  /// temporaries (the serving layer reads every watched source this way
+  /// each tick).
+  virtual double PredictedScalar(std::optional<double>* variance) const {
+    if (variance != nullptr) {
+      const std::optional<Matrix> covariance = PredictedCovariance();
+      *variance = covariance.has_value()
+                      ? std::optional<double>((*covariance)(0, 0))
+                      : std::nullopt;
+    }
+    return Predicted()[0];
+  }
+
   /// A full snapshot of the predictor's internal state — the payload of a
   /// dual-link resync message.
   struct Snapshot {
@@ -131,6 +147,7 @@ class KalmanPredictor : public Predictor {
     return filter_.Correct(value);
   }
   std::optional<Matrix> PredictedCovariance() const override;
+  double PredictedScalar(std::optional<double>* variance) const override;
   Result<Snapshot> ExportState() const override {
     return Snapshot{filter_.state(), filter_.covariance(), filter_.step()};
   }

@@ -329,6 +329,27 @@ Result<ServerNode::ConfidentAnswer> ServerNode::AnswerWithConfidence(
   return answer;
 }
 
+Result<double> ServerNode::AnswerScalar(int source_id,
+                                        double* variance) const {
+  auto it = predictors_.find(source_id);
+  if (it == predictors_.end()) {
+    return Status::NotFound(StrFormat("source %d not registered", source_id));
+  }
+  if (variance == nullptr) return it->second->PredictedScalar(nullptr);
+  std::optional<double> covariance;
+  const double value = it->second->PredictedScalar(&covariance);
+  *variance = 0.0;
+  if (covariance.has_value()) {
+    *variance = *covariance;
+    auto link_it = links_.find(source_id);
+    if (link_it != links_.end() && IsDegraded(link_it->second)) {
+      *variance *= 1.0 + protocol_.degraded_inflation *
+                             static_cast<double>(OverdueTicks(link_it->second));
+    }
+  }
+  return value;
+}
+
 Result<bool> ServerNode::degraded(int source_id) const {
   auto it = links_.find(source_id);
   if (it == links_.end()) {

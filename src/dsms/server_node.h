@@ -83,6 +83,12 @@ class ServerNode {
   };
   Result<ConfidentAnswer> AnswerWithConfidence(int source_id) const;
 
+  /// Component 0 of Answer(); when `variance` is non-null it receives
+  /// AnswerWithConfidence's covariance(0, 0) (0 without a covariance),
+  /// inflated the same way while degraded. One predictor lookup and no
+  /// vector or matrix temporaries — the serving layer's per-tick read.
+  Result<double> AnswerScalar(int source_id, double* variance) const;
+
   /// Whether answers for `source_id` are currently served degraded.
   Result<bool> degraded(int source_id) const;
 

@@ -15,16 +15,24 @@
 
 namespace dkf {
 
+/// One source's input to a protocol tick: its node and this tick's
+/// reading.
+using SourceStep = std::pair<SourceNode*, const Vector*>;
+
 /// The protocol tick over one set of dual links, as every shard of the
 /// engine (src/runtime/) drives it: the server side predicts every
-/// stream, then each source (in ascending id order) processes its
-/// reading, suppressing or transmitting through `channel`.
+/// stream, then each source processes its reading, suppressing or
+/// transmitting through `channel`.
 ///
-/// `readings` may contain entries for sources outside `sources` (the
-/// sharded runtime hands every shard the full tick batch); entries are
-/// looked up by id and extras are ignored. A missing reading for an
-/// owned source is an error. Count-level validation ("exactly one
-/// reading per registered source") is the caller's job.
+/// `steps` holds every source of `server` in ascending id order with its
+/// reading, already resolved by the caller — a shard resolves its slice
+/// of the tick batch once per batch layout, so a tick does no lookups.
+Status RunSourceTick(int64_t tick, ServerNode& server,
+                     const std::vector<SourceStep>& steps, Channel& channel);
+
+/// The id-keyed form: resolves `readings` for every node in `sources`
+/// (extras are ignored; a missing reading is an error raised before any
+/// filter state moves), then runs the tick above.
 Status RunSourceTick(int64_t tick, ServerNode& server,
                      std::map<int, std::unique_ptr<SourceNode>>& sources,
                      const std::map<int, Vector>& readings,

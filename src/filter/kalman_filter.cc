@@ -170,6 +170,37 @@ Vector KalmanFilter::PredictedMeasurement() const {
   return options_.measurement * x_;
 }
 
+double KalmanFilter::PredictedMeasurement0() const {
+  // Row 0 of Matrix::operator*(Vector).
+  const double* h_row = options_.measurement.RowData(0);
+  double sum = 0.0;
+  for (size_t c = 0; c < x_.size(); ++c) sum += h_row[c] * x_[c];
+  return sum;
+}
+
+double KalmanFilter::InnovationVariance0() const {
+  // Entry (0, 0) of InnovationCovariance(): each (P H^T)(k, 0) summed the
+  // way MultiplyTransposedInto does, folded into row 0 of H the way
+  // MultiplyInto does (both skip zero left factors), plus R(0, 0) the
+  // way AddScaledInto adds it.
+  const double* h_row = options_.measurement.RowData(0);
+  const size_t n = x_.size();
+  double s = 0.0;
+  for (size_t k = 0; k < n; ++k) {
+    const double hk = h_row[k];
+    if (hk == 0.0) continue;
+    const double* p_row = p_.RowData(k);
+    double ph = 0.0;
+    for (size_t l = 0; l < n; ++l) {
+      const double pv = p_row[l];
+      if (pv == 0.0) continue;
+      ph += pv * h_row[l];
+    }
+    s += hk * ph;
+  }
+  return s + 1.0 * options_.measurement_noise(0, 0);
+}
+
 Matrix KalmanFilter::InnovationCovariance() const {
   const Matrix& h = options_.measurement;
   MultiplyTransposedInto(p_, h, &scratch_.nm1);

@@ -123,6 +123,12 @@ class KalmanFilter {
   /// Innovation covariance S = H P H^T + R at the current state.
   Matrix InnovationCovariance() const;
 
+  /// Component 0 of PredictedMeasurement() and entry (0, 0) of
+  /// InnovationCovariance(), computed with the same operations in the
+  /// same order (so bit-identical) without building either.
+  double PredictedMeasurement0() const;
+  double InnovationVariance0() const;
+
   /// Normalized innovation squared y^T S^{-1} y for measurement z — the
   /// chi-squared consistency statistic used by outlier detection, model
   /// switching, and adaptive sampling. Factor-and-solve, no inverse.

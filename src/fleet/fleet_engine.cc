@@ -579,8 +579,7 @@ void FleetEngine::RebuildOrder() {
   order_dirty_ = false;
 }
 
-Status FleetEngine::ResolveReadings(const std::map<int, Vector>* readings,
-                                    const ReadingBatch* batch) {
+Status FleetEngine::ResolveReadings(const ReadingBatch& batch) {
   staged_spilled_.clear();
   if (order_dirty_) RebuildOrder();
   bool rebuilt = false;
@@ -588,23 +587,18 @@ Status FleetEngine::ResolveReadings(const std::map<int, Vector>* readings,
   // reading reported is the same one the per-source path would name, and
   // nothing is resolved until everything is (error before state moves).
   for (TickEntry& entry : order_) {
+    // Fast path: the cached rank from the previous tick usually still
+    // holds (callers keep batch order stable); fall back to the position
+    // index, rebuilt at most once per tick.
     const Vector* value = nullptr;
-    if (readings != nullptr) {
-      auto it = readings->find(entry.id);
-      if (it != readings->end()) value = &it->second;
-    } else {
-      // Fast path: the cached rank from the previous tick usually still
-      // holds (callers keep batch order stable); fall back to the
-      // position index, rebuilt at most once per tick.
-      int64_t rank = entry.rank;
-      if (rank < 0 || static_cast<size_t>(rank) >= batch->ids.size() ||
-          batch->ids[rank] != entry.id) {
-        rank = LookupBatchPos(*batch, entry.id, &rebuilt);
-      }
-      if (rank >= 0) {
-        entry.rank = rank;
-        value = &batch->values[rank];
-      }
+    int64_t rank = entry.rank;
+    if (rank < 0 || static_cast<size_t>(rank) >= batch.ids.size() ||
+        batch.ids[rank] != entry.id) {
+      rank = LookupBatchPos(batch, entry.id, &rebuilt);
+    }
+    if (rank >= 0) {
+      entry.rank = rank;
+      value = &batch.values[rank];
     }
     if (value == nullptr) {
       return Status::InvalidArgument(
@@ -1113,10 +1107,13 @@ Status FleetEngine::TryAbsorbAll() {
   return Status::OK();
 }
 
-Status FleetEngine::ProcessTickImpl(int64_t tick,
-                                    const std::map<int, Vector>* readings,
-                                    const ReadingBatch* batch) {
-  DKF_RETURN_IF_ERROR(ResolveReadings(readings, batch));
+Status FleetEngine::ProcessTick(int64_t tick, const ReadingBatch& batch) {
+  if (batch.ids.size() != batch.values.size()) {
+    return Status::InvalidArgument(
+        StrFormat("reading batch has %zu ids but %zu values",
+                  batch.ids.size(), batch.values.size()));
+  }
+  DKF_RETURN_IF_ERROR(ResolveReadings(batch));
   // Same phase order as RunSourceTick: degraded accounting for the
   // completed tick (lanes here, spilled links inside TickAll), server
   // predicts, channel drain, then the sources — spilled first through the
@@ -1132,20 +1129,6 @@ Status FleetEngine::ProcessTickImpl(int64_t tick,
     DKF_RETURN_IF_ERROR(TickGroupLanes(static_cast<int>(gi), tick));
   }
   return TryAbsorbAll();
-}
-
-Status FleetEngine::ProcessTick(int64_t tick,
-                                const std::map<int, Vector>& readings) {
-  return ProcessTickImpl(tick, &readings, nullptr);
-}
-
-Status FleetEngine::ProcessTick(int64_t tick, const ReadingBatch& batch) {
-  if (batch.ids.size() != batch.values.size()) {
-    return Status::InvalidArgument(
-        StrFormat("reading batch has %zu ids but %zu values",
-                  batch.ids.size(), batch.values.size()));
-  }
-  return ProcessTickImpl(tick, nullptr, &batch);
 }
 
 Result<Vector> FleetEngine::Answer(int source_id) const {

@@ -196,9 +196,7 @@ class FleetEngine {
   /// per-source path, resident lanes run the flat suppressed-predict
   /// kernel (spilling first if the tick is anything but a suppressed
   /// healthy predict), and newly re-converged sources are absorbed at
-  /// the end. The map overload mirrors RunSourceTick's lookup; the
-  /// batch overload is the allocation-light fast path.
-  Status ProcessTick(int64_t tick, const std::map<int, Vector>& readings);
+  /// the end.
   Status ProcessTick(int64_t tick, const ReadingBatch& batch);
 
   /// Answer surface for resident sources (the shard routes here when the
@@ -422,12 +420,10 @@ class FleetEngine {
   /// ServerNode::TickAll's previous-tick bookkeeping.
   void AccountDegradedLanes();
 
-  /// Resolves every tracked source's reading up front (exactly one of
-  /// `readings`/`batch` is non-null), staging spilled sources in
-  /// ascending id order and caching lane reading pointers. Errors before
-  /// any filter state moves.
-  Status ResolveReadings(const std::map<int, Vector>* readings,
-                         const ReadingBatch* batch);
+  /// Resolves every tracked source's reading up front, staging spilled
+  /// sources in ascending id order and caching lane reading pointers.
+  /// Errors before any filter state moves.
+  Status ResolveReadings(const ReadingBatch& batch);
 
   /// Merges the sources tracked since the last call into `order_`,
   /// keeping every existing entry's residency and batch rank, and
@@ -437,9 +433,6 @@ class FleetEngine {
   /// Batch position of `id`, using (and lazily rebuilding, at most once
   /// per tick) the cached index; -1 when the batch has no entry.
   int64_t LookupBatchPos(const ReadingBatch& batch, int id, bool* rebuilt);
-
-  Status ProcessTickImpl(int64_t tick, const std::map<int, Vector>* readings,
-                         const ReadingBatch* batch);
 
   /// Ticks one resident lane at `lane` in group `gi`: flat suppressed
   /// predict or spill. Sets `*spilled` when the lane was removed (the

@@ -141,6 +141,17 @@ std::vector<int> FusionEngine::group_ids() const {
   return ids;
 }
 
+std::vector<int> FusionEngine::member_tick_order() const {
+  std::vector<int> ids;
+  ids.reserve(member_to_group_.size());
+  for (const auto& [group_id, group] : groups_) {
+    for (const auto& [member_id, member] : group.members) {
+      ids.push_back(member_id);
+    }
+  }
+  return ids;
+}
+
 Result<std::vector<int>> FusionEngine::group_members(int group_id) const {
   auto it = groups_.find(group_id);
   if (it == groups_.end()) {
@@ -177,24 +188,25 @@ Status FusionEngine::BeginTick(int64_t tick) {
   return Status::OK();
 }
 
-Status FusionEngine::ProcessReadings(int64_t tick,
-                                     const std::map<int, Vector>& readings,
-                                     Channel* channel) {
+Status FusionEngine::ProcessReadings(
+    int64_t tick, const std::vector<const Vector*>& readings,
+    Channel* channel) {
   if (tick != now_) {
     return Status::FailedPrecondition(
         StrFormat("ProcessReadings for tick %lld but BeginTick ran for %lld",
                   static_cast<long long>(tick),
                   static_cast<long long>(now_)));
   }
+  if (readings.size() != member_to_group_.size()) {
+    return Status::InvalidArgument(
+        StrFormat("got %zu fusion readings for %zu members", readings.size(),
+                  member_to_group_.size()));
+  }
+  auto reading = readings.begin();
   for (auto& [group_id, group] : groups_) {
     for (auto& [member_id, member] : group.members) {
-      auto reading_it = readings.find(member_id);
-      if (reading_it == readings.end()) {
-        return Status::InvalidArgument(
-            StrFormat("no reading for fusion member %d", member_id));
-      }
-      DKF_RETURN_IF_ERROR(StepMember(group, member_id, member,
-                                     reading_it->second, tick, channel));
+      DKF_RETURN_IF_ERROR(StepMember(group, member_id, member, **reading++,
+                                     tick, channel));
     }
   }
   return Status::OK();

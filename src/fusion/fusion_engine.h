@@ -136,6 +136,10 @@ class FusionEngine {
   std::vector<int> group_ids() const;
   Result<std::vector<int>> group_members(int group_id) const;
 
+  /// Every member id in tick order: ascending group id, then ascending
+  /// member id.
+  std::vector<int> member_tick_order() const;
+
   /// Starts tick `tick`: advances the posterior and every member mirror
   /// one Predict in lockstep. Must run before the host's
   /// Channel::BeginTick so delayed fused deliveries land on the
@@ -143,9 +147,11 @@ class FusionEngine {
   Status BeginTick(int64_t tick);
 
   /// Runs every member's event-trigger protocol step for this tick, in
-  /// ascending (group id, member id) order, after the host's plain
-  /// sources. `readings` must contain an entry per member.
-  Status ProcessReadings(int64_t tick, const std::map<int, Vector>& readings,
+  /// tick order (member_tick_order), after the host's plain sources.
+  /// `readings[k]` is the reading of the k-th member in that order, as
+  /// the host resolved it from its tick batch.
+  Status ProcessReadings(int64_t tick,
+                         const std::vector<const Vector*>& readings,
                          Channel* channel);
 
   /// Ingress for fused traffic (message.group_id >= 0) — the host's

@@ -1,32 +1,21 @@
 #include "runtime/shard.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/string_util.h"
-#include "dsms/tick_step.h"
 
 namespace dkf {
-
-namespace {
 
 /// The serving layer's view of one shard: component 0 of the shard's
 /// server-side answers plus the projected variance. Aggregates span
 /// shards and are served at the engine, never here.
-class ShardAnswers final : public ServeAnswerSource {
+class StreamShard::ServeAnswers final : public ServeAnswerSource {
  public:
-  explicit ShardAnswers(const StreamShard& shard) : shard_(shard) {}
+  explicit ServeAnswers(const StreamShard& shard) : shard_(shard) {}
 
-  Result<double> SourceValue(int source_id) const override {
-    auto answer_or = shard_.Answer(source_id);
-    if (!answer_or.ok()) return answer_or.status();
-    return answer_or.value()[0];
-  }
-
-  Result<double> SourceUncertainty(int source_id) const override {
-    auto answer_or = shard_.AnswerWithConfidence(source_id);
-    if (!answer_or.ok()) return answer_or.status();
-    if (!answer_or.value().covariance.has_value()) return 0.0;
-    return (*answer_or.value().covariance)(0, 0);
+  Result<double> SourceValue(int source_id, double* variance) const override {
+    return shard_.AnswerScalar(source_id, variance);
   }
 
   Result<double> AggregateValue(int aggregate_id) const override {
@@ -41,17 +30,18 @@ class ShardAnswers final : public ServeAnswerSource {
     return answer_or.value()[0];
   }
 
-  Result<double> FusedUncertainty(int group_id) const override {
-    auto answer_or = shard_.AnswerFusedWithConfidence(group_id);
-    if (!answer_or.ok()) return answer_or.status();
-    return answer_or.value().covariance(0, 0);
-  }
-
  private:
   const StreamShard& shard_;
 };
 
-}  // namespace
+ReadingIndex IndexReadings(const std::vector<int>& ids) {
+  ReadingIndex index(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    index[i] = {ids[i], static_cast<uint32_t>(i)};
+  }
+  std::sort(index.begin(), index.end());
+  return index;
+}
 
 StreamShard::StreamShard(const ChannelOptions& channel,
                          EnergyModelOptions energy, double default_delta,
@@ -113,6 +103,7 @@ Status StreamShard::AddSource(int source_id, const StateModel& model) {
   }
   sources_[source_id] =
       std::make_unique<SourceNode>(std::move(node_or).value());
+  ++topology_;
   if (obs_sink_ != nullptr) sources_[source_id]->set_trace_sink(obs_sink_);
   if (fleet_ != nullptr) {
     Status tracked = fleet_->Track(source_id, model, &sources_[source_id]);
@@ -140,7 +131,11 @@ void StreamShard::set_trace_sink(TraceSink* sink) {
 
 Status StreamShard::Subscribe(const Subscription& subscription,
                               int64_t attach_step) {
-  return serve_.Subscribe(subscription, attach_step, ShardAnswers(*this));
+  return serve_.Subscribe(subscription, attach_step, ServeAnswers(*this));
+}
+
+Status StreamShard::RefreshServeCaches() {
+  return serve_.RefreshCaches(ServeAnswers(*this));
 }
 
 Status StreamShard::Unsubscribe(int64_t subscription_id) {
@@ -176,6 +171,7 @@ Status StreamShard::RegisterFusionGroup(const FusionGroupConfig& config) {
     }
   }
   DKF_RETURN_IF_ERROR(fusion_.RegisterGroup(config));
+  ++topology_;
   if (obs_sink_ != nullptr) fusion_.set_trace_sink(obs_sink_);
   return Status::OK();
 }
@@ -186,6 +182,7 @@ Status StreamShard::AddFusionMember(int group_id, int member_id) {
         StrFormat("fusion member id %d is a registered source", member_id));
   }
   DKF_RETURN_IF_ERROR(fusion_.AddMember(group_id, member_id));
+  ++topology_;
   if (obs_sink_ != nullptr) fusion_.set_trace_sink(obs_sink_);
   // The admission handoff: the newcomer's mirror is handed the current
   // posterior over the out-of-band downlink.
@@ -195,6 +192,7 @@ Status StreamShard::AddFusionMember(int group_id, int member_id) {
 
 Status StreamShard::RemoveFusionMember(int group_id, int member_id) {
   DKF_RETURN_IF_ERROR(fusion_.RemoveMember(group_id, member_id));
+  ++topology_;
   ++control_messages_;  // the dismissal
   return Status::OK();
 }
@@ -256,8 +254,56 @@ Status StreamShard::ReconfigureSources(
   return Status::OK();
 }
 
-Status StreamShard::ProcessTick(int64_t tick,
-                                const std::map<int, Vector>& readings) {
+Status StreamShard::ResolveSlice(const ReadingIndex& index,
+                                 ShardReadingSlice* slice) const {
+  auto position = [&index](int id) -> int64_t {
+    auto it = std::lower_bound(index.begin(), index.end(),
+                               std::make_pair(id, uint32_t{0}));
+    if (it == index.end() || it->first != id) return -1;
+    return it->second;
+  };
+  slice->sources.clear();
+  slice->members.clear();
+  for (const auto& [id, node] : sources_) {
+    const int64_t at = position(id);
+    if (at < 0) {
+      return Status::InvalidArgument(
+          StrFormat("missing reading for source %d", id));
+    }
+    slice->sources.push_back(static_cast<uint32_t>(at));
+  }
+  for (int member_id : fusion_.member_tick_order()) {
+    const int64_t at = position(member_id);
+    if (at < 0) {
+      return Status::InvalidArgument(
+          StrFormat("no reading for fusion member %d", member_id));
+    }
+    slice->members.push_back(static_cast<uint32_t>(at));
+  }
+  slice->topology = topology_;
+  return Status::OK();
+}
+
+Status StreamShard::ProcessTick(int64_t tick, const ReadingBatch& batch) {
+  if (batch.ids.size() != batch.values.size()) {
+    return Status::InvalidArgument(
+        StrFormat("reading batch has %zu ids but %zu values",
+                  batch.ids.size(), batch.values.size()));
+  }
+  if (layout_slice_.topology != topology_ || batch.ids != layout_ids_) {
+    layout_ids_.clear();
+    DKF_RETURN_IF_ERROR(ResolveSlice(IndexReadings(batch.ids), &layout_slice_));
+    layout_ids_ = batch.ids;
+  }
+  return ProcessTick(tick, batch, layout_slice_);
+}
+
+Status StreamShard::ProcessTick(int64_t tick, const ReadingBatch& batch,
+                                const ShardReadingSlice& slice) {
+  if (slice.topology != topology_) {
+    return Status::FailedPrecondition(
+        "reading slice was resolved for an older shard topology");
+  }
   const bool timed = obs_sink_ != nullptr && obs_sink_->options().record_timing;
   const auto start = timed ? std::chrono::steady_clock::now()
                            : std::chrono::steady_clock::time_point();
@@ -268,62 +314,33 @@ Status StreamShard::ProcessTick(int64_t tick,
   // fusion clock must advance even while the shard has no groups.
   DKF_RETURN_IF_ERROR(fusion_.BeginTick(tick));
   if (fleet_ != nullptr) {
-    DKF_RETURN_IF_ERROR(fleet_->ProcessTick(tick, readings));
+    DKF_RETURN_IF_ERROR(fleet_->ProcessTick(tick, batch));
   } else {
-    DKF_RETURN_IF_ERROR(
-        RunSourceTick(tick, server_, sources_, readings, channel_));
+    if (nodes_topology_ != topology_) {
+      nodes_.clear();
+      for (const auto& [id, node] : sources_) nodes_.push_back(node.get());
+      nodes_topology_ = topology_;
+    }
+    steps_.clear();
+    for (size_t i = 0; i < nodes_.size(); ++i) {
+      steps_.emplace_back(nodes_[i], &batch.values[slice.sources[i]]);
+    }
+    DKF_RETURN_IF_ERROR(RunSourceTick(tick, server_, steps_, channel_));
   }
   // Fusion members run after the plain sources, in ascending (group,
   // member) order — one deterministic source order per shard tick.
-  DKF_RETURN_IF_ERROR(fusion_.ProcessReadings(tick, readings, &channel_));
-  return FinishTick(tick, timed, start);
-}
-
-Status StreamShard::ProcessTick(int64_t tick, const ReadingBatch& batch) {
-  const bool timed = obs_sink_ != nullptr && obs_sink_->options().record_timing;
-  const auto start = timed ? std::chrono::steady_clock::now()
-                           : std::chrono::steady_clock::time_point();
-  DKF_RETURN_IF_ERROR(fusion_.BeginTick(tick));
-  if (fleet_ != nullptr) {
-    DKF_RETURN_IF_ERROR(fleet_->ProcessTick(tick, batch));
-  } else {
-    if (batch.ids.size() != batch.values.size()) {
-      return Status::InvalidArgument(
-          StrFormat("reading batch has %zu ids but %zu values",
-                    batch.ids.size(), batch.values.size()));
-    }
-    // Per-source fallback: project this shard's slice of the batch into
-    // the map form RunSourceTick expects.
-    std::map<int, Vector> readings;
-    for (size_t i = 0; i < batch.ids.size(); ++i) {
-      if (sources_.contains(batch.ids[i])) {
-        readings.emplace(batch.ids[i], batch.values[i]);
-      }
-    }
-    DKF_RETURN_IF_ERROR(
-        RunSourceTick(tick, server_, sources_, readings, channel_));
-  }
   if (fusion_.active()) {
-    // Project the members' slice of the batch into the map form the
-    // fusion engine expects (members never batch into fleet lanes).
-    std::map<int, Vector> fused_readings;
-    for (size_t i = 0; i < batch.ids.size(); ++i) {
-      if (fusion_.owns_member(batch.ids[i])) {
-        fused_readings.emplace(batch.ids[i], batch.values[i]);
-      }
+    member_readings_.clear();
+    for (uint32_t at : slice.members) {
+      member_readings_.push_back(&batch.values[at]);
     }
     DKF_RETURN_IF_ERROR(
-        fusion_.ProcessReadings(tick, fused_readings, &channel_));
+        fusion_.ProcessReadings(tick, member_readings_, &channel_));
   }
-  return FinishTick(tick, timed, start);
-}
-
-Status StreamShard::FinishTick(int64_t tick, bool timed,
-                               std::chrono::steady_clock::time_point start) {
   // Serve this shard's subscriptions while still on the worker thread:
   // the per-shard index makes notification fan-out scale with shards
   // exactly like the protocol work does.
-  DKF_RETURN_IF_ERROR(serve_.EndTick(tick, ShardAnswers(*this)));
+  DKF_RETURN_IF_ERROR(serve_.EndTick(tick, ServeAnswers(*this)));
   if (obs_sink_ != nullptr) {
     if (timed) {
       obs_sink_->RecordTickLatencyNs(std::chrono::duration<double, std::nano>(
@@ -350,6 +367,24 @@ Result<ServerNode::ConfidentAnswer> StreamShard::AnswerWithConfidence(
     return fleet_->AnswerWithConfidence(source_id);
   }
   return server_.AnswerWithConfidence(source_id);
+}
+
+Result<double> StreamShard::AnswerScalar(int source_id,
+                                         double* variance) const {
+  if (fleet_ != nullptr && fleet_->resident(source_id)) {
+    if (variance == nullptr) {
+      auto answer_or = fleet_->Answer(source_id);
+      if (!answer_or.ok()) return answer_or.status();
+      return answer_or.value()[0];
+    }
+    auto answer_or = fleet_->AnswerWithConfidence(source_id);
+    if (!answer_or.ok()) return answer_or.status();
+    const ServerNode::ConfidentAnswer& answer = answer_or.value();
+    *variance =
+        answer.covariance.has_value() ? (*answer.covariance)(0, 0) : 0.0;
+    return answer.value[0];
+  }
+  return server_.AnswerScalar(source_id, variance);
 }
 
 Result<double> StreamShard::PartialSum(

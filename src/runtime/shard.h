@@ -1,7 +1,7 @@
 #ifndef DKF_RUNTIME_SHARD_H_
 #define DKF_RUNTIME_SHARD_H_
 
-#include <chrono>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
@@ -14,6 +14,7 @@
 #include "dsms/protocol.h"
 #include "dsms/server_node.h"
 #include "dsms/source_node.h"
+#include "dsms/tick_step.h"
 #include "fleet/fleet_engine.h"
 #include "fusion/fusion_engine.h"
 #include "metrics/fault_stats.h"
@@ -26,6 +27,22 @@
 namespace dkf {
 
 class CheckpointAccess;  // src/checkpoint/: snapshot save/restore plumbing
+
+/// A ReadingBatch's (id, position) pairs sorted by id, position breaking
+/// ties — what a shard resolves its slice of the batch against.
+using ReadingIndex = std::vector<std::pair<int, uint32_t>>;
+ReadingIndex IndexReadings(const std::vector<int>& ids);
+
+/// One shard's share of a ReadingBatch layout (its id array), resolved
+/// once per layout: the batch position of every source the shard owns,
+/// in ascending id order, and of every fusion member, in the fusion
+/// engine's tick order. `topology` is the shard topology it was
+/// resolved at; a slice from an older topology is stale.
+struct ShardReadingSlice {
+  std::vector<uint32_t> sources;
+  std::vector<uint32_t> members;
+  uint64_t topology = 0;
+};
 
 /// One partition of a ShardedStreamEngine's fleet. A shard owns the
 /// complete dual-link state for its sources — the source-side
@@ -111,19 +128,36 @@ class StreamShard {
   /// fleet-lane spill), so a cohort-stable allocation costs nothing.
   Status ReconfigureSources(const std::vector<std::pair<int, double>>& deltas);
 
-  /// Runs one protocol tick over this shard's sources. `readings` is
-  /// the engine's full batch; entries for other shards' sources are
-  /// ignored.
-  Status ProcessTick(int64_t tick, const std::map<int, Vector>& readings);
+  /// Counts every change to the shard's set of sources and fusion
+  /// members (AddSource, fusion group and member changes).
+  uint64_t topology() const { return topology_; }
 
-  /// Allocation-light variant for huge fleets: readings come as parallel
-  /// id/value arrays (see ReadingBatch). Entries for other shards'
-  /// sources are ignored.
+  /// Resolves this shard's slice of a batch layout from its sorted index.
+  /// InvalidArgument naming the first owned source (ascending id), then
+  /// fusion member (tick order), that has no reading. Ids owned elsewhere
+  /// are ignored; a repeated id resolves to its first position.
+  Status ResolveSlice(const ReadingIndex& index,
+                      ShardReadingSlice* slice) const;
+
+  /// Runs one protocol tick over this shard's sources and fusion members,
+  /// reading `batch` at the positions `slice` resolved for its layout
+  /// (FailedPrecondition when the slice is stale).
+  Status ProcessTick(int64_t tick, const ReadingBatch& batch,
+                     const ShardReadingSlice& slice);
+
+  /// The standalone form: resolves `batch`'s layout (cached until its ids
+  /// or the topology change) and ticks. Entries for other shards' sources
+  /// are ignored.
   Status ProcessTick(int64_t tick, const ReadingBatch& batch);
 
   Result<Vector> Answer(int source_id) const;
   Result<ServerNode::ConfidentAnswer> AnswerWithConfidence(
       int source_id) const;
+
+  /// Component 0 of Answer(); with `variance`, also
+  /// AnswerWithConfidence's covariance(0, 0) (0 without one) — see
+  /// ServerNode::AnswerScalar.
+  Result<double> AnswerScalar(int source_id, double* variance) const;
 
   /// Sum of the current answers for `source_ids` (all owned by this
   /// shard), in the given order — the shard's contribution to an
@@ -223,11 +257,11 @@ class StreamShard {
 
  private:
   friend class CheckpointAccess;
+  /// The serving layer's view of this shard (shard.cc).
+  class ServeAnswers;
 
-  /// Shared tail of both ProcessTick overloads: serve the shard's
-  /// subscriptions and record per-tick observability.
-  Status FinishTick(int64_t tick, bool timed,
-                    std::chrono::steady_clock::time_point start);
+  /// Re-primes the serve value caches after a restore.
+  Status RefreshServeCaches();
 
   /// The node of a registered source, or nullptr for a batch-resident
   /// one (which has none), whose lane facts then land in `*resident`.
@@ -245,6 +279,17 @@ class StreamShard {
   /// Every source's node; null while the source is batch-resident (the
   /// fleet engine frees and rebuilds it through the map slot).
   std::map<int, std::unique_ptr<SourceNode>> sources_;
+  uint64_t topology_ = 0;
+  /// The per-source tick's dense inputs: `sources_`'s nodes in id order
+  /// (as of `nodes_topology_`), and this tick's node/reading pairs and
+  /// member readings.
+  std::vector<SourceNode*> nodes_;
+  uint64_t nodes_topology_ = UINT64_MAX;
+  std::vector<SourceStep> steps_;
+  std::vector<const Vector*> member_readings_;
+  /// The standalone ProcessTick's cached layout and slice.
+  std::vector<int> layout_ids_;
+  ShardReadingSlice layout_slice_;
   /// Smoothing factor currently installed at each node (tracked so an
   /// unrelated reconfiguration does not restart KF_c).
   std::map<int, std::optional<double>> installed_smoothing_;

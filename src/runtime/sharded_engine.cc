@@ -1,7 +1,6 @@
 #include "runtime/sharded_engine.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "common/string_util.h"
 
@@ -11,26 +10,18 @@ namespace {
 
 int ClampShards(int num_shards) { return std::max(1, num_shards); }
 
+}  // namespace
+
 /// The serving layer's view of the whole engine, used by the
 /// engine-level aggregate subscriptions: member values are read from
 /// their owning shards, aggregate sums via the usual partial-sum merge.
 /// Driver-thread only, between ticks / after the tick joins.
-class EngineAnswers final : public ServeAnswerSource {
+class ShardedStreamEngine::ServeAnswers final : public ServeAnswerSource {
  public:
-  explicit EngineAnswers(const ShardedStreamEngine& engine)
-      : engine_(engine) {}
+  explicit ServeAnswers(const ShardedStreamEngine& engine) : engine_(engine) {}
 
-  Result<double> SourceValue(int source_id) const override {
-    auto answer_or = engine_.Answer(source_id);
-    if (!answer_or.ok()) return answer_or.status();
-    return answer_or.value()[0];
-  }
-
-  Result<double> SourceUncertainty(int source_id) const override {
-    auto answer_or = engine_.AnswerWithConfidence(source_id);
-    if (!answer_or.ok()) return answer_or.status();
-    if (!answer_or.value().covariance.has_value()) return 0.0;
-    return (*answer_or.value().covariance)(0, 0);
+  Result<double> SourceValue(int source_id, double* variance) const override {
+    return engine_.OwningShard(source_id).AnswerScalar(source_id, variance);
   }
 
   Result<double> AggregateValue(int aggregate_id) const override {
@@ -45,17 +36,9 @@ class EngineAnswers final : public ServeAnswerSource {
     return answer_or.value()[0];
   }
 
-  Result<double> FusedUncertainty(int group_id) const override {
-    auto answer_or = engine_.AnswerFusedWithConfidence(group_id);
-    if (!answer_or.ok()) return answer_or.status();
-    return answer_or.value().covariance(0, 0);
-  }
-
  private:
   const ShardedStreamEngine& engine_;
 };
-
-}  // namespace
 
 ShardedStreamEngine::ShardedStreamEngine(
     const ShardedStreamEngineOptions& options)
@@ -78,6 +61,7 @@ ShardedStreamEngine::ShardedStreamEngine(
       (void)shards_.back()->EnableFleet();
     }
   }
+  slices_.resize(shards_.size());
   if (options_.governor.enabled) {
     governor_ = std::make_unique<DeltaGovernor>(options_.governor);
   }
@@ -435,30 +419,36 @@ Status ShardedStreamEngine::CheckReadingCount(size_t count) const {
   return Status::OK();
 }
 
-Status ShardedStreamEngine::RunTick(
-    const std::function<Status(StreamShard&, int64_t)>& shard_tick) {
-  tick_tasks_.clear();
-  tick_tasks_.reserve(shards_.size());
-  const int64_t tick = ticks_;
-  for (auto& shard : shards_) {
-    StreamShard* raw = shard.get();
-    tick_tasks_.push_back(
-        [raw, tick, &shard_tick] { return shard_tick(*raw, tick); });
+Status ShardedStreamEngine::PartitionReadings(const std::vector<int>& ids) {
+  // The known layout costs one compare of the id array plus a topology
+  // stamp per shard — no per-id lookups.
+  bool known = ids == layout_ids_;
+  for (size_t i = 0; known && i < shards_.size(); ++i) {
+    known = slices_[i].topology == shards_[i]->topology();
   }
-  DKF_RETURN_IF_ERROR(pool_.RunAll(tick_tasks_));
-  // Aggregate subscriptions need every shard's partial sums, so their
-  // serve pass runs on the driver after the tick joins.
-  DKF_RETURN_IF_ERROR(aggregate_serve_.EndTick(tick, EngineAnswers(*this)));
-  DKF_RETURN_IF_ERROR(MaybeRunGovernor());
-  ++ticks_;
+  if (known) return Status::OK();
+  // A new layout is checked in full, once. The count already equals
+  // sources + fusion members, so every shard finding each of its ids
+  // means each one appears exactly once: a duplicate or a foreign id
+  // would leave some owned id without a position.
+  layout_ids_.clear();
+  const ReadingIndex index = IndexReadings(ids);
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    DKF_RETURN_IF_ERROR(shards_[i]->ResolveSlice(index, &slices_[i]));
+  }
+  layout_ids_ = ids;
   return Status::OK();
 }
 
 Status ShardedStreamEngine::ProcessTick(const std::map<int, Vector>& readings) {
-  DKF_RETURN_IF_ERROR(CheckReadingCount(readings.size()));
-  return RunTick([&readings](StreamShard& shard, int64_t tick) {
-    return shard.ProcessTick(tick, readings);
-  });
+  ReadingBatch batch;
+  batch.ids.reserve(readings.size());
+  batch.values.reserve(readings.size());
+  for (const auto& [id, value] : readings) {
+    batch.ids.push_back(id);
+    batch.values.push_back(value);
+  }
+  return ProcessTick(batch);
 }
 
 Status ShardedStreamEngine::ProcessTick(const ReadingBatch& batch) {
@@ -468,9 +458,26 @@ Status ShardedStreamEngine::ProcessTick(const ReadingBatch& batch) {
                   batch.ids.size(), batch.values.size()));
   }
   DKF_RETURN_IF_ERROR(CheckReadingCount(batch.ids.size()));
-  return RunTick([&batch](StreamShard& shard, int64_t tick) {
-    return shard.ProcessTick(tick, batch);
-  });
+  // Validated before any shard is dispatched: a rejected batch leaves
+  // every shard untouched.
+  DKF_RETURN_IF_ERROR(PartitionReadings(batch.ids));
+  tick_tasks_.clear();
+  tick_tasks_.reserve(shards_.size());
+  const int64_t tick = ticks_;
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    StreamShard* shard = shards_[i].get();
+    const ShardReadingSlice* slice = &slices_[i];
+    tick_tasks_.push_back([shard, slice, tick, &batch] {
+      return shard->ProcessTick(tick, batch, *slice);
+    });
+  }
+  DKF_RETURN_IF_ERROR(pool_.RunAll(tick_tasks_));
+  // Aggregate subscriptions need every shard's partial sums, so their
+  // serve pass runs on the driver after the tick joins.
+  DKF_RETURN_IF_ERROR(aggregate_serve_.EndTick(tick, ServeAnswers(*this)));
+  DKF_RETURN_IF_ERROR(MaybeRunGovernor());
+  ++ticks_;
+  return Status::OK();
 }
 
 Status ShardedStreamEngine::Subscribe(const Subscription& subscription) {
@@ -511,7 +518,7 @@ Status ShardedStreamEngine::Subscribe(const Subscription& subscription) {
                     subscription.aggregate_id));
     }
     return aggregate_serve_.Subscribe(subscription, ticks_,
-                                      EngineAnswers(*this),
+                                      ServeAnswers(*this),
                                       it->second.source_ids);
   }
   if (!HasSource(subscription.source_id)) {
@@ -538,6 +545,10 @@ Status ShardedStreamEngine::Unsubscribe(int64_t subscription_id) {
                 static_cast<long long>(subscription_id)));
 }
 
+Status ShardedStreamEngine::RefreshServeCaches() {
+  return aggregate_serve_.RefreshCaches(ServeAnswers(*this));
+}
+
 std::vector<NotificationBatch> ShardedStreamEngine::DrainNotifications() {
   std::vector<std::vector<NotificationBatch>> streams;
   streams.reserve(shards_.size() + 1);
@@ -545,7 +556,7 @@ std::vector<NotificationBatch> ShardedStreamEngine::DrainNotifications() {
     streams.push_back(shard->DrainNotifications());
   }
   streams.push_back(aggregate_serve_.Drain());
-  return MergeNotificationBatches(streams);
+  return MergeNotificationBatches(std::move(streams));
 }
 
 ServeStats ShardedStreamEngine::serve_stats() const {

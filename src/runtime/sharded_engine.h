@@ -1,7 +1,6 @@
 #ifndef DKF_RUNTIME_SHARDED_ENGINE_H_
 #define DKF_RUNTIME_SHARDED_ENGINE_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -196,12 +195,15 @@ class ShardedStreamEngine {
   Result<AggregateAnswer> AnswerAggregateWithStatus(int aggregate_id) const;
 
   /// Advances one tick across all shards in parallel. `readings` must
-  /// contain exactly one entry per registered source.
+  /// contain exactly one entry per registered source and fusion member.
+  /// Converted to a ReadingBatch in ascending id order.
   Status ProcessTick(const std::map<int, Vector>& readings);
 
-  /// Allocation-light variant for huge fleets: one tick with readings
-  /// given as parallel id/value arrays (any order, one entry per
-  /// registered source). Bit-identical to the map overload.
+  /// The tick input every path ends in: readings as parallel id/value
+  /// arrays (any order, one entry per registered source and fusion
+  /// member). A malformed batch is rejected before any shard ticks. The
+  /// id layout is partitioned by shard once and reused while it repeats,
+  /// so a stable order is fastest.
   Status ProcessTick(const ReadingBatch& batch);
 
   /// The server-side answer for a source's stream.
@@ -356,15 +358,23 @@ class ShardedStreamEngine {
  private:
   friend class CheckpointAccess;
 
+  /// The serving layer's view of the engine (sharded_engine.cc).
+  class ServeAnswers;
+
   /// Rejects a tick batch that does not hold exactly one reading per
   /// registered source and fusion member.
   Status CheckReadingCount(size_t count) const;
 
-  /// One tick: `shard_tick` runs on every shard in parallel, then the
-  /// driver-side tail (aggregate serving, governor epoch) runs and the
-  /// tick counter advances.
-  Status RunTick(
-      const std::function<Status(StreamShard&, int64_t)>& shard_tick);
+  /// Partitions a batch layout into per-shard slices (`slices_`), once
+  /// per layout: a layout equal to the last accepted one, at unchanged
+  /// shard topologies, is reused after one compare. InvalidArgument —
+  /// before anything ticks — when some source or fusion member has no
+  /// reading (with the count checked, that covers duplicates and foreign
+  /// ids too).
+  Status PartitionReadings(const std::vector<int>& ids);
+
+  /// Re-primes the aggregate-serve value caches after a restore.
+  Status RefreshServeCaches();
 
   /// Runs one governor epoch when the tick that just finished completes
   /// an epoch window: samples every source's uplink counters, plans the
@@ -414,6 +424,9 @@ class ShardedStreamEngine {
   WorkerPool pool_;
   /// Reused every tick (one task per shard) to avoid reallocation.
   std::vector<WorkerPool::Task> tick_tasks_;
+  /// The last accepted batch layout and each shard's slice of it.
+  std::vector<int> layout_ids_;
+  std::vector<ShardReadingSlice> slices_;
   /// Fleet-wide delta governor (null unless options.governor.enabled).
   std::unique_ptr<DeltaGovernor> governor_;
   int64_t ticks_ = 0;

@@ -24,38 +24,45 @@ namespace dkf {
 /// and filtered out — the value passed clean through them; membership
 /// is sampled at tick boundaries, not along the path.)
 ///
-/// Mutations mark the index dirty; the sorted arrays are rebuilt lazily
-/// on the next query, so a bulk registration phase costs one sort.
+/// Every entry carries the subscription's id, which breaks endpoint ties
+/// (so the scan order depends only on the registered set, never on the
+/// history that built it), and its slot in the owning engine's dense
+/// subscription table, which is what a query returns. Inserts append to
+/// both arrays and mark them dirty; they are re-sorted lazily on the next
+/// query or erase, so a bulk registration phase costs one sort. An erase
+/// binary-searches both sorted arrays for its (endpoint, id) key.
 class IntervalIndex {
  public:
-  /// Registers interval [lo, hi] under `id`. Ids are unique (enforced
-  /// by the engine).
-  void Insert(int64_t id, double lo, double hi);
+  /// Registers interval [lo, hi] for subscription `id` living in `slot`.
+  /// Ids are unique (enforced by the engine).
+  void Insert(int64_t id, uint32_t slot, double lo, double hi);
 
-  /// Removes an id; no-op if absent.
-  void Erase(int64_t id);
+  /// Removes the interval registered for `id` with bounds [lo, hi];
+  /// no-op if absent.
+  void Erase(int64_t id, double lo, double hi);
 
-  bool empty() const { return entries_.empty(); }
-  size_t size() const { return entries_.size(); }
+  bool empty() const { return by_lo_.empty(); }
+  size_t size() const { return by_lo_.size(); }
 
-  /// Appends to `out` the ids whose membership of v1 differs from their
-  /// membership of v0 (exactly — the endpoint filters above are tight).
-  /// Returns the number of entries *scanned*, i.e. the fan-out work
-  /// actually done, which callers report as "touched".
-  size_t Changed(double v0, double v1, std::vector<int64_t>* out);
+  /// Appends to `out` the slots whose membership of v1 differs from
+  /// their membership of v0 (exactly — the endpoint filters above are
+  /// tight), in scan order: the lost scan by (hi, id), then the gained
+  /// scan by (lo, id). Returns the number of entries *scanned*, i.e. the
+  /// fan-out work actually done, which callers report as "touched".
+  size_t Changed(double v0, double v1, std::vector<uint32_t>* out);
 
  private:
   struct Entry {
     double lo = 0.0;
     double hi = 0.0;
     int64_t id = 0;
+    uint32_t slot = 0;
   };
 
-  void Rebuild();
+  void Sort();
 
-  std::vector<Entry> entries_;  // registration order (compacted on erase)
-  std::vector<Entry> by_lo_;    // sorted by (lo, id)
-  std::vector<Entry> by_hi_;    // sorted by (hi, id)
+  std::vector<Entry> by_lo_;  // sorted by (lo, id) unless dirty_
+  std::vector<Entry> by_hi_;  // sorted by (hi, id) unless dirty_
   bool dirty_ = false;
 };
 

@@ -1,7 +1,6 @@
 #include "serve/subscription.h"
 
 #include <algorithm>
-#include <map>
 
 #include "common/string_util.h"
 
@@ -32,6 +31,42 @@ constexpr const char* kNotificationKindNames[static_cast<int>(
     "fused_update",
 };
 
+/// Stable-sorts `notifications` by NotificationOrder, exploiting that it
+/// is a concatenation of sorted runs (one per engine batch): the natural
+/// runs — maximal stretches no element of which sorts before its
+/// predecessor — are merged pairwise with std::merge, which takes the
+/// left run's element on ties, until one run is left. That is a stable
+/// merge sort, so the result equals std::stable_sort of the input, in
+/// O(n log runs) instead of O(n log n). `runs` and `buffer` are reused
+/// work space.
+void MergeRuns(std::vector<Notification>* notifications,
+               std::vector<size_t>* runs, std::vector<Notification>* buffer) {
+  std::vector<Notification>& v = *notifications;
+  runs->assign(1, 0);
+  for (size_t i = 1; i < v.size(); ++i) {
+    if (NotificationOrder(v[i], v[i - 1])) runs->push_back(i);
+  }
+  runs->push_back(v.size());
+  if (runs->size() <= 2) return;  // already one run
+  buffer->resize(v.size());
+  while (runs->size() > 2) {
+    // Run k is [runs[k], runs[k + 1]); merge runs 2j and 2j + 1 in place
+    // of the pair, carrying an odd last run over unchanged.
+    size_t kept = 1;
+    const size_t count = runs->size() - 1;
+    for (size_t k = 0; k < count; k += 2) {
+      const size_t lo = (*runs)[k];
+      const size_t mid = (*runs)[k + 1];
+      const size_t hi = k + 1 < count ? (*runs)[k + 2] : mid;
+      std::merge(v.begin() + lo, v.begin() + mid, v.begin() + mid,
+                 v.begin() + hi, buffer->begin() + lo, NotificationOrder);
+      (*runs)[kept++] = hi;
+    }
+    runs->resize(kept);
+    v.swap(*buffer);
+  }
+}
+
 }  // namespace
 
 const char* SubscriptionKindName(SubscriptionKind kind) {
@@ -61,28 +96,36 @@ std::string FormatNotification(const Notification& notification) {
 }
 
 std::vector<NotificationBatch> MergeNotificationBatches(
-    const std::vector<std::vector<NotificationBatch>>& streams) {
-  // Group by step across all streams; the per-stream order within a
-  // step is preserved (streams are appended in caller order, and the
-  // final sort is stable), which is what keeps "same subscription,
-  // several kinds in one tick" sequences intact.
-  std::map<int64_t, std::vector<Notification>> by_step;
-  for (const auto& stream : streams) {
-    for (const NotificationBatch& batch : stream) {
-      auto& bucket = by_step[batch.step];
-      bucket.insert(bucket.end(), batch.notifications.begin(),
-                    batch.notifications.end());
-    }
+    std::vector<std::vector<NotificationBatch>> streams) {
+  // Every batch in caller order (stream by stream, oldest first), stably
+  // grouped by step, so a step's batches stay in the order the
+  // definition concatenates them in.
+  std::vector<NotificationBatch*> batches;
+  for (auto& stream : streams) {
+    for (NotificationBatch& batch : stream) batches.push_back(&batch);
   }
+  std::stable_sort(batches.begin(), batches.end(),
+                   [](const NotificationBatch* a, const NotificationBatch* b) {
+                     return a->step < b->step;
+                   });
   std::vector<NotificationBatch> merged;
-  merged.reserve(by_step.size());
-  for (auto& [step, notifications] : by_step) {
-    std::stable_sort(notifications.begin(), notifications.end(),
-                     NotificationOrder);
-    NotificationBatch batch;
-    batch.step = step;
-    batch.notifications = std::move(notifications);
-    merged.push_back(std::move(batch));
+  std::vector<size_t> runs;
+  std::vector<Notification> buffer;
+  for (size_t first = 0; first < batches.size();) {
+    size_t last = first + 1;
+    const int64_t step = batches[first]->step;
+    while (last < batches.size() && batches[last]->step == step) ++last;
+    NotificationBatch out;
+    out.step = step;
+    out.notifications = std::move(batches[first]->notifications);
+    for (size_t b = first + 1; b < last; ++b) {
+      const std::vector<Notification>& more = batches[b]->notifications;
+      out.notifications.insert(out.notifications.end(), more.begin(),
+                               more.end());
+    }
+    MergeRuns(&out.notifications, &runs, &buffer);
+    merged.push_back(std::move(out));
+    first = last;
   }
   return merged;
 }

@@ -151,9 +151,12 @@ std::string FormatNotification(const Notification& notification);
 /// in canonical order) into one canonical stream: same-step batches are
 /// coalesced and stably re-sorted by (source_id, subscription_id), so
 /// the result is bit-identical for any shard layout — the serving
-/// layer's MergeTraces.
+/// layer's MergeTraces. The batches are already-sorted runs, so a step
+/// costs a pairwise run merge, not a full sort; the result equals the
+/// stable sort of the step's batches concatenated in caller order. The
+/// streams are taken by value so callers can move their batches in.
 std::vector<NotificationBatch> MergeNotificationBatches(
-    const std::vector<std::vector<NotificationBatch>>& streams);
+    std::vector<std::vector<NotificationBatch>> streams);
 
 }  // namespace dkf
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/string_util.h"
 
@@ -91,34 +92,65 @@ Result<double> SubscriptionEngine::CurrentValue(
   if (spec.kind == SubscriptionKind::kFused) {
     return answers.FusedValue(spec.group_id);
   }
-  return answers.SourceValue(spec.source_id);
+  return answers.SourceValue(spec.source_id, nullptr);
+}
+
+std::vector<SubscriptionEngine::PerSource>::iterator
+SubscriptionEngine::SourcePosition(int source_id) {
+  return std::lower_bound(
+      sources_.begin(), sources_.end(), source_id,
+      [](const PerSource& s, int id) { return s.source_id < id; });
+}
+
+SubscriptionEngine::PerSource* SubscriptionEngine::FindSource(int source_id) {
+  auto it = SourcePosition(source_id);
+  return it != sources_.end() && it->source_id == source_id ? &*it : nullptr;
+}
+
+SubscriptionEngine::PerSource& SubscriptionEngine::WatchSource(int source_id) {
+  auto it = SourcePosition(source_id);
+  if (it == sources_.end() || it->source_id != source_id) {
+    it = sources_.insert(it, PerSource());
+    it->source_id = source_id;
+  }
+  return *it;
+}
+
+void SubscriptionEngine::ReleaseIfUnwatched(PerSource* per_source) {
+  if (per_source->Empty()) {
+    sources_.erase(sources_.begin() + (per_source - sources_.data()));
+  }
 }
 
 Status SubscriptionEngine::Attach(const SubscriptionState& state,
                                   const std::vector<int>& aggregate_members) {
   const Subscription& spec = state.spec;
   DKF_RETURN_IF_ERROR(ValidateSubscription(spec, aggregate_members));
-  if (subs_.contains(spec.id)) {
+  if (slot_of_.contains(spec.id)) {
     return Status::AlreadyExists(
         StrFormat("subscription %lld already registered",
                   static_cast<long long>(spec.id)));
   }
+  const uint32_t slot = free_slots_.empty()
+                            ? static_cast<uint32_t>(slots_.size())
+                            : free_slots_.back();
   switch (spec.kind) {
     case SubscriptionKind::kPoint: {
-      InsertSorted(&sources_[spec.source_id].point_subs, spec.id);
+      InsertSorted(&WatchSource(spec.source_id).point_subs, spec.id);
       break;
     }
     case SubscriptionKind::kBandAlert: {
-      PerSource& per_source = sources_[spec.source_id];
-      per_source.intervals.Insert(spec.id, spec.lo, spec.hi);
+      PerSource& per_source = WatchSource(spec.source_id);
+      per_source.intervals.Insert(spec.id, slot, spec.lo, spec.hi);
       if (spec.uncertainty_ceiling > 0.0) {
-        per_source.ceilings.emplace_back(spec.uncertainty_ceiling, spec.id);
+        per_source.ceilings.push_back({spec.uncertainty_ceiling, slot});
         per_source.ceilings_dirty = true;
       }
       break;
     }
     case SubscriptionKind::kRangePredicate: {
-      sources_[spec.source_id].intervals.Insert(spec.id, spec.lo, spec.hi);
+      WatchSource(spec.source_id)
+          .intervals.Insert(spec.id, slot, spec.lo, spec.hi);
       break;
     }
     case SubscriptionKind::kAggregate: {
@@ -132,7 +164,7 @@ Status SubscriptionEngine::Attach(const SubscriptionState& state,
       }
       InsertSorted(&per_aggregate.subs, spec.id);
       for (int member : aggregate_members) {
-        std::vector<int>& watching = sources_[member].aggregates;
+        std::vector<int>& watching = WatchSource(member).aggregates;
         auto it = std::lower_bound(watching.begin(), watching.end(),
                                    spec.aggregate_id);
         if (it == watching.end() || *it != spec.aggregate_id) {
@@ -148,7 +180,13 @@ Status SubscriptionEngine::Attach(const SubscriptionState& state,
     case SubscriptionKind::kCount:
       return Status::InvalidArgument("unknown subscription kind");
   }
-  subs_[spec.id] = state;
+  if (slot == slots_.size()) {
+    slots_.push_back(state);
+  } else {
+    free_slots_.pop_back();
+    slots_[slot] = state;
+  }
+  slot_of_.emplace(spec.id, slot);
   return Status::OK();
 }
 
@@ -157,7 +195,7 @@ Status SubscriptionEngine::Subscribe(const Subscription& subscription,
                                      const ServeAnswerSource& answers,
                                      const std::vector<int>& aggregate_members) {
   DKF_RETURN_IF_ERROR(ValidateSubscription(subscription, aggregate_members));
-  if (subs_.contains(subscription.id)) {
+  if (slot_of_.contains(subscription.id)) {
     return Status::AlreadyExists(
         StrFormat("subscription %lld already registered",
                   static_cast<long long>(subscription.id)));
@@ -166,7 +204,12 @@ Status SubscriptionEngine::Subscribe(const Subscription& subscription,
   // between-ticks state — the same single engine state a checkpoint at
   // this boundary would capture, which is the snapshot-consistency
   // contract for mid-run attaches.
-  auto value_or = CurrentValue(subscription, answers);
+  const bool ceiling = subscription.kind == SubscriptionKind::kBandAlert &&
+                       subscription.uncertainty_ceiling > 0.0;
+  double uncertainty = 0.0;
+  auto value_or =
+      ceiling ? answers.SourceValue(subscription.source_id, &uncertainty)
+              : CurrentValue(subscription, answers);
   if (!value_or.ok()) return value_or.status();
   const double value = value_or.value();
 
@@ -175,12 +218,7 @@ Status SubscriptionEngine::Subscribe(const Subscription& subscription,
   const bool interval = subscription.kind == SubscriptionKind::kBandAlert ||
                         subscription.kind == SubscriptionKind::kRangePredicate;
   if (interval) state.inside = Contains(subscription, value);
-  if (subscription.kind == SubscriptionKind::kBandAlert &&
-      subscription.uncertainty_ceiling > 0.0) {
-    auto uncertainty_or = answers.SourceUncertainty(subscription.source_id);
-    if (!uncertainty_or.ok()) return uncertainty_or.status();
-    state.fired = uncertainty_or.value() > subscription.uncertainty_ceiling;
-  }
+  if (ceiling) state.fired = uncertainty > subscription.uncertainty_ceiling;
   DKF_RETURN_IF_ERROR(Attach(state, aggregate_members));
 
   // Prime the value caches for newly watched streams, so the next
@@ -192,9 +230,9 @@ Status SubscriptionEngine::Subscribe(const Subscription& subscription,
       per_aggregate.has_value = true;
     }
     for (int member : aggregate_members) {
-      PerSource& per_source = sources_.at(member);
+      PerSource& per_source = *FindSource(member);
       if (per_source.has_value) continue;
-      auto member_or = answers.SourceValue(member);
+      auto member_or = answers.SourceValue(member, nullptr);
       if (!member_or.ok()) return member_or.status();
       per_source.last_value = member_or.value();
       per_source.has_value = true;
@@ -206,7 +244,7 @@ Status SubscriptionEngine::Subscribe(const Subscription& subscription,
       per_fused.has_value = true;
     }
   } else {
-    PerSource& per_source = sources_.at(subscription.source_id);
+    PerSource& per_source = *FindSource(subscription.source_id);
     if (!per_source.has_value) {
       per_source.last_value = value;
       per_source.has_value = true;
@@ -238,27 +276,28 @@ Status SubscriptionEngine::ImportSubscription(
 }
 
 Status SubscriptionEngine::Unsubscribe(int64_t subscription_id) {
-  auto it = subs_.find(subscription_id);
-  if (it == subs_.end()) {
+  auto it = slot_of_.find(subscription_id);
+  if (it == slot_of_.end()) {
     return Status::NotFound(
         StrFormat("subscription %lld not registered",
                   static_cast<long long>(subscription_id)));
   }
-  const Subscription spec = it->second.spec;
+  const uint32_t slot = it->second;
+  const Subscription& spec = slots_[slot].spec;
   if (spec.kind == SubscriptionKind::kAggregate) {
     PerAggregate& per_aggregate = aggregates_.at(spec.aggregate_id);
     EraseSorted(&per_aggregate.subs, subscription_id);
     if (per_aggregate.subs.empty()) {
       for (int member : per_aggregate.members) {
-        auto source_it = sources_.find(member);
-        if (source_it == sources_.end()) continue;
-        std::vector<int>& watching = source_it->second.aggregates;
+        PerSource* per_source = FindSource(member);
+        if (per_source == nullptr) continue;
+        std::vector<int>& watching = per_source->aggregates;
         auto watch_it = std::lower_bound(watching.begin(), watching.end(),
                                          spec.aggregate_id);
         if (watch_it != watching.end() && *watch_it == spec.aggregate_id) {
           watching.erase(watch_it);
         }
-        if (source_it->second.Empty()) sources_.erase(source_it);
+        ReleaseIfUnwatched(per_source);
       }
       aggregates_.erase(spec.aggregate_id);
     }
@@ -268,41 +307,43 @@ Status SubscriptionEngine::Unsubscribe(int64_t subscription_id) {
       EraseSorted(&fused_it->second.subs, subscription_id);
       if (fused_it->second.subs.empty()) fused_.erase(fused_it);
     }
-  } else {
-    auto source_it = sources_.find(spec.source_id);
-    if (source_it != sources_.end()) {
-      PerSource& per_source = source_it->second;
-      switch (spec.kind) {
-        case SubscriptionKind::kPoint:
-          EraseSorted(&per_source.point_subs, subscription_id);
-          break;
-        case SubscriptionKind::kBandAlert:
-          per_source.intervals.Erase(subscription_id);
-          if (spec.uncertainty_ceiling > 0.0) {
-            std::erase_if(per_source.ceilings, [&](const auto& entry) {
-              return entry.second == subscription_id;
-            });
-            per_source.ceilings_dirty = true;
-          }
-          break;
-        case SubscriptionKind::kRangePredicate:
-          per_source.intervals.Erase(subscription_id);
-          break;
-        default:
-          break;
-      }
-      if (per_source.Empty()) sources_.erase(source_it);
+  } else if (PerSource* per_source = FindSource(spec.source_id)) {
+    switch (spec.kind) {
+      case SubscriptionKind::kPoint:
+        EraseSorted(&per_source->point_subs, subscription_id);
+        break;
+      case SubscriptionKind::kBandAlert:
+        per_source->intervals.Erase(subscription_id, spec.lo, spec.hi);
+        if (spec.uncertainty_ceiling > 0.0) {
+          std::erase_if(per_source->ceilings, [&](const Ceiling& entry) {
+            return entry.slot == slot;
+          });
+          per_source->ceilings_dirty = true;
+        }
+        break;
+      case SubscriptionKind::kRangePredicate:
+        per_source->intervals.Erase(subscription_id, spec.lo, spec.hi);
+        break;
+      default:
+        break;
     }
+    ReleaseIfUnwatched(per_source);
   }
-  subs_.erase(it);
+  slots_[slot] = SubscriptionState();
+  free_slots_.push_back(slot);
+  slot_of_.erase(it);
   return Status::OK();
 }
 
 void SubscriptionEngine::RebuildCeilings(PerSource& per_source) {
-  std::sort(per_source.ceilings.begin(), per_source.ceilings.end());
+  std::sort(per_source.ceilings.begin(), per_source.ceilings.end(),
+            [&](const Ceiling& a, const Ceiling& b) {
+              if (a.ceiling != b.ceiling) return a.ceiling < b.ceiling;
+              return slots_[a.slot].spec.id < slots_[b.slot].spec.id;
+            });
   per_source.ceilings_fired = 0;
-  for (const auto& [ceiling, id] : per_source.ceilings) {
-    if (subs_.at(id).fired) ++per_source.ceilings_fired;
+  for (const Ceiling& entry : per_source.ceilings) {
+    if (slots_[entry.slot].fired) ++per_source.ceilings_fired;
   }
   per_source.ceilings_dirty = false;
 }
@@ -346,12 +387,16 @@ void SubscriptionEngine::AppendBatch(NotificationBatch batch) {
 
 Status SubscriptionEngine::EndTick(int64_t step,
                                    const ServeAnswerSource& answers) {
-  if (subs_.empty()) return Status::OK();
+  if (slot_of_.empty()) return Status::OK();
   std::vector<Notification> out;
-  std::set<int> dirty_aggregates;
-  std::vector<int64_t> changed;
-  for (auto& [source_id, per_source] : sources_) {
-    auto value_or = answers.SourceValue(source_id);
+  std::vector<int> dirty_aggregates;
+  std::vector<uint32_t> changed;
+  for (PerSource& per_source : sources_) {
+    const int source_id = per_source.source_id;
+    const bool has_ceilings = !per_source.ceilings.empty();
+    double uncertainty = 0.0;
+    auto value_or =
+        answers.SourceValue(source_id, has_ceilings ? &uncertainty : nullptr);
     if (!value_or.ok()) return value_or.status();
     const double value = value_or.value();
     const double previous =
@@ -372,8 +417,8 @@ Status SubscriptionEngine::EndTick(int64_t step,
       changed.clear();
       counters_.touched += static_cast<int64_t>(
           per_source.intervals.Changed(previous, value, &changed));
-      for (int64_t id : changed) {
-        SubscriptionState& state = subs_.at(id);
+      for (uint32_t slot : changed) {
+        SubscriptionState& state = slots_[slot];
         const bool now_inside = Contains(state.spec, value);
         if (now_inside == state.inside) continue;
         state.inside = now_inside;
@@ -381,12 +426,12 @@ Status SubscriptionEngine::EndTick(int64_t step,
         if (state.spec.kind == SubscriptionKind::kBandAlert) {
           const double bound =
               value < state.spec.lo ? state.spec.lo : state.spec.hi;
-          PushNotification(&out, step, source_id, id,
+          PushNotification(&out, step, source_id, state.spec.id,
                            now_inside ? NotificationKind::kBandEnter
                                       : NotificationKind::kBandExit,
                            value, now_inside ? 0.0 : bound);
         } else {
-          PushNotification(&out, step, source_id, id,
+          PushNotification(&out, step, source_id, state.spec.id,
                            now_inside ? NotificationKind::kPredicateTrue
                                       : NotificationKind::kPredicateFalse,
                            value, now_inside ? 1.0 : 0.0);
@@ -397,42 +442,36 @@ Status SubscriptionEngine::EndTick(int64_t step,
     // Uncertainty ceilings: variance grows while a link coasts and
     // collapses on corrections, so the sorted cursor moves a few slots
     // per tick — O(crossings), not O(watchers).
-    if (!per_source.ceilings.empty()) {
-      auto uncertainty_or = answers.SourceUncertainty(source_id);
-      if (!uncertainty_or.ok()) return uncertainty_or.status();
-      const double uncertainty = uncertainty_or.value();
+    if (has_ceilings) {
       if (per_source.ceilings_dirty) RebuildCeilings(per_source);
-      while (per_source.ceilings_fired < per_source.ceilings.size() &&
-             per_source.ceilings[per_source.ceilings_fired].first <
-                 uncertainty) {
-        const int64_t id =
-            per_source.ceilings[per_source.ceilings_fired].second;
-        subs_.at(id).fired = true;
-        ++per_source.ceilings_fired;
+      std::vector<Ceiling>& ceilings = per_source.ceilings;
+      size_t& fired = per_source.ceilings_fired;
+      while (fired < ceilings.size() &&
+             ceilings[fired].ceiling < uncertainty) {
+        SubscriptionState& state = slots_[ceilings[fired].slot];
+        state.fired = true;
+        ++fired;
         ++counters_.touched;
         ++counters_.affected;
-        PushNotification(&out, step, source_id, id,
+        PushNotification(&out, step, source_id, state.spec.id,
                          NotificationKind::kUncertaintyHigh, value,
                          uncertainty);
       }
-      while (per_source.ceilings_fired > 0 &&
-             per_source.ceilings[per_source.ceilings_fired - 1].first >=
-                 uncertainty) {
-        --per_source.ceilings_fired;
-        const int64_t id =
-            per_source.ceilings[per_source.ceilings_fired].second;
-        subs_.at(id).fired = false;
+      while (fired > 0 && ceilings[fired - 1].ceiling >= uncertainty) {
+        --fired;
+        SubscriptionState& state = slots_[ceilings[fired].slot];
+        state.fired = false;
         ++counters_.touched;
         ++counters_.affected;
-        PushNotification(&out, step, source_id, id,
+        PushNotification(&out, step, source_id, state.spec.id,
                          NotificationKind::kUncertaintyOk, value, uncertainty);
       }
     }
 
     if (moved) {
-      for (int aggregate_id : per_source.aggregates) {
-        dirty_aggregates.insert(aggregate_id);
-      }
+      dirty_aggregates.insert(dirty_aggregates.end(),
+                              per_source.aggregates.begin(),
+                              per_source.aggregates.end());
     }
     per_source.last_value = value;
     per_source.has_value = true;
@@ -440,6 +479,10 @@ Status SubscriptionEngine::EndTick(int64_t step,
 
   // Aggregates: recomputed only when a member moved, and fanned out
   // only when the sum itself moved.
+  std::sort(dirty_aggregates.begin(), dirty_aggregates.end());
+  dirty_aggregates.erase(
+      std::unique(dirty_aggregates.begin(), dirty_aggregates.end()),
+      dirty_aggregates.end());
   for (int aggregate_id : dirty_aggregates) {
     PerAggregate& per_aggregate = aggregates_.at(aggregate_id);
     auto value_or = answers.AggregateValue(aggregate_id);
@@ -486,7 +529,9 @@ Status SubscriptionEngine::EndTick(int64_t step,
 }
 
 std::vector<NotificationBatch> SubscriptionEngine::Drain() {
-  std::vector<NotificationBatch> drained(pending_.begin(), pending_.end());
+  std::vector<NotificationBatch> drained(
+      std::make_move_iterator(pending_.begin()),
+      std::make_move_iterator(pending_.end()));
   if (!drained.empty()) drained_through_step_ = drained.back().step;
   pending_.clear();
   pending_notifications_ = 0;
@@ -495,15 +540,18 @@ std::vector<NotificationBatch> SubscriptionEngine::Drain() {
 
 ServeStats SubscriptionEngine::stats() const {
   ServeStats stats = counters_;
-  stats.subscriptions = static_cast<int64_t>(subs_.size());
+  stats.subscriptions = static_cast<int64_t>(slot_of_.size());
   return stats;
 }
 
 std::vector<SubscriptionState> SubscriptionEngine::ExportSubscriptions()
     const {
+  std::vector<std::pair<int64_t, uint32_t>> order(slot_of_.begin(),
+                                                  slot_of_.end());
+  std::sort(order.begin(), order.end());
   std::vector<SubscriptionState> exported;
-  exported.reserve(subs_.size());
-  for (const auto& [id, state] : subs_) exported.push_back(state);
+  exported.reserve(order.size());
+  for (const auto& [id, slot] : order) exported.push_back(slots_[slot]);
   return exported;
 }
 
@@ -524,8 +572,8 @@ void SubscriptionEngine::RestoreStats(const ServeStats& stats) {
 }
 
 Status SubscriptionEngine::RefreshCaches(const ServeAnswerSource& answers) {
-  for (auto& [source_id, per_source] : sources_) {
-    auto value_or = answers.SourceValue(source_id);
+  for (PerSource& per_source : sources_) {
+    auto value_or = answers.SourceValue(per_source.source_id, nullptr);
     if (!value_or.ok()) return value_or.status();
     per_source.last_value = value_or.value();
     per_source.has_value = true;

@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -56,20 +56,18 @@ struct ServeStats {
 class ServeAnswerSource {
  public:
   virtual ~ServeAnswerSource() = default;
-  virtual Result<double> SourceValue(int source_id) const = 0;
-  /// Projected state variance of the answer (0 when the predictor does
-  /// not expose a covariance).
-  virtual Result<double> SourceUncertainty(int source_id) const = 0;
+  /// Component 0 of the source's answer. When `variance` is non-null it
+  /// also receives the projected state variance of that component (0
+  /// when the predictor does not expose a covariance), inflated while
+  /// the answer is served degraded. The engine makes exactly one call
+  /// per watched source per tick and asks for the variance only where a
+  /// ceiling watches it.
+  virtual Result<double> SourceValue(int source_id, double* variance) const = 0;
   virtual Result<double> AggregateValue(int aggregate_id) const = 0;
   /// Current fused posterior answer for a fusion group (component 0).
   /// Hosts without a fusion engine keep the default, which rejects any
   /// kFused subscription at attach time.
   virtual Result<double> FusedValue(int group_id) const {
-    (void)group_id;
-    return Status::InvalidArgument("host does not serve fused groups");
-  }
-  /// Projected variance of the fused answer.
-  virtual Result<double> FusedUncertainty(int group_id) const {
     (void)group_id;
     return Status::InvalidArgument("host does not serve fused groups");
   }
@@ -100,6 +98,11 @@ struct SubscriptionState {
 /// hands the buffered batches to the subscriber side and advances the
 /// delivery cursor.
 ///
+/// Subscriptions live in a dense slot table. The id -> slot map serves
+/// only the between-tick API (Subscribe, Unsubscribe, has_subscription,
+/// ExportSubscriptions); the interval index and the uncertainty cursor
+/// carry slots, so EndTick never looks up an id.
+///
 /// Thread contract: same as its host component. Inside a StreamShard
 /// the engine is driven from the shard's worker during ProcessTick and
 /// from the driver thread between ticks, never concurrently.
@@ -122,7 +125,7 @@ class SubscriptionEngine {
   Status Unsubscribe(int64_t subscription_id);
 
   bool has_subscription(int64_t subscription_id) const {
-    return subs_.contains(subscription_id);
+    return slot_of_.contains(subscription_id);
   }
 
   /// Whether any standing subscription targets this aggregate. Hosts
@@ -131,20 +134,15 @@ class SubscriptionEngine {
   bool has_aggregate_subscriptions(int aggregate_id) const {
     return aggregates_.contains(aggregate_id);
   }
-
-  /// Whether any standing subscription targets this fusion group.
-  bool has_fused_subscriptions(int group_id) const {
-    return fused_.contains(group_id);
-  }
-  size_t num_subscriptions() const { return subs_.size(); }
+  size_t num_subscriptions() const { return slot_of_.size(); }
 
   /// Evaluates every affected subscription against the host's state
   /// after tick `step` and appends the tick's batch (none when nothing
   /// fired). Call exactly once per host tick, after the protocol work.
   Status EndTick(int64_t step, const ServeAnswerSource& answers);
 
-  /// Removes and returns every buffered batch (oldest first) and
-  /// advances the delivery cursor past them.
+  /// Moves out every buffered batch (oldest first) and advances the
+  /// delivery cursor past them.
   std::vector<NotificationBatch> Drain();
 
   /// Buffered batches not yet drained (oldest first).
@@ -189,15 +187,22 @@ class SubscriptionEngine {
   Status RefreshCaches(const ServeAnswerSource& answers);
 
  private:
+  /// One entry of the uncertainty cursor.
+  struct Ceiling {
+    double ceiling = 0.0;
+    uint32_t slot = 0;
+  };
+
   /// Per-source fan-out state: who to touch when this source's answer
   /// moves.
   struct PerSource {
+    int source_id = 0;
     std::vector<int64_t> point_subs;  // ascending id
     IntervalIndex intervals;          // band + range predicates
-    /// (ceiling, id) ascending — the uncertainty cursor. The fired
-    /// prefix (ceilings strictly below the current variance) is exactly
-    /// the set of latched subscriptions.
-    std::vector<std::pair<double, int64_t>> ceilings;
+    /// Ascending by (ceiling, subscription id) — the uncertainty cursor.
+    /// The fired prefix (ceilings strictly below the current variance)
+    /// is exactly the set of latched subscriptions.
+    std::vector<Ceiling> ceilings;
     bool ceilings_dirty = false;
     size_t ceilings_fired = 0;
     /// Aggregates watching this source.
@@ -228,6 +233,14 @@ class SubscriptionEngine {
 
   Status Attach(const SubscriptionState& state,
                 const std::vector<int>& aggregate_members);
+  /// Where `source_id`'s fan-out state is or would go in `sources_`;
+  /// that state (nullptr when unwatched); and the find-or-insert used at
+  /// attach time.
+  std::vector<PerSource>::iterator SourcePosition(int source_id);
+  PerSource* FindSource(int source_id);
+  PerSource& WatchSource(int source_id);
+  /// Drops a source's fan-out state once nothing watches it.
+  void ReleaseIfUnwatched(PerSource* per_source);
   void PushNotification(std::vector<Notification>* out, int64_t step,
                         int32_t source_key, int64_t subscription_id,
                         NotificationKind kind, double value, double aux);
@@ -237,8 +250,11 @@ class SubscriptionEngine {
                               const ServeAnswerSource& answers) const;
 
   ServeOptions options_;
-  std::map<int64_t, SubscriptionState> subs_;
-  std::map<int, PerSource> sources_;
+  /// Dense subscription table; freed slots are reused.
+  std::vector<SubscriptionState> slots_;
+  std::vector<uint32_t> free_slots_;
+  std::unordered_map<int64_t, uint32_t> slot_of_;  // id -> slot
+  std::vector<PerSource> sources_;  // ascending source id
   std::map<int, PerAggregate> aggregates_;
   std::map<int, PerFused> fused_;
   std::deque<NotificationBatch> pending_;

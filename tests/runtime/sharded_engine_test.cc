@@ -3,6 +3,7 @@
 #include <cmath>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -336,6 +337,81 @@ TEST(ShardedStreamEngineTest, MergedStatsCoverAllShards) {
   EXPECT_EQ(stats.uplink.messages, per_source_total);
   EXPECT_GT(stats.uplink.bytes, 0);
 }
+
+
+/// A batch that passes the count check but is not one reading per
+/// source must be refused before any shard ticks: no shard may advance
+/// alone while the engine's tick count stays put.
+struct RejectedTickCase {
+  const char* name;
+  bool batched_fleet;
+  bool map_overload;
+};
+
+class RejectedTickTest : public ::testing::TestWithParam<RejectedTickCase> {};
+
+TEST_P(RejectedTickTest, RejectsBeforeAnyShardTicks) {
+  const RejectedTickCase& param = GetParam();
+  ShardedStreamEngineOptions options;
+  options.num_shards = 2;
+  options.batched_fleet = param.batched_fleet;
+  ShardedStreamEngine engine(options);
+  // Source 0 lands on shard 0 and source 1 on shard 1.
+  ASSERT_TRUE(engine.RegisterSource(0, ScalarModel()).ok());
+  ASSERT_TRUE(engine.RegisterSource(1, ScalarModel()).ok());
+  ASSERT_TRUE(engine.SubmitQuery(MakeQuery(1, 0, 1.0)).ok());
+  ASSERT_TRUE(engine.SubmitQuery(MakeQuery(2, 1, 1.0)).ok());
+  auto good = [](int64_t t) {
+    ReadingBatch batch;
+    batch.ids = {0, 1};
+    batch.values = {Vector{10.0 + 0.01 * static_cast<double>(t)},
+                    Vector{-5.0}};
+    return batch;
+  };
+  for (int64_t t = 0; t < 3; ++t) ASSERT_TRUE(engine.ProcessTick(good(t)).ok());
+
+  const int64_t ticks = engine.ticks();
+  const double answer0 = engine.Answer(0).value()[0];
+  const double answer1 = engine.Answer(1).value()[0];
+  const int64_t sent0 = engine.updates_sent(0).value();
+  const int64_t sent1 = engine.updates_sent(1).value();
+  const ChannelStats uplink = engine.uplink_traffic();
+
+  // A far-off reading for source 0: ticking shard 0 alone would send it.
+  Status status;
+  if (param.map_overload) {
+    // Source 1 swapped for a foreign id.
+    status = engine.ProcessTick({{0, Vector{96.0}}, {99, Vector{-5.0}}});
+  } else {
+    // Source 0 twice, source 1 missing.
+    ReadingBatch bad;
+    bad.ids = {0, 0};
+    bad.values = {Vector{96.0}, Vector{96.0}};
+    status = engine.ProcessTick(bad);
+  }
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_EQ(engine.ticks(), ticks);
+  EXPECT_EQ(engine.Answer(0).value()[0], answer0);
+  EXPECT_EQ(engine.Answer(1).value()[0], answer1);
+  EXPECT_EQ(engine.updates_sent(0).value(), sent0);
+  EXPECT_EQ(engine.updates_sent(1).value(), sent1);
+  EXPECT_EQ(engine.uplink_traffic().messages, uplink.messages);
+  EXPECT_EQ(engine.uplink_traffic().bytes, uplink.bytes);
+
+  ASSERT_TRUE(engine.ProcessTick(good(ticks)).ok());
+  EXPECT_EQ(engine.ticks(), ticks + 1);
+  EXPECT_TRUE(engine.VerifyLinkConsistency().ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ShardedStreamEngineTest, RejectedTickTest,
+    ::testing::Values(RejectedTickCase{"PerSourceBatch", false, false},
+                      RejectedTickCase{"PerSourceMap", false, true},
+                      RejectedTickCase{"FleetBatch", true, false},
+                      RejectedTickCase{"FleetMap", true, true}),
+    [](const ::testing::TestParamInfo<RejectedTickCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace dkf

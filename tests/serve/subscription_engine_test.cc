@@ -5,6 +5,7 @@
 // engine is driven against a fake answer source so every notification
 // is hand-checkable.
 
+#include <algorithm>
 #include <limits>
 #include <map>
 #include <string>
@@ -12,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "common/string_util.h"
 #include "serve/interval_index.h"
 #include "serve/subscription.h"
@@ -22,17 +24,15 @@ namespace {
 
 class FakeAnswers final : public ServeAnswerSource {
  public:
-  Result<double> SourceValue(int source_id) const override {
+  Result<double> SourceValue(int source_id, double* variance) const override {
     auto it = values.find(source_id);
     if (it == values.end()) {
       return Status::NotFound(StrFormat("source %d", source_id));
     }
-    return it->second;
-  }
-
-  Result<double> SourceUncertainty(int source_id) const override {
-    auto it = variances.find(source_id);
-    if (it == variances.end()) return 0.0;
+    if (variance != nullptr) {
+      auto variance_it = variances.find(source_id);
+      *variance = variance_it == variances.end() ? 0.0 : variance_it->second;
+    }
     return it->second;
   }
 
@@ -357,31 +357,36 @@ TEST(SubscriptionEngineTest, CheckpointHooksReproduceDelivery) {
 }
 
 TEST(IntervalIndexTest, ChangedReturnsExactlyTheFlippedIntervals) {
+  // Subscription ids 1, 2, 3 live in slots that differ from the ids (and
+  // from their order), so the test sees that queries return slots.
+  constexpr uint32_t kSlot1 = 7;
+  constexpr uint32_t kSlot2 = 0;
+  constexpr uint32_t kSlot3 = 4;
   IntervalIndex index;
   EXPECT_TRUE(index.empty());
-  index.Insert(1, 0.0, 1.0);
-  index.Insert(2, 2.0, 3.0);
-  index.Insert(3, 0.0, 5.0);
+  index.Insert(1, kSlot1, 0.0, 1.0);
+  index.Insert(2, kSlot2, 2.0, 3.0);
+  index.Insert(3, kSlot3, 0.0, 5.0);
   EXPECT_FALSE(index.empty());
   EXPECT_EQ(index.size(), 3u);
 
-  std::vector<int64_t> changed;
+  std::vector<uint32_t> changed;
   index.Changed(-1.0, 0.5, &changed);  // enters [0,1] and [0,5]
-  EXPECT_EQ(changed, (std::vector<int64_t>{1, 3}));
+  EXPECT_EQ(changed, (std::vector<uint32_t>{kSlot1, kSlot3}));
   changed.clear();
   index.Changed(0.5, 2.5, &changed);  // leaves [0,1], enters [2,3]
-  EXPECT_EQ(changed, (std::vector<int64_t>{1, 2}));
+  EXPECT_EQ(changed, (std::vector<uint32_t>{kSlot1, kSlot2}));
   changed.clear();
   const size_t scanned = index.Changed(2.1, 2.9, &changed);  // inside both
   EXPECT_TRUE(changed.empty());
   EXPECT_EQ(scanned, 0u);
 
-  index.Erase(2);
+  index.Erase(2, 2.0, 3.0);
   changed.clear();
   index.Changed(0.5, 2.5, &changed);
-  EXPECT_EQ(changed, (std::vector<int64_t>{1}));
-  index.Erase(1);
-  index.Erase(3);
+  EXPECT_EQ(changed, (std::vector<uint32_t>{kSlot1}));
+  index.Erase(1, 0.0, 1.0);
+  index.Erase(3, 0.0, 5.0);
   EXPECT_TRUE(index.empty());
 }
 
@@ -440,6 +445,87 @@ TEST(NotificationTest, MergeCoalescesAndOrdersAcrossStreams) {
   EXPECT_EQ(merged[0].notifications[2].source_id, 5);
   EXPECT_EQ(merged[1].step, 2);
   EXPECT_TRUE(MergeNotificationBatches({}).empty());
+}
+
+/// The merge's definition: group every batch by step, concatenate each
+/// step's notifications in caller order, stable-sort by NotificationOrder.
+std::vector<NotificationBatch> ReferenceMerge(
+    const std::vector<std::vector<NotificationBatch>>& streams) {
+  std::map<int64_t, std::vector<Notification>> by_step;
+  for (const auto& stream : streams) {
+    for (const NotificationBatch& batch : stream) {
+      auto& bucket = by_step[batch.step];
+      bucket.insert(bucket.end(), batch.notifications.begin(),
+                    batch.notifications.end());
+    }
+  }
+  std::vector<NotificationBatch> merged;
+  for (auto& [step, notifications] : by_step) {
+    std::stable_sort(notifications.begin(), notifications.end(),
+                     NotificationOrder);
+    merged.push_back(NotificationBatch{step, std::move(notifications)});
+  }
+  return merged;
+}
+
+TEST(NotificationTest, MergeEqualsStableSortOfConcatenation) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    // Each notification gets a distinct value so any reordering of equal
+    // keys is visible.
+    double serial = 0.0;
+    auto make = [&](int64_t step, int32_t source, int64_t sub,
+                    NotificationKind kind) {
+      Notification n;
+      n.step = step;
+      n.source_id = source;
+      n.subscription_id = sub;
+      n.kind = kind;
+      n.value = serial;
+      serial += 1.0;
+      return n;
+    };
+    const int num_streams = static_cast<int>(rng.UniformInt(0, 5));
+    std::vector<std::vector<NotificationBatch>> streams(
+        static_cast<size_t>(num_streams));
+    for (auto& stream : streams) {
+      if (rng.Uniform() < 0.2) continue;  // an empty stream
+      int64_t step = rng.UniformInt(0, 2);
+      const int batches = static_cast<int>(rng.UniformInt(1, 8));
+      for (int b = 0; b < batches; ++b) {
+        if (rng.Uniform() < 0.6) step += rng.UniformInt(1, 2);
+        if (rng.Uniform() < 0.25) {
+          // A setup burst: many one-notification batches of initials at
+          // one step, keys in no particular order.
+          const int burst = static_cast<int>(rng.UniformInt(1, 40));
+          for (int k = 0; k < burst; ++k) {
+            stream.push_back(NotificationBatch{
+                step,
+                {make(step, static_cast<int32_t>(rng.UniformInt(-3, 6)),
+                      rng.UniformInt(0, 30), NotificationKind::kInitial)}});
+          }
+          continue;
+        }
+        // One tick's batch, in canonical order; some subscriptions fire
+        // several kinds (equal keys, emission order kept).
+        std::vector<Notification> tick;
+        const int count = static_cast<int>(rng.UniformInt(1, 25));
+        for (int k = 0; k < count; ++k) {
+          const int32_t source = static_cast<int32_t>(rng.UniformInt(-3, 6));
+          const int64_t sub = rng.UniformInt(0, 30);
+          tick.push_back(make(step, source, sub, NotificationKind::kBandExit));
+          if (rng.Uniform() < 0.3) {
+            tick.push_back(
+                make(step, source, sub, NotificationKind::kUncertaintyHigh));
+          }
+        }
+        std::stable_sort(tick.begin(), tick.end(), NotificationOrder);
+        stream.push_back(NotificationBatch{step, std::move(tick)});
+      }
+    }
+    const std::vector<NotificationBatch> expected = ReferenceMerge(streams);
+    EXPECT_EQ(MergeNotificationBatches(streams), expected) << "seed " << seed;
+  }
 }
 
 }  // namespace
