@@ -1,18 +1,20 @@
 #!/usr/bin/env bash
-# One-command verify: docs link/coverage check, tier-1 build + full
-# test suite, then the sharded
-# runtime's test binaries under ThreadSanitizer (race detection for the
-# worker pool / shard tick path / per-shard trace sinks), then the
-# protocol + observability + serving + batched-fleet + adaptive-servo
-# + fusion + checkpoint (snapshot codec, restore chaos, decoder fuzz)
-# tests under ASan+UBSan, then a gcov coverage build gating line
-# coverage of src/obs/, src/dsms/, src/serve/, src/fleet/,
-# src/governor/, src/filter/, src/fusion/, and src/checkpoint/, then
-# Release-mode builds of the filter hot-loop and adaptive-servo
-# benchmarks, refreshing BENCH_filter_hotpath.json and
-# BENCH_adaptive.json at the repo root. See docs/runtime.md,
-# docs/perf.md, docs/observability.md, docs/adaptive.md,
-# docs/fusion.md, and docs/checkpoint.md.
+# One-command verify, in five stages:
+#   1. docs: intra-repo links, architecture coverage and bench names
+#      (scripts/check_docs.py);
+#   2. tier-1: build + the full ctest suite;
+#   3. ThreadSanitizer: the tests labelled `tsan` (worker pool, shard
+#      tick path, per-shard trace sinks and everything else that runs
+#      shard workers concurrently);
+#   4. ASan+UBSan: the tests labelled `asan` (fault injection, protocol
+#      parsing, snapshot decoding, fleet/governor/servo/fusion churn);
+#   5. coverage: a gcov build of the tests labelled `coverage`, gating
+#      line coverage of src/obs/, src/dsms/, src/serve/, src/fleet/,
+#      src/governor/, src/filter/, src/fusion/ and src/checkpoint/.
+# The labels are set at the end of tests/CMakeLists.txt. Each stage
+# builds into its own tree (build/, build-<sanitizer>/, build-coverage/),
+# so the script writes to no tracked file. Performance is measured by
+# perfbench (perfbench/README.md), not here.
 #
 # Env knobs:
 #   JOBS            parallel build jobs (default: nproc)
@@ -20,12 +22,16 @@
 #   DKF_SANITIZE    sanitizer list for the TSan stage (default: thread)
 #   DKF_ASAN=0      skip the address+UB sanitizer stage
 #   DKF_COVERAGE=0  skip the coverage-gate stage
-#   DKF_BENCH=0     skip the Release benchmark stage
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="${JOBS:-$(nproc)}"
 SANITIZE="${DKF_SANITIZE:-thread}"
+
+# Every stage must leave the working tree as it found it: build trees are
+# ignored, and nothing here may rewrite a tracked file.
+tree_state() { git status --porcelain 2>/dev/null || true; }
+TREE_BEFORE="$(tree_state)"
 
 echo "== docs: intra-repo links + architecture coverage =="
 python3 scripts/check_docs.py
@@ -81,20 +87,10 @@ else
     --gate=src/fusion=0.85 --gate=src/checkpoint=0.95
 fi
 
-if [[ "${DKF_BENCH:-1}" == "0" ]]; then
-  echo "== benchmark stage skipped (DKF_BENCH=0) =="
-else
-  echo "== release bench: filter hot path + adaptive servo =="
-  cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build build-release -j "$JOBS" \
-    --target bench_filter_hotpath bench_adaptive
-  ./build-release/bench/bench_filter_hotpath > BENCH_filter_hotpath.json
-  ./build-release/bench/bench_adaptive > BENCH_adaptive.json
-  # Surface the numbers; compare against the committed snapshot with
-  #   git stash -- BENCH_filter_hotpath.json  (or git show HEAD:...)
-  #   scripts/bench_compare.py <old> BENCH_filter_hotpath.json
-  cat BENCH_filter_hotpath.json
-  cat BENCH_adaptive.json
+if [[ "$(tree_state)" != "$TREE_BEFORE" ]]; then
+  echo "check.sh changed the working tree:" >&2
+  diff <(echo "$TREE_BEFORE") <(tree_state) >&2 || true
+  exit 1
 fi
 
 echo "== all checks passed =="

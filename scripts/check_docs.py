@@ -10,6 +10,14 @@
 3. docs/architecture.md must link every other file in docs/ — the
    "Which doc do I read?" index is only useful if it is complete, and
    a doc nothing links to is a doc nobody finds.
+4. A `bench_<name>` inside a code span must name a target (or source
+   file) in bench/, and a `BENCH_<name>.json` must name a file at the
+   repo root — a doc quoting a retired benchmark is drift. A trailing
+   `*` is a prefix glob (`bench_fig*`). At the repo root only the pages
+   that describe the current tree (README.md, DESIGN.md, EXPERIMENTS.md)
+   are checked — the change logs record history and the paper notes
+   quote other code. perfbench/, which keeps its own docs, is not
+   checked.
 
 Run from anywhere: paths are resolved relative to the repo root
 (the parent of this script's directory). Exits nonzero with a report
@@ -21,6 +29,16 @@ Wired into ctest (check_docs_test) and scripts/check.sh.
 import os
 import re
 import sys
+
+# An inline code span, and the bench names that may appear inside one.
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+# Not after a dot: `.bench_build/` is perfbench's build tree, not a bench.
+BENCH_NAME_RE = re.compile(r"(?<![\w.])bench_[A-Za-z0-9_]*\*?")
+BENCH_JSON_RE = re.compile(r"\bBENCH_[A-Za-z0-9_]+\.json")
+BENCH_TARGET_RE = re.compile(
+    r"(?:dkf_add_bench|add_executable|add_library)\(\s*([A-Za-z0-9_]+)")
+BENCH_NAME_ROOT_FILES = {"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+BENCH_NAME_SKIP_DIRS = ("perfbench",)
 
 # [text](target) — target up to the first closing paren or whitespace.
 # Good enough for this repo's docs; fenced code blocks are excluded
@@ -113,10 +131,44 @@ def check_doc_index_complete(root):
     return errors
 
 
+def bench_names(root):
+    """Targets declared in bench/CMakeLists.txt plus the file stems in
+    bench/ (the shared bench_util sources are not a target of their own)."""
+    bench = os.path.join(root, "bench")
+    cmake = open(os.path.join(bench, "CMakeLists.txt"), encoding="utf-8").read()
+    names = set(BENCH_TARGET_RE.findall(cmake))
+    names.update(os.path.splitext(name)[0] for name in os.listdir(bench))
+    return names
+
+
+def check_bench_names(root):
+    names = bench_names(root)
+    errors = []
+    for md in markdown_files(root):
+        rel = os.path.relpath(md, root)
+        at_root = os.sep not in rel
+        if ((at_root and rel not in BENCH_NAME_ROOT_FILES)
+                or rel.split(os.sep, 1)[0] in BENCH_NAME_SKIP_DIRS):
+            continue
+        text = strip_fenced_code(open(md, encoding="utf-8").read())
+        for span in CODE_SPAN_RE.findall(text):
+            for name in BENCH_NAME_RE.findall(span):
+                if name.endswith("*"):
+                    known = any(n.startswith(name[:-1]) for n in names)
+                else:
+                    known = name in names
+                if not known:
+                    errors.append(f"{rel}: `{name}` is not a bench target")
+            for name in BENCH_JSON_RE.findall(span):
+                if not os.path.isfile(os.path.join(root, name)):
+                    errors.append(f"{rel}: `{name}` does not exist")
+    return errors
+
+
 def main():
     root = repo_root()
     errors = (check_links(root) + check_architecture_mentions(root)
-              + check_doc_index_complete(root))
+              + check_doc_index_complete(root) + check_bench_names(root))
     if errors:
         for error in errors:
             print(error, file=sys.stderr)
@@ -124,7 +176,8 @@ def main():
         return 1
     count = sum(1 for _ in markdown_files(root))
     print(f"check_docs: OK ({count} markdown files, all links resolve, "
-          "architecture.md covers all src/ subsystems and links every doc)")
+          "architecture.md covers all src/ subsystems and links every doc, "
+          "every quoted bench exists)")
     return 0
 
 

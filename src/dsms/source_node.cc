@@ -16,11 +16,11 @@ Result<SourceNode> SourceNode::Create(const SourceNodeOptions& options) {
                     options.model.measurement_dim));
     }
     for (double delta : options.component_deltas) {
-      if (delta <= 0.0) {
+      if (!(delta > 0.0)) {
         return Status::InvalidArgument("component deltas must be positive");
       }
     }
-  } else if (options.delta <= 0.0) {
+  } else if (!(options.delta > 0.0)) {
     return Status::InvalidArgument("delta must be positive");
   }
   if (options.protocol.resync_burst_retries < 1) {
@@ -85,7 +85,7 @@ std::unique_ptr<SourceNode> SourceNode::CloneAs(int source_id) const {
 }
 
 Status SourceNode::set_delta(double delta) {
-  if (delta <= 0.0) {
+  if (!(delta > 0.0)) {
     return Status::InvalidArgument("delta must be positive");
   }
   options_.delta = delta;

@@ -81,7 +81,7 @@ struct KalmanFilterOptions {
 /// The per-tick arithmetic runs against a preallocated per-filter scratch
 /// workspace via the in-place kernels in linalg/kernels.h, so for state
 /// dimensions <= 6 a Predict+Correct cycle performs zero heap allocations
-/// (see docs/perf.md and bench/bench_filter_hotpath.cc).
+/// (pinned by tests/filter/fast_path_test.cc; see docs/perf.md).
 class KalmanFilter {
  public:
   /// Validates dimensions and builds the filter. Errors with

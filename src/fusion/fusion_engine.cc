@@ -34,7 +34,7 @@ Status FusionEngine::RegisterGroup(const FusionGroupConfig& config) {
   if (config.member_ids.empty()) {
     return Status::InvalidArgument("a fusion group needs >= 1 members");
   }
-  if (config.delta <= 0.0) {
+  if (!(config.delta > 0.0)) {
     return Status::InvalidArgument("delta must be positive");
   }
   if (protocol_.resync_burst_retries < 1) {
@@ -614,7 +614,7 @@ Result<bool> FusionEngine::set_group_delta(int group_id, double delta) {
     return Status::NotFound(
         StrFormat("fusion group %d not registered", group_id));
   }
-  if (delta <= 0.0) {
+  if (!(delta > 0.0)) {
     return Status::InvalidArgument("delta must be positive");
   }
   const bool changed = it->second.config.delta != delta;

@@ -7,10 +7,11 @@
 namespace dkf {
 
 Status QueryRegistry::AddQuery(const ContinuousQuery& query) {
-  if (query.precision <= 0.0) {
+  if (!(query.precision > 0.0)) {
     return Status::InvalidArgument("query precision must be positive");
   }
-  if (query.smoothing_factor.has_value() && *query.smoothing_factor <= 0.0) {
+  if (query.smoothing_factor.has_value() &&
+      !(*query.smoothing_factor > 0.0)) {
     return Status::InvalidArgument("smoothing factor must be positive");
   }
   if (queries_.contains(query.id) || fused_queries_.contains(query.id)) {
@@ -85,7 +86,7 @@ std::vector<int> QueryRegistry::ActiveSources() const {
 }
 
 Status QueryRegistry::AddFusedQuery(const FusedQuery& query) {
-  if (query.precision <= 0.0) {
+  if (!(query.precision > 0.0)) {
     return Status::InvalidArgument("query precision must be positive");
   }
   if (queries_.contains(query.id) || fused_queries_.contains(query.id)) {

@@ -1,6 +1,8 @@
 #include "runtime/sharded_engine.h"
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
 
 #include "common/string_util.h"
 
@@ -9,6 +11,30 @@ namespace dkf {
 namespace {
 
 int ClampShards(int num_shards) { return std::max(1, num_shards); }
+
+/// Whether every reading in values[begin, end) is finite. x * 0 is 0
+/// for every finite x and NaN for a NaN or an infinity, so one sum
+/// screens the range without a branch per reading.
+bool AllFinite(const std::vector<Vector>& values, size_t begin, size_t end) {
+  double poison = 0.0;
+  for (size_t i = begin; i < end; ++i) {
+    const double* x = values[i].data();
+    for (size_t k = 0; k < values[i].size(); ++k) poison += x[k] * 0.0;
+  }
+  return poison == 0.0;
+}
+
+/// InvalidArgument naming the first source in `batch` whose reading
+/// holds a NaN or an infinity.
+Status FirstNonFinite(const ReadingBatch& batch) {
+  for (size_t i = 0; i < batch.values.size(); ++i) {
+    if (!AllFinite(batch.values, i, i + 1)) {
+      return Status::InvalidArgument(
+          StrFormat("reading for source %d is not finite", batch.ids[i]));
+    }
+  }
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -461,17 +487,43 @@ Status ShardedStreamEngine::ProcessTick(const ReadingBatch& batch) {
   // Validated before any shard is dispatched: a rejected batch leaves
   // every shard untouched.
   DKF_RETURN_IF_ERROR(PartitionReadings(batch.ids));
+  // A NaN would be silently suppressed (every comparison against it is
+  // false) and an infinity diverges the filter it corrects, so the batch
+  // is screened before any shard ticks. The screen is one task per
+  // shard over equal ranges of the batch, queued ahead of the tick
+  // tasks: the pool claims tasks in order, so it runs in parallel while
+  // the workers wake, and a tick task only ever waits for screens that
+  // are already running.
+  const size_t n = shards_.size();
+  std::atomic<size_t> screened{0};
+  std::atomic<bool> finite{true};
   tick_tasks_.clear();
-  tick_tasks_.reserve(shards_.size());
+  tick_tasks_.reserve(2 * n);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t begin = batch.values.size() * i / n;
+    const size_t end = batch.values.size() * (i + 1) / n;
+    tick_tasks_.push_back([&batch, &screened, &finite, begin, end] {
+      if (!AllFinite(batch.values, begin, end)) {
+        finite.store(false, std::memory_order_relaxed);
+      }
+      screened.fetch_add(1, std::memory_order_release);
+      return Status::OK();
+    });
+  }
   const int64_t tick = ticks_;
-  for (size_t i = 0; i < shards_.size(); ++i) {
+  for (size_t i = 0; i < n; ++i) {
     StreamShard* shard = shards_[i].get();
     const ShardReadingSlice* slice = &slices_[i];
-    tick_tasks_.push_back([shard, slice, tick, &batch] {
+    tick_tasks_.push_back([shard, slice, tick, n, &batch, &screened, &finite] {
+      while (screened.load(std::memory_order_acquire) < n) {
+        std::this_thread::yield();
+      }
+      if (!finite.load(std::memory_order_relaxed)) return Status::OK();
       return shard->ProcessTick(tick, batch, *slice);
     });
   }
   DKF_RETURN_IF_ERROR(pool_.RunAll(tick_tasks_));
+  if (!finite.load(std::memory_order_relaxed)) return FirstNonFinite(batch);
   // Aggregate subscriptions need every shard's partial sums, so their
   // serve pass runs on the driver after the tick joins.
   DKF_RETURN_IF_ERROR(aggregate_serve_.EndTick(tick, ServeAnswers(*this)));

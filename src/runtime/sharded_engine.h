@@ -201,7 +201,9 @@ class ShardedStreamEngine {
 
   /// The tick input every path ends in: readings as parallel id/value
   /// arrays (any order, one entry per registered source and fusion
-  /// member). A malformed batch is rejected before any shard ticks. The
+  /// member). A malformed batch — a missing, duplicate or foreign id, or
+  /// a NaN or infinite value — is rejected with InvalidArgument before
+  /// any shard ticks, and ticks() does not advance. The
   /// id layout is partitioned by shard once and reused while it repeats,
   /// so a stable order is fastest.
   Status ProcessTick(const ReadingBatch& batch);
@@ -422,7 +424,8 @@ class ShardedStreamEngine {
   /// live on the owning shard's own engine.
   SubscriptionEngine aggregate_serve_;
   WorkerPool pool_;
-  /// Reused every tick (one task per shard) to avoid reallocation.
+  /// Reused every tick (a finiteness screen, then a tick, per shard) to
+  /// avoid reallocation.
   std::vector<WorkerPool::Task> tick_tasks_;
   /// The last accepted batch layout and each shard's slice of it.
   std::vector<int> layout_ids_;

@@ -22,8 +22,10 @@ namespace dkf {
 /// task inline, and a ShardedStreamEngine with N shards only needs
 /// N - 1 background threads.
 ///
-/// Tasks within one batch must be independent (they are claimed from a
-/// shared index, any thread may run any task). RunAll returns after
+/// Tasks are claimed in index order from a shared counter, and any
+/// thread may run any task. A task may therefore wait for an earlier
+/// task of its batch, which some thread is already running, but never
+/// for a later one. RunAll returns after
 /// every task has finished; the join gives the caller a happens-before
 /// edge on all task side effects, which is what lets the engine read
 /// per-shard state without further locking.

@@ -29,8 +29,16 @@ TEST(SourceNodeTest, CreateValidates) {
   SourceNodeOptions options = DefaultSourceOptions();
   options.delta = 0.0;
   EXPECT_FALSE(SourceNode::Create(options).ok());
+  options.delta = std::nan("");
+  EXPECT_FALSE(SourceNode::Create(options).ok());
 
   options = DefaultSourceOptions();
+  auto node_or = SourceNode::Create(options);
+  ASSERT_TRUE(node_or.ok());
+  EXPECT_FALSE(node_or.value().set_delta(std::nan("")).ok());
+  EXPECT_FALSE(node_or.value().set_delta(-1.0).ok());
+  EXPECT_EQ(node_or.value().delta(), 2.0);
+
   options.smoothing_factor = 1e-7;
   // Linear 1-axis model has measurement width 1 -> smoothing allowed.
   EXPECT_TRUE(SourceNode::Create(options).ok());
@@ -248,6 +256,8 @@ TEST(SourceServerTest, ComponentDeltasValidatedAndApplied) {
   options.component_deltas = {1.0};  // wrong arity
   EXPECT_FALSE(SourceNode::Create(options).ok());
   options.component_deltas = {1.0, -2.0};
+  EXPECT_FALSE(SourceNode::Create(options).ok());
+  options.component_deltas = {std::nan(""), 1.0};
   EXPECT_FALSE(SourceNode::Create(options).ok());
 
   options.component_deltas = {1.0, 1000.0};

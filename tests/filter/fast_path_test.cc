@@ -1,11 +1,47 @@
+#include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "filter/adaptive_noise.h"
 #include "filter/kalman_filter.h"
 #include "linalg/matrix.h"
 #include "models/model_factory.h"
+#include "obs/trace_sink.h"
+
+// Every heap allocation in this binary passes through these counting
+// hooks, so a zero delta across a window of ticks proves the window never
+// touched the allocator. They forward to malloc/free, which keeps
+// sanitizer builds checking every block. Not inlined: once a delete
+// inlines into a delete-expression, GCC's -Wmismatched-new-delete sees
+// free() applied to the result of operator new.
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return operator new(size);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace dkf {
 namespace {
@@ -181,6 +217,78 @@ TEST(FastPathTest, DualLinkLockStepAcrossReconfiguration) {
   }
   EXPECT_TRUE(armed_before_reconfig);
   EXPECT_TRUE(armed_after_reconfig);
+}
+
+/// Heap allocations made by `ticks` calls of `tick()`.
+template <typename Tick>
+std::uint64_t AllocationsOver(int ticks, const Tick& tick) {
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int t = 0; t < ticks; ++t) tick();
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+TEST(FastPathTest, SteadyTicksAreAllocationFreeAtInlineDims) {
+  // Every inline state dimension 1-6: constant models (n = m) and
+  // constant-velocity linear models (n = 2m). Once the fast path has
+  // armed, a Predict+Correct cycle allocates nothing — bare, with a
+  // trace sink wired, and with the adaptive noise servo in the loop.
+  constexpr int kWarmup = 2000;
+  constexpr int kWindow = 1000;
+  ModelNoise noise;
+  std::vector<StateModel> models;
+  for (size_t d = 1; d <= 6; ++d) {
+    models.push_back(MakeConstantModel(d, noise).value());
+  }
+  for (size_t axes = 1; axes <= 3; ++axes) {
+    models.push_back(MakeLinearModel(axes, 1.0, noise).value());
+  }
+  for (const StateModel& model : models) {
+    SCOPED_TRACE("state_dim=" +
+                 std::to_string(model.options.initial_state.size()) +
+                 " measurement_dim=" + std::to_string(model.measurement_dim));
+    Vector z(model.measurement_dim);
+    int step = 0;
+    // The next measurement, written in place: a fresh Vector per tick
+    // would be the test's allocation, not the filter's.
+    auto next_z = [&z, &step] {
+      for (size_t i = 0; i < z.size(); ++i) {
+        z[i] = 20.0 * std::sin(0.1 * step + static_cast<double>(i));
+      }
+      return step++;
+    };
+    KalmanFilter filter = KalmanFilter::Create(model.options).value();
+    auto tick = [&] {
+      next_z();
+      ASSERT_TRUE(filter.Predict().ok());
+      ASSERT_TRUE(filter.Correct(z).ok());
+    };
+    for (int t = 0; t < kWarmup; ++t) tick();
+    EXPECT_TRUE(filter.steady_state_armed());
+    EXPECT_EQ(AllocationsOver(kWindow, tick), 0u);
+
+    ObsOptions obs;
+    obs.ring_capacity = 1 << 8;
+    TraceSink sink(obs);
+    filter.set_trace(&sink, /*source_id=*/1, TraceActor::kSourceFilter);
+    EXPECT_EQ(AllocationsOver(kWindow, tick), 0u) << "trace sink wired";
+    filter.set_trace(nullptr, 1, TraceActor::kSourceFilter);
+
+    AdaptiveNoiseConfig servo;
+    servo.enabled = true;
+    servo.warmup_corrections = 4;
+    NoiseAdapter adapter = NoiseAdapter::Create(servo, model).value();
+    KalmanFilter adaptive = KalmanFilter::Create(model.options).value();
+    step = 0;
+    auto adaptive_tick = [&] {
+      const int t = next_z();
+      ASSERT_TRUE(adaptive.Predict().ok());
+      ASSERT_TRUE(adapter.OnCorrection(adaptive, z, t).ok());
+      ASSERT_TRUE(adaptive.Correct(z).ok());
+      ASSERT_TRUE(adapter.InstallInto(&adaptive).ok());
+    };
+    for (int t = 0; t < kWarmup; ++t) adaptive_tick();
+    EXPECT_EQ(AllocationsOver(kWindow, adaptive_tick), 0u) << "servo on";
+  }
 }
 
 TEST(FastPathTest, NegativeToleranceDisablesTracking) {

@@ -9,6 +9,7 @@
 // batch-resident) and the chaos cocktail from the fault-tolerance
 // harness (where sources continuously spill and re-enter).
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -412,6 +413,42 @@ TEST(FleetEquivalence, RestoreAcrossEngineKinds) {
     EXPECT_EQ(faults.resyncs_applied, ref.faults.resyncs_applied);
   }
   std::remove(path.c_str());
+}
+
+// On a suppression-heavy dim-1 fleet nearly every source must end the
+// run resident on a lane: a fleet that quietly spills back to the
+// per-source path would keep every equivalence above green while the
+// batched engine did no work.
+TEST(FleetEquivalence, SuppressionHeavyFleetStaysResident) {
+  constexpr int kFleet = 2000;
+  constexpr int kRunTicks = 132;
+  ShardedStreamEngineOptions options;
+  options.batched_fleet = true;
+  ShardedStreamEngine engine(options);
+  ReadingBatch batch;
+  for (int id = 0; id < kFleet; ++id) {
+    ASSERT_TRUE(engine.RegisterSource(id, ScalarModel(0.05)).ok());
+    ContinuousQuery query;
+    query.id = id + 1;
+    query.source_id = id;
+    query.precision = 4.0;
+    ASSERT_TRUE(engine.SubmitQuery(query).ok());
+    batch.ids.push_back(id);
+    batch.values.push_back(Vector{0.0});
+  }
+  for (int t = 0; t < kRunTicks; ++t) {
+    // A slow sinusoid whose 3.0 peak-to-peak swing stays inside delta,
+    // so converged filters suppress indefinitely.
+    for (size_t i = 0; i < batch.ids.size(); ++i) {
+      const int id = batch.ids[i];
+      batch.values[i][0] =
+          1.5 * std::sin((0.02 + 0.00001 * (id % 97)) * t + 0.37 * id) +
+          0.001 * t;
+    }
+    ASSERT_TRUE(engine.ProcessTick(batch).ok()) << "tick " << t;
+  }
+  EXPECT_GE(static_cast<double>(engine.fleet_resident_count()),
+            0.90 * kFleet);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 // storm-hit sources instead of chasing them, and (e) spill batch lanes
 // at most once per source per epoch when riding the fleet engine.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -304,6 +305,93 @@ TEST(GovernorChaosTest, BatchedFleetRunsBitIdenticalUnderGovernor) {
   }
   EXPECT_TRUE(batched.MergedTrace() == plain.MergedTrace())
       << "fleet-engine governor run diverged from the per-source path";
+}
+
+/// First epoch from which the trailing 8-epoch mean wire rate stays
+/// within 10% of `budget` through the end of the run; rates.size() when
+/// it never holds. Raw per-epoch rates are quantized (an update lands
+/// in an epoch or it doesn't) and wobble ~20% around a held budget, so
+/// the windowed mean is the signal that reflects settling.
+int SettleEpoch(const std::vector<double>& rates, double budget) {
+  constexpr int kWindow = 8;
+  const int n = static_cast<int>(rates.size());
+  int settled_from = n;
+  for (int e = n - 1; e >= 0; --e) {
+    const int begin = std::max(0, e - kWindow + 1);
+    double sum = 0.0;
+    for (int i = begin; i <= e; ++i) sum += rates[static_cast<size_t>(i)];
+    if (sum / static_cast<double>(e - begin + 1) > budget * 1.10) break;
+    settled_from = e;
+  }
+  return settled_from;
+}
+
+TEST(GovernorScaleTest, SettledWireRateIsFlatAsTheFleetDoubles) {
+  // The robustness claim on a clean channel: under one fixed budget,
+  // doubling the fleet doubles suppression, not bytes. Each fleet runs
+  // 60 epochs of 16 ticks on 2 shards with a query precision far
+  // tighter than the budget affords. Over epochs 30-59 the wire rate
+  // must sit within +-10% of the budget with at most 5% sustained
+  // overshoot, and the run must settle inside the sweep and no more
+  // than 6 epochs later than recorded (the workload is seeded and
+  // timing-free, so the slack only covers control-law changes).
+  constexpr int kEpochs = 60;
+  constexpr int kSettleFrom = 30;
+  const struct {
+    int sources;
+    int recorded_settle;
+  } kRows[] = {{64, 25}, {128, 29}, {256, 35}};
+  for (const auto& row : kRows) {
+    SCOPED_TRACE("sources=" + std::to_string(row.sources));
+    ShardedStreamEngineOptions options;
+    options.num_shards = 2;
+    options.channel.seed = 9;
+    options.governor = ChaosGovernor();
+    options.governor.delta_ceiling = 256.0;
+    ShardedStreamEngine engine(options);
+    for (int id = 1; id <= row.sources; ++id) {
+      ASSERT_TRUE(engine.RegisterSource(id, ScalarModel(0.05)).ok());
+      ContinuousQuery query;
+      query.id = id;
+      query.source_id = id;
+      query.precision = 0.5;
+      ASSERT_TRUE(engine.SubmitQuery(query).ok());
+    }
+
+    Rng rng(91);
+    std::vector<double> values(static_cast<size_t>(row.sources) + 1, 0.0);
+    std::map<int, Vector> readings;
+    std::vector<double> epoch_rates;
+    int64_t epoch_start_bytes = 0;
+    int64_t settle_start_bytes = 0;
+    for (int64_t t = 0; t < kEpochs * kEpochTicks; ++t) {
+      for (int id = 1; id <= row.sources; ++id) {
+        values[static_cast<size_t>(id)] += rng.Gaussian(0.02 * (id % 5), 0.7);
+        readings[id] = Vector{values[static_cast<size_t>(id)]};
+      }
+      if (t == kSettleFrom * kEpochTicks) {
+        settle_start_bytes = engine.uplink_traffic().bytes;
+      }
+      ASSERT_TRUE(engine.ProcessTick(readings).ok()) << "tick " << t;
+      if ((t + 1) % kEpochTicks == 0) {
+        const int64_t bytes = engine.uplink_traffic().bytes;
+        epoch_rates.push_back(static_cast<double>(bytes - epoch_start_bytes) /
+                              static_cast<double>(kEpochTicks));
+        epoch_start_bytes = bytes;
+      }
+    }
+
+    const double bytes_per_tick =
+        static_cast<double>(engine.uplink_traffic().bytes -
+                            settle_start_bytes) /
+        static_cast<double>((kEpochs - kSettleFrom) * kEpochTicks);
+    EXPECT_LE(std::abs(bytes_per_tick / kBudget - 1.0), 0.10)
+        << bytes_per_tick << " bytes/tick";
+    EXPECT_LE(bytes_per_tick / kBudget - 1.0, 0.05) << "sustained overshoot";
+    const int settle = SettleEpoch(epoch_rates, kBudget);
+    EXPECT_LT(settle, kEpochs) << "budget never settled";
+    EXPECT_LE(settle, row.recorded_settle + 6);
+  }
 }
 
 TEST(GovernorChurnTest, BatchedReconfigureSpillsEachLaneAtMostOnce) {

@@ -1,5 +1,7 @@
 #include "query/registry.h"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 namespace dkf {
@@ -17,9 +19,19 @@ TEST(RegistryTest, AddValidates) {
   QueryRegistry registry;
   EXPECT_FALSE(registry.AddQuery(MakeQuery(1, 1, 0.0)).ok());
   EXPECT_FALSE(registry.AddQuery(MakeQuery(1, 1, -2.0)).ok());
+  EXPECT_FALSE(registry.AddQuery(MakeQuery(1, 1, std::nan(""))).ok());
   ContinuousQuery bad_smoothing = MakeQuery(1, 1, 1.0);
   bad_smoothing.smoothing_factor = 0.0;
   EXPECT_FALSE(registry.AddQuery(bad_smoothing).ok());
+  bad_smoothing.smoothing_factor = std::nan("");
+  EXPECT_FALSE(registry.AddQuery(bad_smoothing).ok());
+  FusedQuery bad_fused;
+  bad_fused.id = 2;
+  bad_fused.group_id = 1;
+  bad_fused.precision = std::nan("");
+  EXPECT_FALSE(registry.AddFusedQuery(bad_fused).ok());
+  bad_fused.precision = 0.0;
+  EXPECT_FALSE(registry.AddFusedQuery(bad_fused).ok());
   EXPECT_TRUE(registry.AddQuery(MakeQuery(1, 1, 1.0)).ok());
   EXPECT_EQ(registry.AddQuery(MakeQuery(1, 2, 1.0)).code(),
             StatusCode::kAlreadyExists);

@@ -1,6 +1,7 @@
 #include "runtime/sharded_engine.h"
 
 #include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -410,6 +411,73 @@ INSTANTIATE_TEST_SUITE_P(
                       RejectedTickCase{"FleetBatch", true, false},
                       RejectedTickCase{"FleetMap", true, true}),
     [](const ::testing::TestParamInfo<RejectedTickCase>& info) {
+      return std::string(info.param.name);
+    });
+
+struct NonFiniteCase {
+  const char* name;
+  int shards;
+  bool batched_fleet;
+};
+
+class NonFiniteReadingTest : public ::testing::TestWithParam<NonFiniteCase> {
+};
+
+TEST_P(NonFiniteReadingTest, RejectedAndEngineKeepsTickingLikeItsTwin) {
+  // A NaN or infinite reading is refused before any shard ticks; the
+  // engine then goes on exactly like a twin that never saw it.
+  const NonFiniteCase& param = GetParam();
+  ShardedStreamEngineOptions options;
+  options.num_shards = param.shards;
+  options.batched_fleet = param.batched_fleet;
+  ShardedStreamEngine engine(options);
+  ShardedStreamEngine twin(options);
+  for (ShardedStreamEngine* e : {&engine, &twin}) {
+    ASSERT_TRUE(e->RegisterSource(1, ScalarModel()).ok());
+    ASSERT_TRUE(e->RegisterSource(2, ScalarModel()).ok());
+    ASSERT_TRUE(e->SubmitQuery(MakeQuery(1, 1, 1.0)).ok());
+    ASSERT_TRUE(e->SubmitQuery(MakeQuery(2, 2, 1.0)).ok());
+  }
+  auto good = [](int64_t t) {
+    ReadingBatch batch;
+    batch.ids = {1, 2};
+    batch.values = {Vector{1900.0 + 0.3 * static_cast<double>(t)},
+                    Vector{std::sin(0.2 * static_cast<double>(t)) * 5.0}};
+    return batch;
+  };
+  const double kBad[] = {std::nan(""), std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()};
+  for (int64_t t = 0; t < 40; ++t) {
+    if (t % 10 == 5) {
+      for (double bad : kBad) {
+        ReadingBatch batch = good(t);
+        batch.values[t % 20 == 5 ? 0 : 1][0] = bad;
+        const Status status = engine.ProcessTick(batch);
+        EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+            << "tick " << t << ": " << status.ToString();
+        EXPECT_EQ(engine.ticks(), t);
+      }
+    }
+    ASSERT_TRUE(engine.ProcessTick(good(t)).ok()) << "tick " << t;
+    ASSERT_TRUE(twin.ProcessTick(good(t)).ok()) << "tick " << t;
+    for (int id : {1, 2}) {
+      ASSERT_EQ(engine.Answer(id).value()[0], twin.Answer(id).value()[0])
+          << "tick " << t << " source " << id;
+      ASSERT_EQ(engine.updates_sent(id).value(), twin.updates_sent(id).value())
+          << "tick " << t << " source " << id;
+    }
+  }
+  EXPECT_EQ(engine.uplink_traffic().bytes, twin.uplink_traffic().bytes);
+  EXPECT_TRUE(engine.VerifyLinkConsistency().ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ShardedStreamEngineTest, NonFiniteReadingTest,
+    ::testing::Values(NonFiniteCase{"OneShard", 1, false},
+                      NonFiniteCase{"TwoShards", 2, false},
+                      NonFiniteCase{"OneShardFleet", 1, true},
+                      NonFiniteCase{"TwoShardsFleet", 2, true}),
+    [](const ::testing::TestParamInfo<NonFiniteCase>& info) {
       return std::string(info.param.name);
     });
 

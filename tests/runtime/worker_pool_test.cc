@@ -1,6 +1,7 @@
 #include "runtime/worker_pool.h"
 
 #include <atomic>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -32,6 +33,28 @@ TEST(WorkerPoolTest, ZeroThreadsRunsInline) {
   });
   ASSERT_TRUE(pool.RunAll(tasks).ok());
   EXPECT_EQ(runs, 5);
+}
+
+TEST(WorkerPoolTest, TaskMayWaitForEarlierTasksOfItsBatch) {
+  // Tasks are claimed in index order, so a task that waits for every
+  // earlier one only ever waits for tasks already running: the batch
+  // completes at any pool size, fewer threads than tasks included.
+  for (size_t threads : {0u, 1u, 3u}) {
+    WorkerPool pool(threads);
+    for (int batch = 0; batch < 50; ++batch) {
+      std::atomic<int> done{0};
+      std::vector<WorkerPool::Task> tasks;
+      for (int i = 0; i < 8; ++i) {
+        tasks.push_back([&done, i] {
+          while (done.load() < i) std::this_thread::yield();
+          done.fetch_add(1);
+          return Status::OK();
+        });
+      }
+      ASSERT_TRUE(pool.RunAll(tasks).ok()) << "threads=" << threads;
+      EXPECT_EQ(done.load(), 8) << "threads=" << threads;
+    }
+  }
 }
 
 TEST(WorkerPoolTest, EmptyBatchIsOk) {

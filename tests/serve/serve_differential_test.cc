@@ -11,7 +11,9 @@
 // scanned-endpoint and notification counts.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <string>
 #include <map>
 #include <memory>
 #include <vector>
@@ -20,6 +22,8 @@
 
 #include "common/rng.h"
 #include "common/string_util.h"
+#include "models/model_factory.h"
+#include "runtime/sharded_engine.h"
 #include "serve/subscription.h"
 #include "serve/subscription_engine.h"
 
@@ -435,6 +439,100 @@ TEST_P(ServeDifferentialTest, EngineMatchesBruteForceEvaluator) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ServeDifferentialTest,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u));
+
+/// A drifting sinusoid per source, spanning roughly [-26, 26].
+double FleetSignal(int source_id, int tick) {
+  const double phase = 0.37 * source_id;
+  const double rate = 0.02 + 0.00001 * (source_id % 97);
+  return 25.0 * std::sin(rate * tick + phase) + 0.01 * tick;
+}
+
+TEST(ServeFanoutTest, TouchedTracksAffectedOnAQuietFleet) {
+  // The query index's claim, end to end through the engine: on a
+  // suppression-heavy fleet (256 sources at delta 4 on 4 shards) with
+  // an alerting subscription mix, per-tick work tracks the affected
+  // subscriptions, not the registered ones — touched <= 4 x affected +
+  // 1000 over 120 drained ticks — and a subscriber that drains every
+  // tick loses nothing to backpressure.
+  constexpr int kFleet = 256;
+  constexpr int kWarmup = 8;
+  constexpr int kTimedTicks = 120;
+  for (int count : {1000, 10000}) {
+    SCOPED_TRACE("subscriptions=" + std::to_string(count));
+    ShardedStreamEngineOptions options;
+    options.num_shards = 4;
+    ShardedStreamEngine engine(options);
+    ModelNoise noise;
+    noise.process_variance = 0.05;
+    noise.measurement_variance = 0.05;
+    const StateModel model = MakeLinearModel(1, 1.0, noise).value();
+    std::map<int, Vector> readings;
+    for (int id = 0; id < kFleet; ++id) {
+      ASSERT_TRUE(engine.RegisterSource(id, model).ok());
+      ContinuousQuery query;
+      query.id = id + 1;
+      query.source_id = id;
+      query.precision = 4.0;
+      ASSERT_TRUE(engine.SubmitQuery(query).ok());
+      readings[id] = Vector{FleetSignal(id, 0)};
+    }
+    AggregateQuery aggregate;
+    aggregate.id = 1;
+    aggregate.source_ids = {0, 1, 2, 3, 4, 5, 6, 7};
+    aggregate.precision = 8.0;
+    ASSERT_TRUE(engine.SubmitAggregateQuery(aggregate).ok());
+
+    // Mostly band alerts (one in 64 with an uncertainty ceiling), some
+    // range predicates, a few point and aggregate watchers.
+    Rng rng(4242);
+    for (int64_t id = 0; id < count; ++id) {
+      Subscription sub;
+      sub.id = id;
+      const int roll = static_cast<int>(id % 256);
+      if (roll == 0) {
+        sub.kind = SubscriptionKind::kPoint;
+        sub.source_id = static_cast<int>(id / 256) % kFleet;
+      } else if (roll == 1) {
+        sub.kind = SubscriptionKind::kAggregate;
+        sub.aggregate_id = 1;
+      } else {
+        sub.kind = roll < 16 ? SubscriptionKind::kRangePredicate
+                             : SubscriptionKind::kBandAlert;
+        sub.source_id = static_cast<int>(rng.Uniform() * kFleet) % kFleet;
+        const double center = -26.0 + 52.0 * rng.Uniform();
+        const double half = 0.1 + 0.9 * rng.Uniform();
+        sub.lo = center - half;
+        sub.hi = center + half;
+        if (roll >= 16 && id % 64 == 0) {
+          sub.uncertainty_ceiling = 0.5 + rng.Uniform();
+        }
+      }
+      ASSERT_TRUE(engine.Subscribe(sub).ok());
+    }
+
+    // Attach-time initial notifications and the warmup are setup
+    // traffic; the counters below cover the drained ticks only.
+    (void)engine.DrainNotifications();
+    for (int t = 0; t < kWarmup; ++t) {
+      for (auto& [id, value] : readings) value[0] = FleetSignal(id, t);
+      ASSERT_TRUE(engine.ProcessTick(readings).ok());
+    }
+    (void)engine.DrainNotifications();
+    const ServeStats before = engine.serve_stats();
+    for (int t = kWarmup; t < kWarmup + kTimedTicks; ++t) {
+      for (auto& [id, value] : readings) value[0] = FleetSignal(id, t);
+      ASSERT_TRUE(engine.ProcessTick(readings).ok());
+      (void)engine.DrainNotifications();
+    }
+    const ServeStats after = engine.serve_stats();
+    const int64_t touched = after.touched - before.touched;
+    const int64_t affected = after.affected - before.affected;
+    EXPECT_GT(affected, 0);
+    EXPECT_LE(touched, 4 * affected + 1000)
+        << "touched " << touched << " for " << affected << " affected";
+    EXPECT_EQ(after.dropped - before.dropped, 0);
+  }
+}
 
 }  // namespace
 }  // namespace dkf
