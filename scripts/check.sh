@@ -10,7 +10,8 @@
 #      parsing, snapshot decoding, fleet/governor/servo/fusion churn);
 #   5. coverage: a gcov build of the tests labelled `coverage`, gating
 #      line coverage of src/obs/, src/dsms/, src/serve/, src/fleet/,
-#      src/governor/, src/filter/, src/fusion/ and src/checkpoint/.
+#      src/governor/, src/filter/, src/fusion/, src/checkpoint/,
+#      src/runtime/ and src/models/.
 # The labels are set at the end of tests/CMakeLists.txt. Each stage
 # builds into its own tree (build/, build-<sanitizer>/, build-coverage/),
 # so the script writes to no tracked file. Performance is measured by
@@ -76,7 +77,7 @@ fi
 if [[ "${DKF_COVERAGE:-1}" == "0" ]]; then
   echo "== coverage stage skipped (DKF_COVERAGE=0) =="
 else
-  echo "== coverage: src/obs + src/dsms + src/serve + src/fleet + src/governor + src/filter + src/fusion + src/checkpoint line-coverage floors =="
+  echo "== coverage: src/obs + src/dsms + src/serve + src/fleet + src/governor + src/filter + src/fusion + src/checkpoint + src/runtime + src/models line-coverage floors =="
   cmake -B build-coverage -S . -DDKF_COVERAGE=ON >/dev/null
   # Fresh counters each run: .gcda files accumulate across executions.
   find build-coverage -name '*.gcda' -delete
@@ -84,7 +85,8 @@ else
   python3 scripts/coverage_gate.py build-coverage --root=. \
     --gate=src/obs=0.90 --gate=src/dsms=0.80 --gate=src/serve=0.98 \
     --gate=src/fleet=0.85 --gate=src/governor=0.85 --gate=src/filter=0.90 \
-    --gate=src/fusion=0.85 --gate=src/checkpoint=0.95
+    --gate=src/fusion=0.85 --gate=src/checkpoint=0.95 \
+    --gate=src/runtime=0.91 --gate=src/models=0.98
 fi
 
 if [[ "$(tree_state)" != "$TREE_BEFORE" ]]; then

@@ -1,9 +1,11 @@
 #ifndef DKF_DSMS_PROTOCOL_H_
 #define DKF_DSMS_PROTOCOL_H_
 
+#include <algorithm>
 #include <cstdint>
 
 #include "filter/adaptive_noise.h"
+#include "linalg/matrix.h"
 
 namespace dkf {
 
@@ -50,6 +52,49 @@ struct ProtocolOptions {
   /// Disabled by default (fixed nominal noise, legacy behavior).
   AdaptiveNoiseConfig adaptive;
 };
+
+/// The `last_resync_tick` of a link no resync ever landed on. Fusion
+/// groups always pass it: their answer after a re-lock broadcast is the
+/// posterior itself, not a coasted import, so only staleness degrades
+/// them.
+inline constexpr int64_t kNoResyncTick = -2;
+
+/// The degraded-service rule (docs/protocol.md §6.3), the one copy every
+/// tick account and answer path uses. `now` is the last completed tick
+/// (negative before the first). A link is degraded on the tick a resync
+/// landed on it (that tick's answer is the coasted snapshot, no delta
+/// test backed it) and once nothing valid arrived for `staleness_budget`
+/// ticks. Returns how many ticks overdue the link is: >= 1 exactly when
+/// it is degraded, 0 otherwise.
+inline int64_t DegradedOverdueTicks(const ProtocolOptions& protocol,
+                                    int64_t now, int64_t last_valid_tick,
+                                    int64_t last_resync_tick) {
+  if (now < 0) return 0;
+  int64_t overdue = 0;
+  if (protocol.staleness_budget > 0) {
+    overdue = now - last_valid_tick - protocol.staleness_budget + 1;
+  }
+  if (last_resync_tick == now) overdue = std::max<int64_t>(overdue, 1);
+  return std::max<int64_t>(overdue, 0);
+}
+
+/// The factor a degraded answer's variance is scaled by:
+/// 1 + degraded_inflation * overdue.
+inline double DegradedScale(const ProtocolOptions& protocol,
+                            int64_t overdue) {
+  return 1.0 + protocol.degraded_inflation * static_cast<double>(overdue);
+}
+
+/// Scales every entry of a degraded answer's covariance by DegradedScale.
+inline void InflateDegraded(const ProtocolOptions& protocol, int64_t overdue,
+                            Matrix* covariance) {
+  const double scale = DegradedScale(protocol, overdue);
+  for (size_t r = 0; r < covariance->rows(); ++r) {
+    for (size_t c = 0; c < covariance->cols(); ++c) {
+      (*covariance)(r, c) *= scale;
+    }
+  }
+}
 
 }  // namespace dkf
 

@@ -63,11 +63,12 @@ Status ServerNode::TickAll() {
   if (ticks_done_ > 0 &&
       (protocol_.staleness_budget > 0 || faults_.resyncs_applied > 0)) {
     for (const auto& [id, link] : links_) {
-      if (IsDegraded(link)) {
+      const int64_t overdue = OverdueTicks(link);
+      if (overdue > 0) {
         ++faults_.degraded_ticks;
         DKF_TRACE(obs_sink_, ticks_done_ - 1, id,
                   TraceEventKind::kDegradedTick, TraceActor::kServer,
-                  static_cast<double>(OverdueTicks(link)));
+                  static_cast<double>(overdue));
       }
     }
   }
@@ -270,28 +271,9 @@ Status ServerNode::RestoreLink(int source_id, const LinkSnapshot& snapshot) {
   return Status::OK();
 }
 
-bool ServerNode::IsDegraded(const LinkState& link) const {
-  if (ticks_done_ <= 0) return false;
-  const int64_t now = ticks_done_ - 1;
-  // The resync landed this tick: the pair is re-locked, but this tick's
-  // answer is the coasted snapshot — no delta test backed it.
-  if (link.last_resync_tick == now) return true;
-  if (protocol_.staleness_budget > 0 &&
-      now - link.last_valid_tick >= protocol_.staleness_budget) {
-    return true;
-  }
-  return false;
-}
-
 int64_t ServerNode::OverdueTicks(const LinkState& link) const {
-  if (ticks_done_ <= 0) return 0;
-  const int64_t now = ticks_done_ - 1;
-  int64_t overdue = 0;
-  if (protocol_.staleness_budget > 0) {
-    overdue = now - link.last_valid_tick - protocol_.staleness_budget + 1;
-  }
-  if (link.last_resync_tick == now) overdue = std::max<int64_t>(overdue, 1);
-  return std::max<int64_t>(overdue, 0);
+  return DegradedOverdueTicks(protocol_, ticks_done_ - 1,
+                              link.last_valid_tick, link.last_resync_tick);
 }
 
 Result<Vector> ServerNode::Answer(int source_id) const {
@@ -312,18 +294,12 @@ Result<ServerNode::ConfidentAnswer> ServerNode::AnswerWithConfidence(
   answer.value = it->second->Predicted();
   answer.covariance = it->second->PredictedCovariance();
   auto link_it = links_.find(source_id);
-  if (link_it != links_.end() && IsDegraded(link_it->second)) {
+  const int64_t overdue =
+      link_it != links_.end() ? OverdueTicks(link_it->second) : 0;
+  if (overdue > 0) {
     answer.degraded = true;
     if (answer.covariance.has_value()) {
-      const double scale =
-          1.0 + protocol_.degraded_inflation *
-                    static_cast<double>(OverdueTicks(link_it->second));
-      Matrix& covariance = *answer.covariance;
-      for (size_t r = 0; r < covariance.rows(); ++r) {
-        for (size_t c = 0; c < covariance.cols(); ++c) {
-          covariance(r, c) *= scale;
-        }
-      }
+      InflateDegraded(protocol_, overdue, &*answer.covariance);
     }
   }
   return answer;
@@ -342,9 +318,9 @@ Result<double> ServerNode::AnswerScalar(int source_id,
   if (covariance.has_value()) {
     *variance = *covariance;
     auto link_it = links_.find(source_id);
-    if (link_it != links_.end() && IsDegraded(link_it->second)) {
-      *variance *= 1.0 + protocol_.degraded_inflation *
-                             static_cast<double>(OverdueTicks(link_it->second));
+    if (link_it != links_.end()) {
+      const int64_t overdue = OverdueTicks(link_it->second);
+      if (overdue > 0) *variance *= DegradedScale(protocol_, overdue);
     }
   }
   return value;
@@ -355,7 +331,7 @@ Result<bool> ServerNode::degraded(int source_id) const {
   if (it == links_.end()) {
     return Status::NotFound(StrFormat("source %d not registered", source_id));
   }
-  return IsDegraded(it->second);
+  return OverdueTicks(it->second) > 0;
 }
 
 Result<int64_t> ServerNode::last_update_tick(int source_id) const {

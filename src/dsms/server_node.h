@@ -126,7 +126,7 @@ class ServerNode {
   struct LinkSnapshot {
     uint32_t last_sequence = 0;
     int64_t last_valid_tick = -1;
-    int64_t last_resync_tick = -2;
+    int64_t last_resync_tick = kNoResyncTick;
     int64_t last_update_tick = -1;
     KalmanFilter::FullState predictor;
     /// NoiseAdapter::ExportState() payload; empty when adaptation is off
@@ -158,8 +158,8 @@ class ServerNode {
     /// Tick of the last validated arrival (measurement, resync, or
     /// heartbeat); -1 before the first.
     int64_t last_valid_tick = -1;
-    /// Tick at which the last resync was applied; -2 = never.
-    int64_t last_resync_tick = -2;
+    /// Tick at which the last resync was applied.
+    int64_t last_resync_tick = kNoResyncTick;
     /// Tick of the last applied correction; -1 = never.
     int64_t last_update_tick = -1;
     /// Server half of the Q/R servo; adapts on exactly the corrections
@@ -167,9 +167,8 @@ class ServerNode {
     NoiseAdapter adapter;
   };
 
-  bool IsDegraded(const LinkState& link) const;
-  /// How many ticks past the staleness budget the link is (>= 1 when
-  /// degraded; drives the covariance inflation).
+  /// DegradedOverdueTicks for the link at the last completed tick:
+  /// >= 1 exactly when the link is degraded.
   int64_t OverdueTicks(const LinkState& link) const;
 
   ProtocolOptions protocol_;

@@ -45,6 +45,15 @@ Status ValidateOptions(const KalmanFilterOptions& options) {
       !options.initial_covariance.IsFinite()) {
     return Status::InvalidArgument("non-finite initial state or covariance");
   }
+  // A non-finite coefficient would diverge the first predict or correct
+  // and wedge every tick after it. A time-varying transition is only
+  // known per step; Predict's own finiteness check covers it.
+  if ((!options.transition_fn && !options.transition.IsFinite()) ||
+      !options.measurement.IsFinite() || !options.process_noise.IsFinite() ||
+      !options.measurement_noise.IsFinite()) {
+    return Status::InvalidArgument(
+        "non-finite transition, measurement or noise matrix");
+  }
   return Status::OK();
 }
 

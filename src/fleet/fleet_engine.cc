@@ -99,6 +99,80 @@ void FlattenMatrix(const Matrix& m, std::vector<double>* out) {
   }
 }
 
+// The lane kernels: flat replicas of KalmanFilter::Predict's in-place
+// linalg kernels over row-major n x n coefficients, so every
+// accumulation happens in the same order on the same values (the
+// build never contracts a multiply-add into an FMA).
+
+/// out = phi x: MultiplyInto(Matrix, Vector), plain ascending sums with
+/// no zero-skip.
+inline void PredictState(const double* phi, const double* x, size_t n,
+                         double* out) {
+  for (size_t r = 0; r < n; ++r) {
+    const double* phi_row = phi + r * n;
+    double sum = 0.0;
+    for (size_t c = 0; c < n; ++c) sum += phi_row[c] * x[c];
+    out[r] = sum;
+  }
+}
+
+/// out = Symmetrize(phi P phi^T + Q), the tracking-mode covariance
+/// predict. `tmp` is n x n scratch.
+inline void PredictCovariance(const double* phi, const double* p,
+                              const double* q, size_t n, double* tmp,
+                              double* out) {
+  // tmp = phi P (MultiplyInto: skip zero phi entries, accumulate rows).
+  std::memset(tmp, 0, n * n * sizeof(double));
+  for (size_t r = 0; r < n; ++r) {
+    const double* phi_row = phi + r * n;
+    double* out_row = tmp + r * n;
+    for (size_t k = 0; k < n; ++k) {
+      const double av = phi_row[k];
+      if (av == 0.0) continue;
+      const double* p_row = p + k * n;
+      for (size_t c = 0; c < n; ++c) out_row[c] += av * p_row[c];
+    }
+  }
+  // out = tmp phi^T (MultiplyTransposedInto: skip zero tmp entries).
+  for (size_t r = 0; r < n; ++r) {
+    const double* a_row = tmp + r * n;
+    double* out_row = out + r * n;
+    for (size_t c = 0; c < n; ++c) {
+      const double* b_row = phi + c * n;
+      double sum = 0.0;
+      for (size_t k = 0; k < n; ++k) {
+        const double av = a_row[k];
+        if (av == 0.0) continue;
+        sum += av * b_row[k];
+      }
+      out_row[c] = sum;
+    }
+  }
+  // out += Q (AddScaledInto with scale 1.0), then SymmetrizeInto.
+  for (size_t i = 0; i < n * n; ++i) out[i] = out[i] + 1.0 * q[i];
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t c = r + 1; c < n; ++c) {
+      const double avg = 0.5 * (out[r * n + c] + out[c * n + r]);
+      out[r * n + c] = avg;
+      out[c * n + r] = avg;
+    }
+  }
+}
+
+/// max_r |(H x)_r - z_r|: Deviation(H x, z, kMaxAbs) on the predicted
+/// measurement.
+inline double MaxAbsDeviation(const double* h, const double* x,
+                              const Vector& z, size_t n, size_t m) {
+  double deviation = 0.0;
+  for (size_t r = 0; r < m; ++r) {
+    const double* h_row = h + r * n;
+    double sum = 0.0;
+    for (size_t c = 0; c < n; ++c) sum += h_row[c] * x[c];
+    deviation = std::max(deviation, std::fabs(sum - z[r]));
+  }
+  return deviation;
+}
+
 }  // namespace
 
 int64_t FleetCounters::spill_total() const {
@@ -213,10 +287,6 @@ Result<int> FleetEngine::GroupFor(const StateModel& model) {
 
 Status FleetEngine::Track(int source_id, const StateModel& model,
                           std::unique_ptr<SourceNode>* slot) {
-  if (tracked_.contains(source_id)) {
-    return Status::AlreadyExists(
-        StrFormat("source %d already tracked", source_id));
-  }
   DKF_ASSIGN_OR_RETURN(int group_index, GroupFor(model));
   if (group_index >= 0 && groups_[group_index]->prototype == nullptr) {
     // Built the way the shard builds the source's own node; delta and
@@ -229,8 +299,11 @@ Status FleetEngine::Track(int source_id, const StateModel& model,
     groups_[group_index]->prototype =
         std::make_unique<SourceNode>(std::move(prototype));
   }
-  tracked_[source_id] = TrackedSource{slot, group_index};
-  order_dirty_ = true;
+  TickEntry entry;
+  entry.slot = slot;
+  entry.id = source_id;
+  entry.nominal_group = group_index;
+  pending_.push_back(entry);
   return Status::OK();
 }
 
@@ -254,8 +327,10 @@ size_t FleetEngine::resident_count() const {
 
 FleetFootprint FleetEngine::footprint() const {
   FleetFootprint footprint;
-  for (const auto& [id, source] : tracked_) {
-    if (*source.slot != nullptr) ++footprint.nodes_live;
+  for (const std::vector<TickEntry>* entries : {&order_, &pending_}) {
+    for (const TickEntry& entry : *entries) {
+      if (*entry.slot != nullptr) ++footprint.nodes_live;
+    }
   }
   for (const auto& group : groups_) {
     if (!group->ids.empty()) ++footprint.lane_groups;
@@ -528,97 +603,53 @@ Status FleetEngine::SpillForReconfigure(int source_id) {
                    FleetSpillReason::kReconfigure);
 }
 
-int64_t FleetEngine::LookupBatchPos(const ReadingBatch& batch, int id,
-                                    bool* rebuilt) {
-  auto it = batch_pos_.find(id);
-  if (it != batch_pos_.end()) {
-    const int64_t pos = it->second;
-    if (pos >= 0 && static_cast<size_t>(pos) < batch.ids.size() &&
-        batch.ids[pos] == id) {
-      return pos;
-    }
-  }
-  if (!*rebuilt) {
-    batch_pos_.clear();
-    batch_pos_.reserve(batch.ids.size());
-    for (size_t i = 0; i < batch.ids.size(); ++i) {
-      batch_pos_[batch.ids[i]] = static_cast<int64_t>(i);
-    }
-    *rebuilt = true;
-    auto again = batch_pos_.find(id);
-    if (again != batch_pos_.end()) return again->second;
-  }
-  return -1;
-}
-
 void FleetEngine::RebuildOrder() {
-  // Both sides ascend by id and `tracked_` only ever grows, so one merge
-  // pass keeps every existing entry (residency and batch rank included)
-  // and slots the newcomers in, spilled.
-  std::vector<TickEntry> merged;
-  merged.reserve(tracked_.size());
-  size_t old = 0;
-  for (const auto& [id, source] : tracked_) {
-    if (old < order_.size() && order_[old].id == id) {
-      merged.push_back(order_[old++]);
-      continue;
-    }
-    TickEntry entry;
-    entry.slot = source.slot;
-    entry.id = id;
-    entry.nominal_group = source.nominal_group;
-    merged.push_back(entry);
-  }
+  // Both sides ascend by id once the newcomers are sorted, so one merge
+  // keeps every existing entry (residency included) and slots the
+  // newcomers in, spilled.
+  auto by_id = [](const TickEntry& a, const TickEntry& b) {
+    return a.id < b.id;
+  };
+  std::sort(pending_.begin(), pending_.end(), by_id);
+  std::vector<TickEntry> merged(order_.size() + pending_.size());
+  std::merge(order_.begin(), order_.end(), pending_.begin(), pending_.end(),
+             merged.begin(), by_id);
   order_.swap(merged);
+  pending_.clear();
   for (size_t i = 0; i < order_.size(); ++i) {
     const TickEntry& entry = order_[i];
     if (entry.group >= 0) {
       groups_[entry.group]->order_pos[entry.lane] = static_cast<int32_t>(i);
     }
   }
-  order_dirty_ = false;
 }
 
-Status FleetEngine::ResolveReadings(const ReadingBatch& batch) {
+void FleetEngine::ResolveReadings(const std::vector<Vector>& values,
+                                  const std::vector<uint32_t>& positions) {
+  // Ascending id, like RunSourceTick's staging pass.
   staged_spilled_.clear();
-  if (order_dirty_) RebuildOrder();
-  bool rebuilt = false;
-  // Ascending id, like RunSourceTick's staging pass: the first missing
-  // reading reported is the same one the per-source path would name, and
-  // nothing is resolved until everything is (error before state moves).
-  for (TickEntry& entry : order_) {
-    // Fast path: the cached rank from the previous tick usually still
-    // holds (callers keep batch order stable); fall back to the position
-    // index, rebuilt at most once per tick.
-    const Vector* value = nullptr;
-    int64_t rank = entry.rank;
-    if (rank < 0 || static_cast<size_t>(rank) >= batch.ids.size() ||
-        batch.ids[rank] != entry.id) {
-      rank = LookupBatchPos(batch, entry.id, &rebuilt);
-    }
-    if (rank >= 0) {
-      entry.rank = rank;
-      value = &batch.values[rank];
-    }
-    if (value == nullptr) {
-      return Status::InvalidArgument(
-          StrFormat("missing reading for source %d", entry.id));
-    }
+  for (size_t i = 0; i < order_.size(); ++i) {
+    const TickEntry& entry = order_[i];
+    const Vector* value = &values[positions[i]];
     if (entry.group >= 0) {
       groups_[entry.group]->value_ptrs[entry.lane] = value;
     } else {
       staged_spilled_.emplace_back(entry.slot->get(), value);
     }
   }
-  return Status::OK();
+}
+
+int64_t FleetEngine::LaneOverdueTicks(const Group& g, size_t lane) const {
+  return DegradedOverdueTicks(protocol_, server_->ticks() - 1,
+                              g.link_last_valid_tick[lane],
+                              g.link_last_resync_tick[lane]);
 }
 
 void FleetEngine::AccountDegradedLanes() {
-  // Replicates the degraded-service block at the top of
-  // ServerNode::TickAll for the lanes the server no longer sees,
-  // including its cheap-guard short-circuit so a fault-free run pays
-  // nothing. Must run before TickAll (`now` is the tick that just
-  // completed, under the pre-increment clock).
+  // ServerNode::TickAll's degraded-service account for the lanes the
+  // server no longer sees, behind the same cheap guard so a fault-free
+  // run pays nothing. Must run before TickAll: the account is for the
+  // tick that just completed.
   if (server_->ticks() <= 0 ||
       (protocol_.staleness_budget <= 0 &&
        server_->fault_stats().resyncs_applied == 0)) {
@@ -628,20 +659,8 @@ void FleetEngine::AccountDegradedLanes() {
   for (const auto& group : groups_) {
     const Group& g = *group;
     for (size_t i = 0; i < g.ids.size(); ++i) {
-      const bool degraded =
-          g.link_last_resync_tick[i] == now ||
-          (protocol_.staleness_budget > 0 &&
-           now - g.link_last_valid_tick[i] >= protocol_.staleness_budget);
-      if (!degraded) continue;
-      int64_t overdue = 0;
-      if (protocol_.staleness_budget > 0) {
-        overdue = now - g.link_last_valid_tick[i] -
-                  protocol_.staleness_budget + 1;
-      }
-      if (g.link_last_resync_tick[i] == now) {
-        overdue = std::max<int64_t>(overdue, 1);
-      }
-      overdue = std::max<int64_t>(overdue, 0);
+      const int64_t overdue = LaneOverdueTicks(g, i);
+      if (overdue == 0) continue;
       ++degraded_ticks_;
       DKF_TRACE(obs_sink_, now, g.ids[i], TraceEventKind::kDegradedTick,
                 TraceActor::kServer, static_cast<double>(overdue));
@@ -649,221 +668,77 @@ void FleetEngine::AccountDegradedLanes() {
   }
 }
 
-Status FleetEngine::TickLane(int group_index, size_t lane, int64_t tick,
-                             bool* spilled) {
-  Group& g = *groups_[group_index];
+Status FleetEngine::ReplayArmPending(Group& g, size_t lane, const Vector& z,
+                                     double* deviation,
+                                     std::optional<FleetSpillReason>* spill) {
+  // First a silent replay decides suppress-vs-spill without touching
+  // the lane; then, if suppressed, one traced replay per actor emits
+  // exactly what the server filter (TickAll) and the mirror
+  // (ProcessReading) would have, in that order.
   const int id = g.ids[lane];
-  const Vector* z = g.value_ptrs[lane];
   const size_t n = g.n;
-  const size_t m = g.m;
-
-  // A due heartbeat touches the channel whatever the deviation says
-  // (suppressed -> heartbeat, violated -> measurement), so the per-source
-  // code must own this tick either way.
-  if (protocol_.heartbeat_interval > 0 &&
-      tick - g.last_send_tick[lane] >= protocol_.heartbeat_interval) {
-    *spilled = true;
-    return SpillLane(group_index, lane, tick, z, FleetSpillReason::kHeartbeat);
+  KalmanPredictor& replay = *g.replay;
+  const KalmanFilter::FullState pre = LaneFullState(g, lane);
+  replay.SetTrace(nullptr, 0, TraceActor::kSourceFilter);
+  DKF_RETURN_IF_ERROR(replay.ImportFullState(pre));
+  if (!replay.Tick().ok()) {
+    // The predict left the finite range: the per-source filter reports
+    // it, exactly as the per-source engine would.
+    *spill = FleetSpillReason::kNonFinite;
+    return Status::OK();
   }
+  *deviation = Deviation(replay.Predicted(), z, DeviationNorm::kMaxAbs);
+  if (*deviation > g.delta[lane]) {
+    *spill = FleetSpillReason::kArmPending;
+    return Status::OK();
+  }
+  DKF_RETURN_IF_ERROR(replay.ImportFullState(pre));
+  replay.SetTrace(obs_sink_, id, TraceActor::kServerFilter);
+  DKF_RETURN_IF_ERROR(replay.Tick());
+  DKF_RETURN_IF_ERROR(replay.ImportFullState(pre));
+  replay.SetTrace(obs_sink_, id, TraceActor::kSourceFilter);
+  DKF_RETURN_IF_ERROR(replay.Tick());
+  replay.SetTrace(nullptr, 0, TraceActor::kSourceFilter);
+  DKF_ASSIGN_OR_RETURN(KalmanFilter::FullState post,
+                       replay.ExportFullState());
+  // A predict leaves last_innovation alone; the cold fields may have
+  // captured or armed the frozen cycle.
+  SetCold(g, lane, post);
+  std::memcpy(&g.x[lane * n], post.x.data(), n * sizeof(double));
+  std::memcpy(&g.p[lane * n * n], post.p.RowData(0), n * n * sizeof(double));
+  g.p_stale[lane] = 0;
+  g.step[lane] = post.step;
+  g.psc[lane] = post.predicts_since_correct;
+  g.phase[lane] = post.phase;
+  g.ss_mode[lane] = post.ss_mode;
+  g.ss_idx[lane] = post.ss_idx;
+  return Status::OK();
+}
 
-  double deviation = 0.0;
-  const double* phi = g.phi.data();
-  const double* h = g.h.data();
-  double* sx = g.sx.data();
-
-  if (g.ss_mode[lane] == kSsArmPending) {
-    // The rare arm-pending predict runs through the real filter so the
-    // capture/arm/freeze transition stays bit-exact, trace included.
-    // First a silent replay decides suppress-vs-spill without touching
-    // the lane; then, if suppressed, one traced replay per actor emits
-    // exactly what the server filter (TickAll) and the mirror
-    // (ProcessReading) would have, in that order.
-    KalmanPredictor& replay = *g.replay;
-    const KalmanFilter::FullState pre = LaneFullState(g, lane);
-    replay.SetTrace(nullptr, 0, TraceActor::kSourceFilter);
-    DKF_RETURN_IF_ERROR(replay.ImportFullState(pre));
-    if (!replay.Tick().ok()) {
-      // The predict left the finite range: the per-source filter reports
-      // it, exactly as the per-source engine would.
-      *spilled = true;
-      return SpillLane(group_index, lane, tick, z,
-                       FleetSpillReason::kNonFinite);
-    }
-    deviation = Deviation(replay.Predicted(), *z, DeviationNorm::kMaxAbs);
-    if (deviation > g.delta[lane]) {
-      *spilled = true;
-      return SpillLane(group_index, lane, tick, z,
-                       FleetSpillReason::kArmPending);
-    }
-    DKF_RETURN_IF_ERROR(replay.ImportFullState(pre));
-    replay.SetTrace(obs_sink_, id, TraceActor::kServerFilter);
-    DKF_RETURN_IF_ERROR(replay.Tick());
-    DKF_RETURN_IF_ERROR(replay.ImportFullState(pre));
-    replay.SetTrace(obs_sink_, id, TraceActor::kSourceFilter);
-    DKF_RETURN_IF_ERROR(replay.Tick());
-    replay.SetTrace(nullptr, 0, TraceActor::kSourceFilter);
-    DKF_ASSIGN_OR_RETURN(KalmanFilter::FullState post,
-                         replay.ExportFullState());
-    // A predict leaves last_innovation alone; the cold fields may have
-    // captured or armed the frozen cycle.
-    SetCold(g, lane, post);
-    std::memcpy(&g.x[lane * n], post.x.data(), n * sizeof(double));
-    std::memcpy(&g.p[lane * n * n], post.p.RowData(0),
+void FleetEngine::DisarmLane(Group& g, size_t lane) {
+  // Both halves of the dual link disarm at the same step; the server
+  // filter's event lands first because TickAll runs before the source
+  // loop.
+  const int id = g.ids[lane];
+  const size_t n = g.n;
+  const double period = static_cast<double>(g.ss_period[lane]);
+  DKF_TRACE(obs_sink_, g.step[lane], id, TraceEventKind::kFastPathDisarm,
+            TraceActor::kServerFilter, period);
+  DKF_TRACE(obs_sink_, g.step[lane], id, TraceEventKind::kFastPathDisarm,
+            TraceActor::kSourceFilter, period);
+  g.ss_mode[lane] = kSsTracking;
+  if (g.p_stale[lane]) {
+    std::memcpy(&g.p[lane * n * n],
+                g.cold_table[g.cold_idx[lane]].ss_prior_p[g.ss_idx[lane]]
+                    .RowData(0),
                 n * n * sizeof(double));
     g.p_stale[lane] = 0;
-    g.step[lane] = post.step;
-    g.psc[lane] = post.predicts_since_correct;
-    g.phase[lane] = post.phase;
-    g.ss_mode[lane] = post.ss_mode;
-    g.ss_idx[lane] = post.ss_idx;
-  } else if (g.ss_mode[lane] == kSsArmed &&
-             g.phase[lane] == kPhaseCorrected) {
-    // Armed fast path (KalmanFilter::Predict, armed branch): x <- phi x,
-    // covariance snaps along the frozen cycle. Flat replica of
-    // MultiplyInto(Matrix, Vector) — plain ascending sums, no zero-skip.
-    const double* x = &g.x[lane * n];
-    for (size_t r = 0; r < n; ++r) {
-      const double* phi_row = phi + r * n;
-      double sum = 0.0;
-      for (size_t c = 0; c < n; ++c) sum += phi_row[c] * x[c];
-      sx[r] = sum;
-    }
-    if (!AllFinite(sx, n)) {
-      *spilled = true;
-      return SpillLane(group_index, lane, tick, z,
-                       FleetSpillReason::kNonFinite);
-    }
-    for (size_t r = 0; r < m; ++r) {
-      const double* h_row = h + r * n;
-      double sum = 0.0;
-      for (size_t c = 0; c < n; ++c) sum += h_row[c] * sx[c];
-      deviation = std::max(deviation, std::fabs(sum - (*z)[r]));
-    }
-    if (deviation > g.delta[lane]) {
-      *spilled = true;
-      return SpillLane(group_index, lane, tick, z,
-                       FleetSpillReason::kDeviation);
-    }
-    std::memcpy(&g.x[lane * n], sx, n * sizeof(double));
-    // (ss_idx + 1) % period without the integer divide: ss_idx is 0 or 1
-    // and period 1 or 2 (ImportFullState enforces both), so the wrap is a
-    // single compare.
-    const int32_t next_idx = g.ss_idx[lane] + 1;
-    g.ss_idx[lane] = next_idx >= g.ss_period[lane] ? 0 : next_idx;
-    // Defer the p <- ss_prior_p[ss_idx] copy; LaneFullState and the next
-    // slow predict materialize it on demand.
-    g.p_stale[lane] = 1;
-    ++g.step[lane];
-    ++g.psc[lane];
-    g.phase[lane] = kPhasePredicted;
-  } else {
-    if (g.ss_mode[lane] == kSsArmed) {
-      // Coasting break: a second Predict without a Correct leaves the
-      // frozen cycle (DisarmSteadyState). Both halves of the dual link
-      // disarm at the same step; the server filter's event lands first
-      // because TickAll runs before the source loop.
-      const double period = static_cast<double>(g.ss_period[lane]);
-      DKF_TRACE(obs_sink_, g.step[lane], id, TraceEventKind::kFastPathDisarm,
-                TraceActor::kServerFilter, period);
-      DKF_TRACE(obs_sink_, g.step[lane], id, TraceEventKind::kFastPathDisarm,
-                TraceActor::kSourceFilter, period);
-      g.ss_mode[lane] = kSsTracking;
-      if (g.p_stale[lane]) {
-        std::memcpy(&g.p[lane * n * n],
-                    g.cold_table[g.cold_idx[lane]].ss_prior_p[g.ss_idx[lane]]
-                        .RowData(0),
-                    n * n * sizeof(double));
-        g.p_stale[lane] = 0;
-      }
-      KalmanFilter::FullState disarmed = g.cold_table[g.cold_idx[lane]];
-      disarmed.ss_streak1 = 0;
-      disarmed.ss_streak2 = 0;
-      disarmed.ss_have_prev = 0;
-      SetCold(g, lane, disarmed);
-    }
-    // Slow predict (KalmanFilter::Predict, tracking path): x <- phi x,
-    // P <- phi P phi^T + Q, then Symmetrize — flat replicas of the
-    // in-place kernels, including their zero-skip structure, so every
-    // accumulation happens in the same order on the same values.
-    const double* x = &g.x[lane * n];
-    const double* p = &g.p[lane * n * n];
-    double* sp1 = g.sp1.data();
-    double* sp2 = g.sp2.data();
-    for (size_t r = 0; r < n; ++r) {
-      const double* phi_row = phi + r * n;
-      double sum = 0.0;
-      for (size_t c = 0; c < n; ++c) sum += phi_row[c] * x[c];
-      sx[r] = sum;
-    }
-    // sp1 = phi P (MultiplyInto: skip zero phi entries, accumulate rows).
-    std::memset(sp1, 0, n * n * sizeof(double));
-    for (size_t r = 0; r < n; ++r) {
-      const double* phi_row = phi + r * n;
-      double* out_row = sp1 + r * n;
-      for (size_t k = 0; k < n; ++k) {
-        const double av = phi_row[k];
-        if (av == 0.0) continue;
-        const double* p_row = p + k * n;
-        for (size_t c = 0; c < n; ++c) out_row[c] += av * p_row[c];
-      }
-    }
-    // sp2 = sp1 phi^T (MultiplyTransposedInto: skip zero sp1 entries).
-    for (size_t r = 0; r < n; ++r) {
-      const double* a_row = sp1 + r * n;
-      double* out_row = sp2 + r * n;
-      for (size_t c = 0; c < n; ++c) {
-        const double* b_row = phi + c * n;
-        double sum = 0.0;
-        for (size_t k = 0; k < n; ++k) {
-          const double av = a_row[k];
-          if (av == 0.0) continue;
-          sum += av * b_row[k];
-        }
-        out_row[c] = sum;
-      }
-    }
-    // P' = sp2 + Q (AddScaledInto with scale 1.0), then Symmetrize.
-    const double* q = g.q.data();
-    for (size_t i = 0; i < n * n; ++i) sp2[i] = sp2[i] + 1.0 * q[i];
-    for (size_t r = 0; r < n; ++r) {
-      for (size_t c = r + 1; c < n; ++c) {
-        const double avg = 0.5 * (sp2[r * n + c] + sp2[c * n + r]);
-        sp2[r * n + c] = avg;
-        sp2[c * n + r] = avg;
-      }
-    }
-    if (!AllFinite(sx, n) || !AllFinite(sp2, n * n)) {
-      *spilled = true;
-      return SpillLane(group_index, lane, tick, z,
-                       FleetSpillReason::kNonFinite);
-    }
-    for (size_t r = 0; r < m; ++r) {
-      const double* h_row = h + r * n;
-      double sum = 0.0;
-      for (size_t c = 0; c < n; ++c) sum += h_row[c] * sx[c];
-      deviation = std::max(deviation, std::fabs(sum - (*z)[r]));
-    }
-    if (deviation > g.delta[lane]) {
-      *spilled = true;
-      return SpillLane(group_index, lane, tick, z,
-                       FleetSpillReason::kDeviation);
-    }
-    std::memcpy(&g.x[lane * n], sx, n * sizeof(double));
-    std::memcpy(&g.p[lane * n * n], sp2, n * n * sizeof(double));
-    ++g.step[lane];
-    ++g.psc[lane];
-    g.phase[lane] = kPhasePredicted;
   }
-
-  // Suppressed-tick bookkeeping, exactly what ProcessReading accrues on
-  // this path: one reading charge, one mirror filter step, one suppress
-  // event carrying (deviation, delta).
-  g.energy_sensing[lane] += energy_.instructions_per_reading;
-  g.readings[lane] += 1;
-  g.energy_compute[lane] += energy_.instructions_per_filter_step;
-  DKF_TRACE(obs_sink_, tick, id, TraceEventKind::kSuppress,
-            TraceActor::kSource, deviation, g.delta[lane]);
-  return Status::OK();
+  KalmanFilter::FullState disarmed = g.cold_table[g.cold_idx[lane]];
+  disarmed.ss_streak1 = 0;
+  disarmed.ss_streak2 = 0;
+  disarmed.ss_have_prev = 0;
+  SetCold(g, lane, disarmed);
 }
 
 Status FleetEngine::TickGroupLanes(int group_index, int64_t tick) {
@@ -872,136 +747,82 @@ Status FleetEngine::TickGroupLanes(int group_index, int64_t tick) {
   const size_t m = g.m;
   const double* phi = g.phi.data();
   const double* h = g.h.data();
+  const double* q = g.q.data();
   double* sx = g.sx.data();
   double* sp1 = g.sp1.data();
   double* sp2 = g.sp2.data();
-  const double* q = g.q.data();
   const int64_t hb_interval = protocol_.heartbeat_interval;
 
   size_t lane = 0;
   while (lane < g.ids.size()) {
-    // The two hot cases, replicated from TickLane: no heartbeat due,
-    // and either the armed frozen-gain predict (corrected last tick) or
-    // the tracking-mode slow predict (the steady regime of a
-    // long-suppressed lane, which disarms after two uncorrected
-    // predicts and then predicts through the full covariance update).
-    // Commit happens only when the prediction is finite and inside
-    // delta; every exception falls back to TickLane, which recomputes
-    // from the untouched lane state bit-exactly.
-    if (!(hb_interval > 0 &&
-          tick - g.last_send_tick[lane] >= hb_interval)) {
-      const uint8_t mode = g.ss_mode[lane];
-      if (mode == kSsArmed && g.phase[lane] == kPhaseCorrected) {
-        const double* x = &g.x[lane * n];
-        for (size_t r = 0; r < n; ++r) {
-          const double* phi_row = phi + r * n;
-          double sum = 0.0;
-          for (size_t c = 0; c < n; ++c) sum += phi_row[c] * x[c];
-          sx[r] = sum;
+    const Vector& z = *g.value_ptrs[lane];
+    std::optional<FleetSpillReason> spill;
+    double deviation = 0.0;
+    if (hb_interval > 0 && tick - g.last_send_tick[lane] >= hb_interval) {
+      // A due heartbeat touches the channel whatever the deviation says
+      // (suppressed -> heartbeat, violated -> measurement), so the
+      // per-source code must own this tick either way.
+      spill = FleetSpillReason::kHeartbeat;
+    } else if (g.ss_mode[lane] == kSsArmPending) {
+      // The rare arm-pending predict runs through the real filter so the
+      // capture/arm/freeze transition stays bit-exact, trace included.
+      DKF_RETURN_IF_ERROR(ReplayArmPending(g, lane, z, &deviation, &spill));
+    } else {
+      // The two common cases: the armed frozen-gain predict (corrected
+      // last tick: x <- phi x, the covariance snaps along the frozen
+      // cycle), or the tracking-mode slow predict (the steady regime of
+      // a long-suppressed lane, which disarms after two uncorrected
+      // predicts). Nothing is committed unless the prediction is finite
+      // and inside delta.
+      const bool armed =
+          g.ss_mode[lane] == kSsArmed && g.phase[lane] == kPhaseCorrected;
+      // Coasting break: a second Predict without a Correct leaves the
+      // frozen cycle (KalmanFilter::DisarmSteadyState).
+      if (!armed && g.ss_mode[lane] == kSsArmed) DisarmLane(g, lane);
+      PredictState(phi, &g.x[lane * n], n, sx);
+      bool finite = AllFinite(sx, n);
+      if (!armed) {
+        PredictCovariance(phi, &g.p[lane * n * n], q, n, sp1, sp2);
+        finite = finite && AllFinite(sp2, n * n);
+      }
+      deviation = finite ? MaxAbsDeviation(h, sx, z, n, m) : 0.0;
+      if (!finite) {
+        spill = FleetSpillReason::kNonFinite;
+      } else if (deviation > g.delta[lane]) {
+        spill = FleetSpillReason::kDeviation;
+      } else {
+        std::memcpy(&g.x[lane * n], sx, n * sizeof(double));
+        if (armed) {
+          // (ss_idx + 1) % period without the integer divide: ss_idx is
+          // 0 or 1 and period 1 or 2 (ImportFullState enforces both).
+          const int32_t next_idx = g.ss_idx[lane] + 1;
+          g.ss_idx[lane] = next_idx >= g.ss_period[lane] ? 0 : next_idx;
+          // Defer the p <- ss_prior_p[ss_idx] copy; LaneFullState and
+          // the next slow predict materialize it on demand.
+          g.p_stale[lane] = 1;
+        } else {
+          std::memcpy(&g.p[lane * n * n], sp2, n * n * sizeof(double));
         }
-        if (AllFinite(sx, n)) {
-          const Vector* z = g.value_ptrs[lane];
-          double deviation = 0.0;
-          for (size_t r = 0; r < m; ++r) {
-            const double* h_row = h + r * n;
-            double sum = 0.0;
-            for (size_t c = 0; c < n; ++c) sum += h_row[c] * sx[c];
-            deviation = std::max(deviation, std::fabs(sum - (*z)[r]));
-          }
-          if (deviation <= g.delta[lane]) {
-            std::memcpy(&g.x[lane * n], sx, n * sizeof(double));
-            const int32_t next_idx = g.ss_idx[lane] + 1;
-            g.ss_idx[lane] = next_idx >= g.ss_period[lane] ? 0 : next_idx;
-            g.p_stale[lane] = 1;
-            ++g.step[lane];
-            ++g.psc[lane];
-            g.phase[lane] = kPhasePredicted;
-            g.energy_sensing[lane] += energy_.instructions_per_reading;
-            g.readings[lane] += 1;
-            g.energy_compute[lane] += energy_.instructions_per_filter_step;
-            DKF_TRACE(obs_sink_, tick, g.ids[lane],
-                      TraceEventKind::kSuppress, TraceActor::kSource,
-                      deviation, g.delta[lane]);
-            ++lane;
-            continue;
-          }
-        }
-      } else if (mode == kSsTracking && !g.p_stale[lane]) {
-        // Slow predict, identical flat kernels to TickLane's tracking
-        // branch (zero-skip structure and accumulation order included).
-        const double* x = &g.x[lane * n];
-        const double* p = &g.p[lane * n * n];
-        for (size_t r = 0; r < n; ++r) {
-          const double* phi_row = phi + r * n;
-          double sum = 0.0;
-          for (size_t c = 0; c < n; ++c) sum += phi_row[c] * x[c];
-          sx[r] = sum;
-        }
-        std::memset(sp1, 0, n * n * sizeof(double));
-        for (size_t r = 0; r < n; ++r) {
-          const double* phi_row = phi + r * n;
-          double* out_row = sp1 + r * n;
-          for (size_t k = 0; k < n; ++k) {
-            const double av = phi_row[k];
-            if (av == 0.0) continue;
-            const double* p_row = p + k * n;
-            for (size_t c = 0; c < n; ++c) out_row[c] += av * p_row[c];
-          }
-        }
-        for (size_t r = 0; r < n; ++r) {
-          const double* a_row = sp1 + r * n;
-          double* out_row = sp2 + r * n;
-          for (size_t c = 0; c < n; ++c) {
-            const double* b_row = phi + c * n;
-            double sum = 0.0;
-            for (size_t k = 0; k < n; ++k) {
-              const double av = a_row[k];
-              if (av == 0.0) continue;
-              sum += av * b_row[k];
-            }
-            out_row[c] = sum;
-          }
-        }
-        for (size_t i = 0; i < n * n; ++i) sp2[i] = sp2[i] + 1.0 * q[i];
-        for (size_t r = 0; r < n; ++r) {
-          for (size_t c = r + 1; c < n; ++c) {
-            const double avg = 0.5 * (sp2[r * n + c] + sp2[c * n + r]);
-            sp2[r * n + c] = avg;
-            sp2[c * n + r] = avg;
-          }
-        }
-        if (AllFinite(sx, n) && AllFinite(sp2, n * n)) {
-          const Vector* z = g.value_ptrs[lane];
-          double deviation = 0.0;
-          for (size_t r = 0; r < m; ++r) {
-            const double* h_row = h + r * n;
-            double sum = 0.0;
-            for (size_t c = 0; c < n; ++c) sum += h_row[c] * sx[c];
-            deviation = std::max(deviation, std::fabs(sum - (*z)[r]));
-          }
-          if (deviation <= g.delta[lane]) {
-            std::memcpy(&g.x[lane * n], sx, n * sizeof(double));
-            std::memcpy(&g.p[lane * n * n], sp2, n * n * sizeof(double));
-            ++g.step[lane];
-            ++g.psc[lane];
-            g.phase[lane] = kPhasePredicted;
-            g.energy_sensing[lane] += energy_.instructions_per_reading;
-            g.readings[lane] += 1;
-            g.energy_compute[lane] += energy_.instructions_per_filter_step;
-            DKF_TRACE(obs_sink_, tick, g.ids[lane],
-                      TraceEventKind::kSuppress, TraceActor::kSource,
-                      deviation, g.delta[lane]);
-            ++lane;
-            continue;
-          }
-        }
+        ++g.step[lane];
+        ++g.psc[lane];
+        g.phase[lane] = kPhasePredicted;
       }
     }
-    bool spilled = false;
-    DKF_RETURN_IF_ERROR(TickLane(group_index, lane, tick, &spilled));
-    // A spill swap-removed this lane; the moved lane (if any) now sits
-    // at the same index and still needs its tick.
-    if (!spilled) ++lane;
+    if (spill.has_value()) {
+      // The spill swap-removed this lane: the moved lane (if any) now
+      // sits at the same index and still needs its tick.
+      DKF_RETURN_IF_ERROR(SpillLane(group_index, lane, tick, &z, *spill));
+      continue;
+    }
+    // Suppressed-tick bookkeeping, exactly what ProcessReading accrues on
+    // this path: one reading charge, one mirror filter step, one suppress
+    // event carrying (deviation, delta).
+    g.energy_sensing[lane] += energy_.instructions_per_reading;
+    g.readings[lane] += 1;
+    g.energy_compute[lane] += energy_.instructions_per_filter_step;
+    DKF_TRACE(obs_sink_, tick, g.ids[lane], TraceEventKind::kSuppress,
+              TraceActor::kSource, deviation, g.delta[lane]);
+    ++lane;
   }
   return Status::OK();
 }
@@ -1107,13 +928,10 @@ Status FleetEngine::TryAbsorbAll() {
   return Status::OK();
 }
 
-Status FleetEngine::ProcessTick(int64_t tick, const ReadingBatch& batch) {
-  if (batch.ids.size() != batch.values.size()) {
-    return Status::InvalidArgument(
-        StrFormat("reading batch has %zu ids but %zu values",
-                  batch.ids.size(), batch.values.size()));
-  }
-  DKF_RETURN_IF_ERROR(ResolveReadings(batch));
+Status FleetEngine::ProcessTick(int64_t tick, const std::vector<Vector>& values,
+                                const std::vector<uint32_t>& positions) {
+  if (!pending_.empty()) RebuildOrder();
+  ResolveReadings(values, positions);
   // Same phase order as RunSourceTick: degraded accounting for the
   // completed tick (lanes here, spilled links inside TickAll), server
   // predicts, channel drain, then the sources — spilled first through the
@@ -1155,36 +973,11 @@ Result<ServerNode::ConfidentAnswer> FleetEngine::AnswerWithConfidence(
   ServerNode::ConfidentAnswer answer;
   answer.value = g.loaner->Predicted();
   answer.covariance = g.loaner->PredictedCovariance();
-  // Degraded test + inflation from the lane's link scalars, replicating
-  // ServerNode::IsDegraded / OverdueTicks / AnswerWithConfidence.
-  const int64_t ticks_done = server_->ticks();
-  if (ticks_done > 0) {
-    const int64_t now = ticks_done - 1;
-    const bool degraded =
-        g.link_last_resync_tick[lane] == now ||
-        (protocol_.staleness_budget > 0 &&
-         now - g.link_last_valid_tick[lane] >= protocol_.staleness_budget);
-    if (degraded) {
-      answer.degraded = true;
-      if (answer.covariance.has_value()) {
-        int64_t overdue = 0;
-        if (protocol_.staleness_budget > 0) {
-          overdue = now - g.link_last_valid_tick[lane] -
-                    protocol_.staleness_budget + 1;
-        }
-        if (g.link_last_resync_tick[lane] == now) {
-          overdue = std::max<int64_t>(overdue, 1);
-        }
-        overdue = std::max<int64_t>(overdue, 0);
-        const double scale = 1.0 + protocol_.degraded_inflation *
-                                       static_cast<double>(overdue);
-        Matrix& covariance = *answer.covariance;
-        for (size_t r = 0; r < covariance.rows(); ++r) {
-          for (size_t c = 0; c < covariance.cols(); ++c) {
-            covariance(r, c) *= scale;
-          }
-        }
-      }
+  const int64_t overdue = LaneOverdueTicks(g, lane);
+  if (overdue > 0) {
+    answer.degraded = true;
+    if (answer.covariance.has_value()) {
+      InflateDegraded(protocol_, overdue, &*answer.covariance);
     }
   }
   return answer;
@@ -1196,14 +989,7 @@ Result<bool> FleetEngine::answer_degraded(int source_id) const {
     return Status::NotFound(
         StrFormat("source %d not registered", source_id));
   }
-  const Group& g = *groups_[entry->group];
-  const size_t lane = entry->lane;
-  const int64_t ticks_done = server_->ticks();
-  if (ticks_done <= 0) return false;
-  const int64_t now = ticks_done - 1;
-  if (g.link_last_resync_tick[lane] == now) return true;
-  return protocol_.staleness_budget > 0 &&
-         now - g.link_last_valid_tick[lane] >= protocol_.staleness_budget;
+  return LaneOverdueTicks(*groups_[entry->group], entry->lane) > 0;
 }
 
 Result<SourceNode::CheckpointState> FleetEngine::SynthesizeSourceState(

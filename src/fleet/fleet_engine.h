@@ -24,12 +24,11 @@
 
 namespace dkf {
 
-/// The engine-level tick input for the batched fast path: readings in a
-/// flat parallel-array layout instead of a std::map, so a million-source
-/// tick costs no tree lookups. `ids[i]` owns `values[i]`. The order is
-/// the caller's; the fleet engine caches each source's rank (resident or
-/// spilled) and revalidates it per tick, so a stable order is fastest but
-/// not required.
+/// The engine-level tick input: readings in a flat parallel-array layout
+/// instead of a std::map, so a million-source tick costs no tree
+/// lookups. `ids[i]` owns `values[i]`. The order is the caller's; the
+/// engine resolves each shard's positions once per id layout, so a
+/// stable order is fastest but not required.
 struct ReadingBatch {
   std::vector<int> ids;
   std::vector<Vector> values;
@@ -133,8 +132,9 @@ class FleetEngine {
 
   /// Starts managing a source. Call right after the shard has created
   /// the source's node in `*slot` and registered the source with the
-  /// server: the source starts out spilled and is absorbed at the end of
-  /// the first tick that leaves its link healthy and bit-converged.
+  /// server (the shard refuses a repeated id): the source starts out
+  /// spilled and is absorbed at the end of the first tick that leaves
+  /// its link healthy and bit-converged.
   /// `slot` is the shard's owning pointer and must stay at one address
   /// for this engine's lifetime: absorbing the source frees the node
   /// (`*slot` becomes null) and spilling it rebuilds one in place.
@@ -147,7 +147,6 @@ class FleetEngine {
   bool resident(int source_id) const;
 
   size_t resident_count() const;
-  size_t tracked_count() const { return tracked_.size(); }
 
   /// Degraded ticks accounted on resident lanes (the server counts the
   /// spilled ones); the shard adds this to its merged fault counters.
@@ -196,8 +195,11 @@ class FleetEngine {
   /// per-source path, resident lanes run the flat suppressed-predict
   /// kernel (spilling first if the tick is anything but a suppressed
   /// healthy predict), and newly re-converged sources are absorbed at
-  /// the end.
-  Status ProcessTick(int64_t tick, const ReadingBatch& batch);
+  /// the end. `positions[i]` is the index in `values` of the reading of
+  /// the i-th tracked source in ascending id — the shard's resolved
+  /// ShardReadingSlice, one entry per tracked source.
+  Status ProcessTick(int64_t tick, const std::vector<Vector>& values,
+                     const std::vector<uint32_t>& positions);
 
   /// Answer surface for resident sources (the shard routes here when the
   /// server has no predictor for the id). Bit-identical to what the
@@ -345,12 +347,10 @@ class FleetEngine {
 
   /// One tracked source in the flat per-tick pass. `order_` (ascending
   /// id) is the authority on residency: a spill or absorb edits its entry
-  /// in place — the lane's `order_pos` finds it — so the cached batch
-  /// ranks survive residency churn and only a membership change rebuilds
-  /// the vector.
+  /// in place — the lane's `order_pos` finds it — and only a membership
+  /// change rebuilds the vector.
   struct TickEntry {
     std::unique_ptr<SourceNode>* slot = nullptr;  // node null = resident
-    int64_t rank = -1;            // cached ReadingBatch position
     int id = 0;
     int32_t nominal_group = -1;   // -1 = never batchable
     int32_t group = -1;           // group of the current lane; -1 = spilled
@@ -361,8 +361,8 @@ class FleetEngine {
   /// ineligible for batching (time-varying transition).
   Result<int> GroupFor(const StateModel& model);
 
-  /// The `order_` entry for `source_id`, or nullptr. Sources tracked
-  /// since the last RebuildOrder are not found; they are all spilled.
+  /// The `order_` entry for `source_id`, or nullptr. Sources staged in
+  /// `pending_` are not found; they are all spilled.
   const TickEntry* FindEntry(int source_id) const;
 
   /// Reconstructs the lane's FullState (mirror == predictor bitwise).
@@ -416,35 +416,40 @@ class FleetEngine {
   /// a group. Snapshots are exported only for sources that fold.
   Status TryAbsorbAll();
 
-  /// Degraded-service accounting for resident lanes, replicating
-  /// ServerNode::TickAll's previous-tick bookkeeping.
+  /// DegradedOverdueTicks for the lane's link at the last completed
+  /// tick: >= 1 exactly when its answers are served degraded.
+  int64_t LaneOverdueTicks(const Group& g, size_t lane) const;
+
+  /// Degraded-service accounting for resident lanes: ServerNode::TickAll's
+  /// previous-tick account for the links the server no longer holds.
   void AccountDegradedLanes();
 
-  /// Resolves every tracked source's reading up front, staging spilled
-  /// sources in ascending id order and caching lane reading pointers.
-  /// Errors before any filter state moves.
-  Status ResolveReadings(const ReadingBatch& batch);
+  /// Points every lane at its reading and stages the spilled sources in
+  /// ascending id order, from the shard's resolved positions.
+  void ResolveReadings(const std::vector<Vector>& values,
+                       const std::vector<uint32_t>& positions);
 
-  /// Merges the sources tracked since the last call into `order_`,
-  /// keeping every existing entry's residency and batch rank, and
-  /// re-points every lane's `order_pos`. Runs only after Track.
+  /// Merges the sources staged in `pending_` into `order_`, keeping every
+  /// existing entry's residency, and re-points every lane's `order_pos`.
   void RebuildOrder();
 
-  /// Batch position of `id`, using (and lazily rebuilding, at most once
-  /// per tick) the cached index; -1 when the batch has no entry.
-  int64_t LookupBatchPos(const ReadingBatch& batch, int id, bool* rebuilt);
+  /// The arm-pending predict of lane `lane`, replayed through the real
+  /// filter. Commits it and sets `*deviation` when the tick is
+  /// suppressed; otherwise sets `*spill` and leaves the lane untouched.
+  Status ReplayArmPending(Group& g, size_t lane, const Vector& z,
+                          double* deviation,
+                          std::optional<FleetSpillReason>* spill);
 
-  /// Ticks one resident lane at `lane` in group `gi`: flat suppressed
-  /// predict or spill. Sets `*spilled` when the lane was removed (the
-  /// caller must re-run the same index, which now holds the moved lane).
-  Status TickLane(int group_index, size_t lane, int64_t tick,
-                  bool* spilled);
+  /// The coasting break: an armed lane predicting a second time without
+  /// a correct leaves the frozen cycle, emitting both filters' disarm
+  /// events and materializing its covariance.
+  void DisarmLane(Group& g, size_t lane);
 
-  /// Ticks every lane of group `gi`. The dominant case — armed,
-  /// corrected, no heartbeat due, deviation inside delta — runs inline
-  /// here; everything exceptional falls back to TickLane, which
-  /// recomputes from the untouched lane state (bit-exact: nothing is
-  /// committed before the fallback decision).
+  /// Ticks every lane of group `gi` through one loop: the armed and
+  /// tracking predicts run inline through the flat kernels, deciding
+  /// before anything is committed; a due heartbeat, a non-finite
+  /// prediction or a deviation outside delta spills the lane with that
+  /// reason, and the lane the spill moved into its index is ticked next.
   Status TickGroupLanes(int group_index, int64_t tick);
 
   ServerNode* server_;
@@ -456,22 +461,14 @@ class FleetEngine {
   std::vector<std::unique_ptr<Group>> groups_;
   std::map<std::string, int> group_by_key_;
 
-  /// Every tracked source: the membership record Track checks and
-  /// RebuildOrder merges from.
-  struct TrackedSource {
-    std::unique_ptr<SourceNode>* slot = nullptr;
-    int32_t nominal_group = -1;
-  };
-  std::map<int, TrackedSource> tracked_;
-
+  /// Every tracked source not in `pending_`, ascending id.
   std::vector<TickEntry> order_;
-  /// Set by Track until RebuildOrder merges the new sources in.
-  bool order_dirty_ = false;
+  /// Sources tracked since the last tick, in Track order; the next
+  /// ProcessTick merges them into `order_`.
+  std::vector<TickEntry> pending_;
 
   /// Per-tick staging of spilled work, mirroring RunSourceTick.
   std::vector<std::pair<SourceNode*, const Vector*>> staged_spilled_;
-  /// ReadingBatch id -> position cache (validated entry-wise per use).
-  std::unordered_map<int, int64_t> batch_pos_;
   /// TryAbsorbAll's one-pass channel residue scan, sorted.
   std::vector<int> residual_scratch_;
 

@@ -167,11 +167,12 @@ Status FusionEngine::BeginTick(int64_t tick) {
   // ServerNode::TickAll uses.
   if (now_ >= 0 && protocol_.staleness_budget > 0) {
     for (auto& [group_id, group] : groups_) {
-      if (IsDegraded(group)) {
+      const int64_t overdue = OverdueTicks(group);
+      if (overdue > 0) {
         ++group.faults.degraded_ticks;
         DKF_TRACE(obs_sink_, now_, FusedSourceKey(group_id),
                   TraceEventKind::kDegradedTick, TraceActor::kServer,
-                  static_cast<double>(OverdueTicks(group)));
+                  static_cast<double>(overdue));
       }
     }
   }
@@ -536,19 +537,12 @@ void FusionEngine::Heal(Group& group, int member_id, Member& member,
   member.resync_attempts = 0;
 }
 
-bool FusionEngine::IsDegraded(const Group& group) const {
+int64_t FusionEngine::OverdueTicks(const Group& group) const {
   // Group degradation is staleness-only: there is no single resync-tick
   // coast (a fused answer after a re-lock broadcast is the posterior
   // itself, not an imported guess).
-  if (now_ < 0) return false;
-  return protocol_.staleness_budget > 0 &&
-         now_ - group.last_valid_tick >= protocol_.staleness_budget;
-}
-
-int64_t FusionEngine::OverdueTicks(const Group& group) const {
-  if (now_ < 0 || protocol_.staleness_budget <= 0) return 0;
-  return std::max<int64_t>(
-      now_ - group.last_valid_tick - protocol_.staleness_budget + 1, 0);
+  return DegradedOverdueTicks(protocol_, now_, group.last_valid_tick,
+                              kNoResyncTick);
 }
 
 Result<Vector> FusionEngine::Answer(int group_id) const {
@@ -575,15 +569,10 @@ Result<FusionEngine::ConfidentAnswer> FusionEngine::AnswerWithConfidence(
   answer.covariance = group.posterior.InnovationCovariance();
   answer.covariance -= group.posterior.measurement_noise();
   answer.covariance.Symmetrize();
-  if (IsDegraded(group)) {
+  const int64_t overdue = OverdueTicks(group);
+  if (overdue > 0) {
     answer.degraded = true;
-    const double scale = 1.0 + protocol_.degraded_inflation *
-                                   static_cast<double>(OverdueTicks(group));
-    for (size_t r = 0; r < answer.covariance.rows(); ++r) {
-      for (size_t c = 0; c < answer.covariance.cols(); ++c) {
-        answer.covariance(r, c) *= scale;
-      }
-    }
+    InflateDegraded(protocol_, overdue, &answer.covariance);
   }
   return answer;
 }
@@ -594,7 +583,7 @@ Result<bool> FusionEngine::answer_degraded(int group_id) const {
     return Status::NotFound(
         StrFormat("fusion group %d not registered", group_id));
   }
-  return IsDegraded(it->second);
+  return OverdueTicks(it->second) > 0;
 }
 
 Result<InformationState> FusionEngine::PosteriorInformation(

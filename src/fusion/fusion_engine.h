@@ -299,7 +299,8 @@ class FusionEngine {
   Status MaybeSendResync(Group& group, int member_id, Member& member,
                          int64_t tick, Channel* channel);
   void Heal(Group& group, int member_id, Member& member, int64_t tick);
-  bool IsDegraded(const Group& group) const;
+  /// DegradedOverdueTicks for the group at `now_`: >= 1 exactly when the
+  /// group is degraded.
   int64_t OverdueTicks(const Group& group) const;
 
   ProtocolOptions protocol_;

@@ -8,15 +8,21 @@ namespace dkf {
 
 namespace {
 
+// The negated comparisons refuse NaN too (every comparison against it
+// is false); the finiteness checks refuse +inf.
 Status ValidateNoise(const ModelNoise& noise) {
-  if (noise.process_variance < 0.0) {
-    return Status::InvalidArgument("process variance must be >= 0");
+  if (!(noise.process_variance >= 0.0) ||
+      !std::isfinite(noise.process_variance)) {
+    return Status::InvalidArgument("process variance must be finite and >= 0");
   }
-  if (noise.measurement_variance <= 0.0) {
-    return Status::InvalidArgument("measurement variance must be > 0");
+  if (!(noise.measurement_variance > 0.0) ||
+      !std::isfinite(noise.measurement_variance)) {
+    return Status::InvalidArgument(
+        "measurement variance must be finite and > 0");
   }
-  if (noise.initial_variance <= 0.0) {
-    return Status::InvalidArgument("initial variance must be > 0");
+  if (!(noise.initial_variance > 0.0) ||
+      !std::isfinite(noise.initial_variance)) {
+    return Status::InvalidArgument("initial variance must be finite and > 0");
   }
   return Status::OK();
 }
@@ -129,11 +135,13 @@ Result<StateModel> MakeSinusoidalModel(double omega, double theta,
 
 Result<StateModel> MakeSmoothingModel(double smoothing_factor,
                                       double measurement_variance) {
-  if (smoothing_factor <= 0.0) {
-    return Status::InvalidArgument("smoothing factor F must be positive");
+  if (!(smoothing_factor > 0.0) || !std::isfinite(smoothing_factor)) {
+    return Status::InvalidArgument(
+        "smoothing factor F must be finite and positive");
   }
-  if (measurement_variance <= 0.0) {
-    return Status::InvalidArgument("measurement variance must be positive");
+  if (!(measurement_variance > 0.0) || !std::isfinite(measurement_variance)) {
+    return Status::InvalidArgument(
+        "measurement variance must be finite and positive");
   }
   StateModel model;
   model.name = StrFormat("smoothing(F=%g)", smoothing_factor);

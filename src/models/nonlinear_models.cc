@@ -7,8 +7,12 @@ namespace dkf {
 Result<ExtendedKalmanFilterOptions> MakeCoordinatedTurnModel(
     double dt, const NonlinearModelNoise& noise) {
   if (dt <= 0.0) return Status::InvalidArgument("dt must be positive");
-  if (noise.process_variance < 0.0 || noise.measurement_variance <= 0.0 ||
-      noise.initial_variance <= 0.0) {
+  // Negated comparisons, so NaN is refused too.
+  if (!(noise.process_variance >= 0.0) ||
+      !(noise.measurement_variance > 0.0) || !(noise.initial_variance > 0.0) ||
+      !std::isfinite(noise.process_variance) ||
+      !std::isfinite(noise.measurement_variance) ||
+      !std::isfinite(noise.initial_variance)) {
     return Status::InvalidArgument("invalid noise configuration");
   }
 

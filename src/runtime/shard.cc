@@ -291,8 +291,11 @@ Status StreamShard::ProcessTick(int64_t tick, const ReadingBatch& batch) {
                   batch.ids.size(), batch.values.size()));
   }
   if (layout_slice_.topology != topology_ || batch.ids != layout_ids_) {
-    layout_ids_.clear();
-    DKF_RETURN_IF_ERROR(ResolveSlice(IndexReadings(batch.ids), &layout_slice_));
+    // Resolved aside and kept only once whole: a refused layout leaves
+    // the cached one intact.
+    ShardReadingSlice slice;
+    DKF_RETURN_IF_ERROR(ResolveSlice(IndexReadings(batch.ids), &slice));
+    layout_slice_ = std::move(slice);
     layout_ids_ = batch.ids;
   }
   return ProcessTick(tick, batch, layout_slice_);
@@ -314,7 +317,7 @@ Status StreamShard::ProcessTick(int64_t tick, const ReadingBatch& batch,
   // fusion clock must advance even while the shard has no groups.
   DKF_RETURN_IF_ERROR(fusion_.BeginTick(tick));
   if (fleet_ != nullptr) {
-    DKF_RETURN_IF_ERROR(fleet_->ProcessTick(tick, batch));
+    DKF_RETURN_IF_ERROR(fleet_->ProcessTick(tick, batch.values, slice.sources));
   } else {
     if (nodes_topology_ != topology_) {
       nodes_.clear();

@@ -456,12 +456,15 @@ Status ShardedStreamEngine::PartitionReadings(const std::vector<int>& ids) {
   // A new layout is checked in full, once. The count already equals
   // sources + fusion members, so every shard finding each of its ids
   // means each one appears exactly once: a duplicate or a foreign id
-  // would leave some owned id without a position.
-  layout_ids_.clear();
+  // would leave some owned id without a position. The slices are
+  // resolved aside and kept only once all of them are whole, so a
+  // refused layout leaves the cached one intact.
   const ReadingIndex index = IndexReadings(ids);
+  std::vector<ShardReadingSlice> slices(shards_.size());
   for (size_t i = 0; i < shards_.size(); ++i) {
-    DKF_RETURN_IF_ERROR(shards_[i]->ResolveSlice(index, &slices_[i]));
+    DKF_RETURN_IF_ERROR(shards_[i]->ResolveSlice(index, &slices[i]));
   }
+  slices_ = std::move(slices);
   layout_ids_ = ids;
   return Status::OK();
 }

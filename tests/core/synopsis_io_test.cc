@@ -121,19 +121,17 @@ TEST(SynopsisIoTest, LoadRejectsCorruptedEntryIndex) {
 }
 
 TEST(SynopsisIoTest, SaveRejectsNonFiniteModel) {
-  // FromParts only checks that the model is instantiable (filter
-  // creation validates the initial state, not Q), so a NaN process
-  // noise reaches the save path — which must refuse to persist it.
+  // FromParts checks that the model is instantiable, and filter creation
+  // refuses a non-finite phi, H, Q or R, so a NaN process noise never
+  // becomes a synopsis and cannot reach the save path.
   ModelNoise noise;
   StateModel model = MakeLinearModel(1, 1.0, noise).value();
   model.options.process_noise(0, 0) = std::numeric_limits<double>::quiet_NaN();
   SynopsisOptions options;
   options.tolerance = 1.0;
-  auto synopsis_or =
-      KfSynopsis::FromParts(model, options, {0.0, 1.0}, {{0, Vector{1.0}}});
-  ASSERT_TRUE(synopsis_or.ok()) << synopsis_or.status().message();
-  const Status status = SaveSynopsis(synopsis_or.value(),
-                                     TempPath("synopsis_nan_model.csv"));
+  const Status status =
+      KfSynopsis::FromParts(model, options, {0.0, 1.0}, {{0, Vector{1.0}}})
+          .status();
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("non-finite"), std::string::npos)
       << status.message();

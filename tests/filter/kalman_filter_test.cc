@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -54,6 +55,34 @@ TEST(KalmanFilterTest, CreateRejectsNonFiniteInit) {
   KalmanFilterOptions options = CvOptions();
   options.initial_state = Vector{std::nan(""), 0.0};
   EXPECT_FALSE(KalmanFilter::Create(options).ok());
+}
+
+TEST(KalmanFilterTest, CreateRejectsNonFiniteCoefficients) {
+  // A NaN or infinite phi, H, Q or R would diverge the first predict or
+  // correct and wedge every later tick, so Create refuses it.
+  for (double bad : {std::nan(""), std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    KalmanFilterOptions options = CvOptions();
+    options.transition(0, 1) = bad;
+    EXPECT_FALSE(KalmanFilter::Create(options).ok()) << "phi " << bad;
+
+    options = CvOptions();
+    options.measurement(0, 0) = bad;
+    EXPECT_FALSE(KalmanFilter::Create(options).ok()) << "H " << bad;
+
+    options = CvOptions(1.0, bad);
+    EXPECT_FALSE(KalmanFilter::Create(options).ok()) << "Q " << bad;
+
+    options = CvOptions(1.0, 0.01, bad);
+    EXPECT_FALSE(KalmanFilter::Create(options).ok()) << "R " << bad;
+  }
+  // A time-varying transition ignores the constant one.
+  KalmanFilterOptions options = CvOptions();
+  options.transition(0, 1) = std::nan("");
+  options.transition_fn = [](int64_t) {
+    return Matrix{{1.0, 1.0}, {0.0, 1.0}};
+  };
+  EXPECT_TRUE(KalmanFilter::Create(options).ok());
 }
 
 TEST(KalmanFilterTest, PredictPropagatesState) {

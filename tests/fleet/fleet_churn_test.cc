@@ -612,5 +612,76 @@ TEST(FleetDegraded, StaleResidentLanesServeInflatedAnswers) {
             reference.fault_stats().degraded_ticks);
 }
 
+// The same stale-suppression run, watched by band alerts with
+// uncertainty ceilings. Serve reads each source's variance as a scalar:
+// from the lane on a resident source, from ServerNode::AnswerScalar on
+// a spilled one (and always on the per-source reference). Both must
+// apply the degraded inflation, or the ceilings trip on different ticks
+// and with different variances.
+TEST(FleetDegraded, StaleResidentLanesAlertOnInflatedVariance) {
+  constexpr int kStaleSources = 6;
+  constexpr int64_t kStaleTicks = 80;
+  constexpr int kCeilings = 24;
+
+  ShardedStreamEngineOptions options;
+  options.num_shards = 1;
+  options.channel.seed = 77;
+  options.channel.per_source_rng = true;
+  options.protocol.staleness_budget = 6;  // no heartbeat to reset it
+
+  options.batched_fleet = false;
+  ShardedStreamEngine reference(options);
+  options.batched_fleet = true;
+  ShardedStreamEngine batched(options);
+  for (ShardedStreamEngine* engine : {&reference, &batched}) {
+    for (int id = 1; id <= kStaleSources; ++id) {
+      ASSERT_TRUE(engine->RegisterSource(id, ScalarModel(0.05)).ok());
+      ContinuousQuery query;
+      query.id = id;
+      query.source_id = id;
+      query.precision = 3.0;
+      ASSERT_TRUE(engine->SubmitQuery(query).ok());
+      // A ladder of ceilings, so the growing variance of a suppressed
+      // source crosses one every few ticks.
+      for (int k = 0; k < kCeilings; ++k) {
+        Subscription alert;
+        alert.id = id * 100 + k;
+        alert.kind = SubscriptionKind::kBandAlert;
+        alert.source_id = id;
+        alert.lo = -100.0;
+        alert.hi = 100.0;
+        alert.uncertainty_ceiling = 0.01 * std::pow(1.5, k);
+        ASSERT_TRUE(engine->Subscribe(alert).ok());
+      }
+    }
+  }
+
+  bool saw_degraded_resident_alert = false;
+  for (int64_t t = 0; t < kStaleTicks; ++t) {
+    std::map<int, Vector> readings;
+    for (int id = 1; id <= kStaleSources; ++id) {
+      readings[id] = Vector{5.0 + static_cast<double>(id)};
+    }
+    ASSERT_TRUE(reference.ProcessTick(readings).ok()) << "tick " << t;
+    ASSERT_TRUE(batched.ProcessTick(readings).ok()) << "tick " << t;
+    const std::vector<NotificationBatch> from_batched =
+        batched.DrainNotifications();
+    const std::vector<NotificationBatch> from_reference =
+        reference.DrainNotifications();
+    ASSERT_TRUE(from_batched == from_reference) << "tick " << t;
+    if (batched.fleet_resident_count() != kStaleSources) continue;
+    for (const NotificationBatch& batch : from_batched) {
+      for (const Notification& n : batch.notifications) {
+        if (n.kind == NotificationKind::kUncertaintyHigh &&
+            batched.answer_degraded(n.source_id).value()) {
+          saw_degraded_resident_alert = true;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(saw_degraded_resident_alert)
+      << "no ceiling tripped while a resident lane served degraded";
+}
+
 }  // namespace
 }  // namespace dkf

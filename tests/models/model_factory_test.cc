@@ -1,6 +1,8 @@
 #include "models/model_factory.h"
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +13,24 @@
 
 namespace dkf {
 namespace {
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Every ModelNoise that sets one variance to NaN or +inf.
+std::vector<ModelNoise> NonFiniteNoises() {
+  std::vector<ModelNoise> noises;
+  for (double bad : {kNaN, kInf}) {
+    for (double ModelNoise::*field :
+         {&ModelNoise::process_variance, &ModelNoise::measurement_variance,
+          &ModelNoise::initial_variance}) {
+      ModelNoise noise;
+      noise.*field = bad;
+      noises.push_back(noise);
+    }
+  }
+  return noises;
+}
 
 TEST(ConstantModelTest, MatchesPaperEquation15) {
   auto model_or = MakeConstantModel(2, ModelNoise{});
@@ -33,6 +53,9 @@ TEST(ConstantModelTest, Validation) {
   noise = ModelNoise{};
   noise.initial_variance = -1.0;
   EXPECT_FALSE(MakeConstantModel(1, noise).ok());
+  for (const ModelNoise& bad : NonFiniteNoises()) {
+    EXPECT_FALSE(MakeConstantModel(1, bad).ok());
+  }
 }
 
 TEST(LinearModelTest, MatchesPaperEquations13To16) {
@@ -63,6 +86,10 @@ TEST(LinearModelTest, Validation) {
   EXPECT_FALSE(MakeLinearModel(0, 1.0, ModelNoise{}).ok());
   EXPECT_FALSE(MakeLinearModel(1, 0.0, ModelNoise{}).ok());
   EXPECT_FALSE(MakeLinearModel(1, -1.0, ModelNoise{}).ok());
+  for (const ModelNoise& bad : NonFiniteNoises()) {
+    EXPECT_FALSE(MakeLinearModel(1, 1.0, bad).ok());
+    EXPECT_FALSE(MakePolynomialModel(1, 2, 1.0, bad).ok());
+  }
 }
 
 TEST(PolynomialModelTest, JerkModelTaylorCoefficients) {
@@ -194,6 +221,9 @@ TEST(SinusoidalModelTest, Validation) {
   ModelNoise bad;
   bad.measurement_variance = -1.0;
   EXPECT_FALSE(MakeSinusoidalModel(1.0, 0.0, 1.0, bad).ok());
+  for (const ModelNoise& noise : NonFiniteNoises()) {
+    EXPECT_FALSE(MakeSinusoidalModel(1.0, 0.0, 1.0, noise).ok());
+  }
 }
 
 TEST(SmoothingModelTest, SingleStateWithFAsProcessNoise) {
@@ -208,6 +238,10 @@ TEST(SmoothingModelTest, SingleStateWithFAsProcessNoise) {
 TEST(SmoothingModelTest, Validation) {
   EXPECT_FALSE(MakeSmoothingModel(0.0, 1.0).ok());
   EXPECT_FALSE(MakeSmoothingModel(1e-7, 0.0).ok());
+  for (double bad : {kNaN, kInf}) {
+    EXPECT_FALSE(MakeSmoothingModel(bad, 1.0).ok());
+    EXPECT_FALSE(MakeSmoothingModel(1e-7, bad).ok());
+  }
 }
 
 TEST(MeanRevertingModelTest, Validation) {
@@ -215,6 +249,9 @@ TEST(MeanRevertingModelTest, Validation) {
   EXPECT_FALSE(MakeMeanRevertingModel(1.0, ModelNoise{}).ok());
   EXPECT_FALSE(MakeMeanRevertingModel(-0.5, ModelNoise{}).ok());
   EXPECT_TRUE(MakeMeanRevertingModel(0.9, ModelNoise{}).ok());
+  for (const ModelNoise& bad : NonFiniteNoises()) {
+    EXPECT_FALSE(MakeMeanRevertingModel(0.9, bad).ok());
+  }
 }
 
 TEST(MeanRevertingModelTest, TransitionStructure) {

@@ -1,6 +1,7 @@
 #include "models/nonlinear_models.h"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,17 @@ TEST(CoordinatedTurnTest, Validation) {
   NonlinearModelNoise bad;
   bad.measurement_variance = 0.0;
   EXPECT_FALSE(MakeCoordinatedTurnModel(0.1, bad).ok());
+  for (double value :
+       {std::nan(""), std::numeric_limits<double>::infinity()}) {
+    for (double NonlinearModelNoise::*field :
+         {&NonlinearModelNoise::process_variance,
+          &NonlinearModelNoise::measurement_variance,
+          &NonlinearModelNoise::initial_variance}) {
+      NonlinearModelNoise noise;
+      noise.*field = value;
+      EXPECT_FALSE(MakeCoordinatedTurnModel(0.1, noise).ok());
+    }
+  }
 }
 
 TEST(CoordinatedTurnTest, TransitionMatchesKinematics) {

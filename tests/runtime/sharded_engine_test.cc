@@ -11,6 +11,7 @@
 
 #include "common/rng.h"
 #include "models/model_factory.h"
+#include "runtime/shard.h"
 
 namespace dkf {
 namespace {
@@ -259,6 +260,95 @@ TEST(ShardedStreamEngineTest, ErrorSurface) {
   EXPECT_EQ(engine.SubmitAggregateQuery(bad).code(),
             StatusCode::kInvalidArgument);
 }
+
+TEST(ShardedStreamEngineTest, RegisterSourceRefusesNonFiniteNoise) {
+  // A NaN or infinite Q or R would diverge the source's filters on the
+  // first tick and wedge every tick after it, healthy sources included.
+  for (bool batched : {false, true}) {
+    ShardedStreamEngineOptions options;
+    options.batched_fleet = batched;
+    ShardedStreamEngine engine(options);
+    ASSERT_TRUE(engine.RegisterSource(1, ScalarModel()).ok());
+    for (double bad : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+      StateModel model = ScalarModel();
+      model.options.process_noise(0, 0) = bad;
+      EXPECT_EQ(engine.RegisterSource(2, model).code(),
+                StatusCode::kInvalidArgument)
+          << "Q " << bad;
+      model = ScalarModel();
+      model.options.measurement_noise(0, 0) = bad;
+      EXPECT_EQ(engine.RegisterSource(2, model).code(),
+                StatusCode::kInvalidArgument)
+          << "R " << bad;
+    }
+    EXPECT_EQ(engine.Answer(2).status().code(), StatusCode::kNotFound);
+    for (int64_t t = 0; t < 5; ++t) {
+      ASSERT_TRUE(
+          engine.ProcessTick({{1, Vector{1.0 + static_cast<double>(t)}}}).ok())
+          << "tick " << t;
+    }
+    EXPECT_EQ(engine.ticks(), 5);
+    EXPECT_TRUE(std::isfinite(engine.Answer(1).value()[0]));
+  }
+}
+
+/// A standalone shard caches the slice of its last accepted batch
+/// layout. A refused layout must leave that cache whole: the next batch
+/// is judged on its own, and the shard goes on exactly like a twin that
+/// never saw the refused batches.
+class StandaloneShardTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(StandaloneShardTest, RefusedLayoutLeavesTheCachedSliceWhole) {
+  ChannelOptions channel;
+  channel.per_source_rng = true;
+  StreamShard shard(channel, EnergyModelOptions(), /*default_delta=*/1.0);
+  StreamShard twin(channel, EnergyModelOptions(), /*default_delta=*/1.0);
+  for (StreamShard* s : {&shard, &twin}) {
+    if (GetParam()) {
+      ASSERT_TRUE(s->EnableFleet().ok());
+    }
+    for (int id = 1; id <= 3; ++id) {
+      ASSERT_TRUE(s->AddSource(id, ScalarModel()).ok());
+    }
+  }
+  auto batch = [](const std::vector<int>& ids, int64_t t) {
+    ReadingBatch b;
+    for (int id : ids) {
+      b.ids.push_back(id);
+      b.values.push_back(Vector{static_cast<double>(id) +
+                                0.01 * static_cast<double>(t)});
+    }
+    return b;
+  };
+  for (int64_t t = 0; t < 30; ++t) {
+    if (t % 10 == 1) {
+      EXPECT_EQ(shard.ProcessTick(t, batch({1, 3}, t)).code(),
+                StatusCode::kInvalidArgument)
+          << "tick " << t;
+      EXPECT_EQ(shard.ProcessTick(t, batch({}, t)).code(),
+                StatusCode::kInvalidArgument)
+          << "tick " << t;
+    }
+    const std::vector<int> ids =
+        t % 2 == 0 ? std::vector<int>{1, 2, 3} : std::vector<int>{3, 1, 2};
+    ASSERT_TRUE(shard.ProcessTick(t, batch(ids, t)).ok()) << "tick " << t;
+    ASSERT_TRUE(twin.ProcessTick(t, batch(ids, t)).ok()) << "tick " << t;
+    for (int id = 1; id <= 3; ++id) {
+      ASSERT_EQ(shard.Answer(id).value()[0], twin.Answer(id).value()[0])
+          << "tick " << t << " source " << id;
+    }
+  }
+  if (GetParam()) {
+    EXPECT_GT(shard.fleet_resident_count(), 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ShardedStreamEngineTest, StandaloneShardTest,
+                         ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "Fleet"
+                                                          : "PerSource");
+                         });
 
 TEST(ShardedStreamEngineTest, AggregateLifecycleAndPartialSums) {
   ShardedStreamEngineOptions options;
