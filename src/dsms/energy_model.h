@@ -32,8 +32,12 @@ class EnergyAccount {
       : options_(options) {}
 
   void ChargeTransmission(size_t bytes) {
-    transmission_ += static_cast<double>(bytes) * 8.0 *
-                     options_.instructions_per_bit;
+    transmission_ += TransmissionCost(options_, bytes);
+  }
+  /// What ChargeTransmission adds for `bytes` on the air.
+  static double TransmissionCost(const EnergyModelOptions& options,
+                                 size_t bytes) {
+    return static_cast<double>(bytes) * 8.0 * options.instructions_per_bit;
   }
   void ChargeFilterStep() { compute_ += options_.instructions_per_filter_step; }
   void ChargeReading() { sensing_ += options_.instructions_per_reading; }

@@ -146,6 +146,17 @@ struct Message {
   }
 };
 
+/// A healthy-but-silent source's header-only liveness beacon
+/// (docs/protocol.md §6.2).
+inline Message MakeHeartbeat(int source_id, int64_t tick, uint32_t sequence) {
+  Message beacon;
+  beacon.type = MessageType::kHeartbeat;
+  beacon.source_id = source_id;
+  beacon.tick = tick;
+  beacon.sequence = sequence;
+  return beacon;
+}
+
 }  // namespace dkf
 
 #endif  // DKF_DSMS_MESSAGE_H_

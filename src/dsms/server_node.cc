@@ -87,6 +87,52 @@ Status ServerNode::TickSource(int source_id) {
   return it->second->Tick();
 }
 
+bool ServerNode::Admit(const Message& message, uint32_t* last_sequence,
+                       int64_t* last_valid_tick) {
+  const int64_t now = ticks_done_ - 1;
+  // Rejections are protocol events, not errors: the message is counted
+  // and dropped, the tick loop continues.
+  auto reject = [&](int64_t* counter, TraceEventKind kind) {
+    ++*counter;
+    DKF_TRACE(obs_sink_, now, message.source_id, kind, TraceActor::kServer,
+              0.0, 0.0, message.sequence);
+    return false;
+  };
+  if (message.checksum != 0 &&
+      message.ComputeChecksum() != message.checksum) {
+    return reject(&faults_.rejected_corrupt, TraceEventKind::kCorruptReject);
+  }
+  const bool sequenced = message.sequence != 0;
+  if (sequenced && message.sequence <= *last_sequence) {
+    // Duplicate or out-of-order.
+    return reject(&faults_.rejected_stale, TraceEventKind::kStaleReject);
+  }
+  // A late measurement must not be applied: the mirror was never
+  // corrected for it (no ACK made it back in time), so applying it here
+  // would *create* the divergence the protocol guards against. A delayed
+  // heartbeat proves nothing about the present; only a fresh one
+  // refreshes liveness. A late resync is still good: it replays the
+  // ticks it spent in flight.
+  const bool fresh_only = message.type == MessageType::kMeasurement ||
+                          message.type == MessageType::kHeartbeat;
+  if (sequenced && fresh_only && message.tick != now) {
+    return reject(&faults_.rejected_stale, TraceEventKind::kStaleReject);
+  }
+  if (sequenced) {
+    faults_.sequence_gaps += static_cast<int64_t>(message.sequence) -
+                             static_cast<int64_t>(*last_sequence) - 1;
+    *last_sequence = message.sequence;
+    *last_valid_tick = now;
+  }
+  if (message.type == MessageType::kHeartbeat) {
+    ++faults_.heartbeats_received;
+    DKF_TRACE(obs_sink_, now, message.source_id,
+              TraceEventKind::kHeartbeatReceived, TraceActor::kServer, 0.0,
+              0.0, message.sequence);
+  }
+  return true;
+}
+
 Status ServerNode::OnMessage(const Message& message) {
   auto it = predictors_.find(message.source_id);
   if (it == predictors_.end()) {
@@ -95,47 +141,12 @@ Status ServerNode::OnMessage(const Message& message) {
   }
   LinkState& link = links_[message.source_id];
   const int64_t now = ticks_done_ - 1;
-
-  // Ingress validation. Rejections are protocol events, not errors: the
-  // message is counted and dropped, the tick loop continues.
-  if (message.checksum != 0 &&
-      message.ComputeChecksum() != message.checksum) {
-    ++faults_.rejected_corrupt;
-    DKF_TRACE(obs_sink_, now, message.source_id,
-              TraceEventKind::kCorruptReject, TraceActor::kServer, 0.0, 0.0,
-              message.sequence);
+  if (!Admit(message, &link.last_sequence, &link.last_valid_tick)) {
     return Status::OK();
   }
-  const bool sequenced = message.sequence != 0;
-  if (sequenced && message.sequence <= link.last_sequence) {
-    ++faults_.rejected_stale;  // duplicate or out-of-order
-    DKF_TRACE(obs_sink_, now, message.source_id,
-              TraceEventKind::kStaleReject, TraceActor::kServer, 0.0, 0.0,
-              message.sequence);
-    return Status::OK();
-  }
-  auto accept_sequenced = [&]() {
-    if (!sequenced) return;
-    faults_.sequence_gaps +=
-        static_cast<int64_t>(message.sequence) -
-        static_cast<int64_t>(link.last_sequence) - 1;
-    link.last_sequence = message.sequence;
-    link.last_valid_tick = now;
-  };
 
   switch (message.type) {
     case MessageType::kMeasurement:
-      // A late measurement must not be applied: the mirror was never
-      // corrected for it (no ACK made it back in time), so applying it
-      // here would *create* the divergence the protocol guards against.
-      if (sequenced && message.tick != now) {
-        ++faults_.rejected_stale;
-        DKF_TRACE(obs_sink_, now, message.source_id,
-                  TraceEventKind::kStaleReject, TraceActor::kServer, 0.0,
-                  0.0, message.sequence);
-        return Status::OK();
-      }
-      accept_sequenced();
       link.last_update_tick = now;
       DKF_TRACE(obs_sink_, now, message.source_id,
                 TraceEventKind::kUpdateApplied, TraceActor::kServer, 0.0,
@@ -201,7 +212,6 @@ Status ServerNode::OnMessage(const Message& message) {
       for (int64_t i = 0; i < in_flight_ticks; ++i) {
         DKF_RETURN_IF_ERROR(it->second->Tick());
       }
-      accept_sequenced();
       ++faults_.resyncs_applied;
       link.last_resync_tick = now;
       link.last_update_tick = now;
@@ -212,20 +222,7 @@ Status ServerNode::OnMessage(const Message& message) {
     }
 
     case MessageType::kHeartbeat:
-      // A delayed heartbeat proves nothing about the present; only a
-      // fresh one refreshes liveness.
-      if (sequenced && message.tick != now) {
-        ++faults_.rejected_stale;
-        DKF_TRACE(obs_sink_, now, message.source_id,
-                  TraceEventKind::kStaleReject, TraceActor::kServer, 0.0,
-                  0.0, message.sequence);
-        return Status::OK();
-      }
-      accept_sequenced();
-      ++faults_.heartbeats_received;
-      DKF_TRACE(obs_sink_, now, message.source_id,
-                TraceEventKind::kHeartbeatReceived, TraceActor::kServer, 0.0,
-                0.0, message.sequence);
+      // Admit counted and traced it; liveness is all it carries.
       return Status::OK();
 
     case MessageType::kModelSwitch:

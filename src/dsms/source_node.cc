@@ -20,8 +20,8 @@ Result<SourceNode> SourceNode::Create(const SourceNodeOptions& options) {
         return Status::InvalidArgument("component deltas must be positive");
       }
     }
-  } else if (!(options.delta > 0.0)) {
-    return Status::InvalidArgument("delta must be positive");
+  } else {
+    DKF_RETURN_IF_ERROR(ValidateDelta(options.delta));
   }
   if (options.protocol.resync_burst_retries < 1) {
     return Status::InvalidArgument("resync_burst_retries must be >= 1");
@@ -84,10 +84,15 @@ std::unique_ptr<SourceNode> SourceNode::CloneAs(int source_id) const {
   return copy;
 }
 
-Status SourceNode::set_delta(double delta) {
+Status SourceNode::ValidateDelta(double delta) {
   if (!(delta > 0.0)) {
     return Status::InvalidArgument("delta must be positive");
   }
+  return Status::OK();
+}
+
+Status SourceNode::set_delta(double delta) {
+  DKF_RETURN_IF_ERROR(ValidateDelta(delta));
   options_.delta = delta;
   return Status::OK();
 }
@@ -398,11 +403,8 @@ Result<SourceStepResult> SourceNode::ProcessReading(int64_t tick,
         // Healthy but silent: tell the server the prediction still holds.
         // Heartbeats correct nothing, so their ACK (or its loss) carries
         // no divergence risk and is ignored.
-        Message beacon;
-        beacon.type = MessageType::kHeartbeat;
-        beacon.source_id = options_.source_id;
-        beacon.tick = tick;
-        beacon.sequence = next_sequence_++;
+        const Message beacon =
+            MakeHeartbeat(options_.source_id, tick, next_sequence_++);
         energy_.ChargeTransmission(beacon.SizeBytes());
         ++faults_.heartbeats_sent;
         last_send_tick_ = tick;

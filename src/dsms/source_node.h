@@ -109,6 +109,10 @@ class SourceNode {
   /// mirror consistency is untouched.
   Status set_delta(double delta);
 
+  /// set_delta's rule: InvalidArgument unless `delta` > 0 (NaN fails).
+  /// The batched fleet engine applies it to resident lanes too.
+  static Status ValidateDelta(double delta);
+
   /// Reconfigures the KF_c smoothing stage mid-stream. Passing nullopt
   /// disables smoothing. The smoother restarts from scratch (its state is
   /// pre-protocol, so this too cannot break the mirror), which costs a

@@ -42,29 +42,14 @@ Status RunSourceTick(int64_t tick, ServerNode& server,
   return RunSourceTick(tick, server, steps, channel);
 }
 
-Result<bool> InstallEffectiveConfig(
-    const QueryRegistry& registry, double default_delta, int source_id,
-    SourceNode& node, std::optional<double>& installed_smoothing) {
+EffectiveConfig ResolveEffectiveConfig(const QueryRegistry& registry,
+                                       double default_delta, int source_id) {
+  EffectiveConfig config;
   auto delta_or = registry.EffectiveDelta(source_id);
-  const double new_delta = delta_or.ok() ? delta_or.value() : default_delta;
-
-  std::optional<double> new_smoothing;
+  config.delta = delta_or.ok() ? delta_or.value() : default_delta;
   auto smoothing_or = registry.EffectiveSmoothing(source_id);
-  if (smoothing_or.ok()) new_smoothing = smoothing_or.value();
-
-  bool changed = false;
-  if (node.delta() != new_delta) {
-    DKF_RETURN_IF_ERROR(node.set_delta(new_delta));
-    changed = true;
-  }
-  // Only touch (and thereby restart) the KF_c smoother when the factor
-  // actually changed.
-  if (installed_smoothing != new_smoothing) {
-    DKF_RETURN_IF_ERROR(node.set_smoothing(new_smoothing));
-    installed_smoothing = new_smoothing;
-    changed = true;
-  }
-  return changed;
+  if (smoothing_or.ok()) config.smoothing = smoothing_or.value();
+  return config;
 }
 
 }  // namespace dkf

@@ -38,18 +38,17 @@ Status RunSourceTick(int64_t tick, ServerNode& server,
                      const std::map<int, Vector>& readings,
                      Channel& channel);
 
-/// Pushes the registry's current effective delta/smoothing for
-/// `source_id` down to its node — the body of a reconfiguration control
-/// message.
-///
-/// `installed_smoothing` is the caller-tracked smoothing factor last
-/// installed at the node; it is compared and updated here so an
-/// unrelated reconfiguration does not restart the KF_c smoother.
-/// Returns true when something actually changed (i.e. a control
-/// message went on the downlink).
-Result<bool> InstallEffectiveConfig(
-    const QueryRegistry& registry, double default_delta, int source_id,
-    SourceNode& node, std::optional<double>& installed_smoothing);
+/// The registry's current effective delta (`default_delta` when no query
+/// sets one) and KF_c smoothing factor for `source_id` — the body of a
+/// reconfiguration control message. The shard installs them, skipping
+/// what its node already has so an unrelated reconfiguration neither
+/// restarts the smoother nor sends a control message.
+struct EffectiveConfig {
+  double delta = 0.0;
+  std::optional<double> smoothing;
+};
+EffectiveConfig ResolveEffectiveConfig(const QueryRegistry& registry,
+                                       double default_delta, int source_id);
 
 }  // namespace dkf
 

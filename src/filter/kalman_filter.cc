@@ -489,6 +489,20 @@ Status KalmanFilter::ImportFullState(const FullState& full) {
     return Status::InvalidArgument(
         "full state carries non-finite estimate or covariance");
   }
+  bool finite = full.last_innovation.IsFinite() &&
+                full.process_noise.IsFinite() &&
+                full.measurement_noise.IsFinite() &&
+                full.ss_prev_gain.IsFinite();
+  for (int i = 0; i < 2; ++i) {
+    finite = finite && full.ss_prev_post[i].IsFinite() &&
+             full.ss_gain[i].IsFinite() && full.ss_prior_p[i].IsFinite() &&
+             full.ss_post_p[i].IsFinite();
+  }
+  if (!finite) {
+    return Status::InvalidArgument(
+        "full state carries non-finite noise, innovation or fast-path "
+        "matrices");
+  }
   x_ = full.x;
   p_ = full.p;
   step_ = full.step;
@@ -561,6 +575,18 @@ bool KalmanFilter::FullStateBitEquals(const KalmanFilter& other) const {
     }
   }
   return true;
+}
+
+bool KalmanFilter::PredictStateBitEquals(const KalmanFilter& other) const {
+  if (ss_mode_ != SsMode::kTracking || other.ss_mode_ != SsMode::kTracking) {
+    return FullStateBitEquals(other);
+  }
+  return step_ == other.step_ && phase_ == other.phase_ &&
+         ss_idx_ == other.ss_idx_ && BitEqual(x_, other.x_) &&
+         BitEqual(p_, other.p_) &&
+         BitEqual(options_.process_noise, other.options_.process_noise) &&
+         BitEqual(options_.measurement_noise,
+                  other.options_.measurement_noise);
 }
 
 }  // namespace dkf

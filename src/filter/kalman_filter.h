@@ -172,9 +172,20 @@ class KalmanFilter {
   /// equal in every field, decided in place without building either copy.
   /// Scalars are compared first, so the usual mismatch (a step or
   /// fast-path counter) returns before any matrix is read. Unlike
-  /// StateEquals this tells -0.0 from 0.0. The batched fleet engine's
-  /// absorb test (docs/fleet.md).
+  /// StateEquals this tells -0.0 from 0.0. PredictStateBitEquals falls
+  /// back to it outside tracking mode.
   bool FullStateBitEquals(const KalmanFilter& other) const;
+
+  /// The batched fleet engine's absorb test (docs/fleet.md, "The resync
+  /// asymmetry"): true when a run of uncorrected Predicts evolves both
+  /// filters identically. In tracking mode a Predict reads and writes
+  /// only x, P, the step and cadence counters and Q, so those — plus the
+  /// phase, ss_idx and R a lane keeps once for both ends — must be bit
+  /// equal, while the convergence history, the dormant frozen cycle,
+  /// predicts_since_correct and last_innovation may differ (a resync's
+  /// ImportState resets them on one end only). When either filter is
+  /// not tracking, this is FullStateBitEquals.
+  bool PredictStateBitEquals(const KalmanFilter& other) const;
 
   /// Everything that distinguishes a running filter from a freshly
   /// constructed one with the same model recipe: estimate, covariance,
@@ -211,8 +222,9 @@ class KalmanFilter {
   FullState ExportFullState() const;
 
   /// Overwrites the full running state. Errors (leaving the filter
-  /// untouched) when any dimension disagrees with this filter's model or
-  /// an enum value is out of range. Q/R are assigned directly — this is a
+  /// untouched) when any dimension disagrees with this filter's model, an
+  /// enum value is out of range, or any matrix or vector carries a
+  /// non-finite value (every later Predict would fail on it). Q/R are assigned directly — this is a
   /// state restore, not a reconfiguration, so the fast path is *not*
   /// disarmed.
   Status ImportFullState(const FullState& full);

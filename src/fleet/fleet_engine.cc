@@ -366,11 +366,13 @@ void FleetEngine::MergeResidentFaults(ProtocolFaultStats* merged) const {
 }
 
 KalmanFilter::FullState FleetEngine::LaneFullState(const Group& g,
-                                                   size_t lane) const {
-  KalmanFilter::FullState f = g.cold_table[g.cold_idx[lane]];
-  if (g.has_innovation[lane]) {
+                                                   size_t lane,
+                                                   End end) const {
+  const EndColumns& e = g.ends[end];
+  KalmanFilter::FullState f = g.cold_table[e.cold_idx[lane]];
+  if (e.has_innovation[lane]) {
     f.last_innovation = Vector(g.m);
-    std::memcpy(f.last_innovation.data(), &g.innovation[lane * g.m],
+    std::memcpy(f.last_innovation.data(), &e.innovation[lane * g.m],
                 g.m * sizeof(double));
   }
   const size_t n = g.n;
@@ -386,7 +388,8 @@ KalmanFilter::FullState FleetEngine::LaneFullState(const Group& g,
                 n * n * sizeof(double));
   }
   f.step = g.step[lane];
-  f.predicts_since_correct = g.psc[lane];
+  f.predicts_since_correct =
+      g.psc[lane] + (end == kServerEnd ? g.server_psc_skew[lane] : 0);
   f.phase = g.phase[lane];
   f.ss_mode = g.ss_mode[lane];
   f.ss_idx = g.ss_idx[lane];
@@ -397,9 +400,11 @@ void FleetEngine::SetCold(Group& g, size_t lane,
                           const KalmanFilter::FullState& state) {
   // Acquire before release: a lane re-storing its own record must not
   // free it in between.
-  const int32_t index = g.cold_table.Acquire(state);
-  g.cold_table.Release(g.cold_idx[lane]);
-  g.cold_idx[lane] = index;
+  for (EndColumns& e : g.ends) {
+    const int32_t index = g.cold_table.Acquire(state);
+    g.cold_table.Release(e.cold_idx[lane]);
+    e.cold_idx[lane] = index;
+  }
 }
 
 SourceNode::CheckpointState FleetEngine::SynthesizeForLane(
@@ -413,7 +418,7 @@ SourceNode::CheckpointState FleetEngine::SynthesizeForLane(
   // first_resync_sequence = resync_attempts = 0: the defaults).
   state.smoothing_measurement_variance =
       PrototypeFor(entry).smoothing_measurement_variance();
-  state.mirror = LaneFullState(g, lane);
+  state.mirror = LaneFullState(g, lane, kMirrorEnd);
   state.energy_transmission = g.energy_transmission[lane];
   state.energy_compute = g.energy_compute[lane];
   state.energy_sensing = g.energy_sensing[lane];
@@ -435,13 +440,13 @@ ServerNode::LinkSnapshot FleetEngine::SynthesizeLinkForLane(
   link.last_valid_tick = g.link_last_valid_tick[lane];
   link.last_resync_tick = g.link_last_resync_tick[lane];
   link.last_update_tick = g.link_last_update_tick[lane];
-  // Mirror and predictor are bitwise equal while resident — one lane IS
-  // the whole dual link — so the same reconstruction serves both. The
-  // same holds for the noise servo (absorption required the two adapter
-  // states bit-equal, and corrections — the only thing that moves them —
-  // never happen on a resident lane), so the record's copy stands in for
-  // the server's.
-  link.predictor = LaneFullState(g, lane);
+  // The lane's hot state is the predictor's, and its server end holds
+  // the bookkeeping a resync reset on the server only. The noise servo
+  // needs no server copy: absorption required the two adapter states
+  // bit-equal, and corrections — the only thing that moves them — never
+  // happen on a resident lane, so the record's copy stands in for the
+  // server's.
+  link.predictor = LaneFullState(g, lane, kServerEnd);
   const NodeRecord& record = g.node_records[lane];
   if (record.adapter != nullptr) link.adapt = record.adapter->ExportState();
   return link;
@@ -473,15 +478,23 @@ size_t FleetEngine::AddLane(Group& g, int32_t order_pos,
   g.link_last_valid_tick.push_back(link.last_valid_tick);
   g.link_last_resync_tick.push_back(link.last_resync_tick);
   g.link_last_update_tick.push_back(link.last_update_tick);
+  g.delivered.push_back(0);
+  g.server_psc_skew.push_back(link.predictor.predicts_since_correct -
+                              m.predicts_since_correct);
   g.ss_period.push_back(m.ss_period);
   g.order_pos.push_back(order_pos);
   g.value_ptrs.push_back(nullptr);
-  g.cold_idx.push_back(g.cold_table.Acquire(m));
-  g.has_innovation.push_back(m.last_innovation.size() != 0 ? 1 : 0);
-  g.innovation.resize(g.innovation.size() + g.m, 0.0);
-  if (g.has_innovation[lane]) {
-    std::memcpy(&g.innovation[lane * g.m], m.last_innovation.data(),
-                g.m * sizeof(double));
+  for (const End end : {kMirrorEnd, kServerEnd}) {
+    const KalmanFilter::FullState& f =
+        end == kMirrorEnd ? state.mirror : link.predictor;
+    EndColumns& e = g.ends[end];
+    e.cold_idx.push_back(g.cold_table.Acquire(f));
+    e.has_innovation.push_back(f.last_innovation.size() != 0 ? 1 : 0);
+    e.innovation.resize(e.innovation.size() + g.m, 0.0);
+    if (e.has_innovation[lane]) {
+      std::memcpy(&e.innovation[lane * g.m], f.last_innovation.data(),
+                  g.m * sizeof(double));
+    }
   }
   NodeRecord record;
   record.updates_sent = state.updates_sent;
@@ -500,7 +513,18 @@ void FleetEngine::RemoveLane(Group& g, size_t lane) {
   const size_t last = g.ids.size() - 1;
   const size_t n = g.n;
   const size_t m = g.m;
-  g.cold_table.Release(g.cold_idx[lane]);
+  for (EndColumns& e : g.ends) {
+    g.cold_table.Release(e.cold_idx[lane]);
+    if (lane != last) {
+      e.cold_idx[lane] = e.cold_idx[last];
+      std::memcpy(&e.innovation[lane * m], &e.innovation[last * m],
+                  m * sizeof(double));
+      e.has_innovation[lane] = e.has_innovation[last];
+    }
+    e.cold_idx.pop_back();
+    e.innovation.resize(e.innovation.size() - m);
+    e.has_innovation.pop_back();
+  }
   if (lane != last) {
     g.ids[lane] = g.ids[last];
     std::memcpy(&g.x[lane * n], &g.x[last * n], n * sizeof(double));
@@ -522,13 +546,11 @@ void FleetEngine::RemoveLane(Group& g, size_t lane) {
     g.link_last_valid_tick[lane] = g.link_last_valid_tick[last];
     g.link_last_resync_tick[lane] = g.link_last_resync_tick[last];
     g.link_last_update_tick[lane] = g.link_last_update_tick[last];
+    g.delivered[lane] = g.delivered[last];
+    g.server_psc_skew[lane] = g.server_psc_skew[last];
     g.ss_period[lane] = g.ss_period[last];
     g.order_pos[lane] = g.order_pos[last];
     g.value_ptrs[lane] = g.value_ptrs[last];
-    g.cold_idx[lane] = g.cold_idx[last];
-    std::memcpy(&g.innovation[lane * m], &g.innovation[last * m],
-                m * sizeof(double));
-    g.has_innovation[lane] = g.has_innovation[last];
     g.node_records[lane] = std::move(g.node_records[last]);
     order_[g.order_pos[lane]].lane = static_cast<int32_t>(lane);
   }
@@ -551,12 +573,11 @@ void FleetEngine::RemoveLane(Group& g, size_t lane) {
   g.link_last_valid_tick.pop_back();
   g.link_last_resync_tick.pop_back();
   g.link_last_update_tick.pop_back();
+  g.delivered.pop_back();
+  g.server_psc_skew.pop_back();
   g.ss_period.pop_back();
   g.order_pos.pop_back();
   g.value_ptrs.pop_back();
-  g.cold_idx.pop_back();
-  g.innovation.resize(g.innovation.size() - m);
-  g.has_innovation.pop_back();
   g.node_records.pop_back();
 }
 
@@ -601,6 +622,48 @@ Status FleetEngine::SpillForReconfigure(int source_id) {
   return SpillLane(entry->group, static_cast<size_t>(entry->lane),
                    /*tick=*/0, /*reading=*/nullptr,
                    FleetSpillReason::kReconfigure);
+}
+
+Status FleetEngine::SetDelta(int source_id, double delta) {
+  const TickEntry* entry = FindEntry(source_id);
+  if (entry == nullptr || entry->group < 0) {
+    return Status::NotFound(StrFormat("source %d not resident", source_id));
+  }
+  DKF_RETURN_IF_ERROR(SourceNode::ValidateDelta(delta));
+  groups_[entry->group]->delta[entry->lane] = delta;
+  return Status::OK();
+}
+
+Status FleetEngine::OnMessage(const Message& message) {
+  const TickEntry* entry = FindEntry(message.source_id);
+  if (entry == nullptr || entry->group < 0) {
+    return Status::NotFound(
+        StrFormat("source %d not resident", message.source_id));
+  }
+  if (message.type != MessageType::kHeartbeat) {
+    return Status::Internal(
+        StrFormat("non-heartbeat message for resident source %d",
+                  message.source_id));
+  }
+  Group& g = *groups_[entry->group];
+  const size_t lane = static_cast<size_t>(entry->lane);
+  if (message.tick < server_->ticks() - 1) {
+    // Delivered from the channel's delay queue: its deferred ACK, if
+    // any, surfaces for the lane's tick. On the per-source path TickAll
+    // ran the server filter's coasting break before this delivery, so
+    // its event goes out first.
+    g.delivered[lane] |= kAckDue;
+    deliveries_pending_ = true;
+    if (CoastingBreakDue(g, lane) && !(g.delivered[lane] & kServerDisarmed)) {
+      DKF_TRACE(obs_sink_, g.step[lane], g.ids[lane],
+                TraceEventKind::kFastPathDisarm, TraceActor::kServerFilter,
+                static_cast<double>(g.ss_period[lane]));
+      g.delivered[lane] |= kServerDisarmed;
+    }
+  }
+  server_->Admit(message, &g.link_last_sequence[lane],
+                 &g.link_last_valid_tick[lane]);
+  return Status::OK();
 }
 
 void FleetEngine::RebuildOrder() {
@@ -678,7 +741,8 @@ Status FleetEngine::ReplayArmPending(Group& g, size_t lane, const Vector& z,
   const int id = g.ids[lane];
   const size_t n = g.n;
   KalmanPredictor& replay = *g.replay;
-  const KalmanFilter::FullState pre = LaneFullState(g, lane);
+  // Arm-pending lanes have equal ends, so the mirror's state is both.
+  const KalmanFilter::FullState pre = LaneFullState(g, lane, kMirrorEnd);
   replay.SetTrace(nullptr, 0, TraceActor::kSourceFilter);
   DKF_RETURN_IF_ERROR(replay.ImportFullState(pre));
   if (!replay.Tick().ok()) {
@@ -715,30 +779,49 @@ Status FleetEngine::ReplayArmPending(Group& g, size_t lane, const Vector& z,
   return Status::OK();
 }
 
-void FleetEngine::DisarmLane(Group& g, size_t lane) {
+void FleetEngine::DisarmLane(Group& g, size_t lane,
+                             bool server_event_emitted) {
   // Both halves of the dual link disarm at the same step; the server
   // filter's event lands first because TickAll runs before the source
-  // loop.
+  // loop. Armed lanes have equal ends, so one cold record serves both.
   const int id = g.ids[lane];
   const size_t n = g.n;
   const double period = static_cast<double>(g.ss_period[lane]);
-  DKF_TRACE(obs_sink_, g.step[lane], id, TraceEventKind::kFastPathDisarm,
-            TraceActor::kServerFilter, period);
+  if (!server_event_emitted) {
+    DKF_TRACE(obs_sink_, g.step[lane], id, TraceEventKind::kFastPathDisarm,
+              TraceActor::kServerFilter, period);
+  }
   DKF_TRACE(obs_sink_, g.step[lane], id, TraceEventKind::kFastPathDisarm,
             TraceActor::kSourceFilter, period);
   g.ss_mode[lane] = kSsTracking;
   if (g.p_stale[lane]) {
     std::memcpy(&g.p[lane * n * n],
-                g.cold_table[g.cold_idx[lane]].ss_prior_p[g.ss_idx[lane]]
+                g.cold_table[g.ends[kMirrorEnd].cold_idx[lane]]
+                    .ss_prior_p[g.ss_idx[lane]]
                     .RowData(0),
                 n * n * sizeof(double));
     g.p_stale[lane] = 0;
   }
-  KalmanFilter::FullState disarmed = g.cold_table[g.cold_idx[lane]];
+  KalmanFilter::FullState disarmed =
+      g.cold_table[g.ends[kMirrorEnd].cold_idx[lane]];
   disarmed.ss_streak1 = 0;
   disarmed.ss_streak2 = 0;
   disarmed.ss_have_prev = 0;
   SetCold(g, lane, disarmed);
+}
+
+Status FleetEngine::SendHeartbeat(Group& g, size_t lane, int64_t tick) {
+  NodeRecord& record = g.node_records[lane];
+  const Message beacon =
+      MakeHeartbeat(g.ids[lane], tick, record.next_sequence++);
+  g.energy_transmission[lane] +=
+      EnergyAccount::TransmissionCost(energy_, beacon.SizeBytes());
+  ++record.faults.heartbeats_sent;
+  g.last_send_tick[lane] = tick;
+  DKF_TRACE(obs_sink_, tick, beacon.source_id, TraceEventKind::kHeartbeatSent,
+            TraceActor::kSource, 0.0, 0.0, beacon.sequence);
+  // The shard's sink hands a prompt delivery straight back to OnMessage.
+  return channel_->Send(beacon).status();
 }
 
 Status FleetEngine::TickGroupLanes(int group_index, int64_t tick) {
@@ -756,14 +839,18 @@ Status FleetEngine::TickGroupLanes(int group_index, int64_t tick) {
   size_t lane = 0;
   while (lane < g.ids.size()) {
     const Vector& z = *g.value_ptrs[lane];
+    bool server_disarmed = false;
+    if (deliveries_pending_ && g.delivered[lane] != 0) {
+      // A delayed message landed this tick: collect its deferred ACK as
+      // ProcessReading does. A lane is never in a resync episode, so
+      // the ACK itself changes nothing.
+      server_disarmed = (g.delivered[lane] & kServerDisarmed) != 0;
+      g.delivered[lane] = 0;
+      if (channel_->has_deferred_acks()) (void)channel_->TakeAcks(g.ids[lane]);
+    }
     std::optional<FleetSpillReason> spill;
     double deviation = 0.0;
-    if (hb_interval > 0 && tick - g.last_send_tick[lane] >= hb_interval) {
-      // A due heartbeat touches the channel whatever the deviation says
-      // (suppressed -> heartbeat, violated -> measurement), so the
-      // per-source code must own this tick either way.
-      spill = FleetSpillReason::kHeartbeat;
-    } else if (g.ss_mode[lane] == kSsArmPending) {
+    if (g.ss_mode[lane] == kSsArmPending) {
       // The rare arm-pending predict runs through the real filter so the
       // capture/arm/freeze transition stays bit-exact, trace included.
       DKF_RETURN_IF_ERROR(ReplayArmPending(g, lane, z, &deviation, &spill));
@@ -774,11 +861,10 @@ Status FleetEngine::TickGroupLanes(int group_index, int64_t tick) {
       // a long-suppressed lane, which disarms after two uncorrected
       // predicts). Nothing is committed unless the prediction is finite
       // and inside delta.
-      const bool armed =
-          g.ss_mode[lane] == kSsArmed && g.phase[lane] == kPhaseCorrected;
       // Coasting break: a second Predict without a Correct leaves the
       // frozen cycle (KalmanFilter::DisarmSteadyState).
-      if (!armed && g.ss_mode[lane] == kSsArmed) DisarmLane(g, lane);
+      if (CoastingBreakDue(g, lane)) DisarmLane(g, lane, server_disarmed);
+      const bool armed = g.ss_mode[lane] == kSsArmed;
       PredictState(phi, &g.x[lane * n], n, sx);
       bool finite = AllFinite(sx, n);
       if (!armed) {
@@ -816,12 +902,15 @@ Status FleetEngine::TickGroupLanes(int group_index, int64_t tick) {
     }
     // Suppressed-tick bookkeeping, exactly what ProcessReading accrues on
     // this path: one reading charge, one mirror filter step, one suppress
-    // event carrying (deviation, delta).
+    // event carrying (deviation, delta), then the heartbeat if one is due.
     g.energy_sensing[lane] += energy_.instructions_per_reading;
     g.readings[lane] += 1;
     g.energy_compute[lane] += energy_.instructions_per_filter_step;
     DKF_TRACE(obs_sink_, tick, g.ids[lane], TraceEventKind::kSuppress,
               TraceActor::kSource, deviation, g.delta[lane]);
+    if (hb_interval > 0 && tick - g.last_send_tick[lane] >= hb_interval) {
+      DKF_RETURN_IF_ERROR(SendHeartbeat(g, lane, tick));
+    }
     ++lane;
   }
   return Status::OK();
@@ -863,10 +952,11 @@ Result<int> FleetEngine::AbsorbTarget(const TickEntry& entry) {
       return reject(FleetAbsorbReject::kServoUnsettled);
     }
   }
-  // The equivalence contract: fold only when mirror and predictor are the
-  // same filter bit for bit, compared in place — most candidates differ
-  // in a scalar (typically ss_have_prev after a resync), so exporting
-  // both full states first would cost more than every other check.
+  // The equivalence contract: fold only when mirror and predictor agree
+  // bit for bit on everything a suppressed predict reads (all of it
+  // outside tracking mode), compared in place — exporting both full
+  // states first would cost more than every other check. What a resync
+  // reset on the server end only is kept per end (EndColumns).
   DKF_ASSIGN_OR_RETURN(const Predictor* server_predictor,
                        server_->predictor(entry.id));
   const KalmanFilter* mirror = FilterOf(node.mirror());
@@ -875,7 +965,7 @@ Result<int> FleetEngine::AbsorbTarget(const TickEntry& entry) {
     return Status::Unimplemented(
         "predictor does not support full-state export");
   }
-  if (!mirror->FullStateBitEquals(*predictor)) {
+  if (!mirror->PredictStateBitEquals(*predictor)) {
     return reject(FleetAbsorbReject::kFullStateMismatch);
   }
   // The lane must also run the group's cached coefficients.
@@ -946,6 +1036,7 @@ Status FleetEngine::ProcessTick(int64_t tick, const std::vector<Vector>& values,
   for (size_t gi = 0; gi < groups_.size(); ++gi) {
     DKF_RETURN_IF_ERROR(TickGroupLanes(static_cast<int>(gi), tick));
   }
+  deliveries_pending_ = false;  // every lane has read and cleared its flags
   return TryAbsorbAll();
 }
 
@@ -956,7 +1047,8 @@ Result<Vector> FleetEngine::Answer(int source_id) const {
         StrFormat("source %d not registered", source_id));
   }
   const Group& g = *groups_[entry->group];
-  DKF_RETURN_IF_ERROR(g.loaner->ImportFullState(LaneFullState(g, entry->lane)));
+  DKF_RETURN_IF_ERROR(
+      g.loaner->ImportFullState(LaneFullState(g, entry->lane, kServerEnd)));
   return g.loaner->Predicted();
 }
 
@@ -969,7 +1061,8 @@ Result<ServerNode::ConfidentAnswer> FleetEngine::AnswerWithConfidence(
   }
   const Group& g = *groups_[entry->group];
   const size_t lane = entry->lane;
-  DKF_RETURN_IF_ERROR(g.loaner->ImportFullState(LaneFullState(g, lane)));
+  DKF_RETURN_IF_ERROR(
+      g.loaner->ImportFullState(LaneFullState(g, lane, kServerEnd)));
   ServerNode::ConfidentAnswer answer;
   answer.value = g.loaner->Predicted();
   answer.covariance = g.loaner->PredictedCovariance();

@@ -37,8 +37,7 @@ struct ReadingBatch {
 /// Why a resident lane left its batch. Every spill has exactly one.
 enum class FleetSpillReason : uint8_t {
   kDeviation,    // the flat predict missed the reading by more than delta
-  kHeartbeat,    // a heartbeat was due
-  kReconfigure,  // SpillForReconfigure, between ticks
+  kReconfigure,  // SpillForReconfigure (a smoothing change), between ticks
   kNonFinite,    // the flat predict left the finite range
   kArmPending,   // the arm-pending replay missed the reading by > delta
 };
@@ -50,13 +49,13 @@ enum class FleetAbsorbReject : uint8_t {
   kChannelResidue,     // a message or deferred ACK is still in flight
   kNodePending,        // resync bookkeeping left over, or smoothing on
   kServoUnsettled,     // the noise servo has not locked at both ends
-  kFullStateMismatch,  // mirror and server filter differ, or Q/R moved
+  kFullStateMismatch,  // the ends differ in what a predict reads, or Q/R moved
 };
 
 /// Names used in the `fleet.spill.<reason>` and
 /// `fleet.absorb_reject.<reason>` gauges, indexed by the enums above.
-inline constexpr std::array<const char*, 5> kFleetSpillReasonNames = {
-    "deviation", "heartbeat", "reconfigure", "non_finite", "arm_pending"};
+inline constexpr std::array<const char*, 4> kFleetSpillReasonNames = {
+    "deviation", "reconfigure", "non_finite", "arm_pending"};
 inline constexpr std::array<const char*, 5> kFleetAbsorbRejectNames = {
     "resync_pending", "channel_residue", "node_pending", "servo_unsettled",
     "full_state_mismatch"};
@@ -83,7 +82,7 @@ struct FleetFootprint {
   int64_t nodes_live = 0;    // SourceNodes held: the spilled sources
   int64_t lane_groups = 0;   // groups holding at least one resident lane
   int64_t cold_records = 0;  // distinct frozen-cycle records
-  int64_t cold_refs = 0;     // their reference counts (= resident lanes)
+  int64_t cold_refs = 0;     // their reference counts (2 per resident lane)
 
   FleetFootprint& operator+=(const FleetFootprint& other);
 };
@@ -106,17 +105,22 @@ struct FleetFootprint {
 ///    is the only copy of the link.
 ///
 /// The invariant that makes this bit-exact (the equivalence contract of
-/// docs/fleet.md): a lane only ever executes *fully suppressed healthy
-/// ticks* inline. Any tick on which the source would touch the channel —
-/// the deviation exceeds delta, a heartbeat is due — or on which its
-/// filter would do anything but a plain predict, first *spills* the
-/// source back to per-source objects (rebuilt bit-for-bit from the lane,
-/// its group and its record) and then runs the verbatim per-source code.
-/// Consequently resident sources never send, so the channel, protocol
-/// state machine, and server ingress are byte-identical to a run without
-/// this engine; and a spilled source re-enters (is *absorbed*) only when
-/// its mirror and server predictor are bitwise equal again with no
-/// channel residue, so folding the pair into one lane loses nothing.
+/// docs/fleet.md): a lane only ever executes *suppressed healthy ticks*
+/// inline — a plain predict inside delta, plus the heartbeat such a tick
+/// sends when one is due. The lane sends that heartbeat through the
+/// channel exactly as SourceNode::ProcessReading would (same sequence
+/// number, charge, counters, trace and per-source fault draws), owns its
+/// ingress (the shard's channel sink routes a resident source's messages
+/// to OnMessage, which validates them with ServerNode::Admit) and
+/// collects the deferred ACK of a delayed one. Any tick on which the
+/// source would send a measurement or its filter would do anything but a
+/// plain predict first *spills* the source back to per-source objects
+/// (rebuilt bit-for-bit from the lane, its group and its record) and
+/// then runs the verbatim per-source code. A spilled source re-enters
+/// (is *absorbed*) only with no channel residue and when its mirror and
+/// server predictor agree bit for bit on everything a predict reads; the
+/// bookkeeping a resync resets on the server end only is kept per end,
+/// so folding the pair into one lane loses nothing.
 ///
 /// Threading contract: same as the shard that owns it — ProcessTick on
 /// the shard's worker thread, everything else on the driver between
@@ -184,11 +188,23 @@ class FleetEngine {
 
   void set_trace_sink(TraceSink* sink) { obs_sink_ = sink; }
 
-  /// Spills a resident source between ticks so a reconfiguration
-  /// (set_delta / set_smoothing) runs through the real SourceNode.
-  /// No-op when the source is already spilled. The source re-enters at
-  /// the end of the next tick if still eligible.
+  /// Spills a resident source between ticks so a smoothing change
+  /// (set_smoothing) runs through the real SourceNode. No-op when the
+  /// source is already spilled. The source re-enters at the end of the
+  /// next tick if still eligible.
   Status SpillForReconfigure(int source_id);
+
+  /// Installs a new delta on a resident source's lane in place, between
+  /// ticks — SourceNode::set_delta's rule for a source without a node.
+  /// NotFound when the source is not resident.
+  Status SetDelta(int source_id, double delta);
+
+  /// Ingress for a resident source (the shard's channel sink routes here
+  /// when `resident(message.source_id)`): validates the message against
+  /// the lane's link bookkeeping through ServerNode::Admit. A lane only
+  /// ever sends heartbeats, and absorption waits out every message of
+  /// the spilled node, so any other type is an Internal error.
+  Status OnMessage(const Message& message);
 
   /// One protocol tick over every tracked source, bit-identical to
   /// RunSourceTick over the same ids: spilled sources run the verbatim
@@ -256,7 +272,8 @@ class FleetEngine {
   /// What a resident source's freed SourceNode held beyond the lane.
   /// Everything else a node carries is fixed while resident: absorption
   /// requires no resync episode, smoothing off and the default KF_c
-  /// variance, and a lane never sends.
+  /// variance, and a lane sends only heartbeats, whose ACKs change
+  /// nothing outside a resync episode.
   struct NodeRecord {
     int64_t updates_sent = 0;
     int64_t pending_since = 0;
@@ -266,6 +283,28 @@ class FleetEngine {
     /// Mirror-side servo; adaptive links only (bit-equal to the
     /// server's, which absorption required).
     std::unique_ptr<NoiseAdapter> adapter;
+  };
+
+  /// The two ends of a folded link, indexing Group::ends.
+  enum End : uint8_t { kMirrorEnd = 0, kServerEnd = 1 };
+
+  /// Bits of Group::delivered.
+  static constexpr uint8_t kAckDue = 1;          // a delayed message landed
+  static constexpr uint8_t kServerDisarmed = 2;  // its coasting-break event
+                                                 // is already emitted
+
+  /// The fields a resync's ImportState resets on the server end only and
+  /// a suppressed predict never reads, kept once per end: the cold-record
+  /// index and last_innovation (m doubles per lane, valid iff
+  /// has_innovation — a filter that never corrected has none). The two
+  /// ends agree whenever a lane is not in tracking mode (AbsorbTarget
+  /// demands it), and a lane never corrects, so nothing here changes
+  /// while it is resident. The third such field, predicts_since_correct,
+  /// is Group::psc plus Group::server_psc_skew.
+  struct EndColumns {
+    std::vector<int32_t> cold_idx;
+    std::vector<double> innovation;
+    std::vector<uint8_t> has_innovation;
   };
 
   /// All lanes sharing one model recipe. The per-model coefficients
@@ -288,7 +327,7 @@ class FleetEngine {
     std::vector<double> x;        // n per lane
     std::vector<double> p;        // n*n per lane; invalid while p_stale
     std::vector<int64_t> step;
-    std::vector<int64_t> psc;     // predicts_since_correct
+    std::vector<int64_t> psc;  // the mirror end's predicts_since_correct
     std::vector<uint8_t> phase;
     std::vector<uint8_t> ss_mode;
     std::vector<int32_t> ss_idx;
@@ -304,6 +343,13 @@ class FleetEngine {
     std::vector<int64_t> link_last_valid_tick;
     std::vector<int64_t> link_last_resync_tick;
     std::vector<int64_t> link_last_update_tick;
+    // kAckDue / kServerDisarmed, set by OnMessage when a delayed message
+    // lands; the lane's next tick reads and clears them, so lanes with
+    // nothing in flight never touch the channel's ACK map.
+    std::vector<uint8_t> delivered;
+    // The server end's predicts_since_correct minus the mirror end's: a
+    // predict advances both, so it is constant while resident.
+    std::vector<int64_t> server_psc_skew;
     // Frozen-cycle length, duplicated out of the cold record so the
     // armed predict never touches it.
     std::vector<int32_t> ss_period;
@@ -315,13 +361,8 @@ class FleetEngine {
     // Cold state: the FullState fields a suppressed predict never
     // touches (frozen gain/covariance cycle, streak history, noise
     // copies, the armed path's ss_prior_p source) are shared through
-    // `cold_table`, which `cold_idx` indexes; last_innovation, the one
-    // such field that differs lane by lane, stays per lane (m doubles,
-    // valid iff has_innovation — a filter that never corrected has
-    // none).
-    std::vector<int32_t> cold_idx;
-    std::vector<double> innovation;
-    std::vector<uint8_t> has_innovation;
+    // `cold_table`, which each end's `cold_idx` indexes.
+    std::array<EndColumns, 2> ends;
     ColdTable cold_table;
 
     // Node-only fields of each lane's freed SourceNode.
@@ -365,11 +406,13 @@ class FleetEngine {
   /// `pending_` are not found; they are all spilled.
   const TickEntry* FindEntry(int source_id) const;
 
-  /// Reconstructs the lane's FullState (mirror == predictor bitwise).
-  KalmanFilter::FullState LaneFullState(const Group& g, size_t lane) const;
+  /// Reconstructs the FullState of one end of the lane's link.
+  KalmanFilter::FullState LaneFullState(const Group& g, size_t lane,
+                                        End end) const;
 
-  /// Points lane `lane` at the cold record matching `state`, releasing
-  /// the one it held.
+  /// Points both ends of lane `lane` at the cold record matching `state`,
+  /// releasing the ones they held — for the armed and arm-pending paths,
+  /// where the two ends are equal.
   static void SetCold(Group& g, size_t lane,
                       const KalmanFilter::FullState& state);
 
@@ -379,10 +422,11 @@ class FleetEngine {
   }
 
   /// The per-source CheckpointState a spilled run would capture, built
-  /// from the lane, its group and its node record.
+  /// from the lane's mirror end, its group and its node record.
   SourceNode::CheckpointState SynthesizeForLane(const Group& g,
                                                 size_t lane) const;
 
+  /// The server's LinkSnapshot, built from the lane's server end.
   ServerNode::LinkSnapshot SynthesizeLinkForLane(const Group& g,
                                                  size_t lane) const;
 
@@ -399,8 +443,8 @@ class FleetEngine {
   void RemoveLane(Group& g, size_t lane);
 
   /// Appends a lane for the `order_` entry at `order_pos`, built from a
-  /// healthy source's snapshots and its node's noise servo; returns its
-  /// index.
+  /// healthy source's snapshots (the mirror end from `state`, the server
+  /// end from `link`) and its node's noise servo; returns its index.
   size_t AddLane(Group& g, int32_t order_pos,
                  const SourceNode::CheckpointState& state,
                  const ServerNode::LinkSnapshot& link,
@@ -440,16 +484,30 @@ class FleetEngine {
                           double* deviation,
                           std::optional<FleetSpillReason>* spill);
 
+  /// True when lane `lane`'s next predict is a coasting break: armed,
+  /// but predicted without a correct since (KalmanFilter::Predict).
+  static bool CoastingBreakDue(const Group& g, size_t lane) {
+    return g.ss_mode[lane] == kSsArmed && g.phase[lane] != kPhaseCorrected;
+  }
+
   /// The coasting break: an armed lane predicting a second time without
   /// a correct leaves the frozen cycle, emitting both filters' disarm
-  /// events and materializing its covariance.
-  void DisarmLane(Group& g, size_t lane);
+  /// events (the server filter's unless OnMessage already did) and
+  /// materializing its covariance.
+  void DisarmLane(Group& g, size_t lane, bool server_event_emitted);
+
+  /// SourceNode::ProcessReading's heartbeat, sent from the lane: the
+  /// sequence number from its record, the transmission charge, the
+  /// counters, the trace event and the channel's per-source fault draws.
+  /// The ACK is ignored, as it is there.
+  Status SendHeartbeat(Group& g, size_t lane, int64_t tick);
 
   /// Ticks every lane of group `gi` through one loop: the armed and
   /// tracking predicts run inline through the flat kernels, deciding
-  /// before anything is committed; a due heartbeat, a non-finite
-  /// prediction or a deviation outside delta spills the lane with that
-  /// reason, and the lane the spill moved into its index is ticked next.
+  /// before anything is committed; a non-finite prediction or a
+  /// deviation outside delta spills the lane with that reason, and the
+  /// lane the spill moved into its index is ticked next. A suppressed
+  /// lane sends its due heartbeat itself.
   Status TickGroupLanes(int group_index, int64_t tick);
 
   ServerNode* server_;
@@ -474,6 +532,9 @@ class FleetEngine {
 
   int64_t degraded_ticks_ = 0;
   FleetCounters counters_;
+  /// Set when OnMessage flags a lane's `delivered` this tick; the lane
+  /// loops only read the flags then, and ProcessTick clears it.
+  bool deliveries_pending_ = false;
 };
 
 }  // namespace dkf

@@ -50,9 +50,13 @@ StreamShard::StreamShard(const ChannelOptions& channel,
     : server_(protocol),
       channel_([this](const Message& message) {
         // Fused traffic is addressed by group; everything else is a
-        // per-source dual link.
-        return message.group_id >= 0 ? fusion_.OnMessage(message)
-                                     : server_.OnMessage(message);
+        // per-source dual link, whose server end is the fleet lane while
+        // the source is batch-resident.
+        if (message.group_id >= 0) return fusion_.OnMessage(message);
+        if (fleet_ != nullptr && fleet_->resident(message.source_id)) {
+          return fleet_->OnMessage(message);
+        }
+        return server_.OnMessage(message);
       }, channel),
       energy_(energy),
       default_delta_(default_delta),
@@ -148,19 +152,36 @@ Status StreamShard::Reconfigure(int source_id,
   if (it == sources_.end()) {
     return Status::NotFound(StrFormat("source %d not on shard", source_id));
   }
-  // A batch-resident source has no SourceNode: spilling rebuilds one
-  // before the reconfiguration lands — set_delta/set_smoothing run
-  // through the verbatim per-source code, and the source re-enters the
-  // batch at the end of the next tick if still eligible.
-  if (fleet_ != nullptr) {
+  const EffectiveConfig config =
+      ResolveEffectiveConfig(registry, default_delta_, source_id);
+  std::optional<double>& installed = installed_smoothing_[source_id];
+  // Only touch (and thereby restart) the KF_c smoother when the factor
+  // actually changed. KF_c lives on the SourceNode, so a batch-resident
+  // source spills (rebuilding its node) before such a change lands and
+  // re-enters the batch at the end of the next tick if still eligible;
+  // a delta-only change lands on its lane in place.
+  const bool smoothing_changed = installed != config.smoothing;
+  if (smoothing_changed && fleet_ != nullptr) {
     DKF_RETURN_IF_ERROR(fleet_->SpillForReconfigure(source_id));
   }
-  auto changed_or =
-      InstallEffectiveConfig(registry, default_delta_, source_id,
-                             *it->second, installed_smoothing_[source_id]);
-  if (!changed_or.ok()) return changed_or.status();
-  if (changed_or.value()) ++control_messages_;
+  DKF_ASSIGN_OR_RETURN(const bool delta_changed,
+                       InstallDelta(source_id, config.delta));
+  if (smoothing_changed) {
+    DKF_RETURN_IF_ERROR(it->second->set_smoothing(config.smoothing));
+    installed = config.smoothing;
+  }
+  if (delta_changed || smoothing_changed) ++control_messages_;
   return Status::OK();
+}
+
+Result<bool> StreamShard::InstallDelta(int source_id, double delta) {
+  DKF_ASSIGN_OR_RETURN(const double current, source_delta(source_id));
+  if (current == delta) return false;
+  SourceNode* node = sources_.at(source_id).get();
+  // Delta is a lane column: a batch-resident source takes it in place.
+  DKF_RETURN_IF_ERROR(node != nullptr ? node->set_delta(delta)
+                                      : fleet_->SetDelta(source_id, delta));
+  return true;
 }
 
 Status StreamShard::RegisterFusionGroup(const FusionGroupConfig& config) {
@@ -236,20 +257,11 @@ Result<bool> StreamShard::fused_degraded(int group_id) const {
 Status StreamShard::ReconfigureSources(
     const std::vector<std::pair<int, double>>& deltas) {
   for (const auto& [source_id, delta] : deltas) {
-    auto it = sources_.find(source_id);
-    if (it == sources_.end()) {
+    if (!sources_.contains(source_id)) {
       return Status::NotFound(StrFormat("source %d not on shard", source_id));
     }
-    DKF_ASSIGN_OR_RETURN(const double current, source_delta(source_id));
-    if (current == delta) continue;
-    // A batch-resident source must spill (rebuilding its SourceNode)
-    // before the new width lands (same rule as Reconfigure); with the
-    // whole epoch applied in this one sweep it spills at most once.
-    if (fleet_ != nullptr) {
-      DKF_RETURN_IF_ERROR(fleet_->SpillForReconfigure(source_id));
-    }
-    DKF_RETURN_IF_ERROR(it->second->set_delta(delta));
-    ++control_messages_;
+    DKF_ASSIGN_OR_RETURN(const bool changed, InstallDelta(source_id, delta));
+    if (changed) ++control_messages_;
   }
   return Status::OK();
 }

@@ -80,6 +80,11 @@ class StreamShard {
     return fleet_ ? fleet_->resident_count() : 0;
   }
 
+  /// True while `source_id` is folded into a batch lane.
+  bool fleet_resident(int source_id) const {
+    return fleet_ != nullptr && fleet_->resident(source_id);
+  }
+
   /// Installs a source and its dual filters on this shard.
   Status AddSource(int source_id, const StateModel& model);
 
@@ -119,13 +124,14 @@ class StreamShard {
   size_t num_fusion_members() const { return fusion_.num_members(); }
 
   /// Re-derives the source's effective delta/smoothing from `registry`
-  /// and pushes it to the node, counting a control message on change.
+  /// and pushes it to the node (a delta alone to a resident lane in
+  /// place), counting a control message on change.
   Status Reconfigure(int source_id, const QueryRegistry& registry);
 
   /// Installs new precision widths on many of this shard's sources in
-  /// one sweep — the governor's per-epoch fan-out. Entries whose delta
-  /// already matches are skipped entirely (no control message, no
-  /// fleet-lane spill), so a cohort-stable allocation costs nothing.
+  /// one sweep — the governor's per-epoch fan-out. A batch-resident
+  /// source takes its width on its lane, without a spill; entries whose
+  /// delta already matches are skipped entirely (no control message).
   Status ReconfigureSources(const std::vector<std::pair<int, double>>& deltas);
 
   /// Counts every change to the shard's set of sources and fusion
@@ -262,6 +268,11 @@ class StreamShard {
 
   /// Re-primes the serve value caches after a restore.
   Status RefreshServeCaches();
+
+  /// Sets a registered source's delta on its node, or on its lane while
+  /// it is batch-resident; false (nothing touched) when it already has
+  /// that delta.
+  Result<bool> InstallDelta(int source_id, double delta);
 
   /// The node of a registered source, or nullptr for a batch-resident
   /// one (which has none), whose lane facts then land in `*resident`.

@@ -99,6 +99,13 @@ size_t ShardedStreamEngine::fleet_resident_count() const {
   return total;
 }
 
+Result<bool> ShardedStreamEngine::fleet_resident(int source_id) const {
+  if (!HasSource(source_id)) {
+    return Status::NotFound(StrFormat("source %d not registered", source_id));
+  }
+  return OwningShard(source_id).fleet_resident(source_id);
+}
+
 int ShardedStreamEngine::ShardIndexFor(int source_id) const {
   const int n = static_cast<int>(shards_.size());
   return ((source_id % n) + n) % n;

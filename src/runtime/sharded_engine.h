@@ -268,6 +268,10 @@ class ShardedStreamEngine {
   /// (always 0 unless options.batched_fleet).
   size_t fleet_resident_count() const;
 
+  /// True while `source_id` is folded into a batch lane (always false
+  /// unless options.batched_fleet); NotFound for an unknown id.
+  Result<bool> fleet_resident(int source_id) const;
+
   /// Per-source effective delta currently installed.
   Result<double> source_delta(int source_id) const;
 

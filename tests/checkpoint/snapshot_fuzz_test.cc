@@ -88,10 +88,15 @@ std::map<int, Vector> ReadingsAt(int64_t tick) {
   return readings;
 }
 
-/// The fleet corpus's sources: the rich corpus's plain sources alone.
+/// The fleet corpus's sources: the rich corpus's plain sources alone,
+/// stepping up by 10 three ticks after the snapshot — far outside every
+/// source's delta, so each lane a restored mutant absorbed spills again.
 std::map<int, Vector> FleetReadingsAt(int64_t tick) {
   std::map<int, Vector> readings = ReadingsAt(tick);
   readings.erase(readings.find(100), readings.end());
+  if (tick >= kFleetSnapTick + 3) {
+    for (auto& [id, value] : readings) value[0] += 10.0;
+  }
   return readings;
 }
 
@@ -154,9 +159,10 @@ std::string RichPayload() {
 
 /// The payload of a batched-fleet snapshot whose sources are mostly
 /// resident when saved: the restored mutants absorb at the end of their
-/// first tick, and the 5-tick heartbeat spills every lane again within
-/// the ticks that follow. Early faults leave fault counters behind for
-/// the lanes' node records to carry.
+/// first tick, their lanes send the 5-tick heartbeat themselves, and the
+/// readings' step spills every lane again within the ticks that follow.
+/// Early faults leave fault counters behind for the lanes' node records
+/// to carry.
 std::string FleetPayload() {
   ShardedStreamEngineOptions options;
   options.num_shards = 2;
@@ -277,6 +283,31 @@ TEST(SnapshotFuzzTest, UnmutatedSnapshotRestores) {
   EXPECT_EQ(fleet.ticked_clean, 2);
   EXPECT_EQ(fleet.absorbed, 2);
   EXPECT_EQ(fleet.spilled, 2);
+}
+
+// A mirror whose adapted process noise carries a NaN decodes (the codec
+// screens only the model recipe for finiteness) but must not restore:
+// every later Predict of that link would fail. The filter's full-state
+// import screens every matrix and vector, on either engine kind.
+TEST(SnapshotFuzzTest, NonFiniteAdaptedNoiseIsRefusedOnRestore) {
+  auto decoded = DecodeSnapshot(WrapPayload(RichPayload()));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+  EngineSnapshot snapshot = std::move(decoded).value();
+  ASSERT_FALSE(snapshot.sources.empty());
+  ASSERT_TRUE(snapshot.protocol.adaptive.enabled);
+  snapshot.sources[0].node.mirror.process_noise(0, 0) = std::nan("");
+  auto bytes = EncodeSnapshot(snapshot);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().message();
+  const std::string path = ::testing::TempDir() + "/fuzz_nan_q.dkfsnap";
+  ASSERT_TRUE(WriteFileBytes(path, bytes.value()).ok());
+  for (const bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "batched" : "per-source");
+    auto restored = ShardedStreamEngine::Restore(path, /*num_shards=*/2,
+                                                 /*batched_fleet=*/batched);
+    ASSERT_FALSE(restored.ok());
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument)
+        << restored.status().message();
+  }
 }
 
 TEST(SnapshotFuzzTest, EveryTruncationFailsCleanly) {

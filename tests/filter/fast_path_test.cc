@@ -1,8 +1,5 @@
-#include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,34 +11,7 @@
 #include "linalg/matrix.h"
 #include "models/model_factory.h"
 #include "obs/trace_sink.h"
-
-// Every heap allocation in this binary passes through these counting
-// hooks, so a zero delta across a window of ticks proves the window never
-// touched the allocator. They forward to malloc/free, which keeps
-// sanitizer builds checking every block. Not inlined: once a delete
-// inlines into a delete-expression, GCC's -Wmismatched-new-delete sees
-// free() applied to the result of operator new.
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-[[gnu::noinline]] void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-[[gnu::noinline]] void* operator new[](std::size_t size) {
-  return operator new(size);
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
-  std::free(p);
-}
+#include "support/counting_new.h"
 
 namespace dkf {
 namespace {
@@ -217,14 +187,6 @@ TEST(FastPathTest, DualLinkLockStepAcrossReconfiguration) {
   }
   EXPECT_TRUE(armed_before_reconfig);
   EXPECT_TRUE(armed_after_reconfig);
-}
-
-/// Heap allocations made by `ticks` calls of `tick()`.
-template <typename Tick>
-std::uint64_t AllocationsOver(int ticks, const Tick& tick) {
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  for (int t = 0; t < ticks; ++t) tick();
-  return g_allocations.load(std::memory_order_relaxed) - before;
 }
 
 TEST(FastPathTest, SteadyTicksAreAllocationFreeAtInlineDims) {

@@ -435,6 +435,71 @@ TEST(KalmanFilterTest, FullStateBitEqualsAgreesWithExportedComparison) {
   EXPECT_GT(different, 30);
 }
 
+/// The fields PredictStateBitEquals compares when both ends track.
+bool PredictFieldsBitEqual(const KalmanFilter::FullState& a,
+                           const KalmanFilter::FullState& b) {
+  return a.step == b.step && a.phase == b.phase && a.ss_mode == b.ss_mode &&
+         a.ss_idx == b.ss_idx && BitEqual(a.x, b.x) && BitEqual(a.p, b.p) &&
+         BitEqual(a.process_noise, b.process_noise) &&
+         BitEqual(a.measurement_noise, b.measurement_noise);
+}
+
+// The fleet's absorb test: in tracking mode only what a predict reads
+// must match, elsewhere everything must. Its proof obligation is that
+// uncorrected predicts can never tell two such filters apart — a resync
+// (ImportState on one end) leaves them differing only in bookkeeping.
+TEST(KalmanFilterTest, PredictStateBitEqualsKeepsUncorrectedPredictsInLockStep) {
+  constexpr uint8_t kTracking = 0;
+  Rng rng(2025);
+  int folded_resyncs = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const KalmanFilterOptions options =
+        CvOptions(rng.Uniform(0.5, 2.0), rng.Uniform(0.001, 0.1),
+                  rng.Uniform(0.05, 1.0));
+    KalmanFilter a = KalmanFilter::Create(options).value();
+    KalmanFilter b = KalmanFilter::Create(options).value();
+    const double cadence = rng.Bernoulli(0.5) ? 1.0 : 0.6;
+    const int prefix = static_cast<int>(rng.UniformInt(0, 90));
+    for (int i = 0; i < prefix; ++i) RandomStep(rng, cadence, {&a, &b});
+    switch (rng.UniformInt(0, 3)) {
+      case 0:  // still in lock-step
+        break;
+      case 1:  // one extra coasting predict
+        ASSERT_TRUE(b.Predict().ok());
+        break;
+      case 2:  // a correction the other end never saw
+        ASSERT_TRUE(a.Predict().ok());
+        ASSERT_TRUE(b.Predict().ok());
+        ASSERT_TRUE(a.Correct(Vector{1.0}).ok());
+        break;
+      case 3:  // resync: same x/P/step, bookkeeping reset on one end
+        ASSERT_TRUE(a.Predict().ok());
+        ASSERT_TRUE(b.Predict().ok());
+        ASSERT_TRUE(b.ImportState(a.state(), a.covariance(), a.step()).ok());
+        break;
+    }
+    const KalmanFilter::FullState fa = a.ExportFullState();
+    const KalmanFilter::FullState fb = b.ExportFullState();
+    const bool tracking = fa.ss_mode == kTracking && fb.ss_mode == kTracking;
+    const bool expected =
+        tracking ? PredictFieldsBitEqual(fa, fb) : ExportedBitEqual(fa, fb);
+    ASSERT_EQ(a.PredictStateBitEquals(b), expected) << "trial " << trial;
+    ASSERT_EQ(b.PredictStateBitEquals(a), expected) << "trial " << trial;
+    if (!expected) continue;
+    if (!a.FullStateBitEquals(b)) ++folded_resyncs;
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_TRUE(a.Predict().ok());
+      ASSERT_TRUE(b.Predict().ok());
+      ASSERT_TRUE(a.PredictStateBitEquals(b))
+          << "trial " << trial << " predict " << i;
+      ASSERT_TRUE(PredictFieldsBitEqual(a.ExportFullState(),
+                                        b.ExportFullState()))
+          << "trial " << trial << " predict " << i;
+    }
+  }
+  EXPECT_GT(folded_resyncs, 10);
+}
+
 TEST(KalmanFilterTest, FullStateBitEqualsCatchesEverySingleFieldFlip) {
   KalmanFilter base = KalmanFilter::Create(CvOptions()).value();
   Rng rng(5);

@@ -9,6 +9,7 @@
 // batch-resident) and the chaos cocktail from the fault-tolerance
 // harness (where sources continuously spill and re-enter).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -449,6 +450,297 @@ TEST(FleetEquivalence, SuppressionHeavyFleetStaysResident) {
   }
   EXPECT_GE(static_cast<double>(engine.fleet_resident_count()),
             0.90 * kFleet);
+}
+
+// ---------------------------------------------------------------------
+// Resident lanes send their own heartbeats, take delta changes in place
+// and fold resynced links with per-end bookkeeping. A heartbeat every 4
+// ticks under the whole fault cocktail (delay 0-1, Gilbert-Elliott loss,
+// ACK loss, corruption), the governor re-installing deltas every epoch
+// and lost ACKs starting resync episodes: on every tick the batched
+// engine must match the per-source reference in its answers, its fault
+// counters and its merged trace, while its lanes send heartbeats without
+// spilling.
+// ---------------------------------------------------------------------
+
+constexpr int kResidentSources = 16;
+constexpr int64_t kResidentTicks = 320;
+/// The least mean fraction of the fleet resident over the run.
+constexpr double kResidentShareFloor = 0.9;
+
+ShardedStreamEngineOptions ResidentOptions(int num_shards, bool batched) {
+  ShardedStreamEngineOptions options;
+  options.num_shards = num_shards;
+  options.batched_fleet = batched;
+  options.channel.seed = 41;
+  options.channel.per_source_rng = true;
+  FaultModel fault;
+  fault.gilbert_elliott = GilbertElliottLoss{
+      /*p_good_to_bad=*/0.05, /*p_bad_to_good=*/0.3,
+      /*good_loss=*/0.0, /*bad_loss=*/1.0};
+  fault.delay = DelayModel{/*min_ticks=*/0, /*max_ticks=*/1};
+  fault.ack_loss_probability = 0.05;
+  fault.corruption_probability = 0.03;
+  options.channel.fault = fault;
+  options.protocol.heartbeat_interval = 4;
+  options.protocol.staleness_budget = 12;
+  options.protocol.resync_burst_retries = 4;
+  options.protocol.resync_retry_backoff = 6;
+  options.governor.enabled = true;
+  options.governor.epoch_ticks = 8;
+  options.governor.budget_bytes_per_tick = 120.0;
+  return options;
+}
+
+void InstallResident(ShardedStreamEngine& engine) {
+  ObsOptions obs;
+  obs.ring_capacity = 1 << 17;  // must hold the full run for bit compares
+  ASSERT_TRUE(engine.EnableTracing(obs).ok());
+  for (int id = 1; id <= kResidentSources; ++id) {
+    ASSERT_TRUE(
+        engine.RegisterSource(id, ScalarModel(0.02 + 0.01 * (id % 4))).ok());
+    ContinuousQuery query;
+    query.id = id;
+    query.source_id = id;
+    query.precision = 2.0 + 0.5 * (id % 3);
+    ASSERT_TRUE(engine.SubmitQuery(query).ok());
+  }
+}
+
+/// A slow swing well inside delta on a level that steps by 3 every 80
+/// ticks (staggered by source): sources settle, spill on the step,
+/// correct (a lost ACK starts a resync episode) and settle again.
+std::map<int, Vector> ResidentReadings(int64_t t) {
+  std::map<int, Vector> readings;
+  for (int id = 1; id <= kResidentSources; ++id) {
+    const double level = 3.0 * static_cast<double>((t + 5 * id) / 80);
+    readings[id] = Vector{level + 0.4 * std::sin(0.03 * t + id)};
+  }
+  return readings;
+}
+
+TEST(FleetEquivalence, ResidentHeartbeatsDeltaChurnAndResyncsStayBitExact) {
+  for (int shards : {1, 2, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardedStreamEngine reference(ResidentOptions(shards, /*batched=*/false));
+    ShardedStreamEngine batched(ResidentOptions(shards, /*batched=*/true));
+    InstallResident(reference);
+    InstallResident(batched);
+    std::vector<std::vector<double>> answers;  // [tick][id-1], reference
+    std::vector<bool> was_resident(kResidentSources + 1, false);
+    int64_t lane_heartbeats = 0;   // sent by lanes resident since last tick
+    int64_t heartbeat_spills = 0;  // ... of which the lane then spilled
+    double resident_sum = 0.0;
+    int64_t saved_at = -1;
+    const std::string batched_path =
+        SnapshotPath("resident_batched_" + std::to_string(shards));
+    const std::string reference_path =
+        SnapshotPath("resident_reference_" + std::to_string(shards));
+    const std::string periodic_batched_path =
+        SnapshotPath("resident_periodic_batched_" + std::to_string(shards));
+    const std::string periodic_reference_path =
+        SnapshotPath("resident_periodic_reference_" + std::to_string(shards));
+    for (int64_t t = 0; t < kResidentTicks; ++t) {
+      const std::map<int, Vector> readings = ResidentReadings(t);
+      ASSERT_TRUE(reference.ProcessTick(readings).ok()) << "tick " << t;
+      ASSERT_TRUE(batched.ProcessTick(readings).ok()) << "tick " << t;
+      std::vector<double> tick_answers;
+      for (int id = 1; id <= kResidentSources; ++id) {
+        tick_answers.push_back(reference.Answer(id).value()[0]);
+        ASSERT_EQ(batched.Answer(id).value()[0], tick_answers.back())
+            << "tick " << t << " source " << id;
+        ASSERT_EQ(batched.answer_degraded(id).value(),
+                  reference.answer_degraded(id).value())
+            << "tick " << t << " source " << id;
+      }
+      answers.push_back(std::move(tick_answers));
+      const ProtocolFaultStats faults = batched.fault_stats();
+      const ProtocolFaultStats ref_faults = reference.fault_stats();
+      ASSERT_EQ(faults.heartbeats_received, ref_faults.heartbeats_received)
+          << "tick " << t;
+      ASSERT_EQ(faults.rejected_stale, ref_faults.rejected_stale)
+          << "tick " << t;
+      ASSERT_EQ(faults.rejected_corrupt, ref_faults.rejected_corrupt)
+          << "tick " << t;
+      ASSERT_EQ(faults.sequence_gaps, ref_faults.sequence_gaps)
+          << "tick " << t;
+      ASSERT_TRUE(faults == ref_faults) << "tick " << t;
+      const std::vector<TraceEvent> trace = batched.MergedTrace();
+      ASSERT_TRUE(trace == reference.MergedTrace())
+          << "merged trace differs at tick " << t;
+
+      // This tick's heartbeats (by sequence) and which of them the
+      // channel parked for a later tick.
+      std::vector<int64_t> beacon(kResidentSources + 1, -1);
+      for (const TraceEvent& event : trace) {
+        if (event.step == t && event.kind == TraceEventKind::kHeartbeatSent) {
+          beacon[static_cast<size_t>(event.source_id)] = event.detail;
+        }
+      }
+      bool lane_heartbeat_in_flight = false;
+      for (const TraceEvent& event : trace) {
+        if (event.step == t && event.kind == TraceEventKind::kChannelDelay &&
+            beacon[static_cast<size_t>(event.source_id)] == event.detail &&
+            batched.fleet_resident(event.source_id).value()) {
+          lane_heartbeat_in_flight = true;
+        }
+      }
+      for (int id = 1; id <= kResidentSources; ++id) {
+        const bool resident = batched.fleet_resident(id).value();
+        if (was_resident[static_cast<size_t>(id)] &&
+            beacon[static_cast<size_t>(id)] >= 0) {
+          ++lane_heartbeats;
+          if (!resident) ++heartbeat_spills;
+        }
+        was_resident[static_cast<size_t>(id)] = resident;
+      }
+      resident_sum += static_cast<double>(batched.fleet_resident_count());
+
+      if (t % 16 == 15) {
+        // Lanes folded from resynced links carry per-end bookkeeping
+        // that only a checkpoint shows: compare the bytes all run long.
+        ASSERT_TRUE(batched.Save(periodic_batched_path).ok());
+        ASSERT_TRUE(reference.Save(periodic_reference_path).ok());
+        ASSERT_EQ(ReadFile(periodic_batched_path),
+                  ReadFile(periodic_reference_path))
+            << "snapshot bytes differ at tick " << t;
+      }
+      if (saved_at < 0 && t >= 100 && lane_heartbeat_in_flight) {
+        // A resident lane's heartbeat sits in the channel's delay queue:
+        // the snapshot carries it, byte for byte as the reference does.
+        ASSERT_TRUE(batched.Save(batched_path).ok());
+        ASSERT_TRUE(reference.Save(reference_path).ok());
+        EXPECT_EQ(ReadFile(batched_path), ReadFile(reference_path))
+            << "snapshot bytes differ at tick " << t;
+        saved_at = t;
+      }
+    }
+    ASSERT_GE(saved_at, 0) << "no resident lane ever had a heartbeat in "
+                              "flight at a tick boundary";
+    EXPECT_GT(lane_heartbeats, 0);
+    EXPECT_EQ(heartbeat_spills, 0);
+    const FleetCounters counters = batched.fleet_counters();
+    EXPECT_EQ(
+        counters.spills[static_cast<size_t>(FleetSpillReason::kReconfigure)],
+        0);
+    EXPECT_GT(batched.governor()->epochs(), 0);
+    EXPECT_GT(batched.control_messages(), 0);
+    EXPECT_EQ(batched.control_messages(), reference.control_messages());
+    const ProtocolFaultStats ref_faults = reference.fault_stats();
+    EXPECT_GT(ref_faults.resyncs_applied, 0);
+    EXPECT_GT(ref_faults.heartbeats_received, 0);
+    EXPECT_GT(ref_faults.rejected_stale, 0);
+    EXPECT_GT(ref_faults.rejected_corrupt, 0);
+    EXPECT_GE(resident_sum / static_cast<double>(kResidentTicks *
+                                                 kResidentSources),
+              kResidentShareFloor);
+    std::printf("shards=%d resident share %.3f, lane heartbeats %lld, "
+                "saved at tick %lld, control messages %lld\n",
+                shards,
+                resident_sum /
+                    static_cast<double>(kResidentTicks * kResidentSources),
+                static_cast<long long>(lane_heartbeats),
+                static_cast<long long>(saved_at),
+                static_cast<long long>(batched.control_messages()));
+
+    // The snapshot restores at another shard count and replays the tail
+    // in lockstep with the reference's recorded answers.
+    const int restore_shards = shards == 4 ? 2 : 4;
+    auto restored_or = ShardedStreamEngine::Restore(
+        batched_path, restore_shards, /*batched_fleet=*/true);
+    ASSERT_TRUE(restored_or.ok()) << restored_or.status().message();
+    ShardedStreamEngine& restored = *restored_or.value();
+    ASSERT_EQ(restored.ticks(), saved_at + 1);
+    for (int64_t t = saved_at + 1; t < kResidentTicks; ++t) {
+      ASSERT_TRUE(restored.ProcessTick(ResidentReadings(t)).ok())
+          << "tick " << t;
+      for (int id = 1; id <= kResidentSources; ++id) {
+        ASSERT_EQ(restored.Answer(id).value()[0],
+                  answers[static_cast<size_t>(t)][static_cast<size_t>(id - 1)])
+            << "tick " << t << " source " << id;
+      }
+    }
+    EXPECT_TRUE(restored.fault_stats() == ref_faults);
+    EXPECT_TRUE(restored.MergedTrace() == reference.MergedTrace())
+        << "merged trace differs after restore";
+    std::remove(batched_path.c_str());
+    std::remove(reference_path.c_str());
+    std::remove(periodic_batched_path.c_str());
+    std::remove(periodic_reference_path.c_str());
+  }
+}
+
+// A lane that comes off a correction with the fast path armed predicts
+// once on the frozen cycle, and its next predict is a coasting break. If
+// the heartbeat it sent on that armed tick was delayed (heartbeats every
+// tick), the delivery lands between the server filter's disarm event
+// (TickAll) and the mirror's (the source's own tick) on the per-source
+// path; the batched engine's merged trace must keep that order.
+TEST(FleetEquivalence, DelayedHeartbeatBeforeCoastingBreakKeepsTraceOrder) {
+  constexpr int kSources = 48;
+  constexpr int64_t kTicks = 240;
+  ModelNoise noise;
+  noise.process_variance = 0.01;
+  noise.measurement_variance = 1e-6;
+  StateModel model = MakeConstantModel(1, noise).value();
+  // A loose tolerance arms the fast path after a few corrections.
+  model.options.steady_state_tolerance = 1e9;
+  auto options = [](int shards, bool batched) {
+    ShardedStreamEngineOptions o;
+    o.num_shards = shards;
+    o.batched_fleet = batched;
+    o.channel.seed = 3;
+    o.channel.per_source_rng = true;
+    FaultModel fault;
+    fault.delay = DelayModel{/*min_ticks=*/0, /*max_ticks=*/1};
+    o.channel.fault = fault;
+    o.protocol.heartbeat_interval = 1;
+    o.default_delta = 5.0;
+    return o;
+  };
+  // Every 40 ticks (staggered by source) a staircase of five 20-unit
+  // steps, each one corrected, then a hold the corrected filter predicts
+  // inside delta.
+  auto readings = [](int64_t t) {
+    std::map<int, Vector> r;
+    for (int id = 1; id <= kSources; ++id) {
+      const int64_t phase = (t + id) % 40;
+      r[id] = Vector{20.0 * static_cast<double>(std::min<int64_t>(phase, 5))};
+    }
+    return r;
+  };
+  for (int shards : {1, 2}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardedStreamEngine reference(options(shards, /*batched=*/false));
+    ShardedStreamEngine batched(options(shards, /*batched=*/true));
+    for (ShardedStreamEngine* engine : {&reference, &batched}) {
+      ObsOptions obs;
+      obs.ring_capacity = 1 << 17;
+      ASSERT_TRUE(engine->EnableTracing(obs).ok());
+      for (int id = 1; id <= kSources; ++id) {
+        ASSERT_TRUE(engine->RegisterSource(id, model).ok());
+      }
+    }
+    for (int64_t t = 0; t < kTicks; ++t) {
+      ASSERT_TRUE(reference.ProcessTick(readings(t)).ok()) << "tick " << t;
+      ASSERT_TRUE(batched.ProcessTick(readings(t)).ok()) << "tick " << t;
+      for (int id = 1; id <= kSources; ++id) {
+        ASSERT_EQ(batched.Answer(id).value()[0],
+                  reference.Answer(id).value()[0])
+            << "tick " << t << " source " << id;
+      }
+    }
+    EXPECT_GT(batched.fleet_resident_count(), 0u);
+    const std::vector<TraceEvent> trace = reference.MergedTrace();
+    EXPECT_GT(std::count_if(trace.begin(), trace.end(),
+                            [](const TraceEvent& event) {
+                              return event.kind ==
+                                     TraceEventKind::kFastPathDisarm;
+                            }),
+              0);
+    EXPECT_TRUE(batched.MergedTrace() == trace) << "merged trace differs";
+    EXPECT_TRUE(batched.fault_stats() == reference.fault_stats());
+  }
 }
 
 }  // namespace

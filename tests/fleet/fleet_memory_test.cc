@@ -149,7 +149,8 @@ TEST(FleetMemory, NodesAndColdRefsFollowResidencyOnEveryTick) {
           static_cast<int64_t>(engine.fleet_resident_count());
       const FleetFootprint footprint = engine.fleet_footprint();
       ASSERT_EQ(footprint.nodes_live, kNumSources - resident) << "tick " << t;
-      ASSERT_EQ(footprint.cold_refs, resident) << "tick " << t;
+      // One reference per end of each resident lane.
+      ASSERT_EQ(footprint.cold_refs, 2 * resident) << "tick " << t;
       ASSERT_LE(footprint.cold_records, footprint.cold_refs) << "tick " << t;
       ASSERT_EQ(engine.FleetMetricsSnapshot().gauge("fleet.nodes_live"),
                 static_cast<double>(footprint.nodes_live))
@@ -206,7 +207,7 @@ TEST(FleetMemory, ConvergedSingleModelFleetSharesOneColdRecordPerGroup) {
     EXPECT_EQ(footprint.nodes_live, 0);
     EXPECT_EQ(footprint.lane_groups, shards);
     EXPECT_EQ(footprint.cold_records, footprint.lane_groups);
-    EXPECT_EQ(footprint.cold_refs, kFleet);
+    EXPECT_EQ(footprint.cold_refs, 2 * kFleet);  // one per end
   }
 }
 

@@ -395,11 +395,10 @@ TEST(GovernorScaleTest, SettledWireRateIsFlatAsTheFleetDoubles) {
 }
 
 TEST(GovernorChurnTest, BatchedReconfigureSpillsEachLaneAtMostOnce) {
-  // The governor's installation path, pinned on a clean channel where
-  // the only spills are the reconfigure's own: one batched
-  // ReconfigureSources call spills each resident changed lane exactly
-  // once, re-issuing identical deltas spills nothing, and a bad batch
-  // installs nothing at all.
+  // The governor's installation path, pinned on a clean channel: one
+  // batched ReconfigureSources call installs each changed delta on its
+  // resident lane in place (no spill at all), re-issuing identical
+  // deltas sends no control message, and a bad batch installs nothing.
   constexpr int kFleet = 8;
   ShardedStreamEngineOptions options;
   options.num_shards = 2;
@@ -432,7 +431,7 @@ TEST(GovernorChurnTest, BatchedReconfigureSpillsEachLaneAtMostOnce) {
   const std::vector<std::pair<int, double>> installs = {
       {2, 2.5}, {4, 2.5}, {5, 2.5}, {7, 2.5}};
   ASSERT_TRUE(engine.ReconfigureSources(installs).ok());
-  EXPECT_EQ(engine.fleet_spill_count() - spills_before, 4);
+  EXPECT_EQ(engine.fleet_spill_count() - spills_before, 0);
   EXPECT_EQ(engine.control_messages() - controls_before, 4);
   for (const auto& [id, delta] : installs) {
     EXPECT_EQ(engine.source_delta(id).value(), delta) << id;
@@ -442,7 +441,7 @@ TEST(GovernorChurnTest, BatchedReconfigureSpillsEachLaneAtMostOnce) {
   // control message (this is what makes cohort-stable governor epochs
   // free on the batched path).
   ASSERT_TRUE(engine.ReconfigureSources(installs).ok());
-  EXPECT_EQ(engine.fleet_spill_count() - spills_before, 4);
+  EXPECT_EQ(engine.fleet_spill_count() - spills_before, 0);
   EXPECT_EQ(engine.control_messages() - controls_before, 4);
 
   // Validate-before-touch: one unknown id fails the whole batch with
@@ -451,7 +450,7 @@ TEST(GovernorChurnTest, BatchedReconfigureSpillsEachLaneAtMostOnce) {
   EXPECT_FALSE(
       engine.ReconfigureSources({{1, 9.0}, {kFleet + 99, 1.0}}).ok());
   EXPECT_EQ(engine.source_delta(1).value(), delta_before);
-  EXPECT_EQ(engine.fleet_spill_count() - spills_before, 4);
+  EXPECT_EQ(engine.fleet_spill_count() - spills_before, 0);
 }
 
 }  // namespace
