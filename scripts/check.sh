@@ -11,7 +11,7 @@
 #   5. coverage: a gcov build of the tests labelled `coverage`, gating
 #      line coverage of src/obs/, src/dsms/, src/serve/, src/fleet/,
 #      src/governor/, src/filter/, src/fusion/, src/checkpoint/,
-#      src/runtime/ and src/models/.
+#      src/runtime/, src/models/ and src/linalg/.
 # The labels are set at the end of tests/CMakeLists.txt. Each stage
 # builds into its own tree (build/, build-<sanitizer>/, build-coverage/),
 # so the script writes to no tracked file. Performance is measured by
@@ -77,7 +77,7 @@ fi
 if [[ "${DKF_COVERAGE:-1}" == "0" ]]; then
   echo "== coverage stage skipped (DKF_COVERAGE=0) =="
 else
-  echo "== coverage: src/obs + src/dsms + src/serve + src/fleet + src/governor + src/filter + src/fusion + src/checkpoint + src/runtime + src/models line-coverage floors =="
+  echo "== coverage: src/obs + src/dsms + src/serve + src/fleet + src/governor + src/filter + src/fusion + src/checkpoint + src/runtime + src/models + src/linalg line-coverage floors =="
   cmake -B build-coverage -S . -DDKF_COVERAGE=ON >/dev/null
   # Fresh counters each run: .gcda files accumulate across executions.
   find build-coverage -name '*.gcda' -delete
@@ -86,7 +86,7 @@ else
     --gate=src/obs=0.90 --gate=src/dsms=0.80 --gate=src/serve=0.98 \
     --gate=src/fleet=0.93 --gate=src/governor=0.85 --gate=src/filter=0.90 \
     --gate=src/fusion=0.85 --gate=src/checkpoint=0.95 \
-    --gate=src/runtime=0.91 --gate=src/models=0.98
+    --gate=src/runtime=0.91 --gate=src/models=0.98 --gate=src/linalg=0.95
 fi
 
 if [[ "$(tree_state)" != "$TREE_BEFORE" ]]; then

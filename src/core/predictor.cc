@@ -27,7 +27,7 @@ double KalmanPredictor::PredictedScalar(
     // PredictedCovariance()(0, 0): S(0, 0) - R(0, 0), in that order;
     // symmetrizing leaves the diagonal alone.
     *variance = filter_.InnovationVariance0() -
-                filter_.measurement_noise()(0, 0);
+                filter_.measurement_noise_data()[0];
   }
   return filter_.PredictedMeasurement0();
 }

@@ -196,11 +196,11 @@ Matrix NoiseAdapter::EffectiveProcessNoise() const {
 Status NoiseAdapter::InstallInto(KalmanFilter* filter) const {
   if (!enabled_ || filter == nullptr) return Status::OK();
   const Matrix r = EffectiveMeasurementNoise();
-  if (!BitEqual(r, filter->measurement_noise())) {
+  if (!BitEqual(r, filter->measurement_noise_data())) {
     DKF_RETURN_IF_ERROR(filter->set_measurement_noise(r));
   }
   const Matrix q = EffectiveProcessNoise();
-  if (!BitEqual(q, filter->process_noise())) {
+  if (!BitEqual(q, filter->process_noise_data())) {
     DKF_RETURN_IF_ERROR(filter->set_process_noise(q));
   }
   return Status::OK();

@@ -92,10 +92,6 @@ struct AdaptiveNoiseConfig {
 /// bit-identically (the DKF mirror-consistency contract, docs/adaptive.md).
 /// All state is a handful of scalars plus two measurement-width vectors;
 /// nothing allocates per correction for measurement widths <= 6.
-///
-/// Replaces the deque-based AdaptiveNoiseEstimator sketch
-/// (filter/noise_estimation.h), which allocated per Observe() and was
-/// never wired into the protocol.
 class NoiseAdapter {
  public:
   /// A disabled adapter: every call is a cheap no-op. Lets callers embed

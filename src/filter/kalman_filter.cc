@@ -1,5 +1,10 @@
 #include "filter/kalman_filter.h"
 
+#include <algorithm>
+#include <array>
+#include <cstring>
+#include <type_traits>
+
 #include "common/string_util.h"
 #include "linalg/decompose.h"
 #include "linalg/kernels.h"
@@ -57,48 +62,136 @@ Status ValidateOptions(const KalmanFilterOptions& options) {
   return Status::OK();
 }
 
+/// One FullState matrix of the cold segment, with its shape and offset.
+template <typename MatrixT>
+struct ColdEntry {
+  MatrixT* matrix;
+  size_t offset;
+  size_t rows;
+  size_t cols;
+};
+
+/// The cold-segment matrices of `full` in KalmanStateLayout order.
+template <typename FullStateT>
+auto ColdMatrices(FullStateT& f, const KalmanStateLayout& l) {
+  using Entry = ColdEntry<std::remove_reference_t<decltype((f.p))>>;
+  const size_t n = l.n;
+  const size_t m = l.m;
+  return std::array<Entry, 11>{{
+      {&f.process_noise, l.q, n, n},
+      {&f.measurement_noise, l.r, m, m},
+      {&f.ss_prev_post[0], l.prev_post[0], n, n},
+      {&f.ss_prev_post[1], l.prev_post[1], n, n},
+      {&f.ss_prev_gain, l.prev_gain, n, m},
+      {&f.ss_gain[0], l.gain[0], n, m},
+      {&f.ss_gain[1], l.gain[1], n, m},
+      {&f.ss_prior_p[0], l.prior_p[0], n, n},
+      {&f.ss_prior_p[1], l.prior_p[1], n, n},
+      {&f.ss_post_p[0], l.post_p[0], n, n},
+      {&f.ss_post_p[1], l.post_p[1], n, n},
+  }};
+}
+
+/// Hands out consecutive segment offsets.
+struct Cursor {
+  size_t at;
+  size_t Take(size_t count) {
+    at += count;
+    return at - count;
+  }
+};
+
 }  // namespace
 
-KalmanFilter::KalmanFilter(KalmanFilterOptions options)
-    : options_(std::move(options)),
-      x_(options_.initial_state),
-      p_(options_.initial_covariance),
-      identity_(Matrix::Identity(options_.initial_state.size())) {
-  // Pre-size the workspace so the hot loop never grows anything. For
-  // n <= 6 the matrices are inline-stored and this is free; for larger
-  // states it front-loads the heap allocations into construction.
-  const size_t n = x_.size();
-  const size_t m = options_.measurement.rows();
-  scratch_.nn1.AssignZero(n, n);
-  scratch_.nn2.AssignZero(n, n);
-  scratch_.nn3.AssignZero(n, n);
-  scratch_.nm1.AssignZero(n, m);
-  scratch_.nm2.AssignZero(n, m);
-  scratch_.k.AssignZero(n, m);
-  scratch_.mm.AssignZero(m, m);
-  scratch_.mv1.AssignZero(m);
-  scratch_.mv2.AssignZero(m);
-  scratch_.mv3.AssignZero(m);
-  scratch_.nv1.AssignZero(n);
-  scratch_.pivots.reserve(m);
-  for (int i = 0; i < 2; ++i) {
-    ss_prev_post_[i].AssignZero(n, n);
-    ss_gain_[i].AssignZero(n, m);
-    ss_prior_p_[i].AssignZero(n, n);
-    ss_post_p_[i].AssignZero(n, n);
+KalmanStateLayout::KalmanStateLayout(size_t n, size_t m, size_t begin)
+    : n(n), m(m) {
+  Cursor c{begin};
+  x = c.Take(n);
+  p = c.Take(n * n);
+  q = c.Take(n * n);
+  r = c.Take(m * m);
+  for (size_t& slot : prev_post) slot = c.Take(n * n);
+  prev_gain = c.Take(n * m);
+  for (size_t& slot : gain) slot = c.Take(n * m);
+  for (size_t& slot : prior_p) slot = c.Take(n * n);
+  for (size_t& slot : post_p) slot = c.Take(n * n);
+  innovation = c.Take(m);
+  end = c.at;
+}
+
+KalmanFilter::BlockLayout::BlockLayout(size_t n, size_t m)
+    : phi(0), h(n * n), x0(h + m * n), p0(x0 + n), state(n, m, p0 + n * n) {
+  Cursor c{state.end};
+  nn1 = c.Take(n * n);
+  nn2 = c.Take(n * n);
+  nn3 = c.Take(n * n);
+  nm = c.Take(n * m);
+  k = c.Take(n * m);
+  mm = c.Take(m * m);
+  mv1 = c.Take(m);
+  mv2 = c.Take(m);
+  nv = c.Take(n);
+  size = c.at;
+}
+
+KalmanFilter::KalmanFilter(const KalmanFilterOptions& options, size_t n,
+                           size_t m)
+    : at_(n, m),
+      block_(at_.size),
+      pivots_(m),
+      transition_fn_(options.transition_fn),
+      steady_state_fast_path_(options.steady_state_fast_path),
+      steady_state_tolerance_(options.steady_state_tolerance) {
+  if (!transition_fn_) {
+    std::copy_n(options.transition.data(), n * n, At(at_.phi));
   }
-  ss_prev_gain_.AssignZero(n, m);
+  std::copy_n(options.measurement.data(), m * n, At(at_.h));
+  std::copy_n(options.initial_state.data(), n, At(at_.x0));
+  std::copy_n(options.initial_covariance.data(), n * n, At(at_.p0));
+  std::copy_n(At(at_.x0), n, At(at_.state.x));
+  std::copy_n(At(at_.p0), n * n, At(at_.state.p));
+  std::copy_n(options.process_noise.data(), n * n, At(at_.state.q));
+  std::copy_n(options.measurement_noise.data(), m * m, At(at_.state.r));
 }
 
 Result<KalmanFilter> KalmanFilter::Create(const KalmanFilterOptions& options) {
   DKF_RETURN_IF_ERROR(ValidateOptions(options));
-  return KalmanFilter(options);
+  return KalmanFilter(options, options.initial_state.size(),
+                      options.measurement.rows());
 }
 
-const Matrix& KalmanFilter::TransitionAt(int64_t step) {
-  if (!options_.transition_fn) return options_.transition;
-  scratch_.phi = options_.transition_fn(step);
-  return scratch_.phi;
+Status KalmanFilter::LoadTransition(int64_t step) {
+  const size_t n = at_.state.n;
+  const Matrix phi = transition_fn_(step);
+  if (phi.rows() != n || phi.cols() != n) {
+    return Status::Internal(
+        StrFormat("transition_fn returned %zux%zu for state dim %zu",
+                  phi.rows(), phi.cols(), n));
+  }
+  std::copy_n(phi.data(), n * n, At(at_.phi));
+  return Status::OK();
+}
+
+Matrix KalmanFilter::MatrixAt(size_t offset, size_t rows, size_t cols) const {
+  Matrix out(rows, cols);
+  std::copy_n(At(offset), rows * cols, out.data());
+  return out;
+}
+
+Vector KalmanFilter::VectorAt(size_t offset, size_t size) const {
+  Vector out(size);
+  std::copy_n(At(offset), size, out.data());
+  return out;
+}
+
+void KalmanFilter::SetInnovation(const double* innovation) {
+  double* slot = At(at_.state.innovation);
+  has_innovation_ = innovation != nullptr;
+  if (has_innovation_) {
+    std::copy_n(innovation, at_.state.m, slot);
+  } else {
+    std::fill_n(slot, at_.state.m, 0.0);
+  }
 }
 
 void KalmanFilter::DisarmSteadyState() {
@@ -113,19 +206,23 @@ void KalmanFilter::DisarmSteadyState() {
 }
 
 Status KalmanFilter::Predict() {
+  const size_t n = at_.state.n;
+  double* x = At(at_.state.x);
+  double* p = At(at_.state.p);
+  double* nv = At(at_.nv);
   if (ss_mode_ == SsMode::kArmed) {
     if (phase_ == Phase::kCorrected) {
       // Fast path: x <- phi x with the frozen covariance cycle. The frozen
       // matrices are a floating-point fixed cycle of the slow-path
       // recursion, so assigning them is bit-identical to recomputing.
-      MultiplyInto(options_.transition, x_, &scratch_.nv1);
-      x_ = scratch_.nv1;
+      MultiplyVectorInto(At(at_.phi), n, n, x, nv);
+      std::copy_n(nv, n, x);
       ss_idx_ = (ss_idx_ + 1) % ss_period_;
-      p_ = ss_prior_p_[ss_idx_];
+      std::copy_n(At(at_.state.prior_p[ss_idx_]), n * n, p);
       ++step_;
       ++predicts_since_correct_;
       phase_ = Phase::kPredicted;
-      if (!x_.IsFinite()) {
+      if (!AllFinite(x, n)) {
         return Status::Internal("filter state diverged to non-finite values");
       }
       return Status::OK();
@@ -134,19 +231,12 @@ Status KalmanFilter::Predict() {
     // moves the covariance off the frozen cycle: resume the full update.
     DisarmSteadyState();
   }
-  const Matrix& phi = TransitionAt(step_);
-  if (phi.rows() != x_.size() || phi.cols() != x_.size()) {
-    return Status::Internal(
-        StrFormat("transition_fn returned %zux%zu for state dim %zu",
-                  phi.rows(), phi.cols(), x_.size()));
-  }
-  // x <- phi x, P <- phi P phi^T + Q, all in scratch.
-  MultiplyInto(phi, x_, &scratch_.nv1);
-  x_ = scratch_.nv1;
-  MultiplyInto(phi, p_, &scratch_.nn1);
-  MultiplyTransposedInto(scratch_.nn1, phi, &scratch_.nn2);
-  AddScaledInto(scratch_.nn2, options_.process_noise, 1.0, &p_);
-  p_.Symmetrize();
+  if (transition_fn_) DKF_RETURN_IF_ERROR(LoadTransition(step_));
+  // x <- phi x, P <- Symmetrize(phi P phi^T + Q).
+  const double* phi = At(at_.phi);
+  MultiplyVectorInto(phi, n, n, x, nv);
+  std::copy_n(nv, n, x);
+  PredictCovarianceInto(phi, p, At(at_.state.q), n, At(at_.nn1), p);
   ++step_;
   ++predicts_since_correct_;
   if (ss_mode_ == SsMode::kArmPending) {
@@ -154,7 +244,7 @@ Status KalmanFilter::Predict() {
       // Predict after an arming/pending Correct: this a-priori covariance
       // is one phase of the frozen cycle. Arm once all phases are
       // captured (one Predict for period 1, two for period 2).
-      ss_prior_p_[ss_capture_idx_] = p_;
+      std::copy_n(p, n * n, At(at_.state.prior_p[ss_capture_idx_]));
       if (--ss_pending_priors_ == 0) {
         ss_mode_ = SsMode::kArmed;
         ss_idx_ = ss_capture_idx_;  // phase of the upcoming Correct
@@ -169,133 +259,145 @@ Status KalmanFilter::Predict() {
     }
   }
   phase_ = Phase::kPredicted;
-  if (!x_.IsFinite() || !p_.IsFinite()) {
+  if (!AllFinite(x, n) || !AllFinite(p, n * n)) {
     return Status::Internal("filter state diverged to non-finite values");
   }
   return Status::OK();
 }
 
 Vector KalmanFilter::PredictedMeasurement() const {
-  return options_.measurement * x_;
+  Vector out(at_.state.m);
+  MultiplyVectorInto(At(at_.h), at_.state.m, at_.state.n, At(at_.state.x),
+                     out.data());
+  return out;
 }
 
 double KalmanFilter::PredictedMeasurement0() const {
-  // Row 0 of Matrix::operator*(Vector).
-  const double* h_row = options_.measurement.RowData(0);
+  // Row 0 of H x.
   double sum = 0.0;
-  for (size_t c = 0; c < x_.size(); ++c) sum += h_row[c] * x_[c];
+  MultiplyVectorInto(At(at_.h), 1, at_.state.n, At(at_.state.x), &sum);
   return sum;
 }
 
 double KalmanFilter::InnovationVariance0() const {
-  // Entry (0, 0) of InnovationCovariance(): each (P H^T)(k, 0) summed the
-  // way MultiplyTransposedInto does, folded into row 0 of H the way
-  // MultiplyInto does (both skip zero left factors), plus R(0, 0) the
-  // way AddScaledInto adds it.
-  const double* h_row = options_.measurement.RowData(0);
-  const size_t n = x_.size();
+  // Entry (0, 0) of InnovationCovariance(), read in place and written to
+  // no scratch: each (P H^T)(k, 0) summed the way MultiplyTransposedInto
+  // does, folded into row 0 of H the way MultiplyInto does (both skip
+  // zero left factors), plus R(0, 0) the way AddScaledInto adds it.
+  const double* h_row = At(at_.h);
+  const double* p = At(at_.state.p);
+  const size_t n = at_.state.n;
   double s = 0.0;
   for (size_t k = 0; k < n; ++k) {
     const double hk = h_row[k];
     if (hk == 0.0) continue;
-    const double* p_row = p_.RowData(k);
     double ph = 0.0;
-    for (size_t l = 0; l < n; ++l) {
-      const double pv = p_row[l];
-      if (pv == 0.0) continue;
-      ph += pv * h_row[l];
-    }
+    MultiplyTransposedInto(p + k * n, 1, n, h_row, 1, &ph);
     s += hk * ph;
   }
-  return s + 1.0 * options_.measurement_noise(0, 0);
+  return s + 1.0 * *At(at_.state.r);
+}
+
+void KalmanFilter::InnovationCovarianceInto() const {
+  // S = H (P H^T) + R. P is kept exactly symmetric by Symmetrize, so
+  // P H^T is the transpose of H P entry-for-entry.
+  const size_t n = at_.state.n;
+  const size_t m = at_.state.m;
+  const double* h = At(at_.h);
+  double* nm = At(at_.nm);
+  double* mm = At(at_.mm);
+  MultiplyTransposedInto(At(at_.state.p), n, n, h, m, nm);
+  MultiplyInto(h, m, n, nm, m, mm);
+  AddScaledInto(mm, At(at_.state.r), 1.0, m * m, mm);
 }
 
 Matrix KalmanFilter::InnovationCovariance() const {
-  const Matrix& h = options_.measurement;
-  MultiplyTransposedInto(p_, h, &scratch_.nm1);
-  Matrix s;
-  MultiplyInto(h, scratch_.nm1, &s);
-  AddScaledInto(s, options_.measurement_noise, 1.0, &s);
-  return s;
+  InnovationCovarianceInto();
+  return MatrixAt(at_.mm, at_.state.m, at_.state.m);
 }
 
 Status KalmanFilter::Correct(const Vector& z) {
-  const Matrix& h = options_.measurement;
-  if (z.size() != h.rows()) {
+  const size_t n = at_.state.n;
+  const size_t m = at_.state.m;
+  if (z.size() != m) {
     return Status::InvalidArgument(
-        StrFormat("measurement size %zu, expected %zu", z.size(), h.rows()));
+        StrFormat("measurement size %zu, expected %zu", z.size(), m));
   }
+  const double* h = At(at_.h);
+  double* x = At(at_.state.x);
+  double* p = At(at_.state.p);
+  double* mv1 = At(at_.mv1);
+  double* mv2 = At(at_.mv2);
+  double* nv = At(at_.nv);
   if (ss_mode_ == SsMode::kArmed) {
     if (phase_ == Phase::kPredicted && predicts_since_correct_ == 1) {
       // Fast path: x <- x + K (z - H x) with the frozen gain for this
       // cycle phase; the covariance snaps to the frozen a-posteriori
       // value.
-      MultiplyInto(h, x_, &scratch_.mv1);
-      AddScaledInto(z, scratch_.mv1, -1.0, &scratch_.mv2);
-      MultiplyInto(ss_gain_[ss_idx_], scratch_.mv2, &scratch_.nv1);
-      x_ += scratch_.nv1;
-      p_ = ss_post_p_[ss_idx_];
-      last_innovation_ = scratch_.mv2;
+      MultiplyVectorInto(h, m, n, x, mv1);
+      AddScaledInto(z.data(), mv1, -1.0, m, mv2);
+      MultiplyVectorInto(At(at_.state.gain[ss_idx_]), n, m, mv2, nv);
+      AddScaledInto(x, nv, 1.0, n, x);
+      std::copy_n(At(at_.state.post_p[ss_idx_]), n * n, p);
+      SetInnovation(mv2);
       predicts_since_correct_ = 0;
       phase_ = Phase::kCorrected;
-      if (!x_.IsFinite()) {
+      if (!AllFinite(x, n)) {
         return Status::Internal("filter state diverged to non-finite values");
       }
       return Status::OK();
     }
     DisarmSteadyState();
   }
-  const size_t n = x_.size();
-  const size_t m = h.rows();
 
-  // S = H (P H^T) + R, built in scratch. P is kept exactly symmetric by
-  // Symmetrize, so P H^T is the transpose of H P entry-for-entry.
-  MultiplyTransposedInto(p_, h, &scratch_.nm1);
-  MultiplyInto(h, scratch_.nm1, &scratch_.mm);
-  AddScaledInto(scratch_.mm, options_.measurement_noise, 1.0, &scratch_.mm);
+  // S into scratch, with P H^T beside it.
+  InnovationCovarianceInto();
+  double* nm = At(at_.nm);
+  double* mm = At(at_.mm);
+  double* k = At(at_.k);
 
   // K = P H^T S^{-1}, computed by LU-factoring S once and solving
   // S K^T = H P column-by-column (column j of H P is row j of P H^T) —
-  // faster and better conditioned than forming S^{-1} explicitly.
-  Status factored = LuFactorInPlace(&scratch_.mm, &scratch_.pivots);
+  // faster and better conditioned than forming S^{-1} explicitly. Only
+  // scratch has been written so far, so a singular S leaves the state
+  // untouched.
+  Status factored = LuFactorInPlace(mm, m, pivots_.data());
   if (!factored.ok()) {
     return Status::FailedPrecondition(
         "innovation covariance not invertible: " + factored.message());
   }
-  scratch_.k.AssignZero(n, m);
   for (size_t j = 0; j < n; ++j) {
-    scratch_.mv3.AssignZero(m);
-    const double* pht_row = scratch_.nm1.RowData(j);
-    for (size_t i = 0; i < m; ++i) scratch_.mv3[i] = pht_row[i];
-    DKF_RETURN_IF_ERROR(
-        LuSolveInto(scratch_.mm, scratch_.pivots, scratch_.mv3,
-                    &scratch_.mv1));
-    for (size_t i = 0; i < m; ++i) scratch_.k(j, i) = scratch_.mv1[i];
+    LuSolveInto(mm, m, pivots_.data(), nm + j * m, k + j * m);
   }
 
   // x <- x + K (z - H x).
-  MultiplyInto(h, x_, &scratch_.mv1);
-  AddScaledInto(z, scratch_.mv1, -1.0, &scratch_.mv2);  // innovation
-  MultiplyInto(scratch_.k, scratch_.mv2, &scratch_.nv1);
-  x_ += scratch_.nv1;
+  MultiplyVectorInto(h, m, n, x, mv1);
+  AddScaledInto(z.data(), mv1, -1.0, m, mv2);  // innovation
+  MultiplyVectorInto(k, n, m, mv2, nv);
+  AddScaledInto(x, nv, 1.0, n, x);
 
   // Joseph-form covariance update: (I-KH) P (I-KH)^T + K R K^T. Stable
   // against the loss of symmetry/positivity the textbook form suffers.
-  MultiplyInto(scratch_.k, h, &scratch_.nn1);
-  AddScaledInto(identity_, scratch_.nn1, -1.0, &scratch_.nn2);  // I - K H
-  MultiplyInto(scratch_.nn2, p_, &scratch_.nn1);
-  MultiplyTransposedInto(scratch_.nn1, scratch_.nn2, &scratch_.nn3);
-  MultiplyInto(scratch_.k, options_.measurement_noise, &scratch_.nm2);
-  MultiplyTransposedInto(scratch_.nm2, scratch_.k, &scratch_.nn1);
-  AddScaledInto(scratch_.nn3, scratch_.nn1, 1.0, &p_);
-  p_.Symmetrize();
-  last_innovation_ = scratch_.mv2;
+  double* nn1 = At(at_.nn1);
+  double* nn2 = At(at_.nn2);
+  double* nn3 = At(at_.nn3);
+  MultiplyInto(k, n, m, h, n, nn1);
+  std::fill_n(nn2, n * n, 0.0);
+  for (size_t i = 0; i < n; ++i) nn2[i * n + i] = 1.0;
+  AddScaledInto(nn2, nn1, -1.0, n * n, nn2);  // I - K H
+  MultiplyInto(nn2, n, n, p, n, nn1);
+  MultiplyTransposedInto(nn1, n, n, nn2, n, nn3);
+  MultiplyInto(k, n, m, At(at_.state.r), m, nm);
+  MultiplyTransposedInto(nm, n, m, k, n, nn1);
+  AddScaledInto(nn3, nn1, 1.0, n * n, p);
+  SymmetrizeInPlace(p, n);
+  SetInnovation(mv2);
 
   const bool cadence_ok =
       phase_ == Phase::kPredicted && predicts_since_correct_ == 1;
   predicts_since_correct_ = 0;
   phase_ = Phase::kCorrected;
-  if (!x_.IsFinite() || !p_.IsFinite()) {
+  if (!AllFinite(x, n) || !AllFinite(p, n * n)) {
     return Status::Internal("filter state diverged to non-finite values");
   }
 
@@ -305,13 +407,16 @@ Status KalmanFilter::Correct(const Vector& z) {
   // patterns arm: a true fixed point (P equals the previous post-Correct
   // P) and the period-2 limit cycle multi-axis models settle into, where
   // P oscillates by an ulp forever but P(t) == P(t-2) exactly.
-  if (options_.steady_state_fast_path && !options_.transition_fn &&
-      options_.steady_state_tolerance >= 0.0) {
-    const double tol = options_.steady_state_tolerance;
+  if (steady_state_fast_path_ && !transition_fn_ &&
+      steady_state_tolerance_ >= 0.0) {
+    const KalmanStateLayout& l = at_.state;
+    const size_t nn = n * n;
+    const size_t nmc = n * m;
+    const double tol = steady_state_tolerance_;
     const bool hit1 = cadence_ok && ss_have_prev_ >= 1 &&
-                      p_.MaxAbsDiff(ss_prev_post_[0]) <= tol;
+                      MaxAbsDiff(p, At(l.prev_post[0]), nn) <= tol;
     const bool hit2 = cadence_ok && ss_have_prev_ >= 2 &&
-                      p_.MaxAbsDiff(ss_prev_post_[1]) <= tol;
+                      MaxAbsDiff(p, At(l.prev_post[1]), nn) <= tol;
     ss_streak1_ = hit1 ? ss_streak1_ + 1 : 0;
     ss_streak2_ = hit2 ? ss_streak2_ + 1 : 0;
     // A pending capture is only valid while its own cycle keeps repeating.
@@ -323,8 +428,8 @@ Status KalmanFilter::Correct(const Vector& z) {
       if (ss_streak1_ >= kArmStreak) {
         // Fixed point: a single-phase cycle.
         ss_period_ = 1;
-        ss_gain_[0] = scratch_.k;
-        ss_post_p_[0] = p_;
+        std::copy_n(k, nmc, At(l.gain[0]));
+        std::copy_n(p, nn, At(l.post_p[0]));
         ss_pending_priors_ = 1;
         ss_capture_idx_ = 0;
         ss_mode_ = SsMode::kArmPending;
@@ -332,67 +437,77 @@ Status KalmanFilter::Correct(const Vector& z) {
         // Period-2 cycle: this Correct is phase 1, the previous one was
         // phase 0 (its post-P and gain are still in the history ring).
         ss_period_ = 2;
-        ss_gain_[0] = ss_prev_gain_;
-        ss_post_p_[0] = ss_prev_post_[0];
-        ss_gain_[1] = scratch_.k;
-        ss_post_p_[1] = p_;
+        std::copy_n(At(l.prev_gain), nmc, At(l.gain[0]));
+        std::copy_n(At(l.prev_post[0]), nn, At(l.post_p[0]));
+        std::copy_n(k, nmc, At(l.gain[1]));
+        std::copy_n(p, nn, At(l.post_p[1]));
         ss_pending_priors_ = 2;
         ss_capture_idx_ = 0;
         ss_mode_ = SsMode::kArmPending;
       }
     }
-    ss_prev_post_[1] = ss_prev_post_[0];
-    ss_prev_post_[0] = p_;
-    ss_prev_gain_ = scratch_.k;
+    std::copy_n(At(l.prev_post[0]), nn, At(l.prev_post[1]));
+    std::copy_n(p, nn, At(l.prev_post[0]));
+    std::copy_n(k, nmc, At(l.prev_gain));
     if (ss_have_prev_ < 2) ++ss_have_prev_;
   }
   return Status::OK();
 }
 
 Result<double> KalmanFilter::Nis(const Vector& z) const {
-  const Matrix& h = options_.measurement;
-  if (z.size() != h.rows()) {
+  const size_t n = at_.state.n;
+  const size_t m = at_.state.m;
+  if (z.size() != m) {
     return Status::InvalidArgument(
-        StrFormat("measurement size %zu, expected %zu", z.size(), h.rows()));
+        StrFormat("measurement size %zu, expected %zu", z.size(), m));
   }
-  // y^T S^{-1} y by factor-and-solve against scratch — no inverse, no
+  // y^T S^{-1} y by factor-and-solve in scratch — no inverse, no
   // allocation.
-  MultiplyTransposedInto(p_, h, &scratch_.nm1);
-  MultiplyInto(h, scratch_.nm1, &scratch_.mm);
-  AddScaledInto(scratch_.mm, options_.measurement_noise, 1.0, &scratch_.mm);
-  MultiplyInto(h, x_, &scratch_.mv1);
-  AddScaledInto(z, scratch_.mv1, -1.0, &scratch_.mv2);
-  DKF_RETURN_IF_ERROR(LuFactorInPlace(&scratch_.mm, &scratch_.pivots));
-  DKF_RETURN_IF_ERROR(
-      LuSolveInto(scratch_.mm, scratch_.pivots, scratch_.mv2, &scratch_.mv1));
-  return scratch_.mv2.Dot(scratch_.mv1);
+  InnovationCovarianceInto();
+  double* mm = At(at_.mm);
+  double* mv1 = At(at_.mv1);
+  double* mv2 = At(at_.mv2);
+  MultiplyVectorInto(At(at_.h), m, n, At(at_.state.x), mv1);
+  AddScaledInto(z.data(), mv1, -1.0, m, mv2);
+  DKF_RETURN_IF_ERROR(LuFactorInPlace(mm, m, pivots_.data()));
+  LuSolveInto(mm, m, pivots_.data(), mv2, mv1);
+  double nis = 0.0;
+  MultiplyVectorInto(mv2, 1, m, mv1, &nis);  // the dot product y . S^-1 y
+  return nis;
 }
 
 Status KalmanFilter::set_process_noise(const Matrix& q) {
-  if (q.rows() != x_.size() || q.cols() != x_.size()) {
+  const size_t n = at_.state.n;
+  if (q.rows() != n || q.cols() != n) {
     return Status::InvalidArgument("process noise must be n x n");
   }
-  options_.process_noise = q;
+  std::copy_n(q.data(), n * n, At(at_.state.q));
   // The Riccati fixed point moved: leave the fast path and re-track.
   DisarmSteadyState();
   return Status::OK();
 }
 
 Status KalmanFilter::set_measurement_noise(const Matrix& r) {
-  const size_t m = options_.measurement.rows();
+  const size_t m = at_.state.m;
   if (r.rows() != m || r.cols() != m) {
     return Status::InvalidArgument("measurement noise must be m x m");
   }
-  options_.measurement_noise = r;
+  std::copy_n(r.data(), m * m, At(at_.state.r));
   DisarmSteadyState();
   return Status::OK();
 }
 
+Vector KalmanFilter::last_innovation() const {
+  return has_innovation_ ? VectorAt(at_.state.innovation, at_.state.m)
+                         : Vector();
+}
+
 void KalmanFilter::Reset() {
-  x_ = options_.initial_state;
-  p_ = options_.initial_covariance;
+  const size_t n = at_.state.n;
+  std::copy_n(At(at_.x0), n, At(at_.state.x));
+  std::copy_n(At(at_.p0), n * n, At(at_.state.p));
   step_ = 0;
-  last_innovation_ = Vector();
+  SetInnovation(nullptr);
   phase_ = Phase::kInitial;
   predicts_since_correct_ = 0;
   DisarmSteadyState();
@@ -400,44 +515,55 @@ void KalmanFilter::Reset() {
 
 Status KalmanFilter::ImportState(const Vector& x, const Matrix& p,
                                  int64_t step) {
-  if (x.size() != x_.size()) {
+  const size_t n = at_.state.n;
+  if (x.size() != n) {
     return Status::InvalidArgument("imported state has the wrong dimension");
   }
-  if (p.rows() != p_.rows() || p.cols() != p_.cols()) {
+  if (p.rows() != n || p.cols() != n) {
     return Status::InvalidArgument(
         "imported covariance has the wrong dimensions");
   }
-  x_ = x;
-  p_ = p;
+  std::copy_n(x.data(), n, At(at_.state.x));
+  std::copy_n(p.data(), n * n, At(at_.state.p));
   step_ = step;
-  last_innovation_ = Vector();
+  SetInnovation(nullptr);
   phase_ = Phase::kPredicted;
   predicts_since_correct_ = 1;
   DisarmSteadyState();
   return Status::OK();
 }
 
+void KalmanFilter::PackCold(const FullState& full,
+                            const KalmanStateLayout& layout, double* cold) {
+  for (const auto& entry : ColdMatrices(full, layout)) {
+    std::copy_n(entry.matrix->data(), entry.rows * entry.cols,
+                cold + (entry.offset - layout.q));
+  }
+}
+
+void KalmanFilter::UnpackCold(const double* cold,
+                              const KalmanStateLayout& layout,
+                              FullState* full) {
+  for (const auto& entry : ColdMatrices(*full, layout)) {
+    entry.matrix->AssignZero(entry.rows, entry.cols);
+    std::copy_n(cold + (entry.offset - layout.q), entry.rows * entry.cols,
+                entry.matrix->data());
+  }
+}
+
 KalmanFilter::FullState KalmanFilter::ExportFullState() const {
   FullState full;
-  full.x = x_;
-  full.p = p_;
+  full.x = state();
+  full.p = covariance();
   full.step = step_;
-  full.last_innovation = last_innovation_;
-  full.process_noise = options_.process_noise;
-  full.measurement_noise = options_.measurement_noise;
+  full.last_innovation = last_innovation();
+  UnpackCold(At(at_.state.q), at_.state, &full);
   full.phase = static_cast<uint8_t>(phase_);
   full.ss_mode = static_cast<uint8_t>(ss_mode_);
   full.ss_streak1 = ss_streak1_;
   full.ss_streak2 = ss_streak2_;
   full.predicts_since_correct = predicts_since_correct_;
   full.ss_have_prev = ss_have_prev_;
-  for (int i = 0; i < 2; ++i) {
-    full.ss_prev_post[i] = ss_prev_post_[i];
-    full.ss_gain[i] = ss_gain_[i];
-    full.ss_prior_p[i] = ss_prior_p_[i];
-    full.ss_post_p[i] = ss_post_p_[i];
-  }
-  full.ss_prev_gain = ss_prev_gain_;
   full.ss_period = ss_period_;
   full.ss_pending_priors = ss_pending_priors_;
   full.ss_capture_idx = ss_capture_idx_;
@@ -446,16 +572,12 @@ KalmanFilter::FullState KalmanFilter::ExportFullState() const {
 }
 
 Status KalmanFilter::ImportFullState(const FullState& full) {
-  const size_t n = x_.size();
-  const size_t m = options_.measurement.rows();
+  const KalmanStateLayout& l = at_.state;
+  const size_t n = l.n;
+  const size_t m = l.m;
   if (full.x.size() != n || full.p.rows() != n || full.p.cols() != n) {
     return Status::InvalidArgument(
         "full state has the wrong state/covariance dimensions");
-  }
-  if (full.process_noise.rows() != n || full.process_noise.cols() != n ||
-      full.measurement_noise.rows() != m ||
-      full.measurement_noise.cols() != m) {
-    return Status::InvalidArgument("full state has the wrong noise shapes");
   }
   if (full.last_innovation.size() != 0 && full.last_innovation.size() != m) {
     return Status::InvalidArgument(
@@ -472,58 +594,43 @@ Status KalmanFilter::ImportFullState(const FullState& full) {
     return Status::InvalidArgument(
         "full state has out-of-range fast-path cycle indices");
   }
-  for (int i = 0; i < 2; ++i) {
-    if (full.ss_prev_post[i].rows() != n || full.ss_prev_post[i].cols() != n ||
-        full.ss_prior_p[i].rows() != n || full.ss_prior_p[i].cols() != n ||
-        full.ss_post_p[i].rows() != n || full.ss_post_p[i].cols() != n ||
-        full.ss_gain[i].rows() != n || full.ss_gain[i].cols() != m) {
+  // One scan over the values: every cold matrix's shape, then every
+  // value's finiteness (a non-finite one would fail every later Predict).
+  const auto cold = ColdMatrices(full, l);
+  for (const auto& entry : cold) {
+    if (entry.matrix->rows() != entry.rows ||
+        entry.matrix->cols() != entry.cols) {
       return Status::InvalidArgument(
-          "full state has the wrong fast-path matrix shapes");
+          "full state has the wrong noise or fast-path matrix shapes");
     }
   }
-  if (full.ss_prev_gain.rows() != n || full.ss_prev_gain.cols() != m) {
-    return Status::InvalidArgument(
-        "full state has the wrong fast-path gain shape");
-  }
-  if (!full.x.IsFinite() || !full.p.IsFinite()) {
-    return Status::InvalidArgument(
-        "full state carries non-finite estimate or covariance");
-  }
-  bool finite = full.last_innovation.IsFinite() &&
-                full.process_noise.IsFinite() &&
-                full.measurement_noise.IsFinite() &&
-                full.ss_prev_gain.IsFinite();
-  for (int i = 0; i < 2; ++i) {
-    finite = finite && full.ss_prev_post[i].IsFinite() &&
-             full.ss_gain[i].IsFinite() && full.ss_prior_p[i].IsFinite() &&
-             full.ss_post_p[i].IsFinite();
+  bool finite = AllFinite(full.x.data(), n) &&
+                AllFinite(full.p.data(), n * n) &&
+                AllFinite(full.last_innovation.data(),
+                          full.last_innovation.size());
+  for (const auto& entry : cold) {
+    finite = finite &&
+             AllFinite(entry.matrix->data(), entry.rows * entry.cols);
   }
   if (!finite) {
-    return Status::InvalidArgument(
-        "full state carries non-finite noise, innovation or fast-path "
-        "matrices");
+    return Status::InvalidArgument("full state carries non-finite values");
   }
-  x_ = full.x;
-  p_ = full.p;
+  std::copy_n(full.x.data(), n, At(l.x));
+  std::copy_n(full.p.data(), n * n, At(l.p));
   step_ = full.step;
-  last_innovation_ = full.last_innovation;
-  // Direct assignment on purpose: set_process_noise/set_measurement_noise
-  // would disarm the fast path, which must survive a checkpoint intact.
-  options_.process_noise = full.process_noise;
-  options_.measurement_noise = full.measurement_noise;
+  SetInnovation(full.last_innovation.size() != 0
+                    ? full.last_innovation.data()
+                    : nullptr);
+  // Q/R are written directly on purpose: set_process_noise and
+  // set_measurement_noise would disarm the fast path, which must survive
+  // a checkpoint intact.
+  PackCold(full, l, At(l.q));
   phase_ = static_cast<Phase>(full.phase);
   ss_mode_ = static_cast<SsMode>(full.ss_mode);
   ss_streak1_ = full.ss_streak1;
   ss_streak2_ = full.ss_streak2;
   predicts_since_correct_ = full.predicts_since_correct;
   ss_have_prev_ = full.ss_have_prev;
-  for (int i = 0; i < 2; ++i) {
-    ss_prev_post_[i] = full.ss_prev_post[i];
-    ss_gain_[i] = full.ss_gain[i];
-    ss_prior_p_[i] = full.ss_prior_p[i];
-    ss_post_p_[i] = full.ss_post_p[i];
-  }
-  ss_prev_gain_ = full.ss_prev_gain;
   ss_period_ = full.ss_period;
   ss_pending_priors_ = full.ss_pending_priors;
   ss_capture_idx_ = full.ss_capture_idx;
@@ -532,61 +639,47 @@ Status KalmanFilter::ImportFullState(const FullState& full) {
 }
 
 bool KalmanFilter::StateEquals(const KalmanFilter& other) const {
-  if (step_ != other.step_ || x_.size() != other.x_.size()) return false;
-  for (size_t i = 0; i < x_.size(); ++i) {
-    if (x_[i] != other.x_[i]) return false;
-  }
-  if (p_.rows() != other.p_.rows() || p_.cols() != other.p_.cols()) {
-    return false;
-  }
-  for (size_t r = 0; r < p_.rows(); ++r) {
-    for (size_t c = 0; c < p_.cols(); ++c) {
-      if (p_(r, c) != other.p_(r, c)) return false;
-    }
-  }
-  return true;
+  // Exact `==` on x and P, which share one contiguous range.
+  const KalmanStateLayout& l = at_.state;
+  return step_ == other.step_ && l.n == other.at_.state.n &&
+         std::equal(At(l.x), At(l.q), other.At(l.x));
+}
+
+bool KalmanFilter::ScalarsEqual(const KalmanFilter& other) const {
+  return at_.state.n == other.at_.state.n &&
+         at_.state.m == other.at_.state.m && step_ == other.step_ &&
+         phase_ == other.phase_ && ss_mode_ == other.ss_mode_ &&
+         ss_streak1_ == other.ss_streak1_ &&
+         ss_streak2_ == other.ss_streak2_ &&
+         predicts_since_correct_ == other.predicts_since_correct_ &&
+         ss_have_prev_ == other.ss_have_prev_ &&
+         ss_period_ == other.ss_period_ &&
+         ss_pending_priors_ == other.ss_pending_priors_ &&
+         ss_capture_idx_ == other.ss_capture_idx_ &&
+         ss_idx_ == other.ss_idx_ &&
+         has_innovation_ == other.has_innovation_;
 }
 
 bool KalmanFilter::FullStateBitEquals(const KalmanFilter& other) const {
-  if (step_ != other.step_ || phase_ != other.phase_ ||
-      ss_mode_ != other.ss_mode_ || ss_streak1_ != other.ss_streak1_ ||
-      ss_streak2_ != other.ss_streak2_ ||
-      predicts_since_correct_ != other.predicts_since_correct_ ||
-      ss_have_prev_ != other.ss_have_prev_ ||
-      ss_period_ != other.ss_period_ ||
-      ss_pending_priors_ != other.ss_pending_priors_ ||
-      ss_capture_idx_ != other.ss_capture_idx_ || ss_idx_ != other.ss_idx_) {
-    return false;
-  }
-  if (!BitEqual(x_, other.x_) || !BitEqual(p_, other.p_) ||
-      !BitEqual(last_innovation_, other.last_innovation_) ||
-      !BitEqual(options_.process_noise, other.options_.process_noise) ||
-      !BitEqual(options_.measurement_noise,
-                other.options_.measurement_noise) ||
-      !BitEqual(ss_prev_gain_, other.ss_prev_gain_)) {
-    return false;
-  }
-  for (int i = 0; i < 2; ++i) {
-    if (!BitEqual(ss_prev_post_[i], other.ss_prev_post_[i]) ||
-        !BitEqual(ss_gain_[i], other.ss_gain_[i]) ||
-        !BitEqual(ss_prior_p_[i], other.ss_prior_p_[i]) ||
-        !BitEqual(ss_post_p_[i], other.ss_post_p_[i])) {
-      return false;
-    }
-  }
-  return true;
+  // Both blocks share one layout once the dimensions match, and an
+  // absent innovation is all zeros, so the state range compares whole.
+  const KalmanStateLayout& l = at_.state;
+  return ScalarsEqual(other) &&
+         std::memcmp(At(l.x), other.At(l.x),
+                     (l.end - l.x) * sizeof(double)) == 0;
 }
 
 bool KalmanFilter::PredictStateBitEquals(const KalmanFilter& other) const {
   if (ss_mode_ != SsMode::kTracking || other.ss_mode_ != SsMode::kTracking) {
     return FullStateBitEquals(other);
   }
-  return step_ == other.step_ && phase_ == other.phase_ &&
-         ss_idx_ == other.ss_idx_ && BitEqual(x_, other.x_) &&
-         BitEqual(p_, other.p_) &&
-         BitEqual(options_.process_noise, other.options_.process_noise) &&
-         BitEqual(options_.measurement_noise,
-                  other.options_.measurement_noise);
+  // x, P, Q and R: the contiguous range a tracking predict reads.
+  const KalmanStateLayout& l = at_.state;
+  return l.n == other.at_.state.n && l.m == other.at_.state.m &&
+         step_ == other.step_ && phase_ == other.phase_ &&
+         ss_idx_ == other.ss_idx_ &&
+         std::memcmp(At(l.x), other.At(l.x),
+                     (l.prev_post[0] - l.x) * sizeof(double)) == 0;
 }
 
 }  // namespace dkf

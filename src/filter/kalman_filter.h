@@ -1,6 +1,7 @@
 #ifndef DKF_FILTER_KALMAN_FILTER_H_
 #define DKF_FILTER_KALMAN_FILTER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -70,6 +71,41 @@ struct KalmanFilterOptions {
   double steady_state_tolerance = 0.0;
 };
 
+/// Where each piece of a filter's running state lives, as offsets in
+/// doubles, for state dimension n and measurement dimension m. The
+/// segment order is the one definition of the layout, shared by
+/// KalmanFilter's block, FullState import/export and the fleet's cold
+/// records:
+///
+///   x (n) | P (n x n) | Q (n x n) | R (m x m) | ss_prev_post[0], [1]
+///   (n x n each) | ss_prev_gain (n x m) | ss_gain[0], [1] (n x m each) |
+///   ss_prior_p[0], [1] (n x n each) | ss_post_p[0], [1] (n x n each) |
+///   last_innovation (m)
+///
+/// So [x, prev_post[0]) is everything a tracking-mode predict reads,
+/// [q, innovation) is the *cold segment* a batched fleet lane shares with
+/// its group, and [x, end) is every value of a FullState.
+struct KalmanStateLayout {
+  /// Offsets start at `begin`.
+  KalmanStateLayout(size_t n, size_t m, size_t begin = 0);
+
+  size_t n = 0;
+  size_t m = 0;
+  size_t x = 0;
+  size_t p = 0;
+  size_t q = 0;
+  size_t r = 0;
+  size_t prev_post[2] = {0, 0};
+  size_t prev_gain = 0;
+  size_t gain[2] = {0, 0};
+  size_t prior_p[2] = {0, 0};
+  size_t post_p[2] = {0, 0};
+  size_t innovation = 0;
+  size_t end = 0;
+
+  size_t cold_size() const { return innovation - q; }
+};
+
 /// Discrete Kalman filter over double-valued states.
 ///
 /// Usage per tick: call Predict() once (propagates the estimate through
@@ -78,10 +114,14 @@ struct KalmanFilterOptions {
 /// Correct leaves the filter coasting on the model — exactly the behaviour
 /// the DKF protocol exploits when an update is suppressed.
 ///
-/// The per-tick arithmetic runs against a preallocated per-filter scratch
-/// workspace via the in-place kernels in linalg/kernels.h, so for state
-/// dimensions <= 6 a Predict+Correct cycle performs zero heap allocations
-/// (pinned by tests/filter/fast_path_test.cc; see docs/perf.md).
+/// Storage: one exact-size block of doubles, sized from (n, m) at Create,
+/// holds the model constants (phi, H, x_0, P_0), the running state in
+/// KalmanStateLayout order, and the scratch the raw kernels of
+/// linalg/kernels.h work in. Besides it the filter keeps only its scalars,
+/// the optional transition callback and the LU pivots, so a Predict+Correct
+/// cycle performs zero heap allocations at any dimension (pinned by
+/// tests/filter/fast_path_test.cc; see docs/perf.md). Copies deep-copy the
+/// block; moves steal it.
 class KalmanFilter {
  public:
   /// Validates dimensions and builds the filter. Errors with
@@ -100,25 +140,27 @@ class KalmanFilter {
   /// the covariance update uses the Joseph form for numerical robustness).
   /// The gain K = P H^T S^{-1} is computed by LU-factoring S once and
   /// solving S K^T = H P — no explicit inverse. Errors when the innovation
-  /// covariance is not invertible.
+  /// covariance is not invertible, leaving the running state untouched.
   Status Correct(const Vector& z);
 
   /// Current state estimate (a-priori right after Predict, a-posteriori
   /// right after Correct).
-  const Vector& state() const { return x_; }
+  Vector state() const { return VectorAt(at_.state.x, at_.state.n); }
 
   /// Current error covariance.
-  const Matrix& covariance() const { return p_; }
+  Matrix covariance() const {
+    return MatrixAt(at_.state.p, at_.state.n, at_.state.n);
+  }
 
   /// Number of Predict() calls so far.
   int64_t step() const { return step_; }
 
-  size_t state_dim() const { return x_.size(); }
-  size_t measurement_dim() const { return options_.measurement.rows(); }
+  size_t state_dim() const { return at_.state.n; }
+  size_t measurement_dim() const { return at_.state.m; }
 
   /// Innovation z - Hx from the most recent Correct (empty before the
   /// first correction).
-  const Vector& last_innovation() const { return last_innovation_; }
+  Vector last_innovation() const;
 
   /// Innovation covariance S = H P H^T + R at the current state.
   Matrix InnovationCovariance() const;
@@ -134,7 +176,7 @@ class KalmanFilter {
   /// switching, and adaptive sampling. Factor-and-solve, no inverse.
   Result<double> Nis(const Vector& z) const;
 
-  /// Replaces Q (used by the adaptive noise estimator and the smoothing
+  /// Replaces Q (used by the adaptive noise servo and the smoothing
   /// factor F knob). Must keep the (n x n) shape. Disarms the steady-state
   /// fast path.
   Status set_process_noise(const Matrix& q);
@@ -143,10 +185,17 @@ class KalmanFilter {
   /// fast path.
   Status set_measurement_noise(const Matrix& r);
 
-  const Matrix& process_noise() const { return options_.process_noise; }
-  const Matrix& measurement_noise() const {
-    return options_.measurement_noise;
+  Matrix process_noise() const {
+    return MatrixAt(at_.state.q, at_.state.n, at_.state.n);
   }
+  Matrix measurement_noise() const {
+    return MatrixAt(at_.state.r, at_.state.m, at_.state.m);
+  }
+
+  /// Q (n x n) and R (m x m), row-major, read in place: the per-tick
+  /// readers' view, which copies no Matrix.
+  const double* process_noise_data() const { return At(at_.state.q); }
+  const double* measurement_noise_data() const { return At(at_.state.r); }
 
   /// True while the steady-state fast path is engaged: the covariance has
   /// converged and Predict/Correct run with the frozen gain and covariance
@@ -169,9 +218,8 @@ class KalmanFilter {
   bool StateEquals(const KalmanFilter& other) const;
 
   /// True when the two filters' ExportFullState() copies would be bitwise
-  /// equal in every field, decided in place without building either copy.
-  /// Scalars are compared first, so the usual mismatch (a step or
-  /// fast-path counter) returns before any matrix is read. Unlike
+  /// equal in every field, decided in place without building either copy:
+  /// the scalars, then the whole state range of the block. Unlike
   /// StateEquals this tells -0.0 from 0.0. PredictStateBitEquals falls
   /// back to it outside tracking mode.
   bool FullStateBitEquals(const KalmanFilter& other) const;
@@ -180,11 +228,11 @@ class KalmanFilter {
   /// asymmetry"): true when a run of uncorrected Predicts evolves both
   /// filters identically. In tracking mode a Predict reads and writes
   /// only x, P, the step and cadence counters and Q, so those — plus the
-  /// phase, ss_idx and R a lane keeps once for both ends — must be bit
-  /// equal, while the convergence history, the dormant frozen cycle,
-  /// predicts_since_correct and last_innovation may differ (a resync's
-  /// ImportState resets them on one end only). When either filter is
-  /// not tracking, this is FullStateBitEquals.
+  /// phase, ss_idx and R a lane keeps once for both ends, the contiguous
+  /// x..R range — must be bit equal, while the convergence history, the
+  /// dormant frozen cycle, predicts_since_correct and last_innovation may
+  /// differ (a resync's ImportState resets them on one end only). When
+  /// either filter is not tracking, this is FullStateBitEquals.
   bool PredictStateBitEquals(const KalmanFilter& other) const;
 
   /// Everything that distinguishes a running filter from a freshly
@@ -194,7 +242,9 @@ class KalmanFilter {
   /// gain/covariance cycle. Restoring it via ImportFullState continues the
   /// filter bit-identically — unlike the resync-oriented ImportState, which
   /// deliberately disarms the fast path. Scratch is excluded: it never
-  /// carries state across calls. Used by src/checkpoint/.
+  /// carries state across calls. The snapshot and API value type; the
+  /// filter itself stores these values in KalmanStateLayout order. Used by
+  /// src/checkpoint/.
   struct FullState {
     Vector x;
     Matrix p;
@@ -224,10 +274,20 @@ class KalmanFilter {
   /// Overwrites the full running state. Errors (leaving the filter
   /// untouched) when any dimension disagrees with this filter's model, an
   /// enum value is out of range, or any matrix or vector carries a
-  /// non-finite value (every later Predict would fail on it). Q/R are assigned directly — this is a
-  /// state restore, not a reconfiguration, so the fast path is *not*
-  /// disarmed.
+  /// non-finite value (every later Predict would fail on it). Q/R are
+  /// assigned directly — this is a state restore, not a reconfiguration,
+  /// so the fast path is *not* disarmed.
   Status ImportFullState(const FullState& full);
+
+  /// Copies the cold segment of `full` (Q through ss_post_p[1]) into
+  /// `cold`, `layout.cold_size()` doubles in KalmanStateLayout order.
+  /// `full` must have the layout's shapes (as ExportFullState produces).
+  static void PackCold(const FullState& full, const KalmanStateLayout& layout,
+                       double* cold);
+
+  /// The inverse of PackCold: sets the cold matrices of `full`.
+  static void UnpackCold(const double* cold, const KalmanStateLayout& layout,
+                         FullState* full);
 
   /// Wires an observability sink: fast-path freeze/disarm transitions are
   /// emitted as trace events tagged (source_id, actor). Pass nullptr to
@@ -238,55 +298,80 @@ class KalmanFilter {
     obs_actor_ = actor;
   }
 
-  /// The transition matrix this filter itself would use at `step` — the
-  /// batched fleet engine (src/fleet/) asserts its cached per-group
-  /// coefficients are these exact bits before trusting them.
-  const Matrix& TransitionForStep(int64_t step) { return TransitionAt(step); }
-
  private:
-  explicit KalmanFilter(KalmanFilterOptions options);
+  /// Absolute offsets, in doubles, of every segment of the block: the
+  /// constants, the running state (KalmanStateLayout order) and the
+  /// scratch, worked out once from (n, m).
+  struct BlockLayout {
+    BlockLayout(size_t n, size_t m);
 
-  /// The transition for `step`. Returns a reference to the constant matrix
-  /// when no transition_fn is set (no copy); otherwise evaluates the
-  /// callback into scratch and returns a reference to it.
-  const Matrix& TransitionAt(int64_t step);
+    size_t phi = 0;  // n x n; a transition_fn result is copied in per step
+    size_t h = 0;    // m x n
+    size_t x0 = 0;   // n
+    size_t p0 = 0;   // n x n
+    KalmanStateLayout state;
+    size_t nn1 = 0;  // n x n temporaries
+    size_t nn2 = 0;
+    size_t nn3 = 0;
+    size_t nm = 0;   // P H^T, then K R
+    size_t k = 0;    // gain (n x m)
+    size_t mm = 0;   // S, LU-factored in place
+    size_t mv1 = 0;  // H x / LU solve output
+    size_t mv2 = 0;  // innovation
+    size_t nv = 0;   // phi x / K y
+    size_t size = 0;
+  };
+
+  KalmanFilter(const KalmanFilterOptions& options, size_t n, size_t m);
+
+  /// The block entry at `offset`.
+  double* At(size_t offset) const { return block_.data() + offset; }
+
+  /// Copies of `rows` x `cols` (or `size`) block entries at `offset`.
+  Matrix MatrixAt(size_t offset, size_t rows, size_t cols) const;
+  Vector VectorAt(size_t offset, size_t size) const;
+
+  /// Copies transition_fn's matrix for `step` into the phi slot
+  /// (time-varying models only). Errors when it has the wrong shape.
+  Status LoadTransition(int64_t step);
+
+  /// S = H P H^T + R into the mm slot, with P H^T left in the nm slot.
+  void InnovationCovarianceInto() const;
+
+  /// Sets or clears last_innovation (clearing zeroes its segment, so the
+  /// block compares bit for bit).
+  void SetInnovation(const double* innovation);
 
   /// Where the filter sits in the Predict/Correct cadence — the guard the
   /// steady-state fast path uses to detect coasting (Predict,Predict) and
   /// other cadence breaks that move the covariance off its fixed cycle.
-  enum class Phase { kInitial, kPredicted, kCorrected };
+  enum class Phase : uint8_t { kInitial, kPredicted, kCorrected };
 
   /// Steady-state fast-path mode: tracking convergence, waiting for the
   /// next Predict(s) to capture the a-priori covariance cycle, or armed.
-  enum class SsMode { kTracking, kArmPending, kArmed };
+  enum class SsMode : uint8_t { kTracking, kArmPending, kArmed };
 
   /// Leaves the fast path and restarts convergence tracking.
   void DisarmSteadyState();
 
-  /// Preallocated per-filter workspace for the in-place kernels. Sized at
-  /// construction; kernels reshape entries via AssignZero, which reuses
-  /// capacity, so nothing here allocates after construction (and for
-  /// n <= 6 nothing allocates at all — the storage is inline).
-  struct Scratch {
-    Matrix phi;      // transition_fn result (time-varying models only)
-    Matrix nn1;      // n x n temporaries
-    Matrix nn2;
-    Matrix nn3;
-    Matrix nm1;      // P H^T
-    Matrix nm2;      // K R
-    Matrix k;        // gain (n x m)
-    Matrix mm;       // S, LU-factored in place
-    Vector mv1;      // H x / LU solve output
-    Vector mv2;      // innovation
-    Vector mv3;      // LU rhs
-    Vector nv1;      // phi x / K y
-    std::vector<size_t> pivots;
-  };
+  /// True when the scalars FullStateBitEquals compares are equal.
+  bool ScalarsEqual(const KalmanFilter& other) const;
 
-  KalmanFilterOptions options_;
-  Vector x_;
-  Matrix p_;
+  BlockLayout at_;
+  // The block (copies deep-copy it, moves steal it) and the LU row
+  // permutation (m). Scratch in both is written from const methods
+  // (InnovationCovariance, Nis): filters are single-threaded objects, one
+  // per source/shard, and scratch never carries state across calls.
+  mutable std::vector<double> block_;
+  mutable std::vector<size_t> pivots_;
+
+  // The options that are not values in the block.
+  std::function<Matrix(int64_t)> transition_fn_;
+  bool steady_state_fast_path_ = true;
+  double steady_state_tolerance_ = 0.0;
+
   int64_t step_ = 0;
+  bool has_innovation_ = false;
 
   // Observability (docs/observability.md): nullable sink + the identity
   // stamped on emitted events. Copied with the filter; owners re-wire
@@ -294,31 +379,20 @@ class KalmanFilter {
   TraceSink* obs_sink_ = nullptr;
   int32_t obs_source_ = 0;
   TraceActor obs_actor_ = TraceActor::kSourceFilter;
-  Vector last_innovation_;
-  Matrix identity_;  // I_n, hoisted out of the Joseph update
-
-  // InnovationCovariance() and Nis() are logically const but share the
-  // workspace; filters are single-threaded objects (one per source/shard).
-  mutable Scratch scratch_;
 
   // Steady-state fast-path bookkeeping. The frozen cycle has period 1
   // (true Riccati fixed point) or 2 (the common exact 1-ulp limit cycle);
-  // arrays are indexed by phase within the cycle.
+  // its matrices live in the block, indexed by phase within the cycle.
   Phase phase_ = Phase::kInitial;
   SsMode ss_mode_ = SsMode::kTracking;
   int ss_streak1_ = 0;               // consecutive Corrects with P == P(-1)
   int ss_streak2_ = 0;               // consecutive Corrects with P == P(-2)
   int64_t predicts_since_correct_ = 0;
   int ss_have_prev_ = 0;             // how many previous post-P are valid
-  Matrix ss_prev_post_[2];           // post-Correct P one/two Corrects ago
-  Matrix ss_prev_gain_;              // gain of the previous Correct
   int ss_period_ = 1;                // cycle length while pending/armed
   int ss_pending_priors_ = 0;        // priors still to capture while pending
   int ss_capture_idx_ = 0;           // next prior slot to capture
   int ss_idx_ = 0;                   // cycle phase of the next Correct
-  Matrix ss_gain_[2];                // frozen gains while armed
-  Matrix ss_prior_p_[2];             // frozen a-priori covariance cycle
-  Matrix ss_post_p_[2];              // frozen a-posteriori covariance cycle
 };
 
 }  // namespace dkf

@@ -1,24 +1,28 @@
 #include "fleet/fleet_engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
+#include <string_view>
 
 #include "common/string_util.h"
 #include "core/suppression.h"
+#include "linalg/kernels.h"
 
 namespace dkf {
 
 namespace {
 
-/// The cached-phi assertion demands *bit* equality — `==` on doubles
-/// would treat -0.0 == 0.0 and NaN != NaN, either of which could let a
-/// lane drift from the per-source arithmetic by one representation.
-bool BitEqual(const std::vector<double>& flat, const Matrix& m) {
-  if (flat.size() != m.rows() * m.cols()) return false;
-  return flat.empty() ||
-         std::memcmp(flat.data(), m.RowData(0),
-                     flat.size() * sizeof(double)) == 0;
+/// True when two filters of one model shape hold bit-identical Q and R
+/// — `==` on doubles would treat -0.0 == 0.0 and NaN != NaN, either of
+/// which could let a lane drift from the per-source arithmetic by one
+/// representation.
+bool SameNoise(const KalmanFilter& a, const KalmanFilter& b) {
+  const size_t n = a.state_dim();
+  const size_t m = a.measurement_dim();
+  return std::memcmp(a.process_noise_data(), b.process_noise_data(),
+                     n * n * sizeof(double)) == 0 &&
+         std::memcmp(a.measurement_noise_data(), b.measurement_noise_data(),
+                     m * m * sizeof(double)) == 0;
 }
 
 /// The KalmanFilter behind one end of a link. Every tracked source runs
@@ -29,148 +33,67 @@ const KalmanFilter* FilterOf(const Predictor& predictor) {
   return kalman != nullptr ? &kalman->filter() : nullptr;
 }
 
-bool AllFinite(const double* values, size_t count) {
-  for (size_t i = 0; i < count; ++i) {
-    if (!std::isfinite(values[i])) return false;
-  }
-  return true;
-}
-
-void AppendRaw(std::string* out, const void* p, size_t bytes) {
-  out->append(static_cast<const char*>(p), bytes);
-}
-
-void AppendMatrix(std::string* out, const Matrix& m) {
-  const size_t rows = m.rows();
-  const size_t cols = m.cols();
-  AppendRaw(out, &rows, sizeof(rows));
-  AppendRaw(out, &cols, sizeof(cols));
-  if (rows * cols > 0) AppendRaw(out, m.RowData(0), rows * cols * 8);
-}
-
 /// Canonical byte key of everything that makes two models interchangeable
 /// for batching purposes: lanes in one group share coefficients and the
 /// replay/loaner filters, so any field that could alter arithmetic or
 /// trace behavior must be part of the key.
 std::string ModelKey(const StateModel& model) {
+  const KalmanFilterOptions& o = model.options;
   std::string key = model.name;
   key.push_back('\0');
-  AppendRaw(&key, &model.measurement_dim, sizeof(model.measurement_dim));
-  const char fast = model.options.steady_state_fast_path ? 1 : 0;
-  AppendRaw(&key, &fast, sizeof(fast));
-  AppendRaw(&key, &model.options.steady_state_tolerance, sizeof(double));
-  AppendMatrix(&key, model.options.transition);
-  AppendMatrix(&key, model.options.measurement);
-  AppendMatrix(&key, model.options.process_noise);
-  AppendMatrix(&key, model.options.measurement_noise);
-  AppendMatrix(&key, model.options.initial_covariance);
-  const size_t n = model.options.initial_state.size();
-  AppendRaw(&key, &n, sizeof(n));
-  if (n > 0) AppendRaw(&key, model.options.initial_state.data(), n * 8);
+  auto append = [&key](const void* p, size_t bytes) {
+    key.append(static_cast<const char*>(p), bytes);
+  };
+  const char fast = o.steady_state_fast_path ? 1 : 0;
+  append(&model.measurement_dim, sizeof(model.measurement_dim));
+  append(&fast, sizeof(fast));
+  append(&o.steady_state_tolerance, sizeof(double));
+  for (const Matrix* m : {&o.transition, &o.measurement, &o.process_noise,
+                          &o.measurement_noise, &o.initial_covariance}) {
+    const size_t shape[] = {m->rows(), m->cols()};
+    append(shape, sizeof(shape));
+    append(m->data(), m->rows() * m->cols() * sizeof(double));
+  }
+  const size_t n = o.initial_state.size();
+  append(&n, sizeof(n));
+  append(o.initial_state.data(), n * sizeof(double));
   return key;
 }
 
-/// Byte key of a FullState's cold fields — everything but the hot lane
-/// fields (x, p, step, predicts_since_correct, phase, ss_mode, ss_idx)
-/// and last_innovation. Two states with equal keys are bit-identical in
-/// those fields (-0.0 and NaN payloads included).
-std::string ColdKey(const KalmanFilter::FullState& f) {
-  std::string key;
+/// A cold record (FleetEngine::ColdTable) keeps its six int32 scalars in
+/// this many leading doubles.
+constexpr size_t kColdScalarSlots = 3;
+
+/// The cold record of `f`: its six int32 scalars, then its cold segment.
+void PackColdRecord(const KalmanFilter::FullState& f,
+                    const KalmanStateLayout& layout, double* record) {
   const int32_t scalars[] = {f.ss_streak1,        f.ss_streak2,
                              f.ss_have_prev,      f.ss_period,
                              f.ss_pending_priors, f.ss_capture_idx};
-  AppendRaw(&key, scalars, sizeof(scalars));
-  AppendMatrix(&key, f.process_noise);
-  AppendMatrix(&key, f.measurement_noise);
-  AppendMatrix(&key, f.ss_prev_gain);
-  for (int i = 0; i < 2; ++i) {
-    AppendMatrix(&key, f.ss_prev_post[i]);
-    AppendMatrix(&key, f.ss_gain[i]);
-    AppendMatrix(&key, f.ss_prior_p[i]);
-    AppendMatrix(&key, f.ss_post_p[i]);
-  }
-  return key;
+  static_assert(sizeof(scalars) == kColdScalarSlots * sizeof(double));
+  std::memcpy(record, scalars, sizeof(scalars));
+  KalmanFilter::PackCold(f, layout, record + kColdScalarSlots);
 }
 
-void FlattenMatrix(const Matrix& m, std::vector<double>* out) {
-  out->resize(m.rows() * m.cols());
-  if (!out->empty()) {
-    std::memcpy(out->data(), m.RowData(0), out->size() * sizeof(double));
-  }
+/// The inverse of PackColdRecord.
+void UnpackColdRecord(const double* record, const KalmanStateLayout& layout,
+                      KalmanFilter::FullState* f) {
+  int32_t scalars[6];
+  std::memcpy(scalars, record, sizeof(scalars));
+  f->ss_streak1 = scalars[0];
+  f->ss_streak2 = scalars[1];
+  f->ss_have_prev = scalars[2];
+  f->ss_period = scalars[3];
+  f->ss_pending_priors = scalars[4];
+  f->ss_capture_idx = scalars[5];
+  KalmanFilter::UnpackCold(record + kColdScalarSlots, layout, f);
 }
 
-// The lane kernels: flat replicas of KalmanFilter::Predict's in-place
-// linalg kernels over row-major n x n coefficients, so every
-// accumulation happens in the same order on the same values (the
-// build never contracts a multiply-add into an FMA).
-
-/// out = phi x: MultiplyInto(Matrix, Vector), plain ascending sums with
-/// no zero-skip.
-inline void PredictState(const double* phi, const double* x, size_t n,
-                         double* out) {
-  for (size_t r = 0; r < n; ++r) {
-    const double* phi_row = phi + r * n;
-    double sum = 0.0;
-    for (size_t c = 0; c < n; ++c) sum += phi_row[c] * x[c];
-    out[r] = sum;
-  }
-}
-
-/// out = Symmetrize(phi P phi^T + Q), the tracking-mode covariance
-/// predict. `tmp` is n x n scratch.
-inline void PredictCovariance(const double* phi, const double* p,
-                              const double* q, size_t n, double* tmp,
-                              double* out) {
-  // tmp = phi P (MultiplyInto: skip zero phi entries, accumulate rows).
-  std::memset(tmp, 0, n * n * sizeof(double));
-  for (size_t r = 0; r < n; ++r) {
-    const double* phi_row = phi + r * n;
-    double* out_row = tmp + r * n;
-    for (size_t k = 0; k < n; ++k) {
-      const double av = phi_row[k];
-      if (av == 0.0) continue;
-      const double* p_row = p + k * n;
-      for (size_t c = 0; c < n; ++c) out_row[c] += av * p_row[c];
-    }
-  }
-  // out = tmp phi^T (MultiplyTransposedInto: skip zero tmp entries).
-  for (size_t r = 0; r < n; ++r) {
-    const double* a_row = tmp + r * n;
-    double* out_row = out + r * n;
-    for (size_t c = 0; c < n; ++c) {
-      const double* b_row = phi + c * n;
-      double sum = 0.0;
-      for (size_t k = 0; k < n; ++k) {
-        const double av = a_row[k];
-        if (av == 0.0) continue;
-        sum += av * b_row[k];
-      }
-      out_row[c] = sum;
-    }
-  }
-  // out += Q (AddScaledInto with scale 1.0), then SymmetrizeInto.
-  for (size_t i = 0; i < n * n; ++i) out[i] = out[i] + 1.0 * q[i];
-  for (size_t r = 0; r < n; ++r) {
-    for (size_t c = r + 1; c < n; ++c) {
-      const double avg = 0.5 * (out[r * n + c] + out[c * n + r]);
-      out[r * n + c] = avg;
-      out[c * n + r] = avg;
-    }
-  }
-}
-
-/// max_r |(H x)_r - z_r|: Deviation(H x, z, kMaxAbs) on the predicted
-/// measurement.
-inline double MaxAbsDeviation(const double* h, const double* x,
-                              const Vector& z, size_t n, size_t m) {
-  double deviation = 0.0;
-  for (size_t r = 0; r < m; ++r) {
-    const double* h_row = h + r * n;
-    double sum = 0.0;
-    for (size_t c = 0; c < n; ++c) sum += h_row[c] * x[c];
-    deviation = std::max(deviation, std::fabs(sum - z[r]));
-  }
-  return deviation;
+/// The n x n matrix at state offset `offset` (one of the layout's cold
+/// segments) of a cold record.
+const double* ColdSegment(const double* record,
+                          const KalmanStateLayout& layout, size_t offset) {
+  return record + kColdScalarSlots + (offset - layout.q);
 }
 
 }  // namespace
@@ -194,55 +117,79 @@ FleetFootprint& FleetFootprint::operator+=(const FleetFootprint& other) {
   lane_groups += other.lane_groups;
   cold_records += other.cold_records;
   cold_refs += other.cold_refs;
+  cold_bytes += other.cold_bytes;
   return *this;
 }
 
-int32_t FleetEngine::ColdTable::Acquire(const KalmanFilter::FullState& state) {
-  std::string key = ColdKey(state);
-  auto it = by_key_.find(key);
-  if (it != by_key_.end()) {
-    ++refs_[static_cast<size_t>(it->second)];
-    return it->second;
+size_t FleetEngine::ColdTable::Hash(const double* record) const {
+  return std::hash<std::string_view>{}(std::string_view(
+      reinterpret_cast<const char*>(record), stride_ * sizeof(double)));
+}
+
+int32_t FleetEngine::ColdTable::Acquire(const double* record) {
+  const size_t bytes = stride_ * sizeof(double);
+  const size_t hash = Hash(record);
+  auto [it, end] = by_hash_.equal_range(hash);
+  for (; it != end; ++it) {
+    if (std::memcmp((*this)[it->second], record, bytes) == 0) {
+      ++refs_[static_cast<size_t>(it->second)];
+      return it->second;
+    }
   }
   int32_t index;
   if (free_.empty()) {
-    index = static_cast<int32_t>(records_.size());
-    records_.push_back(state);
+    index = static_cast<int32_t>(refs_.size());
+    records_.resize(records_.size() + stride_);
     refs_.push_back(1);
   } else {
     index = free_.back();
     free_.pop_back();
-    records_[static_cast<size_t>(index)] = state;
     refs_[static_cast<size_t>(index)] = 1;
   }
-  // The hot fields live in the lane arrays; keep the shared copy free of
-  // whichever lane happened to add the record first.
-  KalmanFilter::FullState& record = records_[static_cast<size_t>(index)];
-  record.x = Vector();
-  record.p = Matrix();
-  record.last_innovation = Vector();
-  record.step = 0;
-  record.predicts_since_correct = 0;
-  record.phase = 0;
-  record.ss_mode = 0;
-  record.ss_idx = 0;
-  by_key_.emplace(std::move(key), index);
+  std::memcpy(records_.data() + static_cast<size_t>(index) * stride_, record,
+              bytes);
+  by_hash_.emplace(hash, index);
   return index;
 }
 
 void FleetEngine::ColdTable::Release(int32_t index) {
   if (--refs_[static_cast<size_t>(index)] > 0) return;
-  by_key_.erase(ColdKey(records_[static_cast<size_t>(index)]));
+  auto [it, end] = by_hash_.equal_range(Hash((*this)[index]));
+  for (; it != end; ++it) {
+    if (it->second == index) {
+      by_hash_.erase(it);
+      break;
+    }
+  }
   free_.push_back(index);
 }
 
 int64_t FleetEngine::ColdTable::references() const {
   int64_t total = 0;
-  for (const auto& [key, index] : by_key_) {
+  for (const auto& [hash, index] : by_hash_) {
     total += refs_[static_cast<size_t>(index)];
   }
   return total;
 }
+
+int64_t FleetEngine::ColdTable::bytes() const {
+  // A hash node is its link plus its (hash, index) pair.
+  constexpr size_t kNodeBytes =
+      sizeof(void*) + sizeof(std::pair<const size_t, int32_t>);
+  return static_cast<int64_t>(
+      records_.capacity() * sizeof(double) +
+      (refs_.capacity() + free_.capacity()) * sizeof(int32_t) +
+      by_hash_.bucket_count() * sizeof(void*) +
+      by_hash_.size() * kNodeBytes);
+}
+
+FleetEngine::Group::Group(const StateModel& recipe)
+    : model(recipe),
+      n(recipe.options.initial_state.size()),
+      m(recipe.options.measurement.rows()),
+      layout(n, m),
+      cold_table(kColdScalarSlots + layout.cold_size()),
+      cold_scratch(cold_table.stride()) {}
 
 FleetEngine::FleetEngine(ServerNode* server, Channel* channel,
                          const ProtocolOptions& protocol,
@@ -251,34 +198,24 @@ FleetEngine::FleetEngine(ServerNode* server, Channel* channel,
       energy_(energy) {}
 
 Result<int> FleetEngine::GroupFor(const StateModel& model) {
-  if (model.options.transition_fn) return -1;  // no constant phi to cache
+  if (model.options.transition_fn) return -1;  // no constant phi to share
   std::string key = ModelKey(model);
   auto it = group_by_key_.find(key);
   if (it != group_by_key_.end()) return it->second;
 
-  auto group = std::make_unique<Group>();
-  group->model = model;
-  group->n = model.options.initial_state.size();
-  group->m = model.options.measurement.rows();
+  auto group = std::make_unique<Group>(model);
   DKF_ASSIGN_OR_RETURN(KalmanPredictor replay, KalmanPredictor::Create(model));
   DKF_ASSIGN_OR_RETURN(KalmanPredictor loaner, KalmanPredictor::Create(model));
   group->replay = std::move(replay);
   group->loaner = std::move(loaner);
-  FlattenMatrix(model.options.transition, &group->phi);
-  FlattenMatrix(model.options.measurement, &group->h);
-  FlattenMatrix(model.options.process_noise, &group->q);
-  FlattenMatrix(model.options.measurement_noise, &group->r);
-  // The cached coefficients are derived once per group instead of per
-  // source; they must be the very bits the filter's own transition lookup
-  // produces, or the flat kernels would not be bit-identical to Predict.
-  const Matrix& phi0 = group->replay->mutable_filter().TransitionForStep(0);
-  if (!BitEqual(group->phi, phi0)) {
-    return Status::Internal(
-        "cached transition coefficients diverge from TransitionAt output");
-  }
-  group->sx.resize(group->n);
-  group->sp1.resize(group->n * group->n);
-  group->sp2.resize(group->n * group->n);
+  const KalmanFilterOptions& o = model.options;
+  const size_t n = group->n;
+  group->phi.assign(o.transition.data(), o.transition.data() + n * n);
+  group->h.assign(o.measurement.data(), o.measurement.data() + group->m * n);
+  group->q.assign(o.process_noise.data(), o.process_noise.data() + n * n);
+  group->sx.resize(n);
+  group->sp1.resize(n * n);
+  group->sp2.resize(n * n);
   const int index = static_cast<int>(groups_.size());
   groups_.push_back(std::move(group));
   group_by_key_[std::move(key)] = index;
@@ -336,6 +273,7 @@ FleetFootprint FleetEngine::footprint() const {
     if (!group->ids.empty()) ++footprint.lane_groups;
     footprint.cold_records += static_cast<int64_t>(group->cold_table.size());
     footprint.cold_refs += group->cold_table.references();
+    footprint.cold_bytes += group->cold_table.bytes();
   }
   return footprint;
 }
@@ -369,7 +307,8 @@ KalmanFilter::FullState FleetEngine::LaneFullState(const Group& g,
                                                    size_t lane,
                                                    End end) const {
   const EndColumns& e = g.ends[end];
-  KalmanFilter::FullState f = g.cold_table[e.cold_idx[lane]];
+  KalmanFilter::FullState f;
+  UnpackColdRecord(g.cold_table[e.cold_idx[lane]], g.layout, &f);
   if (e.has_innovation[lane]) {
     f.last_innovation = Vector(g.m);
     std::memcpy(f.last_innovation.data(), &e.innovation[lane * g.m],
@@ -396,12 +335,11 @@ KalmanFilter::FullState FleetEngine::LaneFullState(const Group& g,
   return f;
 }
 
-void FleetEngine::SetCold(Group& g, size_t lane,
-                          const KalmanFilter::FullState& state) {
+void FleetEngine::SetCold(Group& g, size_t lane) {
   // Acquire before release: a lane re-storing its own record must not
   // free it in between.
   for (EndColumns& e : g.ends) {
-    const int32_t index = g.cold_table.Acquire(state);
+    const int32_t index = g.cold_table.Acquire(g.cold_scratch.data());
     g.cold_table.Release(e.cold_idx[lane]);
     e.cold_idx[lane] = index;
   }
@@ -488,7 +426,8 @@ size_t FleetEngine::AddLane(Group& g, int32_t order_pos,
     const KalmanFilter::FullState& f =
         end == kMirrorEnd ? state.mirror : link.predictor;
     EndColumns& e = g.ends[end];
-    e.cold_idx.push_back(g.cold_table.Acquire(f));
+    PackColdRecord(f, g.layout, g.cold_scratch.data());
+    e.cold_idx.push_back(g.cold_table.Acquire(g.cold_scratch.data()));
     e.has_innovation.push_back(f.last_innovation.size() != 0 ? 1 : 0);
     e.innovation.resize(e.innovation.size() + g.m, 0.0);
     if (e.has_innovation[lane]) {
@@ -767,7 +706,8 @@ Status FleetEngine::ReplayArmPending(Group& g, size_t lane, const Vector& z,
                        replay.ExportFullState());
   // A predict leaves last_innovation alone; the cold fields may have
   // captured or armed the frozen cycle.
-  SetCold(g, lane, post);
+  PackColdRecord(post, g.layout, g.cold_scratch.data());
+  SetCold(g, lane);
   std::memcpy(&g.x[lane * n], post.x.data(), n * sizeof(double));
   std::memcpy(&g.p[lane * n * n], post.p.RowData(0), n * n * sizeof(double));
   g.p_stale[lane] = 0;
@@ -794,20 +734,20 @@ void FleetEngine::DisarmLane(Group& g, size_t lane,
   DKF_TRACE(obs_sink_, g.step[lane], id, TraceEventKind::kFastPathDisarm,
             TraceActor::kSourceFilter, period);
   g.ss_mode[lane] = kSsTracking;
+  const double* record = g.cold_table[g.ends[kMirrorEnd].cold_idx[lane]];
   if (g.p_stale[lane]) {
     std::memcpy(&g.p[lane * n * n],
-                g.cold_table[g.ends[kMirrorEnd].cold_idx[lane]]
-                    .ss_prior_p[g.ss_idx[lane]]
-                    .RowData(0),
+                ColdSegment(record, g.layout,
+                            g.layout.prior_p[g.ss_idx[lane]]),
                 n * n * sizeof(double));
     g.p_stale[lane] = 0;
   }
-  KalmanFilter::FullState disarmed =
-      g.cold_table[g.ends[kMirrorEnd].cold_idx[lane]];
-  disarmed.ss_streak1 = 0;
-  disarmed.ss_streak2 = 0;
-  disarmed.ss_have_prev = 0;
-  SetCold(g, lane, disarmed);
+  // DisarmSteadyState's reset: ss_streak1, ss_streak2 and ss_have_prev,
+  // the record's first three scalars.
+  std::memcpy(g.cold_scratch.data(), record,
+              g.cold_table.stride() * sizeof(double));
+  std::memset(g.cold_scratch.data(), 0, 3 * sizeof(int32_t));
+  SetCold(g, lane);
 }
 
 Status FleetEngine::SendHeartbeat(Group& g, size_t lane, int64_t tick) {
@@ -865,13 +805,13 @@ Status FleetEngine::TickGroupLanes(int group_index, int64_t tick) {
       // frozen cycle (KalmanFilter::DisarmSteadyState).
       if (CoastingBreakDue(g, lane)) DisarmLane(g, lane, server_disarmed);
       const bool armed = g.ss_mode[lane] == kSsArmed;
-      PredictState(phi, &g.x[lane * n], n, sx);
+      MultiplyVectorInto(phi, n, n, &g.x[lane * n], sx);
       bool finite = AllFinite(sx, n);
       if (!armed) {
-        PredictCovariance(phi, &g.p[lane * n * n], q, n, sp1, sp2);
+        PredictCovarianceInto(phi, &g.p[lane * n * n], q, n, sp1, sp2);
         finite = finite && AllFinite(sp2, n * n);
       }
-      deviation = finite ? MaxAbsDeviation(h, sx, z, n, m) : 0.0;
+      deviation = finite ? MaxAbsDeviation(h, sx, z.data(), n, m) : 0.0;
       if (!finite) {
         spill = FleetSpillReason::kNonFinite;
       } else if (deviation > g.delta[lane]) {
@@ -970,8 +910,7 @@ Result<int> FleetEngine::AbsorbTarget(const TickEntry& entry) {
   }
   // The lane must also run the group's cached coefficients.
   const Group& nominal = *groups_[entry.nominal_group];
-  if (BitEqual(nominal.q, mirror->process_noise()) &&
-      BitEqual(nominal.r, mirror->measurement_noise())) {
+  if (SameNoise(nominal.replay->filter(), *mirror)) {
     return entry.nominal_group;
   }
   // Off the nominal noise. Only the servo moves Q/R on a healthy link;
@@ -979,9 +918,9 @@ Result<int> FleetEngine::AbsorbTarget(const TickEntry& entry) {
   if (!adapter.enabled()) {
     return reject(FleetAbsorbReject::kFullStateMismatch);
   }
-  // Fold into a group keyed by the adapted (Q, R), whose flats are these
-  // very bits. The entry keeps its nominal group so spills re-register
-  // the nominal model.
+  // Fold into a group keyed by the adapted (Q, R), whose coefficients
+  // are these very bits. The entry keeps its nominal group so spills
+  // re-register the nominal model.
   StateModel adapted = nominal.model;
   adapted.options.process_noise = mirror->process_noise();
   adapted.options.measurement_noise = mirror->measurement_noise();

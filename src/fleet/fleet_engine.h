@@ -83,6 +83,7 @@ struct FleetFootprint {
   int64_t lane_groups = 0;   // groups holding at least one resident lane
   int64_t cold_records = 0;  // distinct frozen-cycle records
   int64_t cold_refs = 0;     // their reference counts (2 per resident lane)
+  int64_t cold_bytes = 0;    // the cold tables' storage, from capacities
 
   FleetFootprint& operator+=(const FleetFootprint& other);
 };
@@ -98,8 +99,8 @@ struct FleetFootprint {
 ///    the ServerNode, and this engine only watches it for re-entry.
 ///  * **resident** — its entire dual link is folded into one SoA *lane*:
 ///    a single copy of the (bit-identical) mirror/predictor filter state
-///    packed into contiguous arrays, ticked by flat loops that replicate
-///    the KalmanFilter predict arithmetic operation-for-operation. While
+///    packed into contiguous arrays, ticked by a loop over the same
+///    linalg/kernels.h kernels KalmanFilter::Predict runs. While
 ///    resident the source is NOT registered with the ServerNode and has
 ///    no SourceNode: the lane plus a small record of the node-only fields
 ///    is the only copy of the link.
@@ -247,26 +248,40 @@ class FleetEngine {
   static constexpr uint8_t kSsArmed = 2;
 
   /// Refcounted set of the distinct cold records of one group: lanes
-  /// whose cold FullState fields are bit-identical share one entry.
+  /// whose cold records are bit-identical share one entry. A record is
+  /// the six int32 scalars of the filter's convergence bookkeeping, then
+  /// the filter's cold segment (KalmanStateLayout's [q, innovation): Q,
+  /// R, the convergence history and the frozen cycle), flat; its own
+  /// bytes are its hash key.
   class ColdTable {
    public:
-    /// The index of the record bit-equal to `state`'s cold fields (hot
-    /// fields and last_innovation are ignored), adding it when new; takes
-    /// one reference.
-    int32_t Acquire(const KalmanFilter::FullState& state);
+    /// Records of `stride` doubles.
+    explicit ColdTable(size_t stride) : stride_(stride) {}
+    ColdTable(const ColdTable&) = delete;
+    ColdTable& operator=(const ColdTable&) = delete;
+
+    size_t stride() const { return stride_; }
+    /// The index of the record bit-equal to `record` (which must not
+    /// point into this table), adding it when new; takes one reference.
+    int32_t Acquire(const double* record);
     /// Drops one reference; the record is freed with its last one.
     void Release(int32_t index);
-    const KalmanFilter::FullState& operator[](int32_t index) const {
-      return records_[static_cast<size_t>(index)];
+    const double* operator[](int32_t index) const {
+      return records_.data() + static_cast<size_t>(index) * stride_;
     }
-    size_t size() const { return by_key_.size(); }
+    size_t size() const { return by_hash_.size(); }
     int64_t references() const;
+    /// Heap bytes held, from the containers' capacities.
+    int64_t bytes() const;
 
    private:
-    std::vector<KalmanFilter::FullState> records_;
+    size_t Hash(const double* record) const;
+
+    size_t stride_;
+    std::vector<double> records_;  // stride_ doubles per index
     std::vector<int32_t> refs_;
     std::vector<int32_t> free_;
-    std::unordered_map<std::string, int32_t> by_key_;
+    std::unordered_multimap<size_t, int32_t> by_hash_;
   };
 
   /// What a resident source's freed SourceNode held beyond the lane.
@@ -307,20 +322,26 @@ class FleetEngine {
     std::vector<uint8_t> has_innovation;
   };
 
-  /// All lanes sharing one model recipe. The per-model coefficients
-  /// (phi, H, Q, R) are cached flat exactly once here — asserted
-  /// bit-equal to the filter's own TransitionAt output at creation — and
-  /// every per-lane quantity lives in a parallel array indexed by lane.
+  /// All lanes sharing one model recipe. The per-model coefficients are
+  /// copied flat exactly once here, and every per-lane quantity lives in
+  /// a parallel array indexed by lane.
   struct Group {
+    explicit Group(const StateModel& recipe);
+
     StateModel model;  // canonical recipe (server re-registration at spill)
     size_t n = 0;      // state dimension
     size_t m = 0;      // measurement dimension
+    KalmanStateLayout layout;  // where each filter value lives
 
-    // Cached per-model coefficients, row-major flat.
+    // The lane loop's coefficients, row-major: the model recipe's phi,
+    // H and Q, the bits every filter of the group copies into its block.
+    // Kept here, allocated with the scratch below on the thread that
+    // builds the group: read in place from the replay filter's block,
+    // they made the 4-shard steady fleet tick about 30% slower (1 shard
+    // was unaffected; the cause was not isolated).
     std::vector<double> phi;  // n x n
     std::vector<double> h;    // m x n
     std::vector<double> q;    // n x n
-    std::vector<double> r;    // m x m
 
     // Hot SoA lane state (everything a suppressed predict touches).
     std::vector<int> ids;
@@ -358,17 +379,19 @@ class FleetEngine {
     std::vector<int32_t> order_pos;
     std::vector<const Vector*> value_ptrs;
 
-    // Cold state: the FullState fields a suppressed predict never
-    // touches (frozen gain/covariance cycle, streak history, noise
-    // copies, the armed path's ss_prior_p source) are shared through
-    // `cold_table`, which each end's `cold_idx` indexes.
+    // Cold state: the filter values a suppressed predict never touches
+    // (frozen gain/covariance cycle, streak history, noise copies, the
+    // armed path's ss_prior_p source) are shared through `cold_table`,
+    // which each end's `cold_idx` indexes. `cold_scratch` stages one
+    // record for Acquire.
     std::array<EndColumns, 2> ends;
     ColdTable cold_table;
+    std::vector<double> cold_scratch;
 
     // Node-only fields of each lane's freed SourceNode.
     std::vector<NodeRecord> node_records;
 
-    // Flat scratch for the decide-before-commit predict.
+    // Scratch for the decide-before-commit predict.
     std::vector<double> sx;   // n
     std::vector<double> sp1;  // n*n
     std::vector<double> sp2;  // n*n
@@ -410,11 +433,10 @@ class FleetEngine {
   KalmanFilter::FullState LaneFullState(const Group& g, size_t lane,
                                         End end) const;
 
-  /// Points both ends of lane `lane` at the cold record matching `state`,
-  /// releasing the ones they held — for the armed and arm-pending paths,
-  /// where the two ends are equal.
-  static void SetCold(Group& g, size_t lane,
-                      const KalmanFilter::FullState& state);
+  /// Points both ends of lane `lane` at the cold record staged in
+  /// `g.cold_scratch`, releasing the ones they held — for the armed and
+  /// arm-pending paths, where the two ends are equal.
+  static void SetCold(Group& g, size_t lane);
 
   /// The node a spill of the source at `entry` is cloned from.
   const SourceNode& PrototypeFor(const TickEntry& entry) const {
@@ -503,7 +525,7 @@ class FleetEngine {
   Status SendHeartbeat(Group& g, size_t lane, int64_t tick);
 
   /// Ticks every lane of group `gi` through one loop: the armed and
-  /// tracking predicts run inline through the flat kernels, deciding
+  /// tracking predicts run inline through linalg/kernels.h, deciding
   /// before anything is committed; a non-finite prediction or a
   /// deviation outside delta spills the lane with that reason, and the
   /// lane the spill moved into its index is ticked next. A suppressed

@@ -15,24 +15,17 @@ constexpr double kSingularTolerance = 1e-13;
 
 }  // namespace
 
-Status LuFactorInPlace(Matrix* a, std::vector<size_t>* pivots,
+Status LuFactorInPlace(double* lu, size_t n, size_t* pivots,
                        int* pivot_sign) {
-  if (a->rows() != a->cols()) {
-    return Status::InvalidArgument(
-        StrFormat("LU of non-square %zux%zu matrix", a->rows(), a->cols()));
-  }
-  Matrix& lu = *a;
-  const size_t n = lu.rows();
-  pivots->resize(n);
   int sign = 1;
-  for (size_t i = 0; i < n; ++i) (*pivots)[i] = i;
+  for (size_t i = 0; i < n; ++i) pivots[i] = i;
 
   for (size_t col = 0; col < n; ++col) {
     // Partial pivot: largest magnitude entry on/below the diagonal.
     size_t pivot_row = col;
-    double pivot_mag = std::fabs(lu(col, col));
+    double pivot_mag = std::fabs(lu[col * n + col]);
     for (size_t r = col + 1; r < n; ++r) {
-      const double mag = std::fabs(lu(r, col));
+      const double mag = std::fabs(lu[r * n + col]);
       if (mag > pivot_mag) {
         pivot_mag = mag;
         pivot_row = r;
@@ -43,22 +36,49 @@ Status LuFactorInPlace(Matrix* a, std::vector<size_t>* pivots,
     }
     if (pivot_row != col) {
       for (size_t c = 0; c < n; ++c) {
-        std::swap(lu(pivot_row, c), lu(col, c));
+        std::swap(lu[pivot_row * n + c], lu[col * n + c]);
       }
-      std::swap((*pivots)[pivot_row], (*pivots)[col]);
+      std::swap(pivots[pivot_row], pivots[col]);
       sign = -sign;
     }
-    const double pivot = lu(col, col);
+    const double pivot = lu[col * n + col];
     for (size_t r = col + 1; r < n; ++r) {
-      const double factor = lu(r, col) / pivot;
-      lu(r, col) = factor;
+      const double factor = lu[r * n + col] / pivot;
+      lu[r * n + col] = factor;
       for (size_t c = col + 1; c < n; ++c) {
-        lu(r, c) -= factor * lu(col, c);
+        lu[r * n + c] -= factor * lu[col * n + c];
       }
     }
   }
   if (pivot_sign != nullptr) *pivot_sign = sign;
   return Status::OK();
+}
+
+void LuSolveInto(const double* lu, size_t n, const size_t* pivots,
+                 const double* b, double* x) {
+  // Apply permutation, then forward/back substitution.
+  for (size_t i = 0; i < n; ++i) x[i] = b[pivots[i]];
+  for (size_t i = 1; i < n; ++i) {
+    double sum = x[i];
+    for (size_t j = 0; j < i; ++j) sum -= lu[i * n + j] * x[j];
+    x[i] = sum;
+  }
+  for (size_t ii = n; ii > 0; --ii) {
+    const size_t i = ii - 1;
+    double sum = x[i];
+    for (size_t j = i + 1; j < n; ++j) sum -= lu[i * n + j] * x[j];
+    x[i] = sum / lu[i * n + i];
+  }
+}
+
+Status LuFactorInPlace(Matrix* a, std::vector<size_t>* pivots,
+                       int* pivot_sign) {
+  if (a->rows() != a->cols()) {
+    return Status::InvalidArgument(
+        StrFormat("LU of non-square %zux%zu matrix", a->rows(), a->cols()));
+  }
+  pivots->resize(a->rows());
+  return LuFactorInPlace(a->data(), a->rows(), pivots->data(), pivot_sign);
 }
 
 Status LuSolveInto(const Matrix& lu, const std::vector<size_t>& pivots,
@@ -68,20 +88,8 @@ Status LuSolveInto(const Matrix& lu, const std::vector<size_t>& pivots,
     return Status::InvalidArgument(
         StrFormat("rhs size %zu, matrix order %zu", b.size(), n));
   }
-  // Apply permutation, then forward/back substitution.
   x->AssignZero(n);
-  for (size_t i = 0; i < n; ++i) (*x)[i] = b[pivots[i]];
-  for (size_t i = 1; i < n; ++i) {
-    double sum = (*x)[i];
-    for (size_t j = 0; j < i; ++j) sum -= lu(i, j) * (*x)[j];
-    (*x)[i] = sum;
-  }
-  for (size_t ii = n; ii > 0; --ii) {
-    const size_t i = ii - 1;
-    double sum = (*x)[i];
-    for (size_t j = i + 1; j < n; ++j) sum -= lu(i, j) * (*x)[j];
-    (*x)[i] = sum / lu(i, i);
-  }
+  LuSolveInto(lu.data(), n, pivots.data(), b.data(), x->data());
   return Status::OK();
 }
 

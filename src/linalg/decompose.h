@@ -65,19 +65,30 @@ class CholeskyDecomposition {
 /// Workspace-based LU primitives for allocation-free hot paths. These are
 /// the kernels LuDecomposition is built on; filters call them directly
 /// against preallocated scratch so a factor-and-solve costs zero heap
-/// allocations once the workspace is warm (see docs/perf.md).
+/// allocations (see docs/perf.md).
 ///
-/// Factors `a` in place into packed LU form (unit-diagonal L below, U on
-/// and above the diagonal) with partial pivoting, recording the row
-/// permutation in `pivots` (resized to n, reusing capacity) and the
-/// permutation sign in `pivot_sign` when non-null. Bit-identical to
-/// LuDecomposition::Compute. Errors leave `a` in an unspecified state.
+/// Factors the n x n row-major `lu` in place into packed LU form
+/// (unit-diagonal L below, U on and above the diagonal) with partial
+/// pivoting, recording the row permutation in `pivots` (n entries) and
+/// the permutation sign in `pivot_sign` when non-null. Bit-identical to
+/// LuDecomposition::Compute. Errors (FailedPrecondition for a singular
+/// matrix) leave `lu` in an unspecified state.
+Status LuFactorInPlace(double* lu, size_t n, size_t* pivots,
+                       int* pivot_sign = nullptr);
+
+/// Solves A x = b (n entries each) from the packed factor produced by
+/// LuFactorInPlace. `x` must not alias `b`. Bit-identical to
+/// LuDecomposition::Solve.
+void LuSolveInto(const double* lu, size_t n, const size_t* pivots,
+                 const double* b, double* x);
+
+/// Matrix form of LuFactorInPlace: `pivots` is resized to n (reusing
+/// capacity); InvalidArgument for a non-square `a`.
 Status LuFactorInPlace(Matrix* a, std::vector<size_t>* pivots,
                        int* pivot_sign = nullptr);
 
-/// Solves A x = b from the packed factor produced by LuFactorInPlace,
-/// writing the solution into `x` (reshaped, capacity reused). `x` must not
-/// alias `b`. Bit-identical to LuDecomposition::Solve.
+/// Matrix form of LuSolveInto: `x` is reshaped (capacity reused);
+/// InvalidArgument when `b` does not match the factor's order.
 Status LuSolveInto(const Matrix& lu, const std::vector<size_t>& pivots,
                    const Vector& b, Vector* x);
 

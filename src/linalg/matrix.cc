@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/string_util.h"
+#include "linalg/kernels.h"
 
 namespace dkf {
 
@@ -65,12 +66,7 @@ Matrix Vector::Outer(const Vector& other) const {
   return out;
 }
 
-bool Vector::IsFinite() const {
-  for (double x : data_) {
-    if (!std::isfinite(x)) return false;
-  }
-  return true;
-}
+bool Vector::IsFinite() const { return AllFinite(data(), size()); }
 
 std::string Vector::ToString() const {
   std::string out = "[";
@@ -202,30 +198,15 @@ double Matrix::MaxAbs() const {
 
 double Matrix::MaxAbsDiff(const Matrix& other) const {
   assert(rows_ == other.rows_ && cols_ == other.cols_);
-  double best = 0.0;
-  for (size_t i = 0; i < data_.size(); ++i) {
-    best = std::max(best, std::fabs(data_[i] - other.data_[i]));
-  }
-  return best;
+  return dkf::MaxAbsDiff(data(), other.data(), data_.size());
 }
 
 void Matrix::Symmetrize() {
   assert(rows_ == cols_);
-  for (size_t r = 0; r < rows_; ++r) {
-    for (size_t c = r + 1; c < cols_; ++c) {
-      const double avg = 0.5 * ((*this)(r, c) + (*this)(c, r));
-      (*this)(r, c) = avg;
-      (*this)(c, r) = avg;
-    }
-  }
+  SymmetrizeInPlace(data(), rows_);
 }
 
-bool Matrix::IsFinite() const {
-  for (double x : data_) {
-    if (!std::isfinite(x)) return false;
-  }
-  return true;
-}
+bool Matrix::IsFinite() const { return AllFinite(data(), data_.size()); }
 
 std::string Matrix::ToString() const {
   std::string out = "[";
@@ -251,10 +232,12 @@ bool BitEqual(const Vector& a, const Vector& b) {
 }
 
 bool BitEqual(const Matrix& a, const Matrix& b) {
-  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  return a.rows() == b.rows() && a.cols() == b.cols() && BitEqual(a, b.data());
+}
+
+bool BitEqual(const Matrix& a, const double* b) {
   const size_t n = a.rows() * a.cols();
-  return n == 0 ||
-         std::memcmp(a.RowData(0), b.RowData(0), n * sizeof(double)) == 0;
+  return n == 0 || std::memcmp(a.data(), b, n * sizeof(double)) == 0;
 }
 
 }  // namespace dkf

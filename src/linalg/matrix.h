@@ -203,6 +203,10 @@ class Matrix {
   double operator()(size_t r, size_t c) const { return data_[r * cols_ + c]; }
   double& operator()(size_t r, size_t c) { return data_[r * cols_ + c]; }
 
+  /// The rows() x cols() entries, row-major and contiguous.
+  const double* data() const { return data_.data(); }
+  double* data() { return data_.data(); }
+
   /// Row `r` as a contiguous span of cols() doubles (row-major storage).
   const double* RowData(size_t r) const { return data_.data() + r * cols_; }
   double* MutableRowData(size_t r) { return data_.data() + r * cols_; }
@@ -251,10 +255,6 @@ class Matrix {
   std::string ToString() const;
 
  private:
-  friend void MultiplyInto(const Matrix& a, const Matrix& b, Matrix* out);
-  friend void MultiplyTransposedInto(const Matrix& a, const Matrix& b,
-                                     Matrix* out);
-
   size_t rows_ = 0;
   size_t cols_ = 0;
   internal::InlineBuffer<kMatrixInlineCapacity> data_;
@@ -267,6 +267,8 @@ Matrix operator*(double scalar, const Matrix& m);
 /// the predicate for "the same filter state, bit for bit".
 bool BitEqual(const Vector& a, const Vector& b);
 bool BitEqual(const Matrix& a, const Matrix& b);
+/// `a` against rows() x cols() row-major entries read in place.
+bool BitEqual(const Matrix& a, const double* b);
 
 }  // namespace dkf
 

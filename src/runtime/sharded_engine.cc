@@ -499,40 +499,31 @@ Status ShardedStreamEngine::ProcessTick(const ReadingBatch& batch) {
   DKF_RETURN_IF_ERROR(PartitionReadings(batch.ids));
   // A NaN would be silently suppressed (every comparison against it is
   // false) and an infinity diverges the filter it corrects, so the batch
-  // is screened before any shard ticks. The screen is one task per
-  // shard over equal ranges of the batch, queued ahead of the tick
-  // tasks: the pool claims tasks in order, so it runs in parallel while
-  // the workers wake, and a tick task only ever waits for screens that
-  // are already running.
+  // is screened before any shard ticks. Tasks [0, n) screen equal ranges
+  // of the batch, one per shard, and tasks [n, 2n) tick the shards: the
+  // pool claims tasks in order, so the screens run in parallel while the
+  // workers wake, and a tick task only ever waits for screens that are
+  // already running.
   const size_t n = shards_.size();
+  const int64_t tick = ticks_;
   std::atomic<size_t> screened{0};
   std::atomic<bool> finite{true};
-  tick_tasks_.clear();
-  tick_tasks_.reserve(2 * n);
-  for (size_t i = 0; i < n; ++i) {
-    const size_t begin = batch.values.size() * i / n;
-    const size_t end = batch.values.size() * (i + 1) / n;
-    tick_tasks_.push_back([&batch, &screened, &finite, begin, end] {
+  DKF_RETURN_IF_ERROR(pool_.RunAll(2 * n, [&](size_t index) -> Status {
+    if (index < n) {
+      const size_t begin = batch.values.size() * index / n;
+      const size_t end = batch.values.size() * (index + 1) / n;
       if (!AllFinite(batch.values, begin, end)) {
         finite.store(false, std::memory_order_relaxed);
       }
       screened.fetch_add(1, std::memory_order_release);
       return Status::OK();
-    });
-  }
-  const int64_t tick = ticks_;
-  for (size_t i = 0; i < n; ++i) {
-    StreamShard* shard = shards_[i].get();
-    const ShardReadingSlice* slice = &slices_[i];
-    tick_tasks_.push_back([shard, slice, tick, n, &batch, &screened, &finite] {
-      while (screened.load(std::memory_order_acquire) < n) {
-        std::this_thread::yield();
-      }
-      if (!finite.load(std::memory_order_relaxed)) return Status::OK();
-      return shard->ProcessTick(tick, batch, *slice);
-    });
-  }
-  DKF_RETURN_IF_ERROR(pool_.RunAll(tick_tasks_));
+    }
+    while (screened.load(std::memory_order_acquire) < n) {
+      std::this_thread::yield();
+    }
+    if (!finite.load(std::memory_order_relaxed)) return Status::OK();
+    return shards_[index - n]->ProcessTick(tick, batch, slices_[index - n]);
+  }));
   if (!finite.load(std::memory_order_relaxed)) return FirstNonFinite(batch);
   // Aggregate subscriptions need every shard's partial sums, so their
   // serve pass runs on the driver after the tick joins.

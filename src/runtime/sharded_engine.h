@@ -428,9 +428,6 @@ class ShardedStreamEngine {
   /// live on the owning shard's own engine.
   SubscriptionEngine aggregate_serve_;
   WorkerPool pool_;
-  /// Reused every tick (a finiteness screen, then a tick, per shard) to
-  /// avoid reallocation.
-  std::vector<WorkerPool::Task> tick_tasks_;
   /// The last accepted batch layout and each shard's slice of it.
   std::vector<int> layout_ids_;
   std::vector<ShardReadingSlice> slices_;

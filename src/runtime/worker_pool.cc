@@ -18,11 +18,11 @@ WorkerPool::~WorkerPool() {
   for (std::thread& thread : threads_) thread.join();
 }
 
-void WorkerPool::DrainBatch(const std::vector<Task>& tasks) {
+void WorkerPool::DrainBatch(const Batch& batch) {
   for (;;) {
     const size_t index = next_task_.fetch_add(1, std::memory_order_relaxed);
-    if (index >= tasks.size()) return;
-    Status status = tasks[index]();
+    if (index >= batch.count) return;
+    Status status = batch.run(batch.context, index);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       statuses_[index] = std::move(status);
@@ -35,7 +35,7 @@ void WorkerPool::DrainBatch(const std::vector<Task>& tasks) {
 void WorkerPool::WorkerLoop() {
   uint64_t seen_generation = 0;
   for (;;) {
-    const std::vector<Task>* batch = nullptr;
+    const Batch* batch = nullptr;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       work_ready_.wait(lock, [&] {
@@ -53,27 +53,27 @@ void WorkerPool::WorkerLoop() {
       --draining_;
     }
     // The coordinator may be waiting for the last straggler to leave
-    // the batch before it can free the task vector.
+    // the batch before it can free the callable.
     batch_done_.notify_one();
   }
 }
 
-Status WorkerPool::RunAll(const std::vector<Task>& tasks) {
-  if (tasks.empty()) return Status::OK();
+Status WorkerPool::RunBatch(const Batch& batch) {
+  if (batch.count == 0) return Status::OK();
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    batch_ = &tasks;
-    statuses_.assign(tasks.size(), Status::OK());
+    batch_ = &batch;
+    statuses_.assign(batch.count, Status::OK());
     next_task_.store(0, std::memory_order_relaxed);
     completed_ = 0;
     ++generation_;
   }
   work_ready_.notify_all();
   // The calling thread works the batch too (see class comment).
-  DrainBatch(tasks);
+  DrainBatch(batch);
   std::unique_lock<std::mutex> lock(mutex_);
   batch_done_.wait(lock, [&] {
-    return completed_ == tasks.size() && draining_ == 0;
+    return completed_ == batch.count && draining_ == 0;
   });
   batch_ = nullptr;
   for (const Status& status : statuses_) {

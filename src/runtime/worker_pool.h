@@ -4,7 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -16,11 +15,13 @@ namespace dkf {
 /// A persistent fork-join pool for the sharded runtime's tick loop.
 ///
 /// The pool keeps `num_threads` workers parked between batches (no
-/// per-tick thread spawns). RunAll publishes a task vector, and the
-/// *calling thread participates* in draining it alongside the workers —
-/// so a pool constructed with 0 threads degenerates to running every
-/// task inline, and a ShardedStreamEngine with N shards only needs
-/// N - 1 background threads.
+/// per-tick thread spawns). RunAll publishes a batch of `count` tasks —
+/// one callable invoked with each task index — and the *calling thread
+/// participates* in draining it alongside the workers, so a pool
+/// constructed with 0 threads degenerates to running every task inline,
+/// and a ShardedStreamEngine with N shards only needs N - 1 background
+/// threads. The pool only borrows the callable, so publishing a batch
+/// allocates nothing.
 ///
 /// Tasks are claimed in index order from a shared counter, and any
 /// thread may run any task. A task may therefore wait for an earlier
@@ -31,25 +32,40 @@ namespace dkf {
 /// per-shard state without further locking.
 class WorkerPool {
  public:
-  using Task = std::function<Status()>;
-
   explicit WorkerPool(size_t num_threads);
   ~WorkerPool();
 
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
-  /// Runs every task to completion (no early abort on error: a shard
-  /// that fails must not leave its siblings mid-tick). Returns the
-  /// first non-OK status in task order, or OK.
-  Status RunAll(const std::vector<Task>& tasks);
+  /// Runs `task(i)` for every i in [0, count) to completion (no early
+  /// abort on error: a shard that fails must not leave its siblings
+  /// mid-tick). `task` is callable as `Status(size_t)` from any thread.
+  /// Returns the first non-OK status in index order, or OK.
+  template <typename Task>
+  Status RunAll(size_t count, const Task& task) {
+    return RunBatch(Batch{
+        count,
+        [](const void* context, size_t index) {
+          return (*static_cast<const Task*>(context))(index);
+        },
+        &task});
+  }
 
   size_t num_threads() const { return threads_.size(); }
 
  private:
+  /// A published batch: `count` calls of `run(context, index)`.
+  struct Batch {
+    size_t count = 0;
+    Status (*run)(const void* context, size_t index) = nullptr;
+    const void* context = nullptr;
+  };
+
+  Status RunBatch(const Batch& batch);
   void WorkerLoop();
   /// Claims and runs tasks from the current batch until it is drained.
-  void DrainBatch(const std::vector<Task>& tasks);
+  void DrainBatch(const Batch& batch);
 
   std::mutex mutex_;
   std::condition_variable work_ready_;
@@ -57,14 +73,14 @@ class WorkerPool {
   /// Bumped (under the mutex) once per RunAll to wake the workers.
   uint64_t generation_ = 0;
   bool stopping_ = false;
-  const std::vector<Task>* batch_ = nullptr;
+  const Batch* batch_ = nullptr;
   /// Next unclaimed task index in `batch_`.
   std::atomic<size_t> next_task_{0};
   /// Tasks finished so far in `batch_` (guarded by mutex_ for the
   /// batch_done_ wait).
   size_t completed_ = 0;
   /// Workers currently inside DrainBatch; RunAll must not return (and
-  /// let the caller destroy the task vector) while any remain.
+  /// let the caller destroy the callable) while any remain.
   size_t draining_ = 0;
   std::vector<Status> statuses_;
 

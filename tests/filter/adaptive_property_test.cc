@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -72,33 +73,54 @@ TEST(NoiseAdapterTest, CreateRejectsBadConfig) {
 }
 
 // A filter whose configured R is far too small must widen its effective
-// R once real innovations arrive; the servo must stay inside its
-// clamps; and Q must stay nominal when innovations are uncorrelated.
+// R once real innovations arrive, and then track the truth better than
+// the same filter left on its fixed R; the servo must stay inside its
+// clamps. Two inputs: a random walk, and a constant level under noise of
+// variance 4 against a configured 0.01.
 TEST(NoiseAdapterTest, WidensUnderstatedMeasurementNoise) {
-  const StateModel model = ScalarModel(/*measurement_variance=*/0.01);
-  auto adapter_or = NoiseAdapter::Create(FastAdaptation(), model);
-  ASSERT_TRUE(adapter_or.ok());
-  NoiseAdapter adapter = std::move(adapter_or).value();
-  auto filter_or = KalmanFilter::Create(model.options);
-  ASSERT_TRUE(filter_or.ok());
-  KalmanFilter filter = std::move(filter_or).value();
+  struct Input {
+    uint64_t seed;
+    int64_t ticks;
+    double drift_stddev;
+    double noise_stddev;
+  };
+  for (const Input& input : {Input{11, 400, 0.05, 1.0},
+                             Input{17, 600, 0.0, 2.0}}) {
+    SCOPED_TRACE("seed=" + std::to_string(input.seed));
+    const StateModel model = ScalarModel(/*measurement_variance=*/0.01);
+    auto adapter_or = NoiseAdapter::Create(FastAdaptation(), model);
+    ASSERT_TRUE(adapter_or.ok());
+    NoiseAdapter adapter = std::move(adapter_or).value();
+    auto filter_or = KalmanFilter::Create(model.options);
+    ASSERT_TRUE(filter_or.ok());
+    KalmanFilter filter = std::move(filter_or).value();
+    KalmanFilter fixed = filter;
 
-  Rng rng(11);
-  double truth = 0.0;
-  for (int64_t t = 0; t < 400; ++t) {
-    ASSERT_TRUE(filter.Predict().ok());
-    truth += rng.Gaussian(0.0, 0.05);
-    // True measurement noise stddev 1.0 vs configured sqrt(0.01) = 0.1.
-    const Vector z{truth + rng.Gaussian(0.0, 1.0)};
-    auto decision_or = adapter.OnCorrection(filter, z, t);
-    ASSERT_TRUE(decision_or.ok());
-    ASSERT_TRUE(filter.Correct(z).ok());
-    ASSERT_TRUE(adapter.InstallInto(&filter).ok());
+    Rng rng(input.seed);
+    double truth = 0.0;
+    double adapted_error = 0.0;
+    double fixed_error = 0.0;
+    for (int64_t t = 0; t < input.ticks; ++t) {
+      ASSERT_TRUE(filter.Predict().ok());
+      ASSERT_TRUE(fixed.Predict().ok());
+      truth += rng.Gaussian(0.0, input.drift_stddev);
+      const Vector z{truth + rng.Gaussian(0.0, input.noise_stddev)};
+      auto decision_or = adapter.OnCorrection(filter, z, t);
+      ASSERT_TRUE(decision_or.ok());
+      ASSERT_TRUE(filter.Correct(z).ok());
+      ASSERT_TRUE(adapter.InstallInto(&filter).ok());
+      ASSERT_TRUE(fixed.Correct(z).ok());
+      if (2 * t >= input.ticks) {
+        adapted_error += std::fabs(filter.state()[0] - truth);
+        fixed_error += std::fabs(fixed.state()[0] - truth);
+      }
+    }
+    EXPECT_GT(adapter.r_scale(), 5.0);
+    EXPECT_LE(adapter.r_scale(), FastAdaptation().r_scale_ceiling);
+    EXPECT_GT(filter.measurement_noise()(0, 0),
+              model.options.measurement_noise(0, 0));
+    EXPECT_LT(adapted_error, fixed_error);
   }
-  EXPECT_GT(adapter.r_scale(), 5.0);
-  EXPECT_LE(adapter.r_scale(), FastAdaptation().r_scale_ceiling);
-  EXPECT_GT(filter.measurement_noise()(0, 0),
-            model.options.measurement_noise(0, 0));
 }
 
 TEST(NoiseAdapterTest, ShrinksOverstatedMeasurementNoiseToFloor) {

@@ -235,6 +235,35 @@ TEST(KalmanFilterTest, CorrectRejectsWrongMeasurementSize) {
   EXPECT_FALSE(filter.Correct(Vector{1.0, 2.0}).ok());
 }
 
+// A singular innovation covariance (here S = H P H^T + R = 0, from H = 0
+// and R = 0) is refused with a clean Status by Correct and Nis, and the
+// refused Correct leaves the running state bit for bit as it was, although
+// the filter's scratch shares its storage block.
+TEST(KalmanFilterTest, SingularInnovationCovarianceLeavesStateUntouched) {
+  KalmanFilterOptions options = CvOptions();
+  options.measurement = Matrix{{0.0, 0.0}};
+  options.measurement_noise = Matrix{{0.0}};
+  auto filter_or = KalmanFilter::Create(options);
+  ASSERT_TRUE(filter_or.ok());
+  KalmanFilter filter = std::move(filter_or).value();
+  for (int t = 0; t < 3; ++t) ASSERT_TRUE(filter.Predict().ok());
+  const KalmanFilter before = filter;
+  const Vector x = filter.state();
+  const Matrix p = filter.covariance();
+  const int64_t step = filter.step();
+  const bool armed = filter.steady_state_armed();
+
+  EXPECT_EQ(filter.Correct(Vector{1.0}).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(filter.Nis(Vector{1.0}).ok());
+  EXPECT_TRUE(BitEqual(filter.state(), x));
+  EXPECT_TRUE(BitEqual(filter.covariance(), p));
+  EXPECT_EQ(filter.step(), step);
+  EXPECT_EQ(filter.steady_state_armed(), armed);
+  EXPECT_EQ(filter.last_innovation().size(), 0u);
+  EXPECT_TRUE(filter.FullStateBitEquals(before));
+}
+
 TEST(KalmanFilterTest, InnovationTracked) {
   auto filter_or = KalmanFilter::Create(CvOptions());
   ASSERT_TRUE(filter_or.ok());

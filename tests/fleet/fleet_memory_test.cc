@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -208,6 +209,12 @@ TEST(FleetMemory, ConvergedSingleModelFleetSharesOneColdRecordPerGroup) {
     EXPECT_EQ(footprint.lane_groups, shards);
     EXPECT_EQ(footprint.cold_records, footprint.lane_groups);
     EXPECT_EQ(footprint.cold_refs, 2 * kFleet);  // one per end
+    // A cold record is the flat cold segment plus six scalars, and its
+    // own hash key.
+    std::printf("shards=%d cold_bytes %lld for %lld records\n", shards,
+                static_cast<long long>(footprint.cold_bytes),
+                static_cast<long long>(footprint.cold_records));
+    EXPECT_LE(footprint.cold_bytes, 512 * footprint.cold_records);
   }
 }
 

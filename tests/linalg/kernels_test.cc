@@ -1,11 +1,14 @@
 #include "linalg/kernels.h"
 
+#include <algorithm>
+#include <cmath>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "filter/kalman_filter.h"
 #include "linalg/decompose.h"
 #include "linalg/matrix.h"
 
@@ -55,6 +58,13 @@ void ExpectBitIdentical(const Vector& a, const Vector& b) {
   }
 }
 
+/// A raw kernel's output, `rows` x `cols` flat entries.
+Matrix FromFlat(const std::vector<double>& flat, size_t rows, size_t cols) {
+  Matrix m(rows, cols);
+  for (size_t i = 0; i < flat.size(); ++i) m.data()[i] = flat[i];
+  return m;
+}
+
 // Dimensions under test: every inline size 1..6 plus a heap-fallback size
 // (9 > kVectorInlineCapacity, 81 > kMatrixInlineCapacity).
 const size_t kDims[] = {1, 2, 3, 4, 5, 6, 9};
@@ -69,6 +79,9 @@ TEST(KernelGoldenTest, MultiplyMatrixMatrix) {
         Matrix out;
         MultiplyInto(a, b, &out);
         ExpectBitIdentical(out, a * b);
+        std::vector<double> raw(n * n, -1.0);
+        MultiplyInto(a.data(), n, m, b.data(), n, raw.data());
+        ExpectBitIdentical(FromFlat(raw, n, n), a * b);
       }
     }
   }
@@ -84,6 +97,18 @@ TEST(KernelGoldenTest, MultiplyMatrixVector) {
         Vector out;
         MultiplyInto(a, v, &out);
         ExpectBitIdentical(out, a * v);
+        std::vector<double> raw(n, -1.0);
+        MultiplyVectorInto(a.data(), n, m, v.data(), raw.data());
+        ExpectBitIdentical(Vector(raw), a * v);
+        // The lane deviation: max |(a v)_r - z_r|, as Deviation's kMaxAbs
+        // computes it on the predicted measurement.
+        const Vector z = RandomVector(rng, n);
+        double deviation = 0.0;
+        for (size_t r = 0; r < n; ++r) {
+          deviation = std::max(deviation, std::fabs((a * v)[r] - z[r]));
+        }
+        EXPECT_EQ(MaxAbsDeviation(a.data(), v.data(), z.data(), m, n),
+                  deviation);
       }
     }
   }
@@ -99,6 +124,9 @@ TEST(KernelGoldenTest, MultiplyTransposed) {
         Matrix out;
         MultiplyTransposedInto(a, b, &out);
         ExpectBitIdentical(out, a * b.Transpose());
+        std::vector<double> raw(n * n, -1.0);
+        MultiplyTransposedInto(a.data(), n, m, b.data(), n, raw.data());
+        ExpectBitIdentical(FromFlat(raw, n, n), a * b.Transpose());
       }
     }
   }
@@ -116,6 +144,9 @@ TEST(KernelGoldenTest, AddScaledMatchesOperators) {
     ExpectBitIdentical(out, a - b);
     AddScaledInto(a, b, 0.5, &out);
     ExpectBitIdentical(out, a + b * 0.5);
+    std::vector<double> raw(n * n, -1.0);
+    AddScaledInto(a.data(), b.data(), -1.0, n * n, raw.data());
+    ExpectBitIdentical(FromFlat(raw, n, n), a - b);
 
     const Vector va = RandomVector(rng, n);
     const Vector vb = RandomVector(rng, n);
@@ -150,6 +181,35 @@ TEST(KernelGoldenTest, SymmetrizeMatchesMemberFunction) {
     Matrix aliased = a;
     SymmetrizeInto(aliased, &aliased);
     ExpectBitIdentical(aliased, expected);
+    // Raw form, and the predict composite that ends in it: the covariance
+    // predict Symmetrize(phi P phi^T + Q) must be the operator
+    // expression's bits and KalmanFilter::Predict's, with phi x beside it.
+    std::vector<double> raw(a.data(), a.data() + n * n);
+    SymmetrizeInPlace(raw.data(), n);
+    ExpectBitIdentical(FromFlat(raw, n, n), expected);
+    if (n > 6) continue;
+    const Matrix phi = RandomMatrix(rng, n, n);
+    const Matrix q = RandomMatrix(rng, n, n);
+    KalmanFilterOptions options;
+    options.transition = phi;
+    options.measurement = RandomMatrix(rng, 1, n);
+    options.process_noise = q;
+    options.measurement_noise = Matrix{{1.0}};
+    options.initial_state = RandomVector(rng, n);
+    options.initial_covariance = a;
+    auto filter_or = KalmanFilter::Create(options);
+    ASSERT_TRUE(filter_or.ok());
+    KalmanFilter filter = std::move(filter_or).value();
+    ASSERT_TRUE(filter.Predict().ok());
+    Matrix predicted = phi * a * phi.Transpose() + q;
+    predicted.Symmetrize();
+    std::vector<double> tmp(n * n);
+    std::vector<double> composite(n * n, -1.0);
+    PredictCovarianceInto(phi.data(), a.data(), q.data(), n, tmp.data(),
+                          composite.data());
+    ExpectBitIdentical(FromFlat(composite, n, n), predicted);
+    ExpectBitIdentical(filter.covariance(), predicted);
+    ExpectBitIdentical(filter.state(), phi * options.initial_state);
   }
 }
 
