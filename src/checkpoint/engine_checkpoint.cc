@@ -125,15 +125,17 @@ class CheckpointAccess {
     snapshot.ticks = engine.ticks_;
     snapshot.control_messages = engine.control_messages();
 
-    for (const auto& [source_id, shard_index] : engine.registered_) {
-      const StreamShard& shard =
-          *engine.shards_[static_cast<size_t>(shard_index)];
+    for (int source_id : engine.registered_) {
+      const StreamShard& shard = engine.OwningShard(source_id);
       SourceSnapshot source;
       source.source_id = source_id;
-      source.model = engine.models_.at(source_id);
-      // Routed exports: a batch-resident source (src/fleet/) synthesizes
-      // the exact per-source state a spilled run would capture, so the
-      // snapshot bytes are engine-agnostic.
+      // Routed exports: a batch-resident source (src/fleet/) reports its
+      // nominal group's recipe and synthesizes the exact per-source state
+      // a spilled run would capture, so the snapshot bytes are
+      // engine-agnostic.
+      DKF_ASSIGN_OR_RETURN(const StateModel* model,
+                           shard.source_model(source_id));
+      source.model = *model;
       DKF_ASSIGN_OR_RETURN(source.node, shard.ExportSourceState(source_id));
       DKF_ASSIGN_OR_RETURN(source.link, shard.ExportLinkState(source_id));
       source.channel = shard.channel_.ExportSourceCheckpoint(source_id);
@@ -249,8 +251,6 @@ class CheckpointAccess {
       DKF_RETURN_IF_ERROR(
           shard.server_.RestoreLink(source.source_id, source.link));
       shard.channel_.ImportSourceCheckpoint(source.source_id, source.channel);
-      shard.installed_smoothing_[source.source_id] =
-          source.node.smoothing_factor;
     }
     // Fusion groups: the whole group (posterior plus every member's
     // mirror and channel lane) lands on the shard its group id pins it
@@ -294,11 +294,6 @@ class CheckpointAccess {
       ShardedStreamEngine::AggregateBinding binding;
       binding.source_ids = aggregate.source_ids;
       binding.synthetic_query_ids = aggregate.synthetic_query_ids;
-      std::map<int, std::vector<int>> grouped;
-      for (int source_id : aggregate.source_ids) {
-        grouped[engine.ShardIndexFor(source_id)].push_back(source_id);
-      }
-      binding.members_by_shard.assign(grouped.begin(), grouped.end());
       engine.aggregates_[aggregate.id] = std::move(binding);
     }
 

@@ -5,24 +5,23 @@
 
 namespace dkf {
 
-Rng& Channel::DropRng(int source_id) {
+Rng& Channel::DropRng(int source_id, SourceState& state) {
   if (!options_.per_source_rng) return rng_;
-  auto it = per_source_rng_.find(source_id);
-  if (it == per_source_rng_.end()) {
+  if (!state.rng.has_value()) {
     // Decorrelate the per-source streams: Rng's own constructor runs the
     // seed through SplitMix64, so a simple odd-multiplier mix suffices.
     const uint64_t mixed =
         options_.seed ^
         (0x9E3779B97F4A7C15ULL * (static_cast<uint64_t>(source_id) + 1));
-    it = per_source_rng_.emplace(source_id, Rng(mixed)).first;
+    state.rng.emplace(mixed);
   }
-  return it->second;
+  return *state.rng;
 }
 
 const ChannelStats& Channel::for_source(int source_id) const {
   static const ChannelStats kEmpty;
   auto it = per_source_.find(source_id);
-  return it == per_source_.end() ? kEmpty : it->second;
+  return it == per_source_.end() ? kEmpty : it->second.stats;
 }
 
 void Channel::Corrupt(Message* framed, Rng& rng) {
@@ -76,11 +75,12 @@ Result<SendAck> Channel::Send(const Message& message) {
   const size_t bytes = framed.SizeBytes();
   ++total_.messages;
   total_.bytes += static_cast<int64_t>(bytes);
-  ChannelStats& stats = per_source_[framed.source_id];
+  SourceState& source = per_source_[framed.source_id];
+  ChannelStats& stats = source.stats;
   ++stats.messages;
   stats.bytes += static_cast<int64_t>(bytes);
 
-  Rng& rng = DropRng(framed.source_id);
+  Rng& rng = DropRng(framed.source_id, source);
   const FaultModel& fault = options_.fault;
   const bool fault_active = fault.ActiveAt(framed.tick);
   // Any fault feature that hides a loss from the sender makes even a
@@ -122,7 +122,8 @@ Result<SendAck> Channel::Send(const Message& message) {
   //    unconditionally, to keep the stream layout fixed).
   if (fault.gilbert_elliott.has_value()) {
     const GilbertElliottLoss& ge = *fault.gilbert_elliott;
-    bool& bad = ge_bad_[framed.source_id];
+    if (!source.ge_bad.has_value()) source.ge_bad = false;
+    bool& bad = *source.ge_bad;
     if (rng.Bernoulli(bad ? ge.p_bad_to_good : ge.p_good_to_bad)) bad = !bad;
     if (rng.Bernoulli(bad ? ge.bad_loss : ge.good_loss)) {
       ++total_.dropped;
@@ -174,8 +175,8 @@ Result<SendAck> Channel::Send(const Message& message) {
     DKF_TRACE(obs_sink_, framed.tick, framed.source_id,
               TraceEventKind::kChannelDelay, TraceActor::kChannel,
               static_cast<double>(delay), 0.0, framed.sequence);
-    in_flight_.push_back(
-        InFlight{framed.tick + delay, ack_lost, corrupted, std::move(framed)});
+    in_flight_.push_back(InFlightEntry{framed.tick + delay, ack_lost,
+                                       corrupted, std::move(framed)});
     return SendAck::kNoAck;
   }
 
@@ -191,7 +192,7 @@ Status Channel::BeginTick(int64_t tick) {
   size_t kept = 0;
   Status failure = Status::OK();
   for (size_t i = 0; i < in_flight_.size(); ++i) {
-    InFlight& entry = in_flight_[i];
+    InFlightEntry& entry = in_flight_[i];
     if (failure.ok() && entry.due <= tick) {
       Status delivered = Deliver(entry.message);
       if (!delivered.ok()) {
@@ -216,21 +217,17 @@ Status Channel::BeginTick(int64_t tick) {
 Channel::SourceCheckpoint Channel::ExportSourceCheckpoint(
     int source_id) const {
   SourceCheckpoint state;
-  state.stats = for_source(source_id);
-  auto rng_it = per_source_rng_.find(source_id);
-  if (rng_it != per_source_rng_.end()) {
-    state.has_rng = true;
-    state.rng = rng_it->second.SaveState();
+  auto it = per_source_.find(source_id);
+  if (it != per_source_.end()) {
+    const SourceState& source = it->second;
+    state.stats = source.stats;
+    state.has_rng = source.rng.has_value();
+    if (state.has_rng) state.rng = source.rng->SaveState();
+    state.has_ge_state = source.ge_bad.has_value();
+    state.ge_bad = source.ge_bad.value_or(false);
   }
-  auto ge_it = ge_bad_.find(source_id);
-  if (ge_it != ge_bad_.end()) {
-    state.has_ge_state = true;
-    state.ge_bad = ge_it->second;
-  }
-  for (const InFlight& entry : in_flight_) {
-    if (entry.message.source_id != source_id) continue;
-    state.in_flight.push_back(InFlightEntry{entry.due, entry.ack_lost,
-                                            entry.corrupted, entry.message});
+  for (const InFlightEntry& entry : in_flight_) {
+    if (entry.message.source_id == source_id) state.in_flight.push_back(entry);
   }
   auto ack_it = deferred_acks_.find(source_id);
   if (ack_it != deferred_acks_.end()) state.deferred_acks = ack_it->second;
@@ -239,17 +236,12 @@ Channel::SourceCheckpoint Channel::ExportSourceCheckpoint(
 
 void Channel::ImportSourceCheckpoint(int source_id,
                                      const SourceCheckpoint& state) {
-  per_source_[source_id] = state.stats;
-  if (state.has_rng) {
-    Rng rng;
-    rng.LoadState(state.rng);
-    per_source_rng_.insert_or_assign(source_id, rng);
-  }
-  if (state.has_ge_state) ge_bad_[source_id] = state.ge_bad;
-  for (const InFlightEntry& entry : state.in_flight) {
-    in_flight_.push_back(
-        InFlight{entry.due, entry.ack_lost, entry.corrupted, entry.message});
-  }
+  SourceState& source = per_source_[source_id];
+  source.stats = state.stats;
+  if (state.has_rng) source.rng.emplace().LoadState(state.rng);
+  if (state.has_ge_state) source.ge_bad = state.ge_bad;
+  in_flight_.insert(in_flight_.end(), state.in_flight.begin(),
+                    state.in_flight.end());
   if (!state.deferred_acks.empty()) {
     deferred_acks_[source_id] = state.deferred_acks;
   }
@@ -262,7 +254,7 @@ void Channel::FinalizeRestore() {
   // therefore reproduces the exact pre-checkpoint queue order regardless
   // of how the entries were fanned across shards.
   std::sort(in_flight_.begin(), in_flight_.end(),
-            [](const InFlight& a, const InFlight& b) {
+            [](const InFlightEntry& a, const InFlightEntry& b) {
               if (a.message.tick != b.message.tick) {
                 return a.message.tick < b.message.tick;
               }
@@ -272,7 +264,8 @@ void Channel::FinalizeRestore() {
               return a.message.sequence < b.message.sequence;
             });
   total_ = ChannelStats();
-  for (const auto& [id, stats] : per_source_) {
+  for (const auto& [id, source] : per_source_) {
+    const ChannelStats& stats = source.stats;
     total_.messages += stats.messages;
     total_.bytes += stats.bytes;
     total_.dropped += stats.dropped;

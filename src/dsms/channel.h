@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "common/result.h"
@@ -109,6 +110,8 @@ class Channel {
   /// Per-source counters. Never inserts: unknown ids observe zeros.
   const ChannelStats& for_source(int source_id) const;
 
+  const ChannelOptions& options() const { return options_; }
+
   /// Messages currently sitting in the in-flight (delay) queue.
   size_t in_flight() const { return in_flight_.size(); }
 
@@ -130,9 +133,7 @@ class Channel {
   /// unwire.
   void set_trace_sink(TraceSink* sink) { obs_sink_ = sink; }
 
-  /// Checkpoint hooks (src/checkpoint/, docs/checkpoint.md). Checkpointed
-  /// channels run with per_source_rng, so all their state is per-source
-  /// and a snapshot can be fanned across any shard count.
+  /// One delayed message waiting for its delivery tick.
   struct InFlightEntry {
     int64_t due = 0;
     bool ack_lost = false;
@@ -140,6 +141,9 @@ class Channel {
     Message message;
   };
 
+  /// Checkpoint hooks (src/checkpoint/, docs/checkpoint.md). Checkpointed
+  /// channels run with per_source_rng, so all their state is per-source
+  /// and a snapshot can be fanned across any shard count.
   struct SourceCheckpoint {
     ChannelStats stats;
     /// The (seed, source_id)-derived fault stream, present once the source
@@ -165,16 +169,19 @@ class Channel {
   void FinalizeRestore();
 
  private:
-  /// One delayed message waiting for its delivery tick.
-  struct InFlight {
-    int64_t due = 0;
-    bool ack_lost = false;
-    bool corrupted = false;
-    Message message;
+  /// Everything the channel keeps for one source that has sent.
+  struct SourceState {
+    ChannelStats stats;
+    /// The (seed, source_id)-derived fault stream; created on the first
+    /// send under per_source_rng.
+    std::optional<Rng> rng;
+    /// Gilbert–Elliott chain state (true = bad/bursty); set once the
+    /// chain has stepped.
+    std::optional<bool> ge_bad;
   };
 
-  /// The fault-decision RNG for a message from `source_id`.
-  Rng& DropRng(int source_id);
+  /// The fault-decision RNG for a message from the source `state` holds.
+  Rng& DropRng(int source_id, SourceState& state);
 
   /// Flips bits in the framed message so the stamped checksum no longer
   /// matches (in-flight payload corruption).
@@ -187,11 +194,8 @@ class Channel {
   TraceSink* obs_sink_ = nullptr;
   Rng rng_;
   ChannelStats total_;
-  std::map<int, ChannelStats> per_source_;
-  std::map<int, Rng> per_source_rng_;
-  /// Gilbert–Elliott chain state per source (true = bad/bursty state).
-  std::map<int, bool> ge_bad_;
-  std::vector<InFlight> in_flight_;
+  std::map<int, SourceState> per_source_;
+  std::vector<InFlightEntry> in_flight_;
   std::map<int, std::vector<uint32_t>> deferred_acks_;
 };
 

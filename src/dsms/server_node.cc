@@ -6,8 +6,26 @@
 
 namespace dkf {
 
+namespace {
+
+Status NotRegistered(int source_id) {
+  return Status::NotFound(StrFormat("source %d not registered", source_id));
+}
+
+}  // namespace
+
+const ServerNode::Link* ServerNode::FindLink(int source_id) const {
+  auto it = links_.find(source_id);
+  return it == links_.end() ? nullptr : &it->second;
+}
+
+ServerNode::Link* ServerNode::FindLink(int source_id) {
+  auto it = links_.find(source_id);
+  return it == links_.end() ? nullptr : &it->second;
+}
+
 Status ServerNode::RegisterSource(int source_id, const StateModel& model) {
-  if (predictors_.contains(source_id)) {
+  if (links_.contains(source_id)) {
     return Status::AlreadyExists(
         StrFormat("source %d already registered", source_id));
   }
@@ -26,33 +44,29 @@ Status ServerNode::RegisterSource(int source_id, const StateModel& model) {
 Status ServerNode::RegisterSourceLike(int source_id,
                                       const Predictor& predictor,
                                       const NoiseAdapter& adapter) {
-  if (predictors_.contains(source_id)) {
+  auto [it, inserted] = links_.try_emplace(source_id);
+  if (!inserted) {
     return Status::AlreadyExists(
         StrFormat("source %d already registered", source_id));
   }
-  predictors_[source_id] = predictor.Clone();
-  predictors_[source_id]->SetTrace(obs_sink_, source_id,
-                                   TraceActor::kServerFilter);
-  LinkState link;
+  Link& link = it->second;
+  link.predictor = predictor.Clone();
+  link.predictor->SetTrace(obs_sink_, source_id, TraceActor::kServerFilter);
   // The staleness clock starts at registration, not at tick 0.
   link.last_valid_tick = ticks_done_ - 1;
   link.adapter = adapter;
-  links_[source_id] = std::move(link);
   return Status::OK();
 }
 
 Status ServerNode::UnregisterSource(int source_id) {
-  if (predictors_.erase(source_id) == 0) {
-    return Status::NotFound(StrFormat("source %d not registered", source_id));
-  }
-  links_.erase(source_id);
+  if (links_.erase(source_id) == 0) return NotRegistered(source_id);
   return Status::OK();
 }
 
 void ServerNode::set_trace_sink(TraceSink* sink) {
   obs_sink_ = sink;
-  for (auto& [id, predictor] : predictors_) {
-    predictor->SetTrace(sink, id, TraceActor::kServerFilter);
+  for (auto& [id, link] : links_) {
+    link.predictor->SetTrace(sink, id, TraceActor::kServerFilter);
   }
 }
 
@@ -72,19 +86,19 @@ Status ServerNode::TickAll() {
       }
     }
   }
-  for (auto& [id, predictor] : predictors_) {
-    DKF_RETURN_IF_ERROR(predictor->Tick());
+  // A second pass, so every degraded event of the tick is emitted before
+  // any predictor's fast-path transition.
+  for (auto& [id, link] : links_) {
+    DKF_RETURN_IF_ERROR(link.predictor->Tick());
   }
   ++ticks_done_;
   return Status::OK();
 }
 
 Status ServerNode::TickSource(int source_id) {
-  auto it = predictors_.find(source_id);
-  if (it == predictors_.end()) {
-    return Status::NotFound(StrFormat("source %d not registered", source_id));
-  }
-  return it->second->Tick();
+  Link* link = FindLink(source_id);
+  if (link == nullptr) return NotRegistered(source_id);
+  return link->predictor->Tick();
 }
 
 bool ServerNode::Admit(const Message& message, uint32_t* last_sequence,
@@ -134,12 +148,13 @@ bool ServerNode::Admit(const Message& message, uint32_t* last_sequence,
 }
 
 Status ServerNode::OnMessage(const Message& message) {
-  auto it = predictors_.find(message.source_id);
-  if (it == predictors_.end()) {
+  Link* found = FindLink(message.source_id);
+  if (found == nullptr) {
     return Status::NotFound(
         StrFormat("message for unregistered source %d", message.source_id));
   }
-  LinkState& link = links_[message.source_id];
+  Link& link = *found;
+  Predictor& predictor = *link.predictor;
   const int64_t now = ticks_done_ - 1;
   if (!Admit(message, &link.last_sequence, &link.last_valid_tick)) {
     return Status::OK();
@@ -156,7 +171,7 @@ Status ServerNode::OnMessage(const Message& message) {
         // values, in the same order, that corrected the mirror, which is
         // what keeps both NoiseAdapter instances bit-identical.
         KalmanFilter* adaptable =
-            link.adapter.enabled() ? it->second->AdaptableFilter() : nullptr;
+            link.adapter.enabled() ? predictor.AdaptableFilter() : nullptr;
         NoiseAdapter::Decision adapt_decision;
         if (adaptable != nullptr) {
           auto decision_or =
@@ -164,7 +179,7 @@ Status ServerNode::OnMessage(const Message& message) {
           if (!decision_or.ok()) return decision_or.status();
           adapt_decision = decision_or.value();
         }
-        DKF_RETURN_IF_ERROR(it->second->Update(message.payload));
+        DKF_RETURN_IF_ERROR(predictor.Update(message.payload));
         if (adaptable != nullptr) {
           DKF_RETURN_IF_ERROR(link.adapter.InstallInto(adaptable));
           if (adapt_decision.frozen) {
@@ -198,19 +213,19 @@ Status ServerNode::OnMessage(const Message& message) {
       snapshot.state = message.resync_state;
       snapshot.covariance = message.resync_covariance;
       snapshot.step = message.resync_step;
-      DKF_RETURN_IF_ERROR(it->second->ImportState(snapshot));
+      DKF_RETURN_IF_ERROR(predictor.ImportState(snapshot));
       if (link.adapter.enabled()) {
         // Re-lock the noise servo with the mirror's shipped state and
         // install its effective Q/R *before* replaying the in-flight
         // ticks, so the replayed Predicts inflate with the same Q the
         // mirror used while the snapshot was in flight.
         DKF_RETURN_IF_ERROR(link.adapter.ImportState(message.resync_adapt));
-        if (KalmanFilter* adaptable = it->second->AdaptableFilter()) {
+        if (KalmanFilter* adaptable = predictor.AdaptableFilter()) {
           DKF_RETURN_IF_ERROR(link.adapter.InstallInto(adaptable));
         }
       }
       for (int64_t i = 0; i < in_flight_ticks; ++i) {
-        DKF_RETURN_IF_ERROR(it->second->Tick());
+        DKF_RETURN_IF_ERROR(predictor.Tick());
       }
       ++faults_.resyncs_applied;
       link.last_resync_tick = now;
@@ -234,65 +249,52 @@ Status ServerNode::OnMessage(const Message& message) {
 }
 
 Result<ServerNode::LinkSnapshot> ServerNode::ExportLink(int source_id) const {
-  auto it = predictors_.find(source_id);
-  auto link_it = links_.find(source_id);
-  if (it == predictors_.end() || link_it == links_.end()) {
-    return Status::NotFound(StrFormat("source %d not registered", source_id));
-  }
+  const Link* link = FindLink(source_id);
+  if (link == nullptr) return NotRegistered(source_id);
   LinkSnapshot snapshot;
-  snapshot.last_sequence = link_it->second.last_sequence;
-  snapshot.last_valid_tick = link_it->second.last_valid_tick;
-  snapshot.last_resync_tick = link_it->second.last_resync_tick;
-  snapshot.last_update_tick = link_it->second.last_update_tick;
-  auto full_or = it->second->ExportFullState();
+  snapshot.last_sequence = link->last_sequence;
+  snapshot.last_valid_tick = link->last_valid_tick;
+  snapshot.last_resync_tick = link->last_resync_tick;
+  snapshot.last_update_tick = link->last_update_tick;
+  auto full_or = link->predictor->ExportFullState();
   if (!full_or.ok()) return full_or.status();
   snapshot.predictor = std::move(full_or).value();
-  snapshot.adapt = link_it->second.adapter.ExportState();
+  snapshot.adapt = link->adapter.ExportState();
   return snapshot;
 }
 
 Status ServerNode::RestoreLink(int source_id, const LinkSnapshot& snapshot) {
-  auto it = predictors_.find(source_id);
-  auto link_it = links_.find(source_id);
-  if (it == predictors_.end() || link_it == links_.end()) {
-    return Status::NotFound(StrFormat("source %d not registered", source_id));
-  }
-  DKF_RETURN_IF_ERROR(it->second->ImportFullState(snapshot.predictor));
-  link_it->second.last_sequence = snapshot.last_sequence;
-  link_it->second.last_valid_tick = snapshot.last_valid_tick;
-  link_it->second.last_resync_tick = snapshot.last_resync_tick;
-  link_it->second.last_update_tick = snapshot.last_update_tick;
+  Link* link = FindLink(source_id);
+  if (link == nullptr) return NotRegistered(source_id);
+  DKF_RETURN_IF_ERROR(link->predictor->ImportFullState(snapshot.predictor));
+  link->last_sequence = snapshot.last_sequence;
+  link->last_valid_tick = snapshot.last_valid_tick;
+  link->last_resync_tick = snapshot.last_resync_tick;
+  link->last_update_tick = snapshot.last_update_tick;
   // The FullState above already carries the adapted effective Q/R; only
   // the servo statistics need restoring.
-  DKF_RETURN_IF_ERROR(link_it->second.adapter.ImportState(snapshot.adapt));
-  return Status::OK();
+  return link->adapter.ImportState(snapshot.adapt);
 }
 
-int64_t ServerNode::OverdueTicks(const LinkState& link) const {
+int64_t ServerNode::OverdueTicks(const Link& link) const {
   return DegradedOverdueTicks(protocol_, ticks_done_ - 1,
                               link.last_valid_tick, link.last_resync_tick);
 }
 
 Result<Vector> ServerNode::Answer(int source_id) const {
-  auto it = predictors_.find(source_id);
-  if (it == predictors_.end()) {
-    return Status::NotFound(StrFormat("source %d not registered", source_id));
-  }
-  return it->second->Predicted();
+  const Link* link = FindLink(source_id);
+  if (link == nullptr) return NotRegistered(source_id);
+  return link->predictor->Predicted();
 }
 
 Result<ServerNode::ConfidentAnswer> ServerNode::AnswerWithConfidence(
     int source_id) const {
-  auto it = predictors_.find(source_id);
-  if (it == predictors_.end()) {
-    return Status::NotFound(StrFormat("source %d not registered", source_id));
-  }
+  const Link* link = FindLink(source_id);
+  if (link == nullptr) return NotRegistered(source_id);
   ConfidentAnswer answer;
-  answer.value = it->second->Predicted();
-  answer.covariance = it->second->PredictedCovariance();
-  auto link_it = links_.find(source_id);
-  const int64_t overdue =
-      link_it != links_.end() ? OverdueTicks(link_it->second) : 0;
+  answer.value = link->predictor->Predicted();
+  answer.covariance = link->predictor->PredictedCovariance();
+  const int64_t overdue = OverdueTicks(*link);
   if (overdue > 0) {
     answer.degraded = true;
     if (answer.covariance.has_value()) {
@@ -304,55 +306,42 @@ Result<ServerNode::ConfidentAnswer> ServerNode::AnswerWithConfidence(
 
 Result<double> ServerNode::AnswerScalar(int source_id,
                                         double* variance) const {
-  auto it = predictors_.find(source_id);
-  if (it == predictors_.end()) {
-    return Status::NotFound(StrFormat("source %d not registered", source_id));
-  }
-  if (variance == nullptr) return it->second->PredictedScalar(nullptr);
+  const Link* link = FindLink(source_id);
+  if (link == nullptr) return NotRegistered(source_id);
+  if (variance == nullptr) return link->predictor->PredictedScalar(nullptr);
   std::optional<double> covariance;
-  const double value = it->second->PredictedScalar(&covariance);
+  const double value = link->predictor->PredictedScalar(&covariance);
   *variance = 0.0;
   if (covariance.has_value()) {
     *variance = *covariance;
-    auto link_it = links_.find(source_id);
-    if (link_it != links_.end()) {
-      const int64_t overdue = OverdueTicks(link_it->second);
-      if (overdue > 0) *variance *= DegradedScale(protocol_, overdue);
-    }
+    const int64_t overdue = OverdueTicks(*link);
+    if (overdue > 0) *variance *= DegradedScale(protocol_, overdue);
   }
   return value;
 }
 
 Result<bool> ServerNode::degraded(int source_id) const {
-  auto it = links_.find(source_id);
-  if (it == links_.end()) {
-    return Status::NotFound(StrFormat("source %d not registered", source_id));
-  }
-  return OverdueTicks(it->second) > 0;
+  const Link* link = FindLink(source_id);
+  if (link == nullptr) return NotRegistered(source_id);
+  return OverdueTicks(*link) > 0;
 }
 
 Result<int64_t> ServerNode::last_update_tick(int source_id) const {
-  auto it = links_.find(source_id);
-  if (it == links_.end()) {
-    return Status::NotFound(StrFormat("source %d not registered", source_id));
-  }
-  return it->second.last_update_tick;
+  const Link* link = FindLink(source_id);
+  if (link == nullptr) return NotRegistered(source_id);
+  return link->last_update_tick;
 }
 
 Result<const Predictor*> ServerNode::predictor(int source_id) const {
-  auto it = predictors_.find(source_id);
-  if (it == predictors_.end()) {
-    return Status::NotFound(StrFormat("source %d not registered", source_id));
-  }
-  return static_cast<const Predictor*>(it->second.get());
+  const Link* link = FindLink(source_id);
+  if (link == nullptr) return NotRegistered(source_id);
+  return static_cast<const Predictor*>(link->predictor.get());
 }
 
 Result<const NoiseAdapter*> ServerNode::noise_adapter(int source_id) const {
-  auto it = links_.find(source_id);
-  if (it == links_.end()) {
-    return Status::NotFound(StrFormat("source %d not registered", source_id));
-  }
-  return static_cast<const NoiseAdapter*>(&it->second.adapter);
+  const Link* link = FindLink(source_id);
+  if (link == nullptr) return NotRegistered(source_id);
+  return static_cast<const NoiseAdapter*>(&link->adapter);
 }
 
 }  // namespace dkf

@@ -124,7 +124,7 @@ class ServerNode {
   /// gauges); disabled unless ProtocolOptions::adaptive.enabled.
   Result<const NoiseAdapter*> noise_adapter(int source_id) const;
 
-  size_t num_sources() const { return predictors_.size(); }
+  size_t num_sources() const { return links_.size(); }
 
   /// Wires an observability sink: every ingress outcome (update applied,
   /// resync applied, heartbeat, corrupt/stale rejection) and every tick
@@ -165,8 +165,10 @@ class ServerNode {
   }
 
  private:
-  /// Per-link ingress state for the hardened protocol.
-  struct LinkState {
+  /// One registered source: its predictor KF_s plus the per-link ingress
+  /// state of the hardened protocol.
+  struct Link {
+    std::unique_ptr<Predictor> predictor;
     uint32_t last_sequence = 0;
     /// Tick of the last validated arrival (measurement, resync, or
     /// heartbeat); -1 before the first.
@@ -180,13 +182,16 @@ class ServerNode {
     NoiseAdapter adapter;
   };
 
+  /// The link of `source_id`, or nullptr when it is not registered.
+  const Link* FindLink(int source_id) const;
+  Link* FindLink(int source_id);
+
   /// DegradedOverdueTicks for the link at the last completed tick:
   /// >= 1 exactly when the link is degraded.
-  int64_t OverdueTicks(const LinkState& link) const;
+  int64_t OverdueTicks(const Link& link) const;
 
   ProtocolOptions protocol_;
-  std::map<int, std::unique_ptr<Predictor>> predictors_;
-  std::map<int, LinkState> links_;
+  std::map<int, Link> links_;
   ProtocolFaultStats faults_;
   int64_t ticks_done_ = 0;
   TraceSink* obs_sink_ = nullptr;

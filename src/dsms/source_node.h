@@ -126,6 +126,9 @@ class SourceNode {
   int64_t updates_sent() const { return updates_sent_; }
   int source_id() const { return options_.source_id; }
 
+  /// The model recipe the node's filters were built from.
+  const StateModel& model() const { return options_.model; }
+
   /// True while the node is in the pending-resync state (the mirror may
   /// have diverged from KF_s; suppression is frozen).
   bool resync_pending() const { return pending_; }

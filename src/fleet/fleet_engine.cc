@@ -37,6 +37,13 @@ const KalmanFilter* FilterOf(const Predictor& predictor) {
 /// for batching purposes: lanes in one group share coefficients and the
 /// replay/loaner filters, so any field that could alter arithmetic or
 /// trace behavior must be part of the key.
+///
+/// The key also covers every field the snapshot's Walk<StateModel>
+/// encodes (src/checkpoint/snapshot_io.cc), and a checkpoint relies on
+/// it: CheckpointAccess::Capture writes a resident source's recipe from
+/// its nominal group's model, which encodes to the registered model's
+/// bytes only because no two models that encode differently share a key.
+/// FleetMemory.ModelsDifferingInOneEncodedFieldGetTheirOwnGroup pins it.
 std::string ModelKey(const StateModel& model) {
   const KalmanFilterOptions& o = model.options;
   std::string key = model.name;
@@ -289,6 +296,7 @@ std::optional<FleetEngine::ResidentSource> FleetEngine::FindResident(
   source.delta = g.delta[lane];
   source.updates_sent = record.updates_sent;
   source.measurement_dim = g.m;
+  source.model = &groups_[entry->nominal_group]->model;
   source.noise_adapter = record.adapter != nullptr
                              ? record.adapter.get()
                              : &PrototypeFor(*entry).noise_adapter();

@@ -176,6 +176,9 @@ class FleetEngine {
     double delta = 0.0;
     int64_t updates_sent = 0;
     size_t measurement_dim = 0;
+    /// The recipe the source was registered with: its nominal group's
+    /// model, never the adapted group a servo-moved lane ticks in.
+    const StateModel* model = nullptr;
     /// The mirror-side noise servo (a disabled one without adaptation).
     const NoiseAdapter* noise_adapter = nullptr;
   };

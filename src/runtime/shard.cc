@@ -61,7 +61,6 @@ StreamShard::StreamShard(const ChannelOptions& channel,
       energy_(energy),
       default_delta_(default_delta),
       protocol_(protocol),
-      per_source_rng_(channel.per_source_rng),
       serve_(serve),
       fusion_(protocol, channel.fault) {}
 
@@ -71,7 +70,7 @@ Status StreamShard::EnableFleet() {
     return Status::FailedPrecondition(
         "EnableFleet must be called before any AddSource");
   }
-  if (!per_source_rng_) {
+  if (!channel_.options().per_source_rng) {
     return Status::InvalidArgument(
         "the batched fleet engine requires per_source_rng channels");
   }
@@ -154,12 +153,14 @@ Status StreamShard::Reconfigure(int source_id,
   }
   const EffectiveConfig config =
       ResolveEffectiveConfig(registry, default_delta_, source_id);
-  std::optional<double>& installed = installed_smoothing_[source_id];
   // Only touch (and thereby restart) the KF_c smoother when the factor
   // actually changed. KF_c lives on the SourceNode, so a batch-resident
-  // source spills (rebuilding its node) before such a change lands and
-  // re-enters the batch at the end of the next tick if still eligible;
-  // a delta-only change lands on its lane in place.
+  // source — which never has smoothing on: absorption requires it off —
+  // spills (rebuilding its node) before such a change lands and re-enters
+  // the batch at the end of the next tick if still eligible; a delta-only
+  // change lands on its lane in place.
+  const std::optional<double> installed =
+      it->second != nullptr ? it->second->smoothing_factor() : std::nullopt;
   const bool smoothing_changed = installed != config.smoothing;
   if (smoothing_changed && fleet_ != nullptr) {
     DKF_RETURN_IF_ERROR(fleet_->SpillForReconfigure(source_id));
@@ -168,7 +169,6 @@ Status StreamShard::Reconfigure(int source_id,
                        InstallDelta(source_id, config.delta));
   if (smoothing_changed) {
     DKF_RETURN_IF_ERROR(it->second->set_smoothing(config.smoothing));
-    installed = config.smoothing;
   }
   if (delta_changed || smoothing_changed) ++control_messages_;
   return Status::OK();
@@ -402,32 +402,6 @@ Result<double> StreamShard::AnswerScalar(int source_id,
   return server_.AnswerScalar(source_id, variance);
 }
 
-Result<double> StreamShard::PartialSum(
-    const std::vector<int>& source_ids) const {
-  double sum = 0.0;
-  for (int source_id : source_ids) {
-    auto answer_or = Answer(source_id);
-    if (!answer_or.ok()) return answer_or.status();
-    sum += answer_or.value()[0];
-  }
-  return sum;
-}
-
-Result<std::pair<double, int>> StreamShard::PartialSumWithStatus(
-    const std::vector<int>& source_ids) const {
-  double sum = 0.0;
-  int degraded_members = 0;
-  for (int source_id : source_ids) {
-    auto answer_or = Answer(source_id);
-    if (!answer_or.ok()) return answer_or.status();
-    sum += answer_or.value()[0];
-    auto degraded_or = answer_degraded(source_id);
-    if (!degraded_or.ok()) return degraded_or.status();
-    if (degraded_or.value()) ++degraded_members;
-  }
-  return std::make_pair(sum, degraded_members);
-}
-
 Status StreamShard::VerifyLinkConsistency() const {
   for (const auto& [id, node] : sources_) {
     // A batch-resident source has no node: its one lane holds mirror ==
@@ -514,6 +488,12 @@ Result<size_t> StreamShard::source_dim(int source_id) const {
   std::optional<FleetEngine::ResidentSource> resident;
   DKF_ASSIGN_OR_RETURN(const SourceNode* node, FindNode(source_id, &resident));
   return node != nullptr ? node->mirror().dim() : resident->measurement_dim;
+}
+
+Result<const StateModel*> StreamShard::source_model(int source_id) const {
+  std::optional<FleetEngine::ResidentSource> resident;
+  DKF_ASSIGN_OR_RETURN(const SourceNode* node, FindNode(source_id, &resident));
+  return node != nullptr ? &node->model() : resident->model;
 }
 
 const NoiseAdapter* StreamShard::source_noise_adapter(int source_id) const {

@@ -165,16 +165,6 @@ class StreamShard {
   /// ServerNode::AnswerScalar.
   Result<double> AnswerScalar(int source_id, double* variance) const;
 
-  /// Sum of the current answers for `source_ids` (all owned by this
-  /// shard), in the given order — the shard's contribution to an
-  /// aggregate query.
-  Result<double> PartialSum(const std::vector<int>& source_ids) const;
-
-  /// Sum of the current answers for `source_ids` plus the number of
-  /// members currently served degraded.
-  Result<std::pair<double, int>> PartialSumWithStatus(
-      const std::vector<int>& source_ids) const;
-
   /// Mirror-consistency invariant over this shard's links.
   Status VerifyMirrorConsistency() const;
 
@@ -198,6 +188,11 @@ class StreamShard {
   /// Measurement width of a source's stream (for aggregate-eligibility
   /// checks at the engine).
   Result<size_t> source_dim(int source_id) const;
+
+  /// The model recipe a source was registered with (what a checkpoint
+  /// re-creates it from): its node's, or a batch-resident source's
+  /// nominal group's.
+  Result<const StateModel*> source_model(int source_id) const;
 
   const ChannelStats& uplink_traffic() const { return channel_.total(); }
 
@@ -285,8 +280,6 @@ class StreamShard {
   EnergyModelOptions energy_;
   double default_delta_;
   ProtocolOptions protocol_;
-  /// Remembered from the channel options: EnableFleet requires it.
-  bool per_source_rng_ = false;
   /// Every source's node; null while the source is batch-resident (the
   /// fleet engine frees and rebuilds it through the map slot).
   std::map<int, std::unique_ptr<SourceNode>> sources_;
@@ -301,9 +294,6 @@ class StreamShard {
   /// The standalone ProcessTick's cached layout and slice.
   std::vector<int> layout_ids_;
   ShardReadingSlice layout_slice_;
-  /// Smoothing factor currently installed at each node (tracked so an
-  /// unrelated reconfiguration does not restart KF_c).
-  std::map<int, std::optional<double>> installed_smoothing_;
   /// This shard's slice of the serving front-end: subscriptions against
   /// owned sources, evaluated at the tail of ProcessTick (still on the
   /// worker thread — the per-shard index is what scales the fan-out).

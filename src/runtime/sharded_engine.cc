@@ -40,7 +40,7 @@ Status FirstNonFinite(const ReadingBatch& batch) {
 
 /// The serving layer's view of the whole engine, used by the
 /// engine-level aggregate subscriptions: member values are read from
-/// their owning shards, aggregate sums via the usual partial-sum merge.
+/// their owning shards, aggregate sums in declared member order.
 /// Driver-thread only, between ticks / after the tick joins.
 class ShardedStreamEngine::ServeAnswers final : public ServeAnswerSource {
  public:
@@ -51,8 +51,6 @@ class ShardedStreamEngine::ServeAnswers final : public ServeAnswerSource {
   }
 
   Result<double> AggregateValue(int aggregate_id) const override {
-    // Member order, not shard order: the delivered value must be
-    // bit-identical at any shard count.
     return engine_.AnswerAggregateCanonical(aggregate_id);
   }
 
@@ -122,11 +120,8 @@ Status ShardedStreamEngine::RegisterSource(int source_id,
         StrFormat("id %d already belongs to fusion group %d", source_id,
                   fusion_members_.at(source_id)));
   }
-  const int shard = ShardIndexFor(source_id);
-  DKF_RETURN_IF_ERROR(shards_[static_cast<size_t>(shard)]->AddSource(
-      source_id, model));
-  registered_[source_id] = shard;
-  models_[source_id] = model;
+  DKF_RETURN_IF_ERROR(OwningShard(source_id).AddSource(source_id, model));
+  registered_.insert(source_id);
   return Status::OK();
 }
 
@@ -361,13 +356,6 @@ Status ShardedStreamEngine::SubmitAggregateQuery(
     DKF_RETURN_IF_ERROR(
         OwningShard(source_id).Reconfigure(source_id, registry_));
   }
-  // Group members by owning shard (shard order, member order preserved
-  // within a shard) for partial-sum answering.
-  std::map<int, std::vector<int>> grouped;
-  for (int source_id : query.source_ids) {
-    grouped[ShardIndexFor(source_id)].push_back(source_id);
-  }
-  binding.members_by_shard.assign(grouped.begin(), grouped.end());
   aggregates_[query.id] = std::move(binding);
   return Status::OK();
 }
@@ -394,51 +382,35 @@ Status ShardedStreamEngine::RemoveAggregateQuery(int aggregate_id) {
   return Status::OK();
 }
 
-Result<double> ShardedStreamEngine::AnswerAggregate(int aggregate_id) const {
-  auto it = aggregates_.find(aggregate_id);
-  if (it == aggregates_.end()) {
-    return Status::NotFound(
-        StrFormat("aggregate %d not registered", aggregate_id));
-  }
-  double sum = 0.0;
-  for (const auto& [shard, members] : it->second.members_by_shard) {
-    auto partial_or = shards_[static_cast<size_t>(shard)]->PartialSum(members);
-    if (!partial_or.ok()) return partial_or.status();
-    sum += partial_or.value();
-  }
-  return sum;
-}
-
 Result<double> ShardedStreamEngine::AnswerAggregateCanonical(
     int aggregate_id) const {
-  auto it = aggregates_.find(aggregate_id);
-  if (it == aggregates_.end()) {
-    return Status::NotFound(
-        StrFormat("aggregate %d not registered", aggregate_id));
-  }
-  double sum = 0.0;
-  for (int source_id : it->second.source_ids) {
-    auto answer_or = Answer(source_id);
-    if (!answer_or.ok()) return answer_or.status();
-    sum += answer_or.value()[0];
-  }
-  return sum;
+  DKF_ASSIGN_OR_RETURN(const AggregateAnswer aggregate,
+                       SumAggregate(aggregate_id, /*count_degraded=*/false));
+  return aggregate.value;
 }
 
 Result<ShardedStreamEngine::AggregateAnswer>
 ShardedStreamEngine::AnswerAggregateWithStatus(int aggregate_id) const {
+  return SumAggregate(aggregate_id, /*count_degraded=*/true);
+}
+
+Result<ShardedStreamEngine::AggregateAnswer>
+ShardedStreamEngine::SumAggregate(int aggregate_id,
+                                  bool count_degraded) const {
   auto it = aggregates_.find(aggregate_id);
   if (it == aggregates_.end()) {
     return Status::NotFound(
         StrFormat("aggregate %d not registered", aggregate_id));
   }
   AggregateAnswer aggregate;
-  for (const auto& [shard, members] : it->second.members_by_shard) {
-    auto partial_or =
-        shards_[static_cast<size_t>(shard)]->PartialSumWithStatus(members);
-    if (!partial_or.ok()) return partial_or.status();
-    aggregate.value += partial_or.value().first;
-    aggregate.degraded_members += partial_or.value().second;
+  for (int source_id : it->second.source_ids) {
+    const StreamShard& shard = OwningShard(source_id);
+    DKF_ASSIGN_OR_RETURN(const Vector answer, shard.Answer(source_id));
+    aggregate.value += answer[0];
+    if (!count_degraded) continue;
+    DKF_ASSIGN_OR_RETURN(const bool degraded,
+                         shard.answer_degraded(source_id));
+    if (degraded) ++aggregate.degraded_members;
   }
   return aggregate;
 }
@@ -525,8 +497,8 @@ Status ShardedStreamEngine::ProcessTick(const ReadingBatch& batch) {
     return shards_[index - n]->ProcessTick(tick, batch, slices_[index - n]);
   }));
   if (!finite.load(std::memory_order_relaxed)) return FirstNonFinite(batch);
-  // Aggregate subscriptions need every shard's partial sums, so their
-  // serve pass runs on the driver after the tick joins.
+  // Aggregate subscriptions read members on every shard, so their serve
+  // pass runs on the driver after the tick joins.
   DKF_RETURN_IF_ERROR(aggregate_serve_.EndTick(tick, ServeAnswers(*this)));
   DKF_RETURN_IF_ERROR(MaybeRunGovernor());
   ++ticks_;
@@ -755,8 +727,8 @@ Status ShardedStreamEngine::MaybeRunGovernor() {
 
   std::vector<GovernorSourceSample> samples;
   samples.reserve(registered_.size());
-  for (const auto& [source_id, shard_index] : registered_) {
-    const StreamShard& shard = *shards_[static_cast<size_t>(shard_index)];
+  for (int source_id : registered_) {
+    const StreamShard& shard = OwningShard(source_id);
     GovernorSourceSample sample;
     sample.source_id = source_id;
     const ChannelStats& uplink = shard.source_uplink(source_id);
@@ -861,8 +833,8 @@ MetricsRegistry ShardedStreamEngine::MetricsSnapshot() const {
   // because the per-source channel counters are (per-source RNG) and
   // the governor's EWMA state is layout-free.
   if (!sinks_.empty()) {
-    for (const auto& [source_id, shard_index] : registered_) {
-      const StreamShard& shard = *shards_[static_cast<size_t>(shard_index)];
+    for (int source_id : registered_) {
+      const StreamShard& shard = OwningShard(source_id);
       const ChannelStats& uplink = shard.source_uplink(source_id);
       registry.SetGauge(StrFormat("uplink.bytes.%d", source_id),
                         static_cast<double>(uplink.bytes));

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -84,10 +85,10 @@ struct ShardedStreamEngineOptions {
 /// every other layout is bit-identical to.
 ///
 /// Aggregate (SUM) queries split their precision budget into per-source
-/// deltas and are answered by combining per-shard partial sums, so the
-/// precision guarantee |answer - true sum| <= precision is unchanged by
-/// sharding. (The floating-point summation *order* does follow the shard
-/// layout; see docs/runtime.md.)
+/// deltas and are answered by summing the members' answers in declared
+/// member order, so the precision guarantee |answer - true sum| <=
+/// precision is unchanged by sharding and the answer is bit-identical at
+/// any shard count (docs/runtime.md).
 ///
 /// Thread contract: the engine is driven from one thread; all
 /// parallelism is internal to ProcessTick, which returns only after
@@ -172,21 +173,17 @@ class ShardedStreamEngine {
   /// nullptr for an unknown group.
   const FusionEngine* fusion_for_group(int group_id) const;
 
-  /// The current aggregate answer: the sum of per-shard partial sums.
-  Result<double> AnswerAggregate(int aggregate_id) const;
-
-  /// The aggregate answer summed in the aggregate's declared member
-  /// order instead of shard order — a layout-invariant float summation,
-  /// bit-identical to the single-shard answer at any shard count. This
-  /// is the value the serving layer delivers (the notification stream
-  /// is pinned bit-exactly across layouts; AnswerAggregate's partial
-  /// sums are only equal up to reordering).
+  /// The current aggregate answer: the members' answers summed in the
+  /// aggregate's declared member order — a layout-invariant float
+  /// summation, bit-identical to the single-shard answer at any shard
+  /// count. This is the value the serving layer delivers.
   Result<double> AnswerAggregateCanonical(int aggregate_id) const;
 
   /// Aggregate answer plus degradation status: how many member sources
-  /// are currently served degraded. A nonzero count voids the
-  /// aggregate's precision guarantee for this tick (see
-  /// docs/protocol.md §6).
+  /// are currently served degraded. The value is
+  /// AnswerAggregateCanonical's, summed in the same member order. A
+  /// nonzero count voids the aggregate's precision guarantee for this
+  /// tick (see docs/protocol.md §6).
   struct AggregateAnswer {
     double value = 0.0;
     int degraded_members = 0;
@@ -379,6 +376,12 @@ class ShardedStreamEngine {
   /// ids too).
   Status PartitionReadings(const std::vector<int>& ids);
 
+  /// The one aggregate summation rule: the members' answers added in
+  /// declared member order, plus (when `count_degraded`) how many of
+  /// them are served degraded.
+  Result<AggregateAnswer> SumAggregate(int aggregate_id,
+                                       bool count_degraded) const;
+
   /// Re-primes the aggregate-serve value caches after a restore.
   Status RefreshServeCaches();
 
@@ -400,26 +403,22 @@ class ShardedStreamEngine {
 
   ShardedStreamEngineOptions options_;
   std::vector<std::unique_ptr<StreamShard>> shards_;
-  /// Registered source ids (membership; the shard index is derived).
-  std::map<int, int> registered_;  // source id -> shard index
+  /// Registered source ids (membership only: ShardIndexFor derives the
+  /// owning shard, and the shard owns everything else about a source).
+  std::set<int> registered_;
   /// Fusion-group topology: group id -> pinned shard index, member id ->
   /// owning group id. Kept engine-wide so id-collision validation and
   /// readings-count checks never have to poll shards.
   std::map<int, int> fusion_groups_;
   std::map<int, int> fusion_members_;
 
-  /// Aggregate id -> member sources, their synthetic queries, and the
-  /// members grouped by shard (in shard order) for partial-sum answers.
+  /// Aggregate id -> member sources (declared order, the summation
+  /// order) and their synthetic queries.
   struct AggregateBinding {
     std::vector<int> source_ids;
     std::vector<int> synthetic_query_ids;
-    std::vector<std::pair<int, std::vector<int>>> members_by_shard;
   };
   std::map<int, AggregateBinding> aggregates_;
-
-  /// The model recipe each source was registered with, retained so a
-  /// checkpoint can re-create the source on restore.
-  std::map<int, StateModel> models_;
 
   QueryRegistry registry_;
   /// Engine-level slice of the serving front-end: aggregate

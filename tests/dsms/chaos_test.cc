@@ -301,7 +301,7 @@ TEST(ChaosTest, ShardCountInvarianceUnderFullFaultCocktail) {
         auto seq_agg = single.AnswerAggregateWithStatus(kAggregateId);
         auto par_agg = engine->AnswerAggregateWithStatus(kAggregateId);
         ASSERT_TRUE(seq_agg.ok() && par_agg.ok());
-        ASSERT_NEAR(seq_agg.value().value, par_agg.value().value, 1e-9);
+        ASSERT_EQ(seq_agg.value().value, par_agg.value().value);
         ASSERT_EQ(seq_agg.value().degraded_members,
                   par_agg.value().degraded_members);
       }

@@ -190,8 +190,8 @@ TEST(StreamManagerTest, AggregateQueryLifecycle) {
   // Uniform split: each source runs at delta = 3.
   EXPECT_DOUBLE_EQ(engine.source_delta(1).value(), 3.0);
   EXPECT_DOUBLE_EQ(engine.source_delta(2).value(), 3.0);
-  EXPECT_TRUE(engine.AnswerAggregate(10).ok());
-  EXPECT_EQ(engine.AnswerAggregate(11).status().code(),
+  EXPECT_TRUE(engine.AnswerAggregateCanonical(10).ok());
+  EXPECT_EQ(engine.AnswerAggregateCanonical(11).status().code(),
             StatusCode::kNotFound);
 
   ASSERT_TRUE(engine.RemoveAggregateQuery(10).ok());
@@ -225,7 +225,7 @@ TEST(StreamManagerTest, AggregateAnswerWithinPrecision) {
                     .ProcessTick({{1, Vector{a}}, {2, Vector{b}},
                                   {3, Vector{c}}})
                     .ok());
-    const double answered = engine.AnswerAggregate(1).value();
+    const double answered = engine.AnswerAggregateCanonical(1).value();
     // Update ticks correct toward (not exactly onto) the reading, so a
     // small overshoot is possible there; count strict violations of the
     // suppressed-tick bound with a tolerance for that.

@@ -279,6 +279,50 @@ TEST(FleetMemory, LanesDifferingInOneColdFieldKeepSeparateRecords) {
   }
 }
 
+/// Lanes share a group only when their models agree on every field the
+/// snapshot encodes for a StateModel: a checkpoint writes a resident
+/// source's recipe from its group, so two models that differ in one
+/// encoded field must never share one. Each variant differs from the
+/// base model in exactly one such field.
+TEST(FleetMemory, ModelsDifferingInOneEncodedFieldGetTheirOwnGroup) {
+  const StateModel base = ScalarModel(0.01);
+  auto nudge = [](double& value) { value = std::nextafter(value, 1e300); };
+  using Edit = std::function<void(StateModel&)>;
+  const std::vector<std::pair<std::string, Edit>> edits = {
+      {"none", [](StateModel&) {}},
+      {"name", [](StateModel& m) { m.name += "'"; }},
+      {"measurement_dim", [](StateModel& m) { ++m.measurement_dim; }},
+      {"phi", [&](StateModel& m) { nudge(m.options.transition(0, 0)); }},
+      {"H", [&](StateModel& m) { nudge(m.options.measurement(0, 0)); }},
+      {"Q", [&](StateModel& m) { nudge(m.options.process_noise(0, 0)); }},
+      {"R", [&](StateModel& m) { nudge(m.options.measurement_noise(0, 0)); }},
+      {"x0", [&](StateModel& m) { nudge(m.options.initial_state[0]); }},
+      {"P0",
+       [&](StateModel& m) { nudge(m.options.initial_covariance(0, 0)); }},
+      {"fast_path",
+       [](StateModel& m) {
+         m.options.steady_state_fast_path = !m.options.steady_state_fast_path;
+       }},
+      {"tolerance",
+       [&](StateModel& m) { nudge(m.options.steady_state_tolerance); }},
+  };
+  const std::map<int, Vector> quiet = {{1, Vector{0.0}}, {2, Vector{0.0}}};
+  for (const auto& [name, edit] : edits) {
+    SCOPED_TRACE(name);
+    StateModel variant = base;
+    edit(variant);
+    ShardedStreamEngineOptions options;
+    options.batched_fleet = true;
+    options.channel.per_source_rng = true;
+    ShardedStreamEngine engine(options);
+    ASSERT_TRUE(engine.RegisterSource(1, base).ok());
+    ASSERT_TRUE(engine.RegisterSource(2, variant).ok());
+    for (int64_t t = 0; t < 5; ++t) ASSERT_TRUE(engine.ProcessTick(quiet).ok());
+    ASSERT_EQ(engine.fleet_resident_count(), 2u);
+    EXPECT_EQ(engine.fleet_footprint().lane_groups, name == "none" ? 1 : 2);
+  }
+}
+
 /// Every per-source fact the shard answers from a lane must equal what
 /// the per-source twin's node says, tick by tick; the checkpoints (which
 /// carry each source's fault counters and servo state) must be

@@ -155,11 +155,10 @@ TEST(ShardedStreamEngineTest, BitExactEquivalenceWithSingleShard) {
       auto planar_par = engine->Answer(kPlanarSourceId).value();
       ASSERT_EQ(planar_seq[0], planar_par[0]);
       ASSERT_EQ(planar_seq[1], planar_par[1]);
-      // Aggregate answers combine per-shard partial sums; only the FP
-      // summation order differs from the single shard's. The canonical
-      // member-order sum is bit-exact.
-      ASSERT_NEAR(reference->AnswerAggregate(7).value(),
-                  engine->AnswerAggregate(7).value(), 1e-9);
+      // Aggregate answers sum in declared member order, so they are
+      // bit-exact at any shard count.
+      ASSERT_EQ(reference->AnswerAggregateWithStatus(7).value().value,
+                engine->AnswerAggregateWithStatus(7).value().value);
       ASSERT_EQ(reference->AnswerAggregateCanonical(7).value(),
                 engine->AnswerAggregateCanonical(7).value());
     }
@@ -240,7 +239,8 @@ TEST(ShardedStreamEngineTest, ErrorSurface) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(engine.RemoveQuery(1 << 24).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(engine.Answer(2).status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(engine.AnswerAggregate(9).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(engine.AnswerAggregateCanonical(9).status().code(),
+            StatusCode::kNotFound);
 
   // Readings batch validation: exactly one reading per source.
   ASSERT_TRUE(engine.RegisterSource(2, ScalarModel()).ok());
@@ -389,7 +389,8 @@ TEST(ShardedStreamEngineTest, AggregateLifecycleAndPartialSums) {
     // Update ticks correct toward (not exactly onto) the reading, so a
     // small overshoot is possible there; count strict violations of the
     // suppressed-tick bound with a tolerance for that.
-    if (std::fabs(engine.AnswerAggregate(3).value() - truth) > 16.0 + 0.5) {
+    const double answer = engine.AnswerAggregateCanonical(3).value();
+    if (std::fabs(answer - truth) > 16.0 + 0.5) {
       ++violations;
     }
   }
