@@ -65,16 +65,13 @@ class ServerNode {
   /// Applies an update, resync, heartbeat, or model-switch message.
   Status OnMessage(const Message& message);
 
-  /// The ingress validation rule (docs/protocol.md §6) for a message on a
-  /// link whose sequence bookkeeping is `*last_sequence` and
-  /// `*last_valid_tick`: a corrupt message is counted as rejected_corrupt,
-  /// a duplicate, reordered or late (measurement, heartbeat) one as
-  /// rejected_stale, each with its trace event, and false is returned.
-  /// An admitted sequenced message counts its sequence gap and advances
-  /// the bookkeeping; an admitted heartbeat is counted and traced, which
-  /// is all it does. OnMessage applies the admitted measurements and
-  /// resyncs; the batched fleet engine admits its resident lanes'
-  /// heartbeats here, so every count lands in fault_stats().
+  /// AdmitMessage (dsms/protocol.h), the ingress rule, at this server's
+  /// current tick, counting into fault_stats() and tracing to this
+  /// server's sink, for a message on a link whose sequence bookkeeping
+  /// is `*last_sequence` and `*last_valid_tick`. OnMessage applies the
+  /// admitted measurements and resyncs; the batched fleet engine admits
+  /// its resident lanes' heartbeats here, so every count lands in
+  /// fault_stats().
   bool Admit(const Message& message, uint32_t* last_sequence,
              int64_t* last_valid_tick);
 

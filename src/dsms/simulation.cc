@@ -5,6 +5,7 @@
 #include <set>
 
 #include "common/string_util.h"
+#include "core/suppression.h"
 #include "dsms/channel.h"
 #include "dsms/server_node.h"
 #include "dsms/source_node.h"
@@ -59,7 +60,6 @@ Result<std::vector<SourceReport>> DsmsSimulation::Run() {
     options.source_id = config.id;
     options.model = config.model;
     options.delta = config.delta;
-    options.norm = config.norm;
     options.smoothing_factor = config.smoothing_factor;
     options.smoothing_measurement_variance =
         config.smoothing_measurement_variance;

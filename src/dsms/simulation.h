@@ -6,7 +6,6 @@
 
 #include "common/result.h"
 #include "common/time_series.h"
-#include "core/suppression.h"
 #include "dsms/channel.h"
 #include "dsms/energy_model.h"
 #include "models/state_model.h"
@@ -18,8 +17,7 @@ struct SimulationSourceConfig {
   int id = 0;
   TimeSeries data{1};  ///< the readings the sensor will observe
   StateModel model;    ///< shared KF_m / KF_s recipe
-  double delta = 1.0;
-  DeviationNorm norm = DeviationNorm::kMaxAbs;
+  double delta = 1.0;  ///< max-abs precision width (SourceNodeOptions)
   std::optional<double> smoothing_factor;  ///< KF_c factor F, if smoothing
   double smoothing_measurement_variance = 1.0;
 };

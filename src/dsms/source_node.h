@@ -4,12 +4,10 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <vector>
 
 #include "common/result.h"
 #include "core/predictor.h"
 #include "core/smoothing.h"
-#include "core/suppression.h"
 #include "dsms/channel.h"
 #include "dsms/energy_model.h"
 #include "dsms/protocol.h"
@@ -26,14 +24,10 @@ struct SourceNodeOptions {
   /// The stream model shared with the server (defines KF_m / KF_s).
   StateModel model;
 
-  /// Precision width delta_i installed by the query layer.
+  /// Precision width delta_i installed by the query layer. The node
+  /// transmits when any attribute deviates from the mirror's prediction
+  /// by more than delta (the max-abs norm, §5.1).
   double delta = 1.0;
-  DeviationNorm norm = DeviationNorm::kMaxAbs;
-
-  /// When non-empty, overrides delta/norm with per-attribute widths
-  /// (transmit when ANY attribute deviates beyond its own width). Must
-  /// match the model's measurement width.
-  std::vector<double> component_deltas;
 
   /// When set, readings pass through a KF_c smoothing filter with this
   /// factor F before reaching the mirror (§4.3). Only valid for width-1
@@ -131,12 +125,12 @@ class SourceNode {
 
   /// True while the node is in the pending-resync state (the mirror may
   /// have diverged from KF_s; suppression is frozen).
-  bool resync_pending() const { return pending_; }
+  bool resync_pending() const { return link_.pending; }
 
   /// Resync-episode bookkeeping (reset when the episode heals) and the
   /// installed smoothing factor. The batched fleet engine reads these in
   /// place to keep such sources off its lanes (docs/fleet.md).
-  int resync_attempts() const { return resync_attempts_; }
+  int resync_attempts() const { return link_.resync_attempts; }
   uint32_t first_resync_sequence() const { return first_resync_sequence_; }
   const std::optional<double>& smoothing_factor() const {
     return options_.smoothing_factor;
@@ -159,10 +153,11 @@ class SourceNode {
 
   /// Everything that distinguishes this node from a freshly created one
   /// with the same model: filters (KF_m and, when active, KF_c), installed
-  /// reconfig state, energy totals, wire sequence counter, the divergence
-  /// state machine, and the fault counters. Export/Import round-trips the
-  /// node bit-exactly across a checkpoint (docs/checkpoint.md).
-  struct CheckpointState {
+  /// reconfig state, energy totals, the sender half of the link (wire
+  /// sequence counter, heartbeat clock, divergence episode), and the
+  /// fault counters. Export/Import round-trips the node bit-exactly
+  /// across a checkpoint (docs/checkpoint.md).
+  struct CheckpointState : LinkSender {
     double delta = 1.0;
     std::optional<double> smoothing_factor;
     double smoothing_measurement_variance = 1.0;
@@ -174,13 +169,7 @@ class SourceNode {
     double energy_sensing = 0.0;
     int64_t readings = 0;
     int64_t updates_sent = 0;
-    uint32_t next_sequence = 1;
-    bool pending = false;
-    int64_t pending_since = 0;
     uint32_t first_resync_sequence = 0;
-    int32_t resync_attempts = 0;
-    int64_t last_resync_tick = -1;
-    int64_t last_send_tick = -1;
     ProtocolFaultStats faults;
     /// NoiseAdapter::ExportState() payload; empty when adaptation is off
     /// (docs/checkpoint.md).
@@ -216,7 +205,7 @@ class SourceNode {
   /// Processes a deferred ACK (delayed delivery) for sequence `sequence`.
   void HandleAck(uint32_t sequence, int64_t tick);
 
-  /// Leaves the pending state, recording the episode length.
+  /// LinkSender::Heal, closing the episode's resync sequence range too.
   void Heal(int64_t tick);
 
   /// Transmits a full-state resync if the retry policy says one is due.
@@ -231,18 +220,13 @@ class SourceNode {
   int64_t readings_ = 0;
   int64_t updates_sent_ = 0;
 
-  /// Next wire sequence number (0 is reserved for "unsequenced").
-  uint32_t next_sequence_ = 1;
-  /// Divergence state machine (see docs/protocol.md §6).
-  bool pending_ = false;
-  int64_t pending_since_ = 0;
+  /// Sequence counter, heartbeat clock and divergence state machine
+  /// (see docs/protocol.md §6).
+  LinkSender link_;
   /// First sequence number used for a resync in the current episode; any
-  /// ACKed sequence >= this proves a resync got through.
+  /// ACKed sequence >= this proves a resync got through. Source-only: a
+  /// fusion member heals by broadcast, never by ACK (docs/fusion.md §3).
   uint32_t first_resync_sequence_ = 0;
-  int resync_attempts_ = 0;
-  int64_t last_resync_tick_ = -1;
-  /// Tick of the last transmission attempt of any kind (heartbeat pacing).
-  int64_t last_send_tick_ = -1;
   ProtocolFaultStats faults_;
   /// Mirror-side Q/R servo; adapts only on ACKed corrections so it stays
   /// bit-identical to the server-side instance (docs/adaptive.md).

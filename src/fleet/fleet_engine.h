@@ -521,10 +521,11 @@ class FleetEngine {
   /// materializing its covariance.
   void DisarmLane(Group& g, size_t lane, bool server_event_emitted);
 
-  /// SourceNode::ProcessReading's heartbeat, sent from the lane: the
-  /// sequence number from its record, the transmission charge, the
-  /// counters, the trace event and the channel's per-source fault draws.
-  /// The ACK is ignored, as it is there.
+  /// SourceNode::ProcessReading's heartbeat, sent from the lane:
+  /// CountHeartbeatSent (dsms/protocol.h) on the record's sequence
+  /// counter and faults and the lane's clock, the transmission charge and
+  /// the channel's per-source fault draws. The ACK is ignored, as it is
+  /// there.
   Status SendHeartbeat(Group& g, size_t lane, int64_t tick);
 
   /// Ticks every lane of group `gi` through one loop: the armed and

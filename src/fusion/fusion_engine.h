@@ -206,20 +206,14 @@ class FusionEngine {
 
   // ---- checkpoint hooks (src/checkpoint/engine_checkpoint.cc) -------
 
-  /// Everything one member carries across a snapshot. The member's
-  /// channel lane travels separately (the host owns the channel).
-  struct MemberState {
+  /// Everything one member carries across a snapshot: its sender half
+  /// (the member's LinkSender, copied whole) plus the fused mirror and
+  /// the cursors. The member's channel lane travels separately (the host
+  /// owns the channel).
+  struct MemberState : LinkSender {
     int source_id = 0;
     KalmanFilter::FullState mirror;
     int64_t mirror_version = 0;
-    bool pending = false;
-    int64_t pending_since = 0;
-    int32_t resync_attempts = 0;
-    int64_t last_resync_tick = 0;
-    /// -1 = never sent, matching SourceNode's clock so a single-member
-    /// group heartbeats on the exact schedule a plain source would.
-    int64_t last_send_tick = -1;
-    uint32_t next_sequence = 1;
     uint32_t last_sequence = 0;  // server-side duplicate/stale cursor
     int64_t synced_version = 0;  // server-side broadcast reach cursor
   };
@@ -255,16 +249,18 @@ class FusionEngine {
  private:
   struct Member {
     explicit Member(KalmanFilter mirror_filter)
-        : mirror(std::move(mirror_filter)) {}
+        : mirror(std::move(mirror_filter)) {
+      // A member's resync clock starts at 0 (SourceNode's at -1); the
+      // snapshot encodes it, so it stays.
+      link.last_resync_tick = 0;
+    }
 
     KalmanFilter mirror;
     int64_t mirror_version = 0;
-    bool pending = false;
-    int64_t pending_since = 0;
-    int32_t resync_attempts = 0;
-    int64_t last_resync_tick = 0;
-    int64_t last_send_tick = -1;  // -1 = never sent (SourceNode's clock)
-    uint32_t next_sequence = 1;
+    /// The sender half, SourceNode's rules: sequence counter, heartbeat
+    /// clock (the same -1 start, so a single-member group heartbeats on
+    /// a plain source's schedule) and divergence episode.
+    LinkSender link;
     uint32_t last_sequence = 0;
     int64_t synced_version = 0;
   };
@@ -298,7 +294,6 @@ class FusionEngine {
                     const Vector& reading, int64_t tick, Channel* channel);
   Status MaybeSendResync(Group& group, int member_id, Member& member,
                          int64_t tick, Channel* channel);
-  void Heal(Group& group, int member_id, Member& member, int64_t tick);
   /// DegradedOverdueTicks for the group at `now_`: >= 1 exactly when the
   /// group is degraded.
   int64_t OverdueTicks(const Group& group) const;

@@ -2,7 +2,9 @@
 // (checksummed) message that was corrupted in flight may ever be
 // accepted by the server. Every flip of a checksum-covered field must
 // bounce off the FNV-1a gate — counted, traced as exactly one
-// corrupt_reject event, and leaving the predictor state untouched.
+// corrupt_reject event, and leaving the predictor state untouched. The
+// same frames, addressed to a fusion group from a live and from a
+// removed member, must bounce off the fused ingress the same way.
 
 #include <cstdint>
 #include <cstring>
@@ -15,6 +17,7 @@
 #include "dsms/server_node.h"
 #include "filter/adaptive_noise.h"
 #include "filter/kalman_filter.h"
+#include "fusion/fusion_engine.h"
 #include "models/model_factory.h"
 #include "obs/trace.h"
 #include "obs/trace_sink.h"
@@ -95,6 +98,32 @@ TEST(CorruptionFuzzTest, FlippedBitsNeverReachTheFilter) {
   server.set_trace_sink(&sink);
   ASSERT_TRUE(server.TickAll().ok());
 
+  // The second target: a fusion group whose live member shares the
+  // source's id, and whose other member was removed before the first
+  // frame. Every frame is re-addressed to the group (the group fields
+  // and the sender are checksum-covered, so each copy is framed afresh);
+  // each flipped frame goes once from each member, because a flipped
+  // frame counts corrupt whoever sent it.
+  constexpr int kGroup = 3;
+  constexpr int kRemoved = 2;
+  FusionEngine fusion{ProtocolOptions(), FaultModel()};
+  FusionGroupConfig group;
+  group.group_id = kGroup;
+  group.model = ScalarModel();
+  group.member_ids = {1, kRemoved};
+  ASSERT_TRUE(fusion.RegisterGroup(group).ok());
+  ASSERT_TRUE(fusion.RemoveMember(kGroup, kRemoved).ok());
+  TraceSink fused_sink;
+  fusion.set_trace_sink(&fused_sink);
+  ASSERT_TRUE(fusion.BeginTick(0).ok());
+  auto to_group = [](Message message, int member) {
+    message.source_id = member;
+    message.group_id = kGroup;
+    message.group_version = 0;
+    message.checksum = message.ComputeChecksum();
+    return message;
+  };
+
   // Prime the predictor with one clean update so there is nontrivial
   // state for corruption to (fail to) disturb.
   Message clean;
@@ -105,6 +134,7 @@ TEST(CorruptionFuzzTest, FlippedBitsNeverReachTheFilter) {
   clean.sequence = 1;
   clean.checksum = clean.ComputeChecksum();
   ASSERT_TRUE(server.OnMessage(clean).ok());
+  ASSERT_TRUE(fusion.OnMessage(to_group(clean, 1)).ok());
 
   Rng rng(4242);
   uint32_t sequence = 2;
@@ -134,12 +164,22 @@ TEST(CorruptionFuzzTest, FlippedBitsNeverReachTheFilter) {
     }
     message.checksum = message.ComputeChecksum();
     ASSERT_EQ(server.OnMessage(message).ok(), true);  // sanity: valid
+    ASSERT_TRUE(fusion.OnMessage(to_group(message, 1)).ok());
 
     Message corrupted = message;
     corrupted.sequence = sequence++;  // fresh sequence, same content
+    Message fused_corrupted = to_group(corrupted, 1);
+    Message removed_corrupted = to_group(corrupted, kRemoved);
     corrupted.checksum = corrupted.ComputeChecksum();
+    // The fused copies take the very same flip: same draws, same shape.
+    Rng fused_rng = rng;
+    Rng removed_rng = rng;
     if (!FlipRandomBit(rng, corrupted)) continue;
-    if (corrupted.ComputeChecksum() == corrupted.checksum) {
+    ASSERT_TRUE(FlipRandomBit(fused_rng, fused_corrupted));
+    ASSERT_TRUE(FlipRandomBit(removed_rng, removed_corrupted));
+    if (corrupted.ComputeChecksum() == corrupted.checksum ||
+        fused_corrupted.ComputeChecksum() == fused_corrupted.checksum ||
+        removed_corrupted.ComputeChecksum() == removed_corrupted.checksum) {
       // An FNV-1a collision (never observed at this seed; tolerated so
       // the test documents the gate's actual contract).
       ++collisions;
@@ -148,13 +188,36 @@ TEST(CorruptionFuzzTest, FlippedBitsNeverReachTheFilter) {
 
     const Vector before = server.Answer(1).value();
     const auto faults_before = server.fault_stats().rejected_corrupt;
+    const Vector fused_before = fusion.Answer(kGroup).value();
+    const ProtocolFaultStats fused_faults_before = fusion.stats().faults;
 #if DKF_OBS_ENABLED
     const int64_t events_before = sink.count(TraceEventKind::kCorruptReject);
+    const int64_t fused_events_before =
+        fused_sink.count(TraceEventKind::kCorruptReject);
 #endif
 
     // Rejection is a protocol event, not an error.
     ASSERT_TRUE(server.OnMessage(corrupted).ok()) << "round " << round;
+    ASSERT_TRUE(fusion.OnMessage(fused_corrupted).ok()) << "round " << round;
+    ASSERT_TRUE(fusion.OnMessage(removed_corrupted).ok())
+        << "round " << round;
     ++injected;
+
+    EXPECT_EQ(fusion.stats().faults.rejected_corrupt,
+              fused_faults_before.rejected_corrupt + 2)
+        << "round " << round;
+    EXPECT_EQ(fusion.stats().faults.rejected_stale,
+              fused_faults_before.rejected_stale)
+        << "round " << round;
+    const Vector fused_after = fusion.Answer(kGroup).value();
+    ASSERT_EQ(fused_after.size(), fused_before.size());
+    EXPECT_EQ(fused_after[0], fused_before[0])
+        << "corrupted frame disturbed the fused posterior, round " << round;
+#if DKF_OBS_ENABLED
+    EXPECT_EQ(fused_sink.count(TraceEventKind::kCorruptReject),
+              fused_events_before + 2)
+        << "round " << round;
+#endif
 
     EXPECT_EQ(server.fault_stats().rejected_corrupt, faults_before + 1)
         << "round " << round;
@@ -171,7 +234,9 @@ TEST(CorruptionFuzzTest, FlippedBitsNeverReachTheFilter) {
   EXPECT_GT(injected, kRounds / 2);
   EXPECT_EQ(collisions, 0);
   EXPECT_EQ(server.fault_stats().rejected_corrupt, injected);
+  EXPECT_EQ(fusion.stats().faults.rejected_corrupt, 2 * injected);
 #if DKF_OBS_ENABLED
+  EXPECT_EQ(fused_sink.count(TraceEventKind::kCorruptReject), 2 * injected);
   // Exactly one corrupt_reject event per rejection, all attributed to
   // the server actor.
   EXPECT_EQ(sink.count(TraceEventKind::kCorruptReject), injected);

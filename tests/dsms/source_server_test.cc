@@ -1,4 +1,5 @@
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -221,6 +222,53 @@ TEST(SourceServerTest, LossInflatesTransmissionsNotErrorBound) {
   EXPECT_GT(lossy, clean);
 }
 
+TEST(SourceServerTest, ResyncRetriesBurstThenBackOff) {
+  // docs/protocol.md §6.2: a measurement lost in a scheduled outage has
+  // an ambiguous ACK and starts an episode. The resync goes out every
+  // tick for resync_burst_retries attempts, then every
+  // resync_retry_backoff ticks; the first one sent after the outage is
+  // ACKed and heals the episode.
+  ProtocolOptions protocol;
+  protocol.resync_burst_retries = 3;
+  protocol.resync_retry_backoff = 4;
+  ServerNode server(protocol);
+  ASSERT_TRUE(server.RegisterSource(1, LinearModel()).ok());
+  ChannelOptions outage;
+  outage.fault.outages.push_back(OutageWindow{/*start=*/10, /*end=*/24});
+  Channel channel(
+      [&server](const Message& message) { return server.OnMessage(message); },
+      outage);
+  SourceNodeOptions options = DefaultSourceOptions(1, 0.5);
+  options.protocol = protocol;
+  auto node_or = SourceNode::Create(options);
+  ASSERT_TRUE(node_or.ok());
+  SourceNode node = std::move(node_or).value();
+
+  std::vector<int64_t> ambiguous_ticks;
+  std::vector<int64_t> resync_ticks;
+  std::vector<int64_t> heal_ticks;
+  bool pending = false;
+  for (int64_t tick = 0; tick < 32; ++tick) {
+    ASSERT_TRUE(server.TickAll().ok());
+    ASSERT_TRUE(channel.BeginTick(tick).ok());
+    const double value = tick < 10 ? 0.0 : 5.0;
+    auto step_or = node.ProcessReading(tick, Vector{value}, &channel);
+    ASSERT_TRUE(step_or.ok()) << "tick " << tick;
+    const SourceStepResult& step = step_or.value();
+    if (step.ack_ambiguous) ambiguous_ticks.push_back(tick);
+    if (step.resync_sent) resync_ticks.push_back(tick);
+    if (pending && !step.pending_resync) heal_ticks.push_back(tick);
+    pending = step.pending_resync;
+  }
+  EXPECT_EQ(ambiguous_ticks, (std::vector<int64_t>{10}));
+  EXPECT_EQ(resync_ticks, (std::vector<int64_t>{10, 11, 12, 16, 20, 24}));
+  EXPECT_EQ(heal_ticks, (std::vector<int64_t>{24}));
+  EXPECT_EQ(node.fault_stats().resyncs_sent, 6);
+  EXPECT_EQ(node.fault_stats().ticks_diverged, 14);
+  EXPECT_EQ(node.fault_stats().max_recovery_ticks, 14);
+  EXPECT_TRUE(node.mirror().StateEquals(*server.predictor(1).value()));
+}
+
 TEST(SourceServerTest, SmoothingFilterChangesProtocolValue) {
   SourceNodeOptions options = DefaultSourceOptions();
   options.smoothing_factor = 1e-9;
@@ -244,44 +292,6 @@ TEST(SourceServerTest, SmoothingFilterChangesProtocolValue) {
     }
   }
   EXPECT_LT(smooth_dev / count, 0.2 * raw_dev / count);
-}
-
-TEST(SourceServerTest, ComponentDeltasValidatedAndApplied) {
-  auto wide_or = MakeLinearModel(2, 1.0, ModelNoise{});
-  ASSERT_TRUE(wide_or.ok());
-
-  SourceNodeOptions options;
-  options.source_id = 1;
-  options.model = wide_or.value();
-  options.component_deltas = {1.0};  // wrong arity
-  EXPECT_FALSE(SourceNode::Create(options).ok());
-  options.component_deltas = {1.0, -2.0};
-  EXPECT_FALSE(SourceNode::Create(options).ok());
-  options.component_deltas = {std::nan(""), 1.0};
-  EXPECT_FALSE(SourceNode::Create(options).ok());
-
-  options.component_deltas = {1.0, 1000.0};
-  auto node_or = SourceNode::Create(options);
-  ASSERT_TRUE(node_or.ok());
-  SourceNode node = std::move(node_or).value();
-
-  // Sync once, then drift only the loose attribute: no transmissions.
-  ASSERT_TRUE(node.ProcessReading(0, Vector{0.0, 0.0}, nullptr).ok());
-  int sent = 0;
-  for (int64_t tick = 1; tick <= 30; ++tick) {
-    auto step_or = node.ProcessReading(
-        tick, Vector{0.0, 30.0 * static_cast<double>(tick)}, nullptr);
-    ASSERT_TRUE(step_or.ok());
-    if (step_or.value().sent) ++sent;
-  }
-  // The linear model learns the Y slope after the first couple of
-  // violations of the loose width... which never happen (30/tick is far
-  // below 1000). Only the initial sync transmissions occur.
-  EXPECT_LE(sent, 2);
-  // A tight-attribute excursion transmits immediately.
-  auto jump_or = node.ProcessReading(31, Vector{50.0, 30.0 * 31}, nullptr);
-  ASSERT_TRUE(jump_or.ok());
-  EXPECT_TRUE(jump_or.value().sent);
 }
 
 TEST(SourceServerTest, EnergyAccountingTracksActivity) {

@@ -300,6 +300,37 @@ TEST(FusionEngineTest, UnknownGroupAndMemberLookups) {
   EXPECT_FALSE(engine.Answer(10).ok());
 }
 
+TEST(FusionEngineTest, UnservableFramesAreErrorsAfterAdmission) {
+  // Frames the fused ingress cannot serve are engine errors, not
+  // protocol events: plain traffic routed here, a model switch, and a
+  // resync stamped with a future tick. The last two pass the shared
+  // ingress rule first (dsms/protocol.h), as on ServerNode, so they
+  // advance the member's sequence cursor.
+  FusionEngine fusion{ProtocolOptions(), FaultModel()};
+  ASSERT_TRUE(fusion.RegisterGroup(GroupOf(1, {10})).ok());
+  ASSERT_TRUE(fusion.BeginTick(0).ok());
+  Message message;
+  message.type = MessageType::kModelSwitch;
+  message.source_id = 10;
+  message.sequence = 1;
+  EXPECT_EQ(fusion.OnMessage(message).code(), StatusCode::kInvalidArgument);
+  message.group_id = 1;
+  EXPECT_EQ(fusion.OnMessage(message).code(), StatusCode::kUnimplemented);
+  message.type = MessageType::kResync;
+  message.sequence = 2;
+  message.tick = 5;
+  EXPECT_EQ(fusion.OnMessage(message).code(), StatusCode::kInternal);
+  message.tick = 0;
+  EXPECT_TRUE(fusion.OnMessage(message).ok());
+  EXPECT_EQ(fusion.stats().faults.rejected_stale, 1);
+  EXPECT_EQ(fusion.stats().faults.resyncs_applied, 0);
+  // A frame for a group that is gone has nowhere to be counted.
+  message.group_id = 2;
+  message.sequence = 3;
+  EXPECT_TRUE(fusion.OnMessage(message).ok());
+  EXPECT_EQ(fusion.stats().faults.rejected_stale, 1);
+}
+
 // ---- fused queries drive the group trigger ---------------------------
 
 TEST(FusionEngineTest, FusedQueriesTightenAndRelaxGroupDelta) {
@@ -461,6 +492,45 @@ TEST(FusionEngineTest, OutageDegradesFusedAnswerAndHealsOnBroadcast) {
   EXPECT_FALSE(engine.fused_degraded(1).value());
   EXPECT_TRUE(engine.VerifyFusedConsistency().ok());
   EXPECT_GT(engine.fusion_stats().faults.degraded_ticks, 0);
+}
+
+TEST(FusionEngineTest, MemberResyncRetriesBurstThenBackOff) {
+  // A member runs SourceNode's retry rule (docs/protocol.md §6.2): a
+  // correction lost in a scheduled outage starts an episode, the member
+  // announces itself every tick for resync_burst_retries attempts, then
+  // every resync_retry_backoff ticks, and the first announcement after
+  // the outage draws the re-lock broadcast that heals it.
+  ShardedStreamEngineOptions options;
+  options.channel.fault.outages.push_back(
+      OutageWindow{/*start=*/10, /*end=*/24});
+  options.protocol.resync_burst_retries = 3;
+  options.protocol.resync_retry_backoff = 4;
+  ShardedStreamEngine engine(options);
+  ASSERT_TRUE(engine.RegisterFusionGroup(GroupOf(1, {10}, 0.5)).ok());
+  const FusionEngine* fusion = engine.fusion_for_group(1);
+  ASSERT_NE(fusion, nullptr);
+
+  std::vector<int64_t> resync_ticks;
+  std::vector<int64_t> heal_ticks;
+  int64_t resyncs_before = 0;
+  bool pending = false;
+  for (int64_t t = 0; t < 32; ++t) {
+    std::map<int, Vector> readings{{10, Vector{t < 10 ? 0.0 : 5.0}}};
+    ASSERT_TRUE(engine.ProcessTick(readings).ok()) << "tick " << t;
+    const FusionStats stats = engine.fusion_stats();
+    if (stats.faults.resyncs_sent > resyncs_before) resync_ticks.push_back(t);
+    resyncs_before = stats.faults.resyncs_sent;
+    const bool now_pending = fusion->member_pending(10).value();
+    if (pending && !now_pending) heal_ticks.push_back(t);
+    pending = now_pending;
+  }
+  EXPECT_EQ(resync_ticks, (std::vector<int64_t>{10, 11, 12, 16, 20, 24}));
+  EXPECT_EQ(heal_ticks, (std::vector<int64_t>{24}));
+  const ProtocolFaultStats faults = engine.fusion_stats().faults;
+  EXPECT_EQ(faults.divergence_events, 1);
+  EXPECT_EQ(faults.ticks_diverged, 14);
+  EXPECT_EQ(faults.max_recovery_ticks, 14);
+  EXPECT_TRUE(engine.VerifyFusedConsistency().ok());
 }
 
 // ---- uplink reduction on a redundant fleet ---------------------------

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/binary_io.h"
 #include "common/rng.h"
 #include "models/model_factory.h"
 #include "obs/trace.h"
@@ -210,6 +211,168 @@ TEST(GoldenTraceTest, TraceReplaysIntoIdenticalCounters) {
   EXPECT_DOUBLE_EQ(replayed.gauge("suppression_ratio"),
                    live.gauge("suppression_ratio"));
   EXPECT_GT(live.counter("trace.suppress"), 0);
+}
+
+// --- 4. The hardened protocol on the fused path, pinned: one 3-member
+// --- group beside one plain source under corruption, delay, ACK loss,
+// --- an outage, heartbeats and a staleness budget, with a member removed
+// --- while its frames are in flight. The fused and plain links share
+// --- their ingress, divergence and heartbeat rules, so a rule wrong in
+// --- both would still agree with itself; these values pin the rules.
+
+constexpr int kPlainId = 1;
+constexpr int kGroupId = 2;
+constexpr int kRemovedMember = 21;
+constexpr int64_t kRemoveTick = 72;
+constexpr int64_t kFusedTicks = 120;
+
+std::string RenderFaults(const ProtocolFaultStats& faults) {
+  std::string out;
+  for (const auto& [name, value] :
+       std::vector<std::pair<const char*, int64_t>>{
+           {"divergence_events", faults.divergence_events},
+           {"resyncs_sent", faults.resyncs_sent},
+           {"heartbeats_sent", faults.heartbeats_sent},
+           {"ambiguous_acks", faults.ambiguous_acks},
+           {"ticks_diverged", faults.ticks_diverged},
+           {"max_recovery_ticks", faults.max_recovery_ticks},
+           {"resyncs_applied", faults.resyncs_applied},
+           {"heartbeats_received", faults.heartbeats_received},
+           {"rejected_stale", faults.rejected_stale},
+           {"rejected_corrupt", faults.rejected_corrupt},
+           {"sequence_gaps", faults.sequence_gaps},
+           {"degraded_ticks", faults.degraded_ticks}}) {
+    out += std::string(name) + "=" + std::to_string(value) + "\n";
+  }
+  return out;
+}
+
+TEST(GoldenTraceTest, FusedChaosRunPinsCountsAndDigest) {
+#if !DKF_OBS_ENABLED
+  GTEST_SKIP() << "observability compiled out (DKF_OBS=OFF)";
+#endif
+  ShardedStreamEngineOptions options;
+  options.channel.seed = 11;
+  options.channel.per_source_rng = true;
+  FaultModel fault;
+  fault.delay = DelayModel{/*min_ticks=*/0, /*max_ticks=*/2};
+  fault.outages.push_back(OutageWindow{/*start=*/40, /*end=*/48});
+  fault.ack_loss_probability = 0.08;
+  fault.corruption_probability = 0.08;
+  options.channel.fault = fault;
+  options.protocol.heartbeat_interval = 3;
+  options.protocol.staleness_budget = 4;
+  options.protocol.resync_burst_retries = 3;
+  options.protocol.resync_retry_backoff = 4;
+  ShardedStreamEngine engine(options);
+  ASSERT_TRUE(engine.EnableTracing().ok());
+  ASSERT_TRUE(engine.RegisterSource(kPlainId, ScalarModel()).ok());
+  ContinuousQuery query;
+  query.id = 1;
+  query.source_id = kPlainId;
+  query.precision = 0.7;
+  ASSERT_TRUE(engine.SubmitQuery(query).ok());
+  FusionGroupConfig group;
+  group.group_id = kGroupId;
+  group.model = ScalarModel(0.04);
+  group.member_ids = {20, kRemovedMember, 22};
+  group.delta = 0.9;
+  ASSERT_TRUE(engine.RegisterFusionGroup(group).ok());
+
+  Rng rng(5);
+  double truth = 0.0;
+  for (int64_t t = 0; t < kFusedTicks; ++t) {
+    if (t == kRemoveTick) {
+      ASSERT_TRUE(engine.RemoveFusionMember(kGroupId, kRemovedMember).ok());
+    }
+    truth += rng.Gaussian(0.05, 0.5);
+    std::map<int, Vector> readings;
+    readings[kPlainId] = Vector{truth + rng.Gaussian(0.0, 0.3)};
+    for (int member : {20, kRemovedMember, 22}) {
+      const double noise = rng.Gaussian(0.0, 0.2);
+      if (member == kRemovedMember && t >= kRemoveTick) continue;
+      readings[member] = Vector{truth + noise};
+    }
+    ASSERT_TRUE(engine.ProcessTick(readings).ok()) << "tick " << t;
+  }
+  const std::vector<TraceEvent> trace = engine.MergedTrace();
+  ASSERT_EQ(engine.shard_sink(0)->dropped_events(), 0);
+
+  // The removed member's in-flight frames landed after its removal: one
+  // passed the checksum and was stale-rejected as an unknown sender, one
+  // was corrupted in flight and counted corrupt all the same.
+  int64_t late_stale = 0;
+  int64_t late_corrupt = 0;
+  std::vector<int64_t> counts(kNumTraceEventKinds, 0);
+  for (const TraceEvent& event : trace) {
+    ++counts[static_cast<size_t>(event.kind)];
+    if (event.source_id != kRemovedMember || event.step < kRemoveTick) {
+      continue;
+    }
+    if (event.kind == TraceEventKind::kStaleReject) ++late_stale;
+    if (event.kind == TraceEventKind::kCorruptReject) ++late_corrupt;
+  }
+  EXPECT_GT(late_stale, 0);
+  EXPECT_GT(late_corrupt, 0);
+
+  std::string rendered_counts;
+  for (int kind = 0; kind < kNumTraceEventKinds; ++kind) {
+    if (counts[static_cast<size_t>(kind)] == 0) continue;
+    rendered_counts +=
+        std::string(TraceEventKindName(static_cast<TraceEventKind>(kind))) +
+        "=" + std::to_string(counts[static_cast<size_t>(kind)]) + "\n";
+  }
+  EXPECT_EQ(rendered_counts,
+            "suppress=37\n"
+            "transmit=53\n"
+            "divergence=106\n"
+            "resync_sent=149\n"
+            "heal=105\n"
+            "heartbeat_sent=57\n"
+            "update_applied=16\n"
+            "resync_applied=110\n"
+            "heartbeat_received=11\n"
+            "corrupt_reject=23\n"
+            "stale_reject=144\n"
+            "degraded_tick=70\n"
+            "channel_outage=20\n"
+            "channel_corrupt=23\n"
+            "channel_delay=235\n"
+            "channel_ack_loss=26\n"
+            "fused_suppress=199\n"
+            "fused_update=24\n"
+            "fused_broadcast=87\n");
+  EXPECT_EQ(RenderFaults(engine.fusion_stats().faults),
+            "divergence_events=68\n"
+            "resyncs_sent=85\n"
+            "heartbeats_sent=50\n"
+            "ambiguous_acks=68\n"
+            "ticks_diverged=69\n"
+            "max_recovery_ticks=7\n"
+            "resyncs_applied=63\n"
+            "heartbeats_received=9\n"
+            "rejected_stale=104\n"
+            "rejected_corrupt=11\n"
+            "sequence_gaps=128\n"
+            "degraded_ticks=14\n");
+  EXPECT_EQ(RenderFaults(engine.fault_stats()),
+            "divergence_events=38\n"
+            "resyncs_sent=64\n"
+            "heartbeats_sent=7\n"
+            "ambiguous_acks=38\n"
+            "ticks_diverged=61\n"
+            "max_recovery_ticks=11\n"
+            "resyncs_applied=47\n"
+            "heartbeats_received=2\n"
+            "rejected_stale=40\n"
+            "rejected_corrupt=12\n"
+            "sequence_gaps=57\n"
+            "degraded_ticks=56\n");
+  // Every event of the run, field by field, in merge order.
+  const std::string rendered = Render(trace);
+  EXPECT_EQ(Fnv1a64(reinterpret_cast<const uint8_t*>(rendered.data()),
+                    rendered.size()),
+            0x5fbccce12d869825ULL);
 }
 
 }  // namespace
