@@ -85,7 +85,7 @@ else
   python3 scripts/coverage_gate.py build-coverage --root=. \
     --gate=src/obs=0.90 --gate=src/dsms=0.96 --gate=src/serve=0.98 \
     --gate=src/fleet=0.93 --gate=src/governor=0.85 --gate=src/filter=0.90 \
-    --gate=src/fusion=0.85 --gate=src/checkpoint=0.95 \
+    --gate=src/fusion=0.87 --gate=src/checkpoint=0.95 \
     --gate=src/runtime=0.91 --gate=src/models=0.98 --gate=src/linalg=0.95
 fi
 
