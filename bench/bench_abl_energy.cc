@@ -1,6 +1,6 @@
 // Ablation A7: sensor energy accounting across the paper's cited range of
 // transmit-bit-to-instruction cost ratios (220-2900, §1 [26, 27]). Runs
-// the Example-1 trajectory through the DSMS simulation at delta = 3 and
+// the Example-1 trajectory through the stream engine at delta = 3 and
 // compares the DKF node's energy (sensing + filtering + transmission)
 // against a filterless send-every-reading node.
 
@@ -11,7 +11,7 @@
 #include "bench_util.h"
 #include "common/string_util.h"
 #include "common/table.h"
-#include "dsms/simulation.h"
+#include "runtime/source_report.h"
 #include "streamgen/trajectory_generator.h"
 
 namespace {
@@ -20,15 +20,14 @@ using namespace dkf;
 using namespace dkf::bench;
 
 SourceReport RunWithRatio(double instructions_per_bit) {
-  SimulationSourceConfig config;
-  config.id = 1;
-  config.data = StandardTrajectory();
-  config.model = Example1LinearModel();
-  config.delta = 3.0;
+  ReportSource source;
+  source.data = StandardTrajectory();
+  source.model = Example1LinearModel();
+  source.query.source_id = 1;
+  source.query.precision = 3.0;
   EnergyModelOptions energy;
   energy.instructions_per_bit = instructions_per_bit;
-  auto sim = DsmsSimulation::Create({config}, energy).value();
-  return sim.Run().value()[0];
+  return RunSourceReports({source}, energy).value()[0];
 }
 
 void PrintFigure() {

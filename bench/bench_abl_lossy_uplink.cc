@@ -12,7 +12,7 @@
 #include "bench_util.h"
 #include "common/string_util.h"
 #include "common/table.h"
-#include "dsms/simulation.h"
+#include "runtime/source_report.h"
 
 namespace {
 
@@ -20,16 +20,15 @@ using namespace dkf;
 using namespace dkf::bench;
 
 SourceReport RunWithDropRate(double drop_probability) {
-  SimulationSourceConfig config;
-  config.id = 1;
-  config.data = StandardTrajectory();
-  config.model = Example1LinearModel();
-  config.delta = 3.0;
+  ReportSource source;
+  source.data = StandardTrajectory();
+  source.model = Example1LinearModel();
+  source.query.source_id = 1;
+  source.query.precision = 3.0;
   ChannelOptions channel;
   channel.drop_probability = drop_probability;
-  auto sim =
-      DsmsSimulation::Create({config}, EnergyModelOptions(), channel).value();
-  return sim.Run().value()[0];
+  return RunSourceReports({source}, EnergyModelOptions(), channel)
+      .value()[0];
 }
 
 void PrintFigure() {

@@ -3,7 +3,7 @@
 // queries"). Three sources with different required precisions share an
 // update budget; the allocator inflates precisions proportionally when
 // the budget is tight, and the realized rates are validated by re-running
-// the simulation at the allocated precisions.
+// each source through the stream engine at its allocated precision.
 
 #include <cstdio>
 
@@ -12,9 +12,8 @@
 #include "bench_util.h"
 #include "common/string_util.h"
 #include "common/table.h"
-#include "dsms/simulation.h"
 #include "query/precision_allocation.h"
-#include "query/registry.h"
+#include "runtime/source_report.h"
 
 namespace {
 
@@ -41,13 +40,13 @@ std::vector<SourceSetup> Sources() {
 }
 
 double MeasuredRate(const SourceSetup& source, double delta) {
-  SimulationSourceConfig config;
-  config.id = source.id;
-  config.data = source.data;
-  config.model = source.model;
-  config.delta = delta;
-  auto sim = DsmsSimulation::Create({config}).value();
-  return sim.Run().value()[0].update_percentage / 100.0;
+  ReportSource report_source;
+  report_source.data = source.data;
+  report_source.model = source.model;
+  report_source.query.source_id = source.id;
+  report_source.query.precision = delta;
+  return RunSourceReports({report_source}).value()[0].update_percentage /
+         100.0;
 }
 
 void PrintFigure() {

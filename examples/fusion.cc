@@ -61,7 +61,6 @@ int main() {
   //    tolerance. The reader averages the eight answers client-side.
   ShardedStreamEngineOptions plain_options;
   plain_options.channel.seed = 5;
-  plain_options.channel.per_source_rng = true;
   ShardedStreamEngine plain(plain_options);
   for (int s = 1; s <= kSensors; ++s) {
     if (!plain.RegisterSource(s, model).ok()) return 1;
@@ -75,7 +74,6 @@ int main() {
   // 3. Fused: the same eight sensors as one group at the same delta.
   ShardedStreamEngineOptions fused_options;
   fused_options.channel.seed = 5;
-  fused_options.channel.per_source_rng = true;
   ShardedStreamEngine fused(fused_options);
   FusionGroupConfig group;
   group.group_id = 1;

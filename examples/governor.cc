@@ -44,7 +44,6 @@ int main() {
   ShardedStreamEngineOptions options;
   options.num_shards = 2;
   options.channel.seed = 7;
-  options.channel.per_source_rng = true;
   options.governor.enabled = true;
   options.governor.epoch_ticks = kEpochTicks;
   options.governor.budget_bytes_per_tick = kBudget;

@@ -10,9 +10,10 @@
 #include "common/table.h"
 #include "core/moving_average.h"
 #include "core/smoothing.h"
-#include "dsms/simulation.h"
+#include "dsms/source_node.h"
 #include "metrics/metrics.h"
 #include "models/model_factory.h"
+#include "runtime/source_report.h"
 #include "streamgen/http_traffic_generator.h"
 
 int main() {
@@ -31,34 +32,31 @@ int main() {
   AsciiTable table({"configuration", "% updates", "avg err vs smoothed",
                     "smoothed-vs-raw dev"});
 
+  ReportSource source;
+  source.data = traffic;
+  source.model = model;
+  source.query.source_id = 1;
+  source.query.precision = delta;
+
   // No smoothing: the raw burstiness defeats prediction.
   {
-    SimulationSourceConfig config;
-    config.id = 1;
-    config.data = traffic;
-    config.model = model;
-    config.delta = delta;
-    auto report =
-        DsmsSimulation::Create({config}).value().Run().value()[0];
+    auto report = RunSourceReports({source}).value()[0];
     table.AddRow({"raw (no KF_c)",
                   StrFormat("%.1f", report.update_percentage),
                   StrFormat("%.2f", report.avg_error), "0.00"});
   }
 
-  // Smoothed at several F values, including the MA(64)-equivalent.
-  const double f_ma64 = SmoothingFactorForWindow(64, 100.0);
+  // Smoothed at several F values, including the MA(64)-equivalent. The
+  // engine's KF_c runs at a fixed measurement variance; F is relative
+  // to it.
+  const double kfc_variance =
+      SourceNodeOptions().smoothing_measurement_variance;
+  const double f_ma64 = SmoothingFactorForWindow(64, kfc_variance);
   for (double f : {1e-7, f_ma64, 1e-1}) {
-    SimulationSourceConfig config;
-    config.id = 1;
-    config.data = traffic;
-    config.model = model;
-    config.delta = delta;
-    config.smoothing_factor = f;
-    config.smoothing_measurement_variance = 100.0;
-    auto report =
-        DsmsSimulation::Create({config}).value().Run().value()[0];
+    source.query.smoothing_factor = f;
+    auto report = RunSourceReports({source}).value()[0];
     const TimeSeries smoothed =
-        SmoothSeriesKalman(traffic, f, 100.0).value();
+        SmoothSeriesKalman(traffic, f, kfc_variance).value();
     table.AddRow({StrFormat("KF_c, F = %.3g", f),
                   StrFormat("%.1f", report.update_percentage),
                   StrFormat("%.2f", report.avg_error),

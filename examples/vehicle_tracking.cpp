@@ -1,15 +1,15 @@
 // Vehicle tracking (paper Example 1, §5.1): a moving object reports its
 // 2-D position over a simulated sensor network. A continuous query with
-// a precision constraint installs the dual filters; the DSMS simulation
+// a precision constraint installs the dual filters; the stream engine
 // measures communication and energy, comparing model choices.
 
 #include <cstdio>
 
 #include "common/string_util.h"
 #include "common/table.h"
-#include "dsms/simulation.h"
 #include "models/model_factory.h"
 #include "query/registry.h"
+#include "runtime/source_report.h"
 #include "streamgen/trajectory_generator.h"
 
 int main() {
@@ -54,14 +54,11 @@ int main() {
        MakePolynomialModel(2, 3, 0.1, linear_noise).value()},
   };
   for (const Candidate& candidate : candidates) {
-    SimulationSourceConfig config;
-    config.id = 1;
-    config.data = observed;
-    config.model = candidate.model;
-    config.delta = delta;
-    auto sim_or = DsmsSimulation::Create({config});
-    if (!sim_or.ok()) return 1;
-    auto reports_or = std::move(sim_or).value().Run();
+    ReportSource source;
+    source.data = observed;
+    source.model = candidate.model;
+    source.query = query;
+    auto reports_or = RunSourceReports({source});
     if (!reports_or.ok()) return 1;
     const SourceReport& report = reports_or.value()[0];
     table.AddRow(

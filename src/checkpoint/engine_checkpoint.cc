@@ -115,9 +115,8 @@ class CheckpointAccess {
     EngineSnapshot snapshot;
     snapshot.energy = engine.options_.energy;
     snapshot.channel = engine.options_.channel;
-    // The shards run with per-source fault streams regardless of what the
-    // original options said (the engine forces it); the snapshot records
-    // the effective value so any restore target reproduces the streams.
+    // Channels always draw per-source fault streams, whatever the
+    // (ignored) option says; the snapshot records the effective value.
     snapshot.channel.per_source_rng = true;
     snapshot.default_delta = engine.options_.default_delta;
     snapshot.protocol = engine.options_.protocol;
@@ -481,6 +480,9 @@ Result<std::unique_ptr<ShardedStreamEngine>> ShardedStreamEngine::Restore(
         "the engine draws per-source fault streams, so a restore would "
         "change the fault sequence");
   }
+  // Channel and fault fields decode unchecked; an inverted delay range,
+  // say, would reach Rng::UniformInt on the first faulty send.
+  DKF_RETURN_IF_ERROR(ValidateChannelOptions(snapshot.channel));
   ShardedStreamEngineOptions options;
   options.num_shards = num_shards > 0 ? num_shards : snapshot.num_shards;
   if (options.num_shards > kMaxShards) {

@@ -5,8 +5,44 @@
 
 namespace dkf {
 
+Status ValidateChannelOptions(const ChannelOptions& options) {
+  if (!(options.drop_probability >= 0.0 && options.drop_probability < 1.0)) {
+    return Status::InvalidArgument("drop probability must be in [0, 1)");
+  }
+  auto is_probability = [](double p) { return p >= 0.0 && p <= 1.0; };
+  const FaultModel& fault = options.fault;
+  if (fault.gilbert_elliott.has_value()) {
+    const GilbertElliottLoss& ge = *fault.gilbert_elliott;
+    for (double p : {ge.p_good_to_bad, ge.p_bad_to_good, ge.good_loss,
+                     ge.bad_loss}) {
+      if (!is_probability(p)) {
+        return Status::InvalidArgument(
+            "Gilbert-Elliott probabilities must be in [0, 1]");
+      }
+    }
+  }
+  if (!is_probability(fault.ack_loss_probability)) {
+    return Status::InvalidArgument("ACK-loss probability must be in [0, 1]");
+  }
+  if (!is_probability(fault.corruption_probability)) {
+    return Status::InvalidArgument(
+        "corruption probability must be in [0, 1]");
+  }
+  if (fault.delay.has_value() &&
+      !(fault.delay->min_ticks >= 0 &&
+        fault.delay->min_ticks <= fault.delay->max_ticks)) {
+    return Status::InvalidArgument(
+        "delay range must satisfy 0 <= min_ticks <= max_ticks");
+  }
+  for (const OutageWindow& window : fault.outages) {
+    if (window.start > window.end) {
+      return Status::InvalidArgument("outage window must have start <= end");
+    }
+  }
+  return Status::OK();
+}
+
 Rng& Channel::DropRng(int source_id, SourceState& state) {
-  if (!options_.per_source_rng) return rng_;
   if (!state.rng.has_value()) {
     // Decorrelate the per-source streams: Rng's own constructor runs the
     // seed through SplitMix64, so a simple odd-multiplier mix suffices.

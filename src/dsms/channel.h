@@ -44,18 +44,21 @@ struct ChannelStats {
 struct ChannelOptions {
   double drop_probability = 0.0;
   uint64_t seed = 13;
-  /// When true, each source's drop decisions come from an independent
-  /// RNG stream derived from (seed, source_id) instead of one shared
-  /// stream, so a source's drop sequence depends only on its own send
-  /// history — not on how sends from other sources interleave. The
-  /// stream engine forces this on: it is what makes lossy-channel
-  /// results invariant under the shard count.
+  /// Ignored: fault streams are always per source (see Channel). Kept
+  /// because callers still assign it; engine snapshots encode it true.
   bool per_source_rng = false;
   /// Fault injection. Default-constructed = no faults, and the channel's
   /// behavior (including its RNG draw sequence) is identical to the
   /// pre-fault-layer code.
   FaultModel fault;
 };
+
+/// The check for channel options that come from outside input (a
+/// snapshot, a report run): InvalidArgument unless drop_probability is
+/// in [0, 1), every Gilbert–Elliott, ACK-loss and corruption probability
+/// is in [0, 1] (NaN fails), 0 <= delay.min_ticks <= delay.max_ticks, and
+/// every outage has start <= end.
+Status ValidateChannelOptions(const ChannelOptions& options);
 
 /// What the sender learns from a Send — the link-layer ACK the source
 /// acts on.
@@ -77,7 +80,9 @@ enum class SendAck {
 /// caller told which. With one, messages can additionally be delayed
 /// (the tick loop drains the in-flight queue via BeginTick), lost in
 /// outage windows or loss bursts, corrupted, or delivered without an
-/// ACK.
+/// ACK. Each source draws these decisions from its own RNG stream,
+/// derived from (seed, source_id), so its fault sequence depends only on
+/// its own sends — not on other sources, nor on the shard layout.
 class Channel {
  public:
   using Sink = std::function<Status(const Message&)>;
@@ -85,7 +90,7 @@ class Channel {
   /// `sink` receives every delivered message (normally
   /// ServerNode::OnMessage).
   explicit Channel(Sink sink, const ChannelOptions& options = ChannelOptions())
-      : sink_(std::move(sink)), options_(options), rng_(options.seed) {}
+      : sink_(std::move(sink)), options_(options) {}
 
   /// Accounts for and attempts delivery of a message, stamping the wire
   /// checksum first. Transmission energy/bytes are charged in every case
@@ -109,8 +114,6 @@ class Channel {
 
   /// Per-source counters. Never inserts: unknown ids observe zeros.
   const ChannelStats& for_source(int source_id) const;
-
-  const ChannelOptions& options() const { return options_; }
 
   /// Messages currently sitting in the in-flight (delay) queue.
   size_t in_flight() const { return in_flight_.size(); }
@@ -141,13 +144,13 @@ class Channel {
     Message message;
   };
 
-  /// Checkpoint hooks (src/checkpoint/, docs/checkpoint.md). Checkpointed
-  /// channels run with per_source_rng, so all their state is per-source
-  /// and a snapshot can be fanned across any shard count.
+  /// Checkpoint hooks (src/checkpoint/, docs/checkpoint.md). All channel
+  /// state is per-source, so a snapshot can be fanned across any shard
+  /// count.
   struct SourceCheckpoint {
     ChannelStats stats;
     /// The (seed, source_id)-derived fault stream, present once the source
-    /// has sent under per_source_rng.
+    /// has sent.
     bool has_rng = false;
     Rng::State rng;
     /// Gilbert–Elliott chain state, present once the chain has stepped.
@@ -173,7 +176,7 @@ class Channel {
   struct SourceState {
     ChannelStats stats;
     /// The (seed, source_id)-derived fault stream; created on the first
-    /// send under per_source_rng.
+    /// send.
     std::optional<Rng> rng;
     /// Gilbert–Elliott chain state (true = bad/bursty); set once the
     /// chain has stepped.
@@ -192,7 +195,6 @@ class Channel {
   Sink sink_;
   ChannelOptions options_;
   TraceSink* obs_sink_ = nullptr;
-  Rng rng_;
   ChannelStats total_;
   std::map<int, SourceState> per_source_;
   std::vector<InFlightEntry> in_flight_;

@@ -43,8 +43,8 @@ struct OutageWindow {
 /// sequence) bit-identical to the pre-fault-layer code.
 ///
 /// Every random decision is drawn from the channel's per-source stream
-/// in a fixed order, so fault schedules are deterministic and — with
-/// ChannelOptions::per_source_rng — invariant under the shard layout.
+/// in a fixed order, so fault schedules are deterministic and invariant
+/// under the shard layout.
 ///
 /// ACK semantics: plain Bernoulli and Gilbert–Elliott losses keep the
 /// legacy reliable link-layer ACK (the sender learns the message was

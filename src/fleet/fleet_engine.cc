@@ -295,6 +295,9 @@ std::optional<FleetEngine::ResidentSource> FleetEngine::FindResident(
   ResidentSource source;
   source.delta = g.delta[lane];
   source.updates_sent = record.updates_sent;
+  source.readings = g.readings[lane];
+  source.energy = g.energy_transmission[lane] + g.energy_compute[lane] +
+                  g.energy_sensing[lane];
   source.measurement_dim = g.m;
   source.model = &groups_[entry->nominal_group]->model;
   source.noise_adapter = record.adapter != nullptr

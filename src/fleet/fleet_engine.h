@@ -175,6 +175,9 @@ class FleetEngine {
   struct ResidentSource {
     double delta = 0.0;
     int64_t updates_sent = 0;
+    int64_t readings = 0;
+    /// The lane's energy columns summed as EnergyAccount::total() does.
+    double energy = 0.0;
     size_t measurement_dim = 0;
     /// The recipe the source was registered with: its nominal group's
     /// model, never the adapted group a servo-moved lane ticks in.

@@ -70,10 +70,6 @@ Status StreamShard::EnableFleet() {
     return Status::FailedPrecondition(
         "EnableFleet must be called before any AddSource");
   }
-  if (!channel_.options().per_source_rng) {
-    return Status::InvalidArgument(
-        "the batched fleet engine requires per_source_rng channels");
-  }
   fleet_ = std::make_unique<FleetEngine>(&server_, &channel_, protocol_,
                                          energy_);
   if (obs_sink_ != nullptr) fleet_->set_trace_sink(obs_sink_);
@@ -478,10 +474,16 @@ Result<double> StreamShard::source_delta(int source_id) const {
   return node != nullptr ? node->delta() : resident->delta;
 }
 
-Result<int64_t> StreamShard::updates_sent(int source_id) const {
+Result<SourceUsage> StreamShard::source_usage(int source_id) const {
   std::optional<FleetEngine::ResidentSource> resident;
   DKF_ASSIGN_OR_RETURN(const SourceNode* node, FindNode(source_id, &resident));
-  return node != nullptr ? node->updates_sent() : resident->updates_sent;
+  SourceUsage usage;
+  usage.readings = node != nullptr ? node->readings() : resident->readings;
+  usage.updates_sent =
+      node != nullptr ? node->updates_sent() : resident->updates_sent;
+  usage.uplink_bytes = channel_.for_source(source_id).bytes;
+  usage.energy = node != nullptr ? node->energy().total() : resident->energy;
+  return usage;
 }
 
 Result<size_t> StreamShard::source_dim(int source_id) const {

@@ -44,6 +44,15 @@ struct ShardReadingSlice {
   uint64_t topology = 0;
 };
 
+/// What one source has spent so far: readings taken, updates sent,
+/// bytes put on the uplink (lost frames included), and sensor energy.
+struct SourceUsage {
+  int64_t readings = 0;
+  int64_t updates_sent = 0;
+  int64_t uplink_bytes = 0;
+  double energy = 0.0;
+};
+
 /// One partition of a ShardedStreamEngine's fleet. A shard owns the
 /// complete dual-link state for its sources — the source-side
 /// SourceNodes (mirror KF_m, optional KF_c), the server-side predictors
@@ -58,8 +67,8 @@ struct ShardReadingSlice {
 /// driver thread between ticks.
 class StreamShard {
  public:
-  /// `channel` should have per_source_rng set (the engine forces it) so
-  /// drop sequences do not depend on which shard a source landed in.
+  /// The channel draws per-source fault streams, so drop sequences do
+  /// not depend on which shard a source landed in.
   StreamShard(const ChannelOptions& channel, EnergyModelOptions energy,
               double default_delta,
               const ProtocolOptions& protocol = ProtocolOptions(),
@@ -68,9 +77,9 @@ class StreamShard {
   /// Switches this shard to the batched fleet engine (src/fleet/,
   /// docs/fleet.md): steady-state sources are folded into SoA lanes and
   /// ticked by flat kernels, bit-identical to the per-source path. Must
-  /// be called before any AddSource. Requires per_source_rng (the
-  /// batched path's send order differs from the per-source ascending
-  /// sweep, which only the per-source fault streams make unobservable).
+  /// be called before any AddSource. The batched path's send order
+  /// differs from the per-source ascending sweep, which the channel's
+  /// per-source fault streams make unobservable.
   Status EnableFleet();
 
   bool fleet_enabled() const { return fleet_ != nullptr; }
@@ -183,7 +192,8 @@ class StreamShard {
   ProtocolFaultStats fault_stats() const;
 
   Result<double> source_delta(int source_id) const;
-  Result<int64_t> updates_sent(int source_id) const;
+  /// Read from the node, or from the lane's columns while resident.
+  Result<SourceUsage> source_usage(int source_id) const;
 
   /// Measurement width of a source's stream (for aggregate-eligibility
   /// checks at the engine).
@@ -238,6 +248,11 @@ class StreamShard {
   /// per-shard order; the engine merges across shards).
   std::vector<NotificationBatch> DrainNotifications() {
     return serve_.Drain();
+  }
+
+  /// Whether DrainNotifications would return any batch.
+  bool has_pending_notifications() const {
+    return !serve_.pending().empty();
   }
 
   ServeStats serve_stats() const { return serve_.stats(); }

@@ -70,18 +70,13 @@ ShardedStreamEngine::ShardedStreamEngine(
       aggregate_serve_(options.serve),
       pool_(static_cast<size_t>(ClampShards(options.num_shards) - 1)) {
   options_.num_shards = ClampShards(options.num_shards);
-  // Per-source drop streams are the determinism contract: a source's
-  // channel behavior must not depend on which shard it landed in.
-  ChannelOptions channel = options_.channel;
-  channel.per_source_rng = true;
   shards_.reserve(static_cast<size_t>(options_.num_shards));
   for (int i = 0; i < options_.num_shards; ++i) {
     shards_.push_back(std::make_unique<StreamShard>(
-        channel, options_.energy, options_.default_delta,
+        options_.channel, options_.energy, options_.default_delta,
         options_.protocol, options_.serve));
     if (options_.batched_fleet) {
-      // Cannot fail: the shard is empty and per_source_rng was just
-      // forced on above.
+      // Cannot fail: the shard is empty.
       (void)shards_.back()->EnableFleet();
     }
   }
@@ -575,6 +570,12 @@ Status ShardedStreamEngine::RefreshServeCaches() {
 }
 
 std::vector<NotificationBatch> ShardedStreamEngine::DrainNotifications() {
+  // A quiet drain skips the merge, whose stream list is an allocation.
+  bool pending = !aggregate_serve_.pending().empty();
+  for (const auto& shard : shards_) {
+    pending = pending || shard->has_pending_notifications();
+  }
+  if (!pending) return {};
   std::vector<std::vector<NotificationBatch>> streams;
   streams.reserve(shards_.size() + 1);
   for (const auto& shard : shards_) {
@@ -731,11 +732,10 @@ Status ShardedStreamEngine::MaybeRunGovernor() {
     const StreamShard& shard = OwningShard(source_id);
     GovernorSourceSample sample;
     sample.source_id = source_id;
-    const ChannelStats& uplink = shard.source_uplink(source_id);
-    sample.bytes = uplink.bytes;
-    auto updates_or = shard.updates_sent(source_id);
-    if (!updates_or.ok()) return updates_or.status();
-    sample.updates = updates_or.value();
+    DKF_ASSIGN_OR_RETURN(const SourceUsage usage,
+                         shard.source_usage(source_id));
+    sample.bytes = usage.uplink_bytes;
+    sample.updates = usage.updates_sent;
     auto delta_or = shard.source_delta(source_id);
     if (!delta_or.ok()) return delta_or.status();
     sample.delta = delta_or.value();
@@ -876,10 +876,15 @@ MetricsRegistry ShardedStreamEngine::FleetMetricsSnapshot() const {
 }
 
 Result<int64_t> ShardedStreamEngine::updates_sent(int source_id) const {
+  DKF_ASSIGN_OR_RETURN(const SourceUsage usage, source_usage(source_id));
+  return usage.updates_sent;
+}
+
+Result<SourceUsage> ShardedStreamEngine::source_usage(int source_id) const {
   if (!HasSource(source_id)) {
     return Status::NotFound(StrFormat("source %d not registered", source_id));
   }
-  return OwningShard(source_id).updates_sent(source_id);
+  return OwningShard(source_id).source_usage(source_id);
 }
 
 }  // namespace dkf

@@ -44,7 +44,7 @@ struct ShardedStreamEngineOptions {
   /// shard, runs everything on the calling thread.
   int num_shards = 1;
   EnergyModelOptions energy;
-  /// Per-shard uplink configuration. per_source_rng is forced on so a
+  /// Per-shard uplink configuration. Fault streams are per source, so a
   /// source's drop sequence is independent of the shard layout (the
   /// determinism contract — see docs/runtime.md).
   ChannelOptions channel;
@@ -224,7 +224,9 @@ class ShardedStreamEngine {
 
   /// Per-shard batch streams plus the engine-level aggregate stream,
   /// merged into canonical (step, source_id, subscription_id) order —
-  /// bit-identical for the same workload at any shard count.
+  /// bit-identical for the same workload at any shard count. With no
+  /// batch pending anywhere it returns an empty vector without
+  /// allocating.
   std::vector<NotificationBatch> DrainNotifications();
 
   /// Serving-layer counters merged across shards.
@@ -297,8 +299,11 @@ class ShardedStreamEngine {
   /// and are not.
   FleetFootprint fleet_footprint() const;
 
-  /// Per-source update totals.
+  /// Per-source update totals (source_usage's updates_sent).
   Result<int64_t> updates_sent(int source_id) const;
+
+  /// A source's readings, updates, uplink bytes and sensor energy so far.
+  Result<SourceUsage> source_usage(int source_id) const;
 
   /// The shard index a source id maps to (stable hash partition).
   int ShardIndexFor(int source_id) const;

@@ -51,7 +51,6 @@ ChannelOptions FleetChannel() {
   ChannelOptions options;
   options.seed = 77;
   options.drop_probability = 0.1;
-  options.per_source_rng = true;
   FaultModel fault;
   fault.gilbert_elliott = GilbertElliottLoss{
       /*p_good_to_bad=*/0.05, /*p_bad_to_good=*/0.3,

@@ -59,7 +59,6 @@ ShardedStreamEngineOptions RichOptions() {
   options.num_shards = 2;
   options.channel.seed = 77;
   options.channel.drop_probability = 0.1;
-  options.channel.per_source_rng = true;
   FaultModel fault;
   fault.gilbert_elliott = GilbertElliottLoss{0.05, 0.3, 0.0, 1.0};
   fault.delay = DelayModel{0, 2};
@@ -168,7 +167,6 @@ std::string FleetPayload() {
   options.num_shards = 2;
   options.batched_fleet = true;
   options.channel.seed = 5;
-  options.channel.per_source_rng = true;
   options.channel.drop_probability = 0.05;
   FaultModel fault;
   fault.ack_loss_probability = 0.1;

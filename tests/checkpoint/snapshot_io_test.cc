@@ -1,7 +1,8 @@
 // Wire-format tests for the snapshot codec (docs/checkpoint.md): field
 // round-trips including raw-bit NaN payloads, header validation (magic,
 // version, checksum, length), truncation and trailing-garbage
-// rejection, and the binary primitives underneath.
+// rejection, the binary primitives underneath, and Restore's check of
+// the channel and fault fields the codec decodes unchecked.
 
 #include <cstring>
 #include <limits>
@@ -15,6 +16,7 @@
 #include "common/binary_io.h"
 #include "common/rng.h"
 #include "models/model_factory.h"
+#include "runtime/sharded_engine.h"
 
 namespace dkf {
 namespace {
@@ -545,6 +547,51 @@ TEST(SnapshotIoTest, RejectsSharedRngSection) {
   EXPECT_NE(result.status().message().find("shared channel RNG"),
             std::string::npos)
       << result.status().message();
+}
+
+TEST(SnapshotIoTest, RestoreRejectsBadChannelFields) {
+  // Channel and fault fields decode as any bit pattern; Restore must
+  // refuse the ones the channel cannot run (an inverted delay range
+  // would reach Rng::UniformInt with lo > hi on the first faulty send).
+  EngineSnapshot valid;
+  valid.num_shards = 1;
+  valid.channel.per_source_rng = true;
+  valid.channel.drop_probability = 0.1;
+  valid.channel.fault.gilbert_elliott =
+      GilbertElliottLoss{0.05, 0.3, 0.0, 1.0};
+  valid.channel.fault.delay = DelayModel{0, 2};
+  valid.channel.fault.outages.push_back(OutageWindow{100, 115});
+  valid.channel.fault.ack_loss_probability = 0.05;
+  valid.channel.fault.corruption_probability = 0.03;
+  const std::string path = ::testing::TempDir() + "/bad_channel.dkfsnap";
+  ASSERT_TRUE(SaveSnapshotFile(valid, path).ok());
+  auto restored = ShardedStreamEngine::Restore(path);
+  ASSERT_TRUE(restored.ok()) << restored.status().message();
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<ChannelOptions> bad(12, valid.channel);
+  bad[0].drop_probability = 1.0;
+  bad[1].drop_probability = -0.5;
+  bad[2].drop_probability = nan;
+  bad[3].fault.gilbert_elliott->p_good_to_bad = 1.5;
+  bad[4].fault.gilbert_elliott->p_bad_to_good = nan;
+  bad[5].fault.gilbert_elliott->good_loss = -0.1;
+  bad[6].fault.gilbert_elliott->bad_loss =
+      std::numeric_limits<double>::infinity();
+  bad[7].fault.ack_loss_probability = 1.01;
+  bad[8].fault.corruption_probability = nan;
+  bad[9].fault.delay = DelayModel{5, 2};
+  bad[10].fault.delay = DelayModel{-3, 2};
+  bad[11].fault.outages[0] = OutageWindow{115, 100};
+  for (size_t i = 0; i < bad.size(); ++i) {
+    SCOPED_TRACE(i);
+    EngineSnapshot snapshot = valid;
+    snapshot.channel = bad[i];
+    ASSERT_TRUE(SaveSnapshotFile(snapshot, path).ok());
+    auto engine_or = ShardedStreamEngine::Restore(path);
+    ASSERT_FALSE(engine_or.ok());
+    EXPECT_EQ(engine_or.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(SnapshotIoTest, RejectsChecksumMismatch) {

@@ -60,7 +60,6 @@ ShardedStreamEngineOptions ChurnOptions(int num_shards, bool batched) {
   options.num_shards = num_shards;
   options.batched_fleet = batched;
   options.channel.seed = 77;
-  options.channel.per_source_rng = true;
   options.channel.drop_probability = 0.05;
   FaultModel fault;
   fault.gilbert_elliott = GilbertElliottLoss{0.04, 0.3, 0.0, 1.0};
@@ -386,7 +385,6 @@ TEST(FleetSpill, NonFiniteLaneFailsLikeThePerSourcePath) {
   exploding.options.transition = Matrix{{10.0}};  // P grows 100x a tick
 
   ShardedStreamEngineOptions options;
-  options.channel.per_source_rng = true;
   options.batched_fleet = false;
   ShardedStreamEngine reference(options);
   options.batched_fleet = true;
@@ -491,7 +489,6 @@ TEST(FleetSteadyState, ArmedLanesStayBitExactThroughThrash) {
   ShardedStreamEngineOptions options;
   options.num_shards = 1;
   options.channel.seed = 77;
-  options.channel.per_source_rng = true;
 
   options.batched_fleet = false;
   ShardedStreamEngine reference(options);
@@ -567,7 +564,6 @@ TEST(FleetDegraded, StaleResidentLanesServeInflatedAnswers) {
   ShardedStreamEngineOptions options;
   options.num_shards = 1;
   options.channel.seed = 77;
-  options.channel.per_source_rng = true;
   options.protocol.staleness_budget = 6;  // no heartbeat to reset it
 
   options.batched_fleet = false;
@@ -630,7 +626,6 @@ TEST(FleetDegraded, StaleResidentLanesAlertOnInflatedVariance) {
   ShardedStreamEngineOptions options;
   options.num_shards = 1;
   options.channel.seed = 77;
-  options.channel.per_source_rng = true;
   options.protocol.staleness_budget = 6;  // no heartbeat to reset it
 
   options.batched_fleet = false;

@@ -46,7 +46,6 @@ StateModel ScalarModel(double process_variance) {
 ChannelOptions CleanChannel() {
   ChannelOptions options;
   options.seed = 77;
-  options.per_source_rng = true;
   return options;
 }
 
@@ -473,7 +472,6 @@ ShardedStreamEngineOptions ResidentOptions(int num_shards, bool batched) {
   options.num_shards = num_shards;
   options.batched_fleet = batched;
   options.channel.seed = 41;
-  options.channel.per_source_rng = true;
   FaultModel fault;
   fault.gilbert_elliott = GilbertElliottLoss{
       /*p_good_to_bad=*/0.05, /*p_bad_to_good=*/0.3,
@@ -690,7 +688,6 @@ TEST(FleetEquivalence, DelayedHeartbeatBeforeCoastingBreakKeepsTraceOrder) {
     o.num_shards = shards;
     o.batched_fleet = batched;
     o.channel.seed = 3;
-    o.channel.per_source_rng = true;
     FaultModel fault;
     fault.delay = DelayModel{/*min_ticks=*/0, /*max_ticks=*/1};
     o.channel.fault = fault;

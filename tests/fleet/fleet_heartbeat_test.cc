@@ -40,7 +40,6 @@ WindowCost RunFleet(int num_shards, int64_t heartbeat_interval) {
   ShardedStreamEngineOptions options;
   options.num_shards = num_shards;
   options.batched_fleet = true;
-  options.channel.per_source_rng = true;
   options.default_delta = 4.0;
   options.protocol.heartbeat_interval = heartbeat_interval;
   ShardedStreamEngine engine(options);
@@ -97,6 +96,56 @@ TEST(FleetHeartbeatContract, HeartbeatTicksAddNoAllocationsOrSpills) {
                 "%llu with\n",
                 shards, static_cast<unsigned long long>(silent.allocations),
                 static_cast<unsigned long long>(beating.allocations));
+  }
+}
+
+/// Allocations over the measured window when every tick is followed by
+/// a drain of the (empty) notification stream, on the fleet or the
+/// per-source path. The same slow signal as RunFleet, heartbeats off.
+uint64_t QuietTickAndDrainAllocations(int num_shards, bool batched) {
+  ModelNoise noise;
+  noise.process_variance = 0.01;
+  noise.measurement_variance = 0.05;
+  const StateModel model = MakeLinearModel(1, 1.0, noise).value();
+  ShardedStreamEngineOptions options;
+  options.num_shards = num_shards;
+  options.batched_fleet = batched;
+  options.default_delta = 4.0;
+  ShardedStreamEngine engine(options);
+  ReadingBatch batch;
+  for (int id = 0; id < kFleet; ++id) {
+    EXPECT_TRUE(engine.RegisterSource(id, model).ok());
+    batch.ids.push_back(id);
+    batch.values.push_back(Vector{0.0});
+  }
+  int64_t t = 0;
+  auto tick = [&] {
+    for (int id = 0; id < kFleet; ++id) {
+      batch.values[static_cast<size_t>(id)][0] =
+          static_cast<double>(id % 200) / 100.0 - 1.0 +
+          1.5 * std::sin(0.02 * static_cast<double>(t) + id);
+    }
+    ASSERT_TRUE(engine.ProcessTick(batch).ok()) << "tick " << t;
+    EXPECT_TRUE(engine.DrainNotifications().empty());
+    ++t;
+  };
+  for (int64_t i = 0; i < kWarmup; ++i) tick();
+  if (batched) {
+    EXPECT_EQ(engine.fleet_resident_count(), static_cast<size_t>(kFleet));
+  }
+  return AllocationsOver(kWindow, tick);
+}
+
+TEST(FleetHeartbeatContract, QuietTickAndDrainAllocateNothing) {
+  // With no subscription anywhere, the drain has nothing to merge, so a
+  // quiet tick plus its drain touches the allocator nowhere, per-source
+  // or fleet, at any shard count.
+  for (bool batched : {false, true}) {
+    for (int shards : {1, 4}) {
+      SCOPED_TRACE(std::string(batched ? "fleet" : "per-source") +
+                   " shards=" + std::to_string(shards));
+      EXPECT_EQ(QuietTickAndDrainAllocations(shards, batched), 0u);
+    }
   }
 }
 

@@ -64,7 +64,6 @@ ShardedStreamEngineOptions CocktailOptions(int num_shards, bool batched,
   options.num_shards = num_shards;
   options.batched_fleet = batched;
   options.channel.seed = 41;
-  options.channel.per_source_rng = true;
   options.channel.drop_probability = 0.04;
   FaultModel fault;
   fault.gilbert_elliott = GilbertElliottLoss{0.03, 0.3, 0.0, 1.0};
@@ -184,7 +183,6 @@ TEST(FleetMemory, ConvergedSingleModelFleetSharesOneColdRecordPerGroup) {
     ShardedStreamEngineOptions options;
     options.num_shards = shards;
     options.batched_fleet = true;
-    options.channel.per_source_rng = true;
     options.default_delta = 4.0;
     ShardedStreamEngine engine(options);
     ReadingBatch batch;
@@ -225,7 +223,6 @@ TEST(FleetMemory, ConvergedSingleModelFleetSharesOneColdRecordPerGroup) {
 /// bit-converged and folds) because no short run reaches every field.
 TEST(FleetMemory, LanesDifferingInOneColdFieldKeepSeparateRecords) {
   ShardedStreamEngineOptions options;
-  options.channel.per_source_rng = true;
   options.default_delta = 5.0;
   const std::map<int, Vector> quiet = {{1, Vector{0.0}}, {2, Vector{0.0}}};
   const std::string path = testing::TempDir() + "/memory_cold.dkfsnap";
@@ -313,7 +310,6 @@ TEST(FleetMemory, ModelsDifferingInOneEncodedFieldGetTheirOwnGroup) {
     edit(variant);
     ShardedStreamEngineOptions options;
     options.batched_fleet = true;
-    options.channel.per_source_rng = true;
     ShardedStreamEngine engine(options);
     ASSERT_TRUE(engine.RegisterSource(1, base).ok());
     ASSERT_TRUE(engine.RegisterSource(2, variant).ok());

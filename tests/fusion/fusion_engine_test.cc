@@ -550,7 +550,6 @@ RedundantRun RunRedundantFleet(int members, bool fused) {
   constexpr double kDelta = 1.5;
   ShardedStreamEngineOptions options;
   options.channel.seed = 9;
-  options.channel.per_source_rng = true;
   ShardedStreamEngine engine(options);
   const StateModel model = ScalarModel(/*process_variance=*/0.05,
                                        /*measurement_variance=*/0.2);

@@ -50,7 +50,6 @@ ChannelOptions ChaosChannel() {
   ChannelOptions options;
   options.seed = 77;
   options.drop_probability = 0.1;
-  options.per_source_rng = true;
   FaultModel fault;
   fault.gilbert_elliott = GilbertElliottLoss{
       /*p_good_to_bad=*/0.05, /*p_bad_to_good=*/0.3,
@@ -403,7 +402,6 @@ TEST(GovernorChurnTest, BatchedReconfigureSpillsEachLaneAtMostOnce) {
   ShardedStreamEngineOptions options;
   options.num_shards = 2;
   options.channel.seed = 7;
-  options.channel.per_source_rng = true;
   options.batched_fleet = true;
   ShardedStreamEngine engine(options);
   for (int id = 1; id <= kFleet; ++id) {

@@ -175,7 +175,6 @@ constexpr int64_t kSnapTick = 350;
 ChannelOptions ScenarioChannel() {
   ChannelOptions options;
   options.seed = 314;
-  options.per_source_rng = true;
   FaultModel fault;
   fault.gilbert_elliott = GilbertElliottLoss{
       /*p_good_to_bad=*/0.05, /*p_bad_to_good=*/0.3,

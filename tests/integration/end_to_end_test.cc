@@ -2,10 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include "dsms/simulation.h"
 #include "models/model_factory.h"
 #include "query/precision_allocation.h"
 #include "query/registry.h"
+#include "runtime/source_report.h"
 #include "streamgen/http_traffic_generator.h"
 #include "streamgen/power_load_generator.h"
 #include "streamgen/trajectory_generator.h"
@@ -14,9 +14,9 @@ namespace dkf {
 namespace {
 
 /// The full Figure-1 path: user queries register precision constraints,
-/// the registry derives per-source deltas and smoothing, the DSMS
-/// simulation runs all three of the paper's scenarios side by side, and
-/// the answers respect the constraints.
+/// the registry derives per-source deltas and smoothing, the stream
+/// engine runs all three of the paper's scenarios side by side, and the
+/// answers respect the constraints.
 TEST(EndToEndTest, ThreeScenarioDsms) {
   // --- Queries.
   QueryRegistry registry;
@@ -62,34 +62,32 @@ TEST(EndToEndTest, ThreeScenarioDsms) {
   auto traffic_or = GenerateHttpTraffic(traffic_options);
   ASSERT_TRUE(traffic_or.ok());
 
-  // --- Simulation wiring driven by the registry.
+  // --- Engine wiring driven by the registry.
   ModelNoise vehicle_noise;  // paper §4.1 defaults (0.05)
-  SimulationSourceConfig vehicle;
-  vehicle.id = 1;
+  ReportSource vehicle;
+  vehicle.query.source_id = 1;
   vehicle.data = trajectory_or.value().observed;
   vehicle.model = MakeLinearModel(2, 0.1, vehicle_noise).value();
-  vehicle.delta = registry.EffectiveDelta(1).value();
+  vehicle.query.precision = registry.EffectiveDelta(1).value();
 
   ModelNoise load_noise;
   load_noise.process_variance = 25.0;
   load_noise.measurement_variance = 25.0;
-  SimulationSourceConfig load;
-  load.id = 2;
+  ReportSource load;
+  load.query.source_id = 2;
   load.data = load_or.value();
   load.model = MakeLinearModel(1, 1.0, load_noise).value();
-  load.delta = registry.EffectiveDelta(2).value();
-  EXPECT_DOUBLE_EQ(load.delta, 80.0);  // tightest of the two queries
+  load.query.precision = registry.EffectiveDelta(2).value();
+  EXPECT_DOUBLE_EQ(load.query.precision, 80.0);  // tightest of the two queries
 
-  SimulationSourceConfig traffic;
-  traffic.id = 3;
+  ReportSource traffic;
+  traffic.query.source_id = 3;
   traffic.data = traffic_or.value();
   traffic.model = MakeLinearModel(1, 1.0, load_noise).value();
-  traffic.delta = registry.EffectiveDelta(3).value();
-  traffic.smoothing_factor = *registry.EffectiveSmoothing(3).value();
+  traffic.query.precision = registry.EffectiveDelta(3).value();
+  traffic.query.smoothing_factor = *registry.EffectiveSmoothing(3).value();
 
-  auto sim_or = DsmsSimulation::Create({vehicle, load, traffic});
-  ASSERT_TRUE(sim_or.ok());
-  auto reports_or = std::move(sim_or).value().Run();
+  auto reports_or = RunSourceReports({vehicle, load, traffic});
   ASSERT_TRUE(reports_or.ok());
   const auto& reports = reports_or.value();
   ASSERT_EQ(reports.size(), 3u);
@@ -103,10 +101,10 @@ TEST(EndToEndTest, ThreeScenarioDsms) {
         << "source " << report.id;
   }
   // The vehicle error metric is |dx| + |dy| <= 2 * delta at tick time.
-  EXPECT_LE(reports[0].max_error, 2.0 * vehicle.delta + 1.0);
+  EXPECT_LE(reports[0].max_error, 2.0 * vehicle.query.precision + 1.0);
   // Update ticks correct toward (not exactly onto) the reading, so the
   // max can exceed delta transiently; the average must respect it.
-  EXPECT_LE(reports[1].avg_error, load.delta);
+  EXPECT_LE(reports[1].avg_error, load.query.precision);
 }
 
 TEST(EndToEndTest, AllocationFeedsBackIntoDeltas) {
@@ -124,14 +122,12 @@ TEST(EndToEndTest, AllocationFeedsBackIntoDeltas) {
   const StateModel model = MakeLinearModel(1, 1.0, noise).value();
 
   // Probe at a reference precision.
-  SimulationSourceConfig probe;
-  probe.id = 1;
+  ReportSource probe;
+  probe.query.source_id = 1;
   probe.data = series_or.value();
   probe.model = model;
-  probe.delta = 50.0;
-  auto probe_sim_or = DsmsSimulation::Create({probe});
-  ASSERT_TRUE(probe_sim_or.ok());
-  auto probe_reports_or = std::move(probe_sim_or).value().Run();
+  probe.query.precision = 50.0;
+  auto probe_reports_or = RunSourceReports({probe});
   ASSERT_TRUE(probe_reports_or.ok());
   const double probe_rate =
       probe_reports_or.value()[0].update_percentage / 100.0;
@@ -152,11 +148,10 @@ TEST(EndToEndTest, AllocationFeedsBackIntoDeltas) {
 
   // Re-run at the allocated precision: the realized rate should be near
   // or below the budget (the 1/delta model is approximate, so allow 2x).
-  SimulationSourceConfig allocated = probe;
-  allocated.delta = plan_or.value().allocations[0].allocated_precision;
-  auto final_sim_or = DsmsSimulation::Create({allocated});
-  ASSERT_TRUE(final_sim_or.ok());
-  auto final_reports_or = std::move(final_sim_or).value().Run();
+  ReportSource allocated = probe;
+  allocated.query.precision =
+      plan_or.value().allocations[0].allocated_precision;
+  auto final_reports_or = RunSourceReports({allocated});
   ASSERT_TRUE(final_reports_or.ok());
   EXPECT_LT(final_reports_or.value()[0].update_percentage / 100.0,
             2.0 * budget);

@@ -107,7 +107,6 @@ ChannelOptions LossyChannel() {
   ChannelOptions options;
   options.seed = 77;
   options.drop_probability = 0.25;
-  options.per_source_rng = true;
   return options;
 }
 
@@ -253,7 +252,6 @@ TEST(GoldenTraceTest, FusedChaosRunPinsCountsAndDigest) {
 #endif
   ShardedStreamEngineOptions options;
   options.channel.seed = 11;
-  options.channel.per_source_rng = true;
   FaultModel fault;
   fault.delay = DelayModel{/*min_ticks=*/0, /*max_ticks=*/2};
   fault.outages.push_back(OutageWindow{/*start=*/40, /*end=*/48});

@@ -300,7 +300,6 @@ class StandaloneShardTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(StandaloneShardTest, RefusedLayoutLeavesTheCachedSliceWhole) {
   ChannelOptions channel;
-  channel.per_source_rng = true;
   StreamShard shard(channel, EnergyModelOptions(), /*default_delta=*/1.0);
   StreamShard twin(channel, EnergyModelOptions(), /*default_delta=*/1.0);
   for (StreamShard* s : {&shard, &twin}) {

@@ -125,7 +125,6 @@ ChannelOptions LossyChannel() {
   ChannelOptions options;
   options.seed = 77;
   options.drop_probability = 0.25;
-  options.per_source_rng = true;
   return options;
 }
 
