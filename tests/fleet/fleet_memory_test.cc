@@ -10,13 +10,14 @@
 // cocktail at every shard count), the sharing (a converged single-model
 // fleet holds one cold record per shard and group), and the answers the
 // shard gives from a lane in place of the freed node (delta, update
-// count, resync flag, fault counters, noise servo), against a
-// per-source twin.
+// count, resync flag, fault counters, noise servo, and the answers
+// themselves, bit for bit), against a per-source twin.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <map>
 #include <string>
@@ -319,10 +320,46 @@ TEST(FleetMemory, ModelsDifferingInOneEncodedFieldGetTheirOwnGroup) {
   }
 }
 
+/// Source `id`'s answers, bit for bit: every component of Answer, and
+/// AnswerWithConfidence's value, covariance bytes (so -0.0 and NaN
+/// payloads show) and degraded flag, and answer_degraded.
+void ExpectSameAnswers(const ShardedStreamEngine& batched,
+                       const ShardedStreamEngine& twin, int id, int64_t t) {
+  SCOPED_TRACE("tick " + std::to_string(t) + " source " + std::to_string(id));
+  const Vector answer = batched.Answer(id).value();
+  const Vector twin_answer = twin.Answer(id).value();
+  ASSERT_EQ(answer.size(), twin_answer.size());
+  for (size_t c = 0; c < answer.size(); ++c) {
+    EXPECT_EQ(answer[c], twin_answer[c]) << "component " << c;
+  }
+  const ServerNode::ConfidentAnswer confident =
+      batched.AnswerWithConfidence(id).value();
+  const ServerNode::ConfidentAnswer twin_confident =
+      twin.AnswerWithConfidence(id).value();
+  ASSERT_EQ(confident.value.size(), twin_confident.value.size());
+  for (size_t c = 0; c < confident.value.size(); ++c) {
+    EXPECT_EQ(confident.value[c], twin_confident.value[c]) << "component " << c;
+  }
+  ASSERT_TRUE(confident.covariance.has_value());
+  ASSERT_TRUE(twin_confident.covariance.has_value());
+  const Matrix& covariance = *confident.covariance;
+  const Matrix& twin_covariance = *twin_confident.covariance;
+  ASSERT_EQ(covariance.rows(), twin_covariance.rows());
+  ASSERT_EQ(covariance.cols(), twin_covariance.cols());
+  EXPECT_EQ(std::memcmp(covariance.data(), twin_covariance.data(),
+                        covariance.rows() * covariance.cols() *
+                            sizeof(double)),
+            0)
+      << covariance.ToString() << " vs " << twin_covariance.ToString();
+  EXPECT_EQ(confident.degraded, twin_confident.degraded);
+  EXPECT_EQ(batched.answer_degraded(id).value(),
+            twin.answer_degraded(id).value());
+}
+
 /// Every per-source fact the shard answers from a lane must equal what
-/// the per-source twin's node says, tick by tick; the checkpoints (which
-/// carry each source's fault counters and servo state) must be
-/// byte-identical.
+/// the per-source twin's node says, tick by tick, answers included; the
+/// checkpoints (which carry each source's fault counters and servo
+/// state) must be byte-identical.
 void ExpectResidentAnswersMatchTwin(bool adaptive) {
   ShardedStreamEngine twin(
       CocktailOptions(2, /*batched=*/false, adaptive));
@@ -336,6 +373,8 @@ void ExpectResidentAnswersMatchTwin(bool adaptive) {
   Rng batched_rng(9);
   std::vector<bool> twin_installed(kNumSources + 1, false);
   std::vector<bool> batched_installed(kNumSources + 1, false);
+  int resident_answers = 0;
+  int degraded_resident_answers = 0;
   int resident_checks = 0;
   int resident_fault_checks = 0;
   const std::string twin_path = testing::TempDir() + "/memory_twin.dkfsnap";
@@ -356,6 +395,11 @@ void ExpectResidentAnswersMatchTwin(bool adaptive) {
       ASSERT_EQ(batched.resync_pending(id).value(),
                 twin.resync_pending(id).value())
           << "tick " << t << " source " << id;
+      ExpectSameAnswers(batched, twin, id, t);
+      if (batched.fleet_resident(id).value()) {
+        ++resident_answers;
+        if (batched.answer_degraded(id).value()) ++degraded_resident_answers;
+      }
     }
     ASSERT_TRUE(batched.fault_stats() == twin.fault_stats()) << "tick " << t;
     if (t % 10 != 9 || batched.fleet_resident_count() == 0) continue;
@@ -381,6 +425,9 @@ void ExpectResidentAnswersMatchTwin(bool adaptive) {
       ++resident_fault_checks;
     }
   }
+  EXPECT_GT(resident_answers, 0) << "no answer came from a lane";
+  EXPECT_GT(degraded_resident_answers, 0)
+      << "no lane answered degraded";
   EXPECT_GT(resident_checks, 0) << "no lane was resident at a check";
   EXPECT_GT(resident_fault_checks, 0)
       << "no check saw fault counters held only by a lane's record";
