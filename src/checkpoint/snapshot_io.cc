@@ -647,9 +647,16 @@ Status Walk(IO& io, S& entry) {
   DKF_RETURN_IF_ERROR(Walk(io, group.model));
   DKF_RETURN_IF_ERROR(io.F64(group.delta));
   DKF_RETURN_IF_ERROR(io.F64(group.base_delta));
-  DKF_RETURN_IF_ERROR(
-      io.Enum(group.norm, static_cast<uint8_t>(DeviationNorm::kL1) + 1,
-              "deviation norm"));
+  // Files once carried the group's deviation norm here; every trigger is
+  // max-abs now. The byte stays so the layout does not move: written as
+  // max-abs (0), and a file with any other value is refused.
+  uint8_t norm = 0;
+  DKF_RETURN_IF_ERROR(io.U8(norm));
+  if (norm != 0) {
+    return Status::InvalidArgument(
+        "snapshot carries a fusion deviation norm other than max-abs, "
+        "which this build does not read");
+  }
   DKF_RETURN_IF_ERROR(Walk(io, group.posterior));
   DKF_RETURN_IF_ERROR(io.I64(group.version));
   DKF_RETURN_IF_ERROR(io.I64(group.last_valid_tick));

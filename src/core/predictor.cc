@@ -10,28 +10,6 @@ Result<KalmanPredictor> KalmanPredictor::Create(const StateModel& model) {
   return KalmanPredictor(model.name, std::move(filter_or).value());
 }
 
-std::optional<Matrix> KalmanPredictor::PredictedCovariance() const {
-  // State uncertainty projected into measurement space: H P H^T,
-  // computed as the innovation covariance minus R. (Deliberately excludes
-  // R: this is the uncertainty of the *answer*, not of a hypothetical new
-  // sensor reading.)
-  Matrix projected = filter_.InnovationCovariance();
-  projected -= filter_.measurement_noise();
-  projected.Symmetrize();
-  return projected;
-}
-
-double KalmanPredictor::PredictedScalar(
-    std::optional<double>* variance) const {
-  if (variance != nullptr) {
-    // PredictedCovariance()(0, 0): S(0, 0) - R(0, 0), in that order;
-    // symmetrizing leaves the diagonal alone.
-    *variance = filter_.InnovationVariance0() -
-                filter_.measurement_noise_data()[0];
-  }
-  return filter_.PredictedMeasurement0();
-}
-
 bool KalmanPredictor::StateEquals(const Predictor& other) const {
   const auto* peer = dynamic_cast<const KalmanPredictor*>(&other);
   return peer != nullptr && filter_.StateEquals(peer->filter_);

@@ -146,8 +146,13 @@ class KalmanPredictor : public Predictor {
   Status Update(const Vector& value) override {
     return filter_.Correct(value);
   }
-  std::optional<Matrix> PredictedCovariance() const override;
-  double PredictedScalar(std::optional<double>* variance) const override;
+  std::optional<Matrix> PredictedCovariance() const override {
+    return filter_.AnswerCovariance();
+  }
+  double PredictedScalar(std::optional<double>* variance) const override {
+    if (variance != nullptr) *variance = filter_.AnswerVariance0();
+    return filter_.PredictedMeasurement0();
+  }
   Result<Snapshot> ExportState() const override {
     return Snapshot{filter_.state(), filter_.covariance(), filter_.step()};
   }

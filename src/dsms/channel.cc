@@ -5,6 +5,16 @@
 
 namespace dkf {
 
+void ChannelStats::MergeFrom(const ChannelStats& other) {
+  messages += other.messages;
+  bytes += other.bytes;
+  dropped += other.dropped;
+  corrupted += other.corrupted;
+  delayed += other.delayed;
+  ack_lost += other.ack_lost;
+  outage_dropped += other.outage_dropped;
+}
+
 Status ValidateChannelOptions(const ChannelOptions& options) {
   if (!(options.drop_probability >= 0.0 && options.drop_probability < 1.0)) {
     return Status::InvalidArgument("drop probability must be in [0, 1)");
@@ -300,16 +310,7 @@ void Channel::FinalizeRestore() {
               return a.message.sequence < b.message.sequence;
             });
   total_ = ChannelStats();
-  for (const auto& [id, source] : per_source_) {
-    const ChannelStats& stats = source.stats;
-    total_.messages += stats.messages;
-    total_.bytes += stats.bytes;
-    total_.dropped += stats.dropped;
-    total_.corrupted += stats.corrupted;
-    total_.delayed += stats.delayed;
-    total_.ack_lost += stats.ack_lost;
-    total_.outage_dropped += stats.outage_dropped;
-  }
+  for (const auto& [id, source] : per_source_) total_.MergeFrom(source.stats);
 }
 
 bool Channel::has_residual_for(int source_id) const {

@@ -32,6 +32,9 @@ struct ChannelStats {
   /// Messages lost to a scheduled outage window (also counted in
   /// `dropped`).
   int64_t outage_dropped = 0;
+
+  /// Field-wise accumulation.
+  void MergeFrom(const ChannelStats& other);
 };
 
 /// Lossiness configuration. The paper's testbed was a reliable LAN; the

@@ -265,54 +265,75 @@ Status KalmanFilter::Predict() {
   return Status::OK();
 }
 
+void KalmanFilter::PredictedMeasurementInto(const double* h, const double* x,
+                                            size_t n, size_t m, double* out) {
+  MultiplyVectorInto(h, m, n, x, out);
+}
+
+void KalmanFilter::InnovationCovarianceInto(const double* h, const double* p,
+                                            const double* r, size_t n,
+                                            size_t m, double* ph, double* s) {
+  MultiplyTransposedInto(p, n, n, h, m, ph);
+  MultiplyInto(h, m, n, ph, m, s);
+  AddScaledInto(s, r, 1.0, m * m, s);
+}
+
+void KalmanFilter::AnswerCovarianceInto(const double* h, const double* p,
+                                        const double* r, size_t n, size_t m,
+                                        double* ph, double* out) {
+  InnovationCovarianceInto(h, p, r, n, m, ph, out);
+  AddScaledInto(out, r, -1.0, m * m, out);
+  SymmetrizeInPlace(out, m);
+}
+
+double KalmanFilter::AnswerVariance0(const double* h, const double* p,
+                                     const double* r, size_t n) {
+  // S(0, 0): each (P H^T)(k, 0) summed the way MultiplyTransposedInto
+  // does, folded into row 0 of H the way MultiplyInto does (both skip
+  // zero left factors), plus R(0, 0) the way AddScaledInto adds it; then
+  // R(0, 0) taken off again.
+  double s = 0.0;
+  for (size_t k = 0; k < n; ++k) {
+    const double hk = h[k];
+    if (hk == 0.0) continue;
+    double ph = 0.0;
+    MultiplyTransposedInto(p + k * n, 1, n, h, 1, &ph);
+    s += hk * ph;
+  }
+  return s + 1.0 * r[0] - r[0];
+}
+
 Vector KalmanFilter::PredictedMeasurement() const {
   Vector out(at_.state.m);
-  MultiplyVectorInto(At(at_.h), at_.state.m, at_.state.n, At(at_.state.x),
-                     out.data());
+  PredictedMeasurementInto(At(at_.h), At(at_.state.x), at_.state.n,
+                           at_.state.m, out.data());
   return out;
 }
 
 double KalmanFilter::PredictedMeasurement0() const {
-  // Row 0 of H x.
-  double sum = 0.0;
-  MultiplyVectorInto(At(at_.h), 1, at_.state.n, At(at_.state.x), &sum);
-  return sum;
+  double out = 0.0;
+  PredictedMeasurementInto(At(at_.h), At(at_.state.x), at_.state.n, 1, &out);
+  return out;
 }
 
-double KalmanFilter::InnovationVariance0() const {
-  // Entry (0, 0) of InnovationCovariance(), read in place and written to
-  // no scratch: each (P H^T)(k, 0) summed the way MultiplyTransposedInto
-  // does, folded into row 0 of H the way MultiplyInto does (both skip
-  // zero left factors), plus R(0, 0) the way AddScaledInto adds it.
-  const double* h_row = At(at_.h);
-  const double* p = At(at_.state.p);
-  const size_t n = at_.state.n;
-  double s = 0.0;
-  for (size_t k = 0; k < n; ++k) {
-    const double hk = h_row[k];
-    if (hk == 0.0) continue;
-    double ph = 0.0;
-    MultiplyTransposedInto(p + k * n, 1, n, h_row, 1, &ph);
-    s += hk * ph;
-  }
-  return s + 1.0 * *At(at_.state.r);
+double KalmanFilter::AnswerVariance0() const {
+  return AnswerVariance0(At(at_.h), At(at_.state.p), At(at_.state.r),
+                         at_.state.n);
 }
 
 void KalmanFilter::InnovationCovarianceInto() const {
-  // S = H (P H^T) + R. P is kept exactly symmetric by Symmetrize, so
-  // P H^T is the transpose of H P entry-for-entry.
-  const size_t n = at_.state.n;
-  const size_t m = at_.state.m;
-  const double* h = At(at_.h);
-  double* nm = At(at_.nm);
-  double* mm = At(at_.mm);
-  MultiplyTransposedInto(At(at_.state.p), n, n, h, m, nm);
-  MultiplyInto(h, m, n, nm, m, mm);
-  AddScaledInto(mm, At(at_.state.r), 1.0, m * m, mm);
+  InnovationCovarianceInto(At(at_.h), At(at_.state.p), At(at_.state.r),
+                           at_.state.n, at_.state.m, At(at_.nm), At(at_.mm));
 }
 
 Matrix KalmanFilter::InnovationCovariance() const {
   InnovationCovarianceInto();
+  return MatrixAt(at_.mm, at_.state.m, at_.state.m);
+}
+
+Matrix KalmanFilter::AnswerCovariance() const {
+  AnswerCovarianceInto(At(at_.h), At(at_.state.p), At(at_.state.r),
+                       at_.state.n, at_.state.m, At(at_.nm), At(at_.mm));
   return MatrixAt(at_.mm, at_.state.m, at_.state.m);
 }
 

@@ -165,11 +165,43 @@ class KalmanFilter {
   /// Innovation covariance S = H P H^T + R at the current state.
   Matrix InnovationCovariance() const;
 
+  /// The uncertainty of the answer PredictedMeasurement() gives: the
+  /// state covariance projected into measurement space, H P H^T,
+  /// computed as S - R and symmetrized. (It deliberately excludes R: it
+  /// is the uncertainty of the answer, not of a new sensor reading.)
+  Matrix AnswerCovariance() const;
+
   /// Component 0 of PredictedMeasurement() and entry (0, 0) of
-  /// InnovationCovariance(), computed with the same operations in the
-  /// same order (so bit-identical) without building either.
+  /// AnswerCovariance(), bit-identical, without building either.
   double PredictedMeasurement0() const;
-  double InnovationVariance0() const;
+  double AnswerVariance0() const;
+
+  /// The answer kernels: the arithmetic of the members above, over raw
+  /// row-major H (m x n), x (n), P (n x n) and R (m x m). The members run
+  /// them on the filter's block, and the batched fleet engine on a
+  /// resident lane's columns, so both answer with the same operations in
+  /// the same order.
+
+  /// out (m) = H x; m = 1 gives component 0.
+  static void PredictedMeasurementInto(const double* h, const double* x,
+                                       size_t n, size_t m, double* out);
+
+  /// s (m x m) = H (P H^T) + R, with P H^T left in `ph` (n x m). P is
+  /// kept exactly symmetric, so P H^T is (H P)^T entry for entry.
+  static void InnovationCovarianceInto(const double* h, const double* p,
+                                       const double* r, size_t n, size_t m,
+                                       double* ph, double* s);
+
+  /// out (m x m) = Symmetrize(S - R), S from InnovationCovarianceInto
+  /// (`ph` as there).
+  static void AnswerCovarianceInto(const double* h, const double* p,
+                                   const double* r, size_t n, size_t m,
+                                   double* ph, double* out);
+
+  /// Entry (0, 0) of AnswerCovarianceInto's out, read in place with no
+  /// scratch: S(0, 0) - R(0, 0) (symmetrizing leaves the diagonal alone).
+  static double AnswerVariance0(const double* h, const double* p,
+                                const double* r, size_t n);
 
   /// Normalized innovation squared y^T S^{-1} y for measurement z — the
   /// chi-squared consistency statistic used by outlier detection, model

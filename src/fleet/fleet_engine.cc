@@ -35,7 +35,7 @@ const KalmanFilter* FilterOf(const Predictor& predictor) {
 
 /// Canonical byte key of everything that makes two models interchangeable
 /// for batching purposes: lanes in one group share coefficients and the
-/// replay/loaner filters, so any field that could alter arithmetic or
+/// replay filter, so any field that could alter arithmetic or
 /// trace behavior must be part of the key.
 ///
 /// The key also covers every field the snapshot's Walk<StateModel>
@@ -212,9 +212,7 @@ Result<int> FleetEngine::GroupFor(const StateModel& model) {
 
   auto group = std::make_unique<Group>(model);
   DKF_ASSIGN_OR_RETURN(KalmanPredictor replay, KalmanPredictor::Create(model));
-  DKF_ASSIGN_OR_RETURN(KalmanPredictor loaner, KalmanPredictor::Create(model));
   group->replay = std::move(replay);
-  group->loaner = std::move(loaner);
   const KalmanFilterOptions& o = model.options;
   const size_t n = group->n;
   group->phi.assign(o.transition.data(), o.transition.data() + n * n);
@@ -303,6 +301,8 @@ std::optional<FleetEngine::ResidentSource> FleetEngine::FindResident(
   source.noise_adapter = record.adapter != nullptr
                              ? record.adapter.get()
                              : &PrototypeFor(*entry).noise_adapter();
+  source.group = entry->group;
+  source.lane = entry->lane;
   return source;
 }
 
@@ -328,15 +328,9 @@ KalmanFilter::FullState FleetEngine::LaneFullState(const Group& g,
   const size_t n = g.n;
   f.x = Vector(n);
   std::memcpy(f.x.data(), &g.x[lane * n], n * sizeof(double));
-  if (g.p_stale[lane]) {
-    // Armed lanes defer the frozen-covariance copy; the filter's own fast
-    // path assigns p <- ss_prior_p[ss_idx] eagerly, so reconstruct that.
-    f.p = f.ss_prior_p[g.ss_idx[lane]];
-  } else {
-    f.p = Matrix(n, n);
-    std::memcpy(f.p.MutableRowData(0), &g.p[lane * n * n],
-                n * n * sizeof(double));
-  }
+  f.p = Matrix(n, n);
+  std::memcpy(f.p.MutableRowData(0), LaneCovariance(g, lane, end),
+              n * n * sizeof(double));
   f.step = g.step[lane];
   f.predicts_since_correct =
       g.psc[lane] + (end == kServerEnd ? g.server_psc_skew[lane] : 0);
@@ -344,6 +338,19 @@ KalmanFilter::FullState FleetEngine::LaneFullState(const Group& g,
   f.ss_mode = g.ss_mode[lane];
   f.ss_idx = g.ss_idx[lane];
   return f;
+}
+
+const double* FleetEngine::LaneCovariance(const Group& g, size_t lane,
+                                          End end) {
+  if (!g.p_stale[lane]) return &g.p[lane * g.n * g.n];
+  // The filter's own fast path assigns p <- ss_prior_p[ss_idx] eagerly.
+  return ColdSegment(g.cold_table[g.ends[end].cold_idx[lane]], g.layout,
+                     g.layout.prior_p[g.ss_idx[lane]]);
+}
+
+const double* FleetEngine::ServerNoise(const Group& g, size_t lane) {
+  return ColdSegment(g.cold_table[g.ends[kServerEnd].cold_idx[lane]],
+                     g.layout, g.layout.r);
 }
 
 void FleetEngine::SetCold(Group& g, size_t lane) {
@@ -742,14 +749,12 @@ void FleetEngine::DisarmLane(Group& g, size_t lane,
   DKF_TRACE(obs_sink_, g.step[lane], id, TraceEventKind::kFastPathDisarm,
             TraceActor::kSourceFilter, period);
   g.ss_mode[lane] = kSsTracking;
-  const double* record = g.cold_table[g.ends[kMirrorEnd].cold_idx[lane]];
   if (g.p_stale[lane]) {
-    std::memcpy(&g.p[lane * n * n],
-                ColdSegment(record, g.layout,
-                            g.layout.prior_p[g.ss_idx[lane]]),
+    std::memcpy(&g.p[lane * n * n], LaneCovariance(g, lane, kMirrorEnd),
                 n * n * sizeof(double));
     g.p_stale[lane] = 0;
   }
+  const double* record = g.cold_table[g.ends[kMirrorEnd].cold_idx[lane]];
   // DisarmSteadyState's reset: ss_streak1, ss_streak2 and ss_have_prev,
   // the record's first three scalars.
   std::memcpy(g.cold_scratch.data(), record,
@@ -828,8 +833,8 @@ Status FleetEngine::TickGroupLanes(int group_index, int64_t tick) {
           // 0 or 1 and period 1 or 2 (ImportFullState enforces both).
           const int32_t next_idx = g.ss_idx[lane] + 1;
           g.ss_idx[lane] = next_idx >= g.ss_period[lane] ? 0 : next_idx;
-          // Defer the p <- ss_prior_p[ss_idx] copy; LaneFullState and
-          // the next slow predict materialize it on demand.
+          // Defer the p <- ss_prior_p[ss_idx] copy: LaneCovariance reads
+          // it in place, and the coasting break materializes it.
           g.p_stale[lane] = 1;
         } else {
           std::memcpy(&g.p[lane * n * n], sp2, n * n * sizeof(double));
@@ -984,69 +989,55 @@ Status FleetEngine::ProcessTick(int64_t tick, const std::vector<Vector>& values,
   return TryAbsorbAll();
 }
 
-Result<Vector> FleetEngine::Answer(int source_id) const {
-  const TickEntry* entry = FindEntry(source_id);
-  if (entry == nullptr || entry->group < 0) {
-    return Status::NotFound(
-        StrFormat("source %d not registered", source_id));
-  }
-  const Group& g = *groups_[entry->group];
-  DKF_RETURN_IF_ERROR(
-      g.loaner->ImportFullState(LaneFullState(g, entry->lane, kServerEnd)));
-  return g.loaner->Predicted();
+Vector FleetEngine::Answer(const ResidentSource& source) const {
+  const Group& g = *groups_[source.group];
+  const size_t lane = static_cast<size_t>(source.lane);
+  Vector value(g.m);
+  KalmanFilter::PredictedMeasurementInto(g.h.data(), &g.x[lane * g.n], g.n,
+                                         g.m, value.data());
+  return value;
 }
 
-Result<ServerNode::ConfidentAnswer> FleetEngine::AnswerWithConfidence(
-    int source_id) const {
-  const TickEntry* entry = FindEntry(source_id);
-  if (entry == nullptr || entry->group < 0) {
-    return Status::NotFound(
-        StrFormat("source %d not registered", source_id));
-  }
-  const Group& g = *groups_[entry->group];
-  const size_t lane = entry->lane;
-  DKF_RETURN_IF_ERROR(
-      g.loaner->ImportFullState(LaneFullState(g, lane, kServerEnd)));
+ServerNode::ConfidentAnswer FleetEngine::AnswerWithConfidence(
+    const ResidentSource& source) const {
+  const Group& g = *groups_[source.group];
+  const size_t lane = static_cast<size_t>(source.lane);
   ServerNode::ConfidentAnswer answer;
-  answer.value = g.loaner->Predicted();
-  answer.covariance = g.loaner->PredictedCovariance();
+  answer.value = Answer(source);
+  Matrix covariance(g.m, g.m);
+  Matrix ph(g.n, g.m);
+  KalmanFilter::AnswerCovarianceInto(
+      g.h.data(), LaneCovariance(g, lane, kServerEnd), ServerNoise(g, lane),
+      g.n, g.m, ph.data(), covariance.data());
   const int64_t overdue = LaneOverdueTicks(g, lane);
   if (overdue > 0) {
     answer.degraded = true;
-    if (answer.covariance.has_value()) {
-      InflateDegraded(protocol_, overdue, &*answer.covariance);
-    }
+    InflateDegraded(protocol_, overdue, &covariance);
   }
+  answer.covariance = std::move(covariance);
   return answer;
 }
 
-Result<bool> FleetEngine::answer_degraded(int source_id) const {
-  const TickEntry* entry = FindEntry(source_id);
-  if (entry == nullptr || entry->group < 0) {
-    return Status::NotFound(
-        StrFormat("source %d not registered", source_id));
+double FleetEngine::AnswerScalar(const ResidentSource& source,
+                                 double* variance) const {
+  const Group& g = *groups_[source.group];
+  const size_t lane = static_cast<size_t>(source.lane);
+  if (variance != nullptr) {
+    *variance = KalmanFilter::AnswerVariance0(
+        g.h.data(), LaneCovariance(g, lane, kServerEnd), ServerNoise(g, lane),
+        g.n);
+    const int64_t overdue = LaneOverdueTicks(g, lane);
+    if (overdue > 0) *variance *= DegradedScale(protocol_, overdue);
   }
-  return LaneOverdueTicks(*groups_[entry->group], entry->lane) > 0;
+  double value = 0.0;
+  KalmanFilter::PredictedMeasurementInto(g.h.data(), &g.x[lane * g.n], g.n, 1,
+                                         &value);
+  return value;
 }
 
-Result<SourceNode::CheckpointState> FleetEngine::SynthesizeSourceState(
-    int source_id) const {
-  const TickEntry* entry = FindEntry(source_id);
-  if (entry == nullptr || entry->group < 0) {
-    return Status::NotFound(
-        StrFormat("source %d not resident", source_id));
-  }
-  return SynthesizeForLane(*groups_[entry->group], entry->lane);
-}
-
-Result<ServerNode::LinkSnapshot> FleetEngine::SynthesizeLinkState(
-    int source_id) const {
-  const TickEntry* entry = FindEntry(source_id);
-  if (entry == nullptr || entry->group < 0) {
-    return Status::NotFound(
-        StrFormat("source %d not resident", source_id));
-  }
-  return SynthesizeLinkForLane(*groups_[entry->group], entry->lane);
+bool FleetEngine::answer_degraded(const ResidentSource& source) const {
+  return LaneOverdueTicks(*groups_[source.group],
+                          static_cast<size_t>(source.lane)) > 0;
 }
 
 }  // namespace dkf

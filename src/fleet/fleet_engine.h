@@ -171,7 +171,8 @@ class FleetEngine {
   FleetFootprint footprint() const;
 
   /// The per-source facts the shard reports for a resident source,
-  /// answered from its lane and node record.
+  /// answered from its lane and node record, and the lane's address, which
+  /// the answer and checkpoint entries below take in place of an id.
   struct ResidentSource {
     double delta = 0.0;
     int64_t updates_sent = 0;
@@ -184,10 +185,38 @@ class FleetEngine {
     const StateModel* model = nullptr;
     /// The mirror-side noise servo (a disabled one without adaptation).
     const NoiseAdapter* noise_adapter = nullptr;
+    int32_t group = -1;
+    int32_t lane = 0;
   };
 
   /// nullopt when the source is not resident.
   std::optional<ResidentSource> FindResident(int source_id) const;
+
+  /// Answer surface for a resident source, bit-identical to what the
+  /// ServerNode answers for the same link: KalmanFilter's answer kernels
+  /// run on the lane's server end in place (x and P from the lane, P
+  /// from the cold record while the lane defers its frozen-cycle copy, H
+  /// from the group, R from the cold record), with the same degraded
+  /// inflation. Reads only; no filter is built.
+  Vector Answer(const ResidentSource& source) const;
+  ServerNode::ConfidentAnswer AnswerWithConfidence(
+      const ResidentSource& source) const;
+  /// ServerNode::AnswerScalar's reading of the lane.
+  double AnswerScalar(const ResidentSource& source, double* variance) const;
+  bool answer_degraded(const ResidentSource& source) const;
+
+  /// Checkpoint surface for a resident source: the exact per-source
+  /// snapshots a spilled run would capture, from the lane, its group and
+  /// its node record. The mirror and predictor of a resident source are
+  /// bitwise equal by construction, so both carry the same filter bits.
+  SourceNode::CheckpointState SynthesizeSourceState(
+      const ResidentSource& source) const {
+    return SynthesizeForLane(*groups_[source.group], source.lane);
+  }
+  ServerNode::LinkSnapshot SynthesizeLinkState(
+      const ResidentSource& source) const {
+    return SynthesizeLinkForLane(*groups_[source.group], source.lane);
+  }
 
   /// Adds every resident source's source-side fault counters (kept in
   /// its node record) to `merged`.
@@ -223,25 +252,6 @@ class FleetEngine {
   /// ShardReadingSlice, one entry per tracked source.
   Status ProcessTick(int64_t tick, const std::vector<Vector>& values,
                      const std::vector<uint32_t>& positions);
-
-  /// Answer surface for resident sources (the shard routes here when the
-  /// server has no predictor for the id). Bit-identical to what the
-  /// ServerNode would produce for the same link state: the lane state is
-  /// loaded into a per-group loaner filter and answered through the very
-  /// same code paths.
-  Result<Vector> Answer(int source_id) const;
-  Result<ServerNode::ConfidentAnswer> AnswerWithConfidence(
-      int source_id) const;
-  Result<bool> answer_degraded(int source_id) const;
-
-  /// Checkpoint surface for resident sources: synthesizes the exact
-  /// per-source snapshots a spilled run would capture, from the lane, its
-  /// group and its node record. The mirror and predictor of a resident
-  /// source are bitwise equal by construction, so both synthesized states
-  /// carry the same filter bits.
-  Result<SourceNode::CheckpointState> SynthesizeSourceState(
-      int source_id) const;
-  Result<ServerNode::LinkSnapshot> SynthesizeLinkState(int source_id) const;
 
  private:
   /// Phase / SsMode enum values mirrored from KalmanFilter::FullState's
@@ -402,11 +412,8 @@ class FleetEngine {
     std::vector<double> sp1;  // n*n
     std::vector<double> sp2;  // n*n
 
-    // Loaner filters: `loaner` synthesizes answers/checkpoints from lane
-    // state (mutable: Answer() is logically const), `replay` executes
-    // the rare arm-pending tick through the real filter so the freeze
-    // transition stays bit-exact, trace events included.
-    mutable std::optional<KalmanPredictor> loaner;
+    // Executes the rare arm-pending tick through the real filter so the
+    // freeze transition stays bit-exact, trace events included.
     std::optional<KalmanPredictor> replay;
 
     // A fresh node of this model, cloned to rebuild a spilled source
@@ -438,6 +445,14 @@ class FleetEngine {
   /// Reconstructs the FullState of one end of the lane's link.
   KalmanFilter::FullState LaneFullState(const Group& g, size_t lane,
                                         End end) const;
+
+  /// P (n x n) of one end of the lane's link: the lane's column, or,
+  /// while `p_stale` defers the armed predict's copy, the end's cold
+  /// ss_prior_p[ss_idx] it would have copied.
+  static const double* LaneCovariance(const Group& g, size_t lane, End end);
+
+  /// R (m x m) of the lane's server end, in its cold record.
+  static const double* ServerNoise(const Group& g, size_t lane);
 
   /// Points both ends of lane `lane` at the cold record staged in
   /// `g.cold_scratch`, releasing the ones they held — for the armed and

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/string_util.h"
+#include "core/suppression.h"
 #include "serve/subscription.h"
 
 namespace dkf {
@@ -230,7 +231,7 @@ Status FusionEngine::StepMember(Group& group, int member_id, Member& member,
   if (!member.link.pending) {
     const Vector predicted = member.mirror.PredictedMeasurement();
     const double deviation =
-        Deviation(predicted, reading, group.config.norm);
+        Deviation(predicted, reading, DeviationNorm::kMaxAbs);
     const bool send = deviation > group.config.delta;
     if (send) {
       Message message;
@@ -609,7 +610,6 @@ std::vector<FusionEngine::GroupState> FusionEngine::ExportGroups() const {
     state.model = group.config.model;
     state.delta = group.config.delta;
     state.base_delta = group.base_delta;
-    state.norm = group.config.norm;
     state.posterior = group.posterior.ExportFullState();
     state.version = group.version;
     state.last_valid_tick = group.last_valid_tick;
@@ -639,7 +639,6 @@ Status FusionEngine::ImportGroup(const GroupState& state) {
   config.group_id = state.group_id;
   config.model = state.model;
   config.delta = state.delta;
-  config.norm = state.norm;
   for (const MemberState& member_state : state.members) {
     config.member_ids.push_back(member_state.source_id);
   }

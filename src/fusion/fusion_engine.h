@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "core/suppression.h"
 #include "dsms/channel.h"
 #include "dsms/protocol.h"
 #include "filter/fusion_kernels.h"
@@ -35,9 +34,8 @@ struct FusionGroupConfig {
   std::vector<int> member_ids;
   /// The group's event-trigger threshold delta (docs/fusion.md §2): a
   /// member transmits only when its reading deviates from the *fused*
-  /// prediction by more than this.
+  /// prediction by more than this in some component (max-abs, §5.1).
   double delta = 1.0;
-  DeviationNorm norm = DeviationNorm::kMaxAbs;
 };
 
 /// Lifetime counters for the fusion subsystem, on top of the shared
@@ -224,7 +222,6 @@ class FusionEngine {
     StateModel model;
     double delta = 1.0;       // current effective event trigger
     double base_delta = 1.0;  // registration-time trigger (revert target)
-    DeviationNorm norm = DeviationNorm::kMaxAbs;
     KalmanFilter::FullState posterior;
     int64_t version = 0;
     int64_t last_valid_tick = -1;

@@ -10,8 +10,7 @@ namespace dkf {
 /// recovered, and what the server rejected at the door. One instance is
 /// kept per SourceNode (source-side fields) and per ServerNode
 /// (server-side fields); the engine merges them into one fleet-wide
-/// view (see runtime/stats_merge.h and
-/// docs/protocol.md §6).
+/// view (ShardedStreamEngine::fault_stats, docs/protocol.md §6).
 struct ProtocolFaultStats {
   // ---- source side -------------------------------------------------
   /// Times a source entered the pending-resync state (an update's ACK

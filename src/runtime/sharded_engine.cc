@@ -67,6 +67,7 @@ class ShardedStreamEngine::ServeAnswers final : public ServeAnswerSource {
 ShardedStreamEngine::ShardedStreamEngine(
     const ShardedStreamEngineOptions& options)
     : options_(options),
+      channel_status_(ValidateChannelOptions(options.channel)),
       aggregate_serve_(options.serve),
       pool_(static_cast<size_t>(ClampShards(options.num_shards) - 1)) {
   options_.num_shards = ClampShards(options.num_shards);
@@ -106,6 +107,7 @@ int ShardedStreamEngine::ShardIndexFor(int source_id) const {
 
 Status ShardedStreamEngine::RegisterSource(int source_id,
                                            const StateModel& model) {
+  DKF_RETURN_IF_ERROR(channel_status_);
   if (HasSource(source_id)) {
     return Status::AlreadyExists(
         StrFormat("source %d already registered", source_id));
@@ -157,6 +159,7 @@ Status ShardedStreamEngine::RemoveQuery(int query_id) {
 
 Status ShardedStreamEngine::RegisterFusionGroup(
     const FusionGroupConfig& config) {
+  DKF_RETURN_IF_ERROR(channel_status_);
   if (fusion_groups_.contains(config.group_id)) {
     return Status::AlreadyExists(
         StrFormat("fusion group %d already registered", config.group_id));
@@ -614,12 +617,9 @@ Status ShardedStreamEngine::VerifyMirrorConsistency() const {
 }
 
 ChannelStats ShardedStreamEngine::uplink_traffic() const {
-  std::vector<const ChannelStats*> per_shard;
-  per_shard.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    per_shard.push_back(&shard->uplink_traffic());
-  }
-  return MergeChannelStats(per_shard);
+  ChannelStats merged;
+  for (const auto& shard : shards_) merged.MergeFrom(shard->uplink_traffic());
+  return merged;
 }
 
 Status ShardedStreamEngine::VerifyLinkConsistency() const {
@@ -648,15 +648,6 @@ ProtocolFaultStats ShardedStreamEngine::fault_stats() const {
   for (const auto& shard : shards_) {
     merged.MergeFrom(shard->fault_stats());
   }
-  return merged;
-}
-
-MergedRuntimeStats ShardedStreamEngine::stats() const {
-  MergedRuntimeStats merged;
-  merged.uplink = uplink_traffic();
-  merged.control_messages = control_messages();
-  merged.sources = static_cast<int64_t>(registered_.size());
-  merged.faults = fault_stats();
   return merged;
 }
 

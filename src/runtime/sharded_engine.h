@@ -21,7 +21,6 @@
 #include "query/query.h"
 #include "query/registry.h"
 #include "runtime/shard.h"
-#include "runtime/stats_merge.h"
 #include "runtime/worker_pool.h"
 
 namespace dkf {
@@ -96,6 +95,9 @@ struct ShardedStreamEngineOptions {
 /// locks).
 class ShardedStreamEngine {
  public:
+  /// Channel options that fail ValidateChannelOptions are not refused
+  /// here but by every RegisterSource and RegisterFusionGroup, so such an
+  /// engine never sends a message.
   explicit ShardedStreamEngine(const ShardedStreamEngineOptions& options);
 
   ShardedStreamEngine(ShardedStreamEngine&&) = delete;
@@ -253,9 +255,6 @@ class ShardedStreamEngine {
   /// Uplink totals merged across shards.
   ChannelStats uplink_traffic() const;
 
-  /// All merged engine counters in one call.
-  MergedRuntimeStats stats() const;
-
   /// Control messages merged across shards.
   int64_t control_messages() const;
 
@@ -407,6 +406,8 @@ class ShardedStreamEngine {
   }
 
   ShardedStreamEngineOptions options_;
+  /// ValidateChannelOptions(options_.channel), run once.
+  Status channel_status_;
   std::vector<std::unique_ptr<StreamShard>> shards_;
   /// Registered source ids (membership only: ShardIndexFor derives the
   /// owning shard, and the shard owns everything else about a source).

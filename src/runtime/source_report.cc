@@ -71,7 +71,6 @@ Result<SourceReport> RunSource(const ReportSource& source,
 Result<std::vector<SourceReport>> RunSourceReports(
     const std::vector<ReportSource>& sources,
     const EnergyModelOptions& energy, const ChannelOptions& channel) {
-  DKF_RETURN_IF_ERROR(ValidateChannelOptions(channel));
   std::vector<SourceReport> reports;
   for (const ReportSource& source : sources) {
     DKF_ASSIGN_OR_RETURN(SourceReport report,

@@ -43,9 +43,9 @@ struct SourceReport {
 /// through it, and each tick's answer is measured against the protocol
 /// value (under KF_c, SmoothSeriesKalman at the engine's KF_c variance).
 /// Fault streams are per source, so sources are independent and may
-/// differ in length. InvalidArgument for empty data or channel options
-/// that fail ValidateChannelOptions; the engine's own errors pass
-/// through.
+/// differ in length. InvalidArgument for empty data; the engine's own
+/// errors, such as its refusal of channel options that fail
+/// ValidateChannelOptions, pass through.
 Result<std::vector<SourceReport>> RunSourceReports(
     const std::vector<ReportSource>& sources,
     const EnergyModelOptions& energy = EnergyModelOptions(),

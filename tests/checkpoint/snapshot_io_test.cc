@@ -549,6 +549,41 @@ TEST(SnapshotIoTest, RejectsSharedRngSection) {
       << result.status().message();
 }
 
+TEST(SnapshotIoTest, RejectsFusionNormOtherThanMaxAbs) {
+  // A fusion group's retired deviation-norm byte follows its delta and
+  // base delta; the encoder always writes max-abs (0). A file with any
+  // other value (with a valid checksum) is refused.
+  ShardedStreamEngine engine{ShardedStreamEngineOptions()};
+  FusionGroupConfig config;
+  config.group_id = 7;
+  config.model = ScalarModel();
+  config.member_ids = {1, 2};
+  config.delta = 0.123456789;  // unique marker: the delta and base delta
+  ASSERT_TRUE(engine.RegisterFusionGroup(config).ok());
+  const std::string path = ::testing::TempDir() + "/fusion_norm.dkfsnap";
+  ASSERT_TRUE(engine.Save(path).ok());
+  const std::string valid =
+      EncodeSnapshot(LoadSnapshotFile(path).value()).value();
+  std::string payload = valid.substr(28);  // 8 magic + 4 + 8 + 8
+  BinaryWriter marker;
+  marker.WriteF64(config.delta);
+  marker.WriteF64(config.delta);
+  const size_t at = payload.find(marker.bytes());
+  ASSERT_NE(at, std::string::npos);
+  const size_t norm = at + 16;
+  ASSERT_EQ(payload[norm], '\0');
+  ASSERT_TRUE(DecodeSnapshot(WrapPayload(payload)).ok());
+  for (char value : {'\1', '\2', '\xff'}) {
+    payload[norm] = value;
+    auto result = DecodeSnapshot(WrapPayload(payload));
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("deviation norm"),
+              std::string::npos)
+        << result.status().message();
+  }
+}
+
 TEST(SnapshotIoTest, RestoreRejectsBadChannelFields) {
   // Channel and fault fields decode as any bit pattern; Restore must
   // refuse the ones the channel cannot run (an inverted delay range

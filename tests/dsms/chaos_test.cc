@@ -359,8 +359,8 @@ TEST(ChaosTest, ShardCountInvarianceUnderFullFaultCocktail) {
                 engine->updates_sent(id).value())
           << "shards=" << engine->num_shards() << " source=" << id;
     }
-    // The merged runtime stats surface the fault counters too.
-    EXPECT_EQ(engine->stats().faults.resyncs_applied,
+    // The merged fault counters agree too.
+    EXPECT_EQ(engine->fault_stats().resyncs_applied,
               single_faults.resyncs_applied);
   }
 

@@ -416,17 +416,19 @@ TEST(ShardedStreamEngineTest, MergedStatsCoverAllShards) {
     }
     ASSERT_TRUE(engine.ProcessTick(readings).ok());
   }
-  MergedRuntimeStats stats = engine.stats();
-  EXPECT_EQ(stats.sources, 8);
-  EXPECT_EQ(stats.control_messages, 8);
+  for (int id = 0; id < 8; ++id) {
+    EXPECT_TRUE(engine.source_usage(id).ok()) << "source " << id;
+  }
+  EXPECT_EQ(engine.control_messages(), 8);
   // Every source deviates hard at delta 0.5: traffic from all shards.
   int64_t per_source_total = 0;
   for (int id = 0; id < 8; ++id) {
     EXPECT_GT(engine.updates_sent(id).value(), 0);
     per_source_total += engine.updates_sent(id).value();
   }
-  EXPECT_EQ(stats.uplink.messages, per_source_total);
-  EXPECT_GT(stats.uplink.bytes, 0);
+  const ChannelStats uplink = engine.uplink_traffic();
+  EXPECT_EQ(uplink.messages, per_source_total);
+  EXPECT_GT(uplink.bytes, 0);
 }
 
 

@@ -1,12 +1,14 @@
 #include "runtime/source_report.h"
 
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "models/model_factory.h"
+#include "runtime/sharded_engine.h"
 
 namespace dkf {
 namespace {
@@ -72,6 +74,20 @@ TEST(SourceReportTest, RejectsMalformedSources) {
             StatusCode::kInvalidArgument);
 }
 
+/// The status of registering a source, then a fusion group, on an engine
+/// built with `channel`.
+std::pair<Status, Status> RegisterOn(const ChannelOptions& channel) {
+  ShardedStreamEngineOptions options;
+  options.channel = channel;
+  ShardedStreamEngine engine(options);
+  FusionGroupConfig group;
+  group.group_id = 1;
+  group.model = LinearModel();
+  group.member_ids = {10, 11};
+  return {engine.RegisterSource(1, LinearModel()),
+          engine.RegisterFusionGroup(group)};
+}
+
 TEST(SourceReportTest, RejectsBadChannelOptions) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   std::vector<ChannelOptions> bad(11);
@@ -96,6 +112,11 @@ TEST(SourceReportTest, RejectsBadChannelOptions) {
                   .status()
                   .code(),
               StatusCode::kInvalidArgument);
+    // The engine takes the options unchecked but refuses to register
+    // anything under them.
+    const auto [source, group] = RegisterOn(bad[i]);
+    EXPECT_EQ(source.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(group.code(), StatusCode::kInvalidArgument);
   }
 
   // The edges of every range are accepted.
@@ -107,6 +128,9 @@ TEST(SourceReportTest, RejectsBadChannelOptions) {
   edges.fault.delay = DelayModel{/*min_ticks=*/0, /*max_ticks=*/0};
   edges.fault.outages.push_back(OutageWindow{/*start=*/4, /*end=*/4});
   EXPECT_TRUE(ValidateChannelOptions(edges).ok());
+  const auto [source, group] = RegisterOn(edges);
+  EXPECT_TRUE(source.ok()) << source.message();
+  EXPECT_TRUE(group.ok()) << group.message();
 }
 
 TEST(SourceReportTest, RampSourceSuppressesAlmostEverything) {
