@@ -275,6 +275,39 @@ TEST(KalmanFilterTest, InnovationTracked) {
   EXPECT_DOUBLE_EQ(filter.last_innovation()[0], 7.0);  // prior was 0
 }
 
+TEST(KalmanFilterTest, AnswerCovarianceIsTheProjectedStateCovariance) {
+  // The answer's uncertainty is H P H^T: the state covariance projected
+  // into measurement space, without R (that would be a new reading's
+  // uncertainty, not the answer's). Two measured components, so the
+  // off-diagonal entries count too.
+  KalmanFilterOptions options = CvOptions();
+  options.measurement = Matrix{{1.0, 0.5}, {0.0, 2.0}};
+  options.measurement_noise = Matrix{{0.3, 0.1}, {0.1, 0.4}};
+  auto filter_or = KalmanFilter::Create(options);
+  ASSERT_TRUE(filter_or.ok());
+  KalmanFilter filter = std::move(filter_or).value();
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(filter.Predict().ok());
+    ASSERT_TRUE(filter.Correct(Vector{1.0 * i, 0.5}).ok());
+  }
+  ASSERT_TRUE(filter.Predict().ok());
+  const Matrix& h = options.measurement;
+  const Matrix expected = h * filter.covariance() * h.Transpose();
+  const Matrix answer = filter.AnswerCovariance();
+  ASSERT_EQ(answer.rows(), 2u);
+  ASSERT_EQ(answer.cols(), 2u);
+  for (size_t r = 0; r < 2; ++r) {
+    for (size_t c = 0; c < 2; ++c) {
+      EXPECT_NEAR(answer(r, c), expected(r, c), 1e-9 * expected(0, 0))
+          << "entry " << r << "," << c;
+    }
+  }
+  EXPECT_EQ(answer(0, 1), answer(1, 0));
+  // The scalar reading is entry (0, 0), bit for bit.
+  EXPECT_EQ(filter.AnswerVariance0(), answer(0, 0));
+  EXPECT_EQ(filter.PredictedMeasurement0(), filter.PredictedMeasurement()[0]);
+}
+
 TEST(KalmanFilterTest, NisIsSmallForConsistentMeasurement) {
   auto filter_or = KalmanFilter::Create(CvOptions());
   ASSERT_TRUE(filter_or.ok());
